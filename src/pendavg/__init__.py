@@ -26,17 +26,11 @@ from .model import (
 from .averaging import (
     AveragedSystem,
     AveragedValues,
-    AveragingError,
-    AveragingProblem,
     QuadratureError,
     ZeroResult,
     antipodal_pairing,
-    averaged_function,
     averaged_pair,
     find_zeros,
-    mode1_averaged,
-    mode2_averaged,
-    pendulum_problem,
 )
 from .continuation import (
     IntegrationError,
@@ -75,17 +69,11 @@ __all__ = [
     "vector_field_original",
     "AveragedSystem",
     "AveragedValues",
-    "AveragingError",
-    "AveragingProblem",
     "QuadratureError",
     "ZeroResult",
     "antipodal_pairing",
-    "averaged_function",
     "averaged_pair",
     "find_zeros",
-    "mode1_averaged",
-    "mode2_averaged",
-    "pendulum_problem",
     "IntegrationError",
     "IntegratorConfig",
     "PeriodicOrbit",

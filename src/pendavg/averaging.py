@@ -13,48 +13,25 @@ The ``mean`` pair is the canonical output (it is exactly the projected
 period average of M^-1(t) G1 along the orbit, the object whose simple
 zeros continue to periodic orbits); the ``raw`` pair differs only by the
 nonzero constant -/(+ 2 p T) per component, so both have the same zeros.
-
-A generic formulation (:class:`AveragingProblem` + :func:`averaged_function`)
-computes the same mean value from an arbitrary flow / fundamental-matrix /
-perturbation triple and audits the structural hypotheses numerically; the
-mode-specialized path is the fast production route and the generic one
-cross-checks it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .constants import SQRT2
 from .expr import ExprDomainError
-from .model import (
-    INVERSE_MODAL_MATRIX,
-    Mode,
-    PerturbationSpec,
-    compiled_forcing,
-    modal_orbit,
-    unperturbed_orbit,
-)
+from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
 
 MAX_PANELS = 2 ** 16
 _RULE_ORDER = 15
 
-PERIOD_GAP_TOL = 1e-9
-UPPER_BLOCK_TOL = 1e-10
-DET_FLOOR = 1e-8
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit the panel cap without meeting tolerance."""
-
-
-class AveragingError(RuntimeError):
-    """A structural hypothesis of the averaging setup failed its audit."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,136 +82,6 @@ def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
     raise QuadratureError(
         f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
     )
-
-
-# ---------------------------------------------------------------------------
-# Generic averaging operator
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AveragingProblem:
-    """Period-averaging setup over a k-parameter manifold of periodic orbits.
-
-    ``flow(alpha, taus)`` is the unperturbed T-periodic solution seeded at
-    ``(alpha, beta(alpha))``, ``fundamental(taus)`` its fundamental matrix
-    (identity at 0, shape ``(m, n, n)``), and ``perturbation(taus, states)``
-    the first-order forcing term, all vectorized over ``taus``.
-    """
-
-    n: int
-    k: int
-    period: float
-    beta: Callable[[np.ndarray], np.ndarray]
-    flow: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fundamental: Callable[[np.ndarray], np.ndarray]
-    perturbation: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass
-class ProblemAudit:
-    seed_gap: float
-    period_gap: float
-    upper_block_max: float
-    lower_block: np.ndarray
-    lower_block_det: float
-
-
-def audit_problem(problem, alpha):
-    """Numerically check the structural hypotheses near ``alpha``.
-
-    The flow must start on the parametrized manifold (alpha, beta(alpha)),
-    close up after one period, and M^-1(0) - M^-1(T) must have a zero
-    upper-right k x (n-k) block and a nonsingular lower-right
-    (n-k) x (n-k) block.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    ends = problem.flow(alpha, np.array([0.0, problem.period]))
-    seed = np.concatenate([alpha, np.asarray(problem.beta(alpha), dtype=float)])
-    seed_gap = float(np.abs(ends[:, 0] - seed).max())
-    period_gap = float(np.abs(ends[:, 0] - ends[:, 1]).max())
-    m = problem.fundamental(np.array([0.0, problem.period]))
-    diff = np.linalg.inv(m[0]) - np.linalg.inv(m[1])
-    k, n = problem.k, problem.n
-    upper = float(np.abs(diff[:k, k:]).max())
-    lower = diff[k:, k:]
-    det = float(np.linalg.det(lower))
-    audit = ProblemAudit(seed_gap, period_gap, upper, lower, det)
-    if seed_gap > PERIOD_GAP_TOL:
-        raise AveragingError(
-            f"flow at t=0 does not start at (alpha, beta(alpha)): gap {seed_gap:.3e}"
-        )
-    if period_gap > PERIOD_GAP_TOL:
-        raise AveragingError(
-            f"flow is not {problem.period}-periodic at alpha={alpha}: gap {period_gap:.3e}"
-        )
-    if upper > UPPER_BLOCK_TOL:
-        raise AveragingError(f"upper-right block of M^-1(0)-M^-1(T) is not zero: {upper:.3e}")
-    if abs(det) <= DET_FLOOR:
-        raise AveragingError(f"lower-right block of M^-1(0)-M^-1(T) is singular: det={det:.3e}")
-    return audit
-
-
-def averaged_function(problem, alpha, tol=1e-11):
-    """Project the period average of M^-1(t) G1(t, x(t)) onto the first k axes."""
-    audit_problem(problem, alpha)
-    alpha = np.asarray(alpha, dtype=float)
-
-    def integrand(taus):
-        states = problem.flow(alpha, taus)
-        minv = np.linalg.inv(problem.fundamental(taus))
-        g = problem.perturbation(taus, states)
-        rows = np.einsum("mij,jm->im", minv, g)
-        return rows[: problem.k]
-
-    result = integrate_adaptive(integrand, 0.0, problem.period, tol)
-    return result.value / problem.period
-
-
-def pendulum_problem(spec):
-    """Instantiate the generic setup for the resonant mode of ``spec``.
-
-    Coordinates are the modal ones, reordered so the resonant plane comes
-    first; the non-resonant plane carries the nonsingular block of
-    M^-1(0) - M^-1(T).
-    """
-    mode = spec.mode
-    f1, f2 = compiled_forcing(spec)
-    other_omega = Mode.MODE2.omega if mode is Mode.MODE1 else Mode.MODE1.omega
-
-    def beta(alpha):
-        return np.zeros(2)
-
-    def flow(alpha, taus):
-        states = modal_orbit(mode, alpha, taus)
-        if mode is Mode.MODE2:
-            states = states[[2, 3, 0, 1]]
-        return states
-
-    def fundamental(taus):
-        taus = np.asarray(taus, dtype=float)
-        out = np.zeros(taus.shape + (4, 4))
-        for idx, w in ((0, mode.omega), (2, other_omega)):
-            c, s = np.cos(w * taus), np.sin(w * taus)
-            out[..., idx, idx] = c
-            out[..., idx, idx + 1] = s
-            out[..., idx + 1, idx] = -s
-            out[..., idx + 1, idx + 1] = c
-        return out
-
-    def perturbation(taus, states):
-        if mode is Mode.MODE2:
-            states = states[[2, 3, 0, 1]]
-        th1, th1d, th2, th2d = INVERSE_MODAL_MATRIX @ states
-        v1 = np.broadcast_to(np.asarray(f1(taus, th1, th1d, th2, th2d), dtype=float), th1.shape)
-        v2 = np.broadcast_to(np.asarray(f2(taus, th1, th1d, th2, th2d), dtype=float), th1.shape)
-        g_slow = 0.5 * (SQRT2 * v1 + v2)
-        g_fast = 0.5 * (v2 - SQRT2 * v1)
-        zero = np.zeros_like(g_slow)
-        if mode is Mode.MODE1:
-            return np.stack([zero, g_slow, zero, g_fast])
-        return np.stack([zero, g_fast, zero, g_slow])
-
-    return AveragingProblem(4, 2, spec.full_period, beta, flow, fundamental, perturbation)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +137,6 @@ def averaged_pair(spec, alpha, tol=1e-11):
     return AveragedValues(raw[0], averaged[0], panels)
 
 
-def mode1_averaged(spec, alpha, tol=1e-11):
-    """Slow-mode bifurcation pair; requires a mode-1 spec."""
-    if spec.mode is not Mode.MODE1:
-        raise ValueError("spec is not a mode-1 resonance")
-    return averaged_pair(spec, alpha, tol)
-
-
-def mode2_averaged(spec, alpha, tol=1e-11):
-    """Fast-mode bifurcation pair; requires a mode-2 spec."""
-    if spec.mode is not Mode.MODE2:
-        raise ValueError("spec is not a mode-2 resonance")
-    return averaged_pair(spec, alpha, tol)
-
-
 @dataclass
 class AveragedSystem:
     """Callable mean bifurcation pair with finite-difference Jacobian access."""
@@ -314,11 +147,6 @@ class AveragedSystem:
 
     def __call__(self, alpha):
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
-
-    def raw(self, alpha):
-        raw, _, panels = _batched_pair(self.spec, np.asarray(alpha, dtype=float)[None, :], self.tol)
-        self.last_panels = panels
-        return raw[0]
 
     def eval_many(self, alphas):
         _, averaged, panels = _batched_pair(self.spec, alphas, self.tol)
@@ -433,7 +261,6 @@ def find_zeros(
     max_iterations=25,
     dedup_radius=1e-6,
     det_threshold=1e-8,
-    jobs=1,
 ):
     """Locate the zeros of the mean pair inside the open annulus.
 
@@ -451,20 +278,10 @@ def find_zeros(
         raise ValueError("require r1 < r2")
     if is_identically_zero(system, r1, r2):
         return []
-    seeds = seed_grid(r1, r2, *grid)
     bound = 10.0 * max(r2, 1.0)
-
-    def run(seed):
-        return _newton_seed(system, seed, newton_tol, max_iterations, bound)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = list(pool.map(run, seeds))
-    else:
-        hits = [run(seed) for seed in seeds]
-
     candidates = []
-    for hit in hits:
+    for seed in seed_grid(r1, r2, *grid):
+        hit = _newton_seed(system, seed, newton_tol, max_iterations, bound)
         if hit is None:
             continue
         alpha, residual, iterations = hit

@@ -21,12 +21,12 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .averaging import (
     AveragedSystem,
-    AveragingError,
     QuadratureError,
     antipodal_pairing,
     find_zeros,
@@ -65,7 +65,6 @@ def _add_experiment_flags(sub):
     sub.add_argument("--r2", type=float, help="outer annulus radius")
     sub.add_argument("--tol", type=float, help="quadrature tolerance")
     sub.add_argument("--eps", metavar="LIST", help="comma-separated epsilon ladder")
-    sub.add_argument("--jobs", type=int, help="parallel workers for the zero search")
 
 
 def _parse_eps_list(text):
@@ -93,7 +92,6 @@ def _config_from_args(args):
         ("r1", "r1"),
         ("r2", "r2"),
         ("tol", "quad_tol"),
-        ("jobs", "jobs"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -144,18 +142,10 @@ def _emit(args, filename, text):
 
 
 def _config_echo(cfg):
-    return {
-        "f1": cfg.f1,
-        "f2": cfg.f2,
-        "mode": cfg.mode,
-        "p": cfg.p,
-        "q": cfg.q,
-        "r1": cfg.r1,
-        "r2": cfg.r2,
-        "quad_tol": cfg.quad_tol,
-        "newton_tol": cfg.newton_tol,
-        "epsilons": list(cfg.epsilons),
-    }
+    """Every ExperimentConfig field, so a report can reproduce its run."""
+    echo = asdict(cfg)
+    echo["epsilons"] = list(cfg.epsilons)
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +155,6 @@ def _config_echo(cfg):
 def _search(cfg):
     spec = cfg.to_spec()
     system = AveragedSystem(spec, tol=cfg.quad_tol)
-    if is_identically_zero(system, cfg.r1, cfg.r2):
-        log.info("averaged pair is identically zero on the probe grid")
-        return spec, system, [], [], True
     zeros = find_zeros(
         system,
         r1=cfg.r1,
@@ -176,8 +163,12 @@ def _search(cfg):
         newton_tol=cfg.newton_tol,
         dedup_radius=cfg.dedup_radius,
         det_threshold=cfg.det_threshold,
-        jobs=cfg.jobs,
     )
+    # find_zeros already probed for a degenerate pair; probe again only to
+    # tell that case from a plain empty result.
+    if not zeros and is_identically_zero(system, cfg.r1, cfg.r2):
+        log.info("averaged pair is identically zero on the probe grid")
+        return spec, system, [], [], True
     classes = antipodal_pairing(zeros, radius=cfg.dedup_radius)
     log.info("found %d zeros in %d orbit classes", len(zeros), len(classes))
     return spec, system, zeros, classes, False
@@ -396,7 +387,7 @@ def main(argv=None):
     except (ConfigError, ExprSyntaxError, PeriodicityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, AveragingError, ShootingError, IntegrationError, ExprDomainError) as exc:
+    except (QuadratureError, ShootingError, IntegrationError, ExprDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

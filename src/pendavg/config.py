@@ -33,7 +33,6 @@ class ExperimentConfig:
     dedup_radius: float = 1e-6
     det_threshold: float = 1e-8
     epsilons: tuple = ()
-    jobs: int = 1
 
     def validate(self):
         for name, text in (("f1", self.f1), ("f2", self.f2)):
@@ -52,8 +51,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.grid_radial < 1 or self.grid_angular < 1:
             raise ConfigError("seed grid dimensions must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         for eps in self.epsilons:
             if not isinstance(eps, (int, float)) or not math.isfinite(eps):
                 raise ConfigError(f"epsilon entries must be finite numbers, got {eps!r}")
@@ -104,7 +101,7 @@ def _coerce(name, value):
         if not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {type(value).__name__}")
         return value
-    if name in ("p", "q", "grid_radial", "grid_angular", "jobs"):
+    if name in ("p", "q", "grid_radial", "grid_angular"):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return value

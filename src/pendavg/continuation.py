@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import ExprDomainError
-from .model import LINEAR_ORIGINAL, compiled_forcing, unperturbed_orbit
+from .model import compiled_forcing, forced_field, unperturbed_orbit
 
 
 class IntegrationError(RuntimeError):
@@ -76,25 +76,6 @@ class Trajectory:
     @property
     def final(self):
         return self.states[:, -1]
-
-
-def _make_rhs(spec, eps):
-    if eps == 0.0:
-        def rhs_linear(tau, y):
-            return LINEAR_ORIGINAL @ y
-
-        return rhs_linear
-
-    f1, f2 = compiled_forcing(spec)
-
-    def rhs(tau, y):
-        out = LINEAR_ORIGINAL @ y
-        th1, th1d, th2, th2d = y
-        out[1] = out[1] + eps * f1(tau, th1, th1d, th2, th2d)
-        out[3] = out[3] + eps * f2(tau, th1, th1d, th2, th2d)
-        return out
-
-    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +191,7 @@ def integrate(spec, eps, x0, tau_span, config=None):
     is densely sampled at the integrator's own resolution.
     """
     config = config or auto_config(eps)
-    rhs = _make_rhs(spec, eps)
+    rhs = forced_field(compiled_forcing(spec), eps)
     taus, states = _propagate(rhs, np.asarray(x0, dtype=float), tau_span[0], tau_span[1], config, record=True)
     return Trajectory(taus, states)
 
@@ -222,7 +203,7 @@ def sample_states(spec, eps, x0, taus, config=None):
     rather than interpolated.
     """
     config = config or auto_config(eps)
-    rhs = _make_rhs(spec, eps)
+    rhs = forced_field(compiled_forcing(spec), eps)
     taus = np.asarray(taus, dtype=float)
     out = np.empty((4, taus.size))
     y = np.asarray(x0, dtype=float)
@@ -238,7 +219,7 @@ def sample_states(spec, eps, x0, taus, config=None):
 def flow_map(spec, eps, states0, period, config=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch."""
     config = config or auto_config(eps)
-    rhs = _make_rhs(spec, eps)
+    rhs = forced_field(compiled_forcing(spec), eps)
     return _propagate(rhs, np.asarray(states0, dtype=float), 0.0, period, config)
 
 

@@ -250,26 +250,44 @@ def audit_periodicity(spec):
 # Vector fields
 # ---------------------------------------------------------------------------
 
-def vector_field_original(tau, state, spec, eps):
-    """Right-hand side of the perturbed first-order system.
+def forced_field(forcing, eps):
+    """Right-hand side ``rhs(tau, state)`` of the perturbed first-order system.
 
-    Returns ``(th1d, -2 th1 + th2 + eps F1, th2d, 2 th1 - 2 th2 + eps F2)``
-    with the forcing evaluated at ``(tau, state)``.  Accepts a ``(4,)``
-    state or a ``(4, m)`` batch sharing one ``tau``.
+    ``rhs`` returns ``(th1d, -2 th1 + th2 + eps F1, th2d, 2 th1 - 2 th2 + eps F2)``
+    with ``forcing = (F1, F2)`` from :func:`compiled_forcing` evaluated at
+    ``(tau, state)``, for a float ``(4,)`` state or a ``(4, m)`` batch
+    sharing one ``tau``.  Integrators build it once per integration.
     """
-    state = np.asarray(state, dtype=float)
-    th1, th1d, th2, th2d = state
-    out = LINEAR_ORIGINAL @ state
-    if eps != 0.0:
-        f1, f2 = compiled_forcing(spec)
-        out[1] = out[1] + eps * f1(tau, th1, th1d, th2, th2d)
-        out[3] = out[3] + eps * f2(tau, th1, th1d, th2, th2d)
-    return out
+    f1, f2 = forcing
+
+    def rhs(tau, state):
+        out = LINEAR_ORIGINAL @ state
+        if eps != 0.0:
+            th1, th1d, th2, th2d = state
+            out[1] = out[1] + eps * f1(tau, th1, th1d, th2, th2d)
+            out[3] = out[3] + eps * f2(tau, th1, th1d, th2, th2d)
+        return out
+
+    return rhs
+
+
+def vector_field_original(tau, state, spec, eps):
+    """:func:`forced_field` of ``spec`` at one ``(tau, state)``."""
+    return forced_field(compiled_forcing(spec), eps)(tau, np.asarray(state, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form orbit families of the unperturbed system
 # ---------------------------------------------------------------------------
+
+def _plane_motion(mode, alpha, tau):
+    """Position and velocity in the resonant mode plane at ``tau``."""
+    a0 = np.asarray(alpha[0], dtype=float)
+    b0 = np.asarray(alpha[1], dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    c, s = np.cos(mode.omega * tau), np.sin(mode.omega * tau)
+    return a0 * c + b0 * s, b0 * c - a0 * s
+
 
 def modal_orbit(mode, alpha, tau):
     """Unperturbed solution in modal coordinates from plane amplitudes.
@@ -278,23 +296,30 @@ def modal_orbit(mode, alpha, tau):
     plane stays identically zero.  ``tau`` may be a scalar or an array,
     and the two amplitude components broadcast against it.
     """
-    a0 = np.asarray(alpha[0], dtype=float)
-    b0 = np.asarray(alpha[1], dtype=float)
-    w = mode.omega
-    tau = np.asarray(tau, dtype=float)
-    c, s = np.cos(w * tau), np.sin(w * tau)
-    pos = a0 * c + b0 * s
-    vel = b0 * c - a0 * s
+    pos, vel = _plane_motion(mode, alpha, tau)
     zero = np.zeros_like(pos)
     if mode is Mode.MODE1:
         return np.stack([pos, vel, zero, zero])
     return np.stack([zero, zero, pos, vel])
 
 
+# (pos, vel, pos) / divisors = (th1, th1d, th2), and th2d = vel: the
+# reciprocals of the resonant plane's INVERSE_MODAL_MATRIX entries.  Dividing
+# keeps the closed form's rounding; multiplying by the matrix entries moves
+# values by an ulp, enough to change which Newton seed wins a zero's dedup
+# bin and so the reported iteration counts.
+_ORBIT_DIVISORS = {
+    Mode.MODE1: (math.sqrt(4.0 - 2.0 * SQRT2), SQRT2, OMEGA1),
+    Mode.MODE2: (-math.sqrt(4.0 + 2.0 * SQRT2), -SQRT2, OMEGA2),
+}
+
+
 def unperturbed_orbit(mode, alpha, tau):
     """Closed-form periodic solution in original coordinates.
 
-    For mode 1 with alpha = (X0, Y0) this is the classic quadruple
+    The :func:`modal_orbit` through ``alpha`` mapped back to original
+    coordinates.  For mode 1 with alpha = (X0, Y0) this is the classic
+    quadruple
 
         th1  = (X0 cos w1 tau + Y0 sin w1 tau) / sqrt(4 - 2 sqrt 2)
         th1d = (Y0 cos w1 tau - X0 sin w1 tau) / sqrt 2
@@ -304,30 +329,9 @@ def unperturbed_orbit(mode, alpha, tau):
     and for mode 2 with alpha = (Z0, W0) the fast-mode analogue with the
     sign flip on th1.
     """
-    a0 = np.asarray(alpha[0], dtype=float)
-    b0 = np.asarray(alpha[1], dtype=float)
-    w = mode.omega
-    tau = np.asarray(tau, dtype=float)
-    c, s = np.cos(w * tau), np.sin(w * tau)
-    pos = a0 * c + b0 * s
-    vel = b0 * c - a0 * s
-    if mode is Mode.MODE1:
-        return np.stack(
-            [
-                pos / math.sqrt(4.0 - 2.0 * SQRT2),
-                vel / SQRT2,
-                pos / OMEGA1,
-                vel,
-            ]
-        )
-    return np.stack(
-        [
-            -pos / math.sqrt(4.0 + 2.0 * SQRT2),
-            -vel / SQRT2,
-            pos / OMEGA2,
-            vel,
-        ]
-    )
+    pos, vel = _plane_motion(mode, alpha, tau)
+    d_th1, d_th1d, d_th2 = _ORBIT_DIVISORS[mode]
+    return np.stack([pos / d_th1, vel / d_th1d, pos / d_th2, vel])
 
 
 def fundamental_matrix(tau):

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 import oracles
-from pendavg.averaging import (
-    AveragedSystem,
+from oracles import (
     AveragingError,
     AveragingProblem,
-    QuadratureError,
-    antipodal_pairing,
     audit_problem,
     averaged_function,
+    pendulum_problem,
+)
+from pendavg.averaging import (
+    AveragedSystem,
+    QuadratureError,
+    antipodal_pairing,
     averaged_pair,
     find_zeros,
     integrate_adaptive,
     is_identically_zero,
-    mode1_averaged,
-    mode2_averaged,
-    pendulum_problem,
 )
 from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.model import PerturbationSpec
@@ -106,17 +106,6 @@ def test_zero_forcing_averages_to_zero():
     values = averaged_pair(spec, (1.0, 2.0), 1e-12)
     assert np.all(values.raw == 0.0)
     assert np.all(values.averaged == 0.0)
-
-
-def test_mode_guards():
-    spec1 = oracles.make_spec("corollary1")
-    spec2 = oracles.make_spec("corollary2")
-    assert np.allclose(mode1_averaged(spec1, (1.0, 0.0)).raw, averaged_pair(spec1, (1.0, 0.0)).raw)
-    assert np.allclose(mode2_averaged(spec2, (1.0, 0.0)).raw, averaged_pair(spec2, (1.0, 0.0)).raw)
-    with pytest.raises(ValueError):
-        mode1_averaged(spec2, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        mode2_averaged(spec1, (1.0, 0.0))
 
 
 def test_prefactor_consistency():
@@ -335,16 +324,6 @@ def test_find_zeros_corollary2():
     assert np.abs(zeros[0].alpha - np.array([0.0, oracles.CORO2_W0])).max() <= 1e-7
     assert zeros[0].simple
     assert len(antipodal_pairing(zeros)) == 1
-
-
-def test_find_zeros_jobs_match_serial():
-    spec = oracles.make_spec("corollary1")
-    system = AveragedSystem(spec, tol=1e-11)
-    serial = find_zeros(system, r1=0.1, r2=10.0, grid=(10, 10))
-    threaded = find_zeros(system, r1=0.1, r2=10.0, grid=(10, 10), jobs=4)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.alpha, b.alpha)
 
 
 def test_find_zeros_none_when_mean_is_constant_nonzero():

@@ -135,6 +135,22 @@ def test_zeros_degenerate_forcing_message(capsys):
     assert "identically zero" in payload["message"]
 
 
+def test_zeros_config_echo_reproduces_the_run(capsys, tmp_path):
+    overrides = {
+        "dedup_radius": 1e-5,
+        "det_threshold": 1e-7,
+        "shoot_tol": 1e-9,
+        "grid_radial": 12,
+        "grid_angular": 10,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(overrides))
+    code, out, _ = run_cli(capsys, "zeros", "--preset", "corollary1", "--config", str(cfg_path))
+    assert code == 0
+    run_cfg = merge_config(PRESETS["corollary1"], overrides)
+    assert merge_config(ExperimentConfig(), json.loads(out)["config"]) == run_cfg
+
+
 def test_zeros_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, "zeros", "--preset", "corollary2")
     _, second, _ = run_cli(capsys, "zeros", "--preset", "corollary2")
@@ -246,10 +262,11 @@ def test_load_config_round_trip(tmp_path):
 
 def test_unknown_config_key_is_exit_2(capsys, tmp_path):
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({"zz_top": 1}))
-    code, _, err = run_cli(capsys, "zeros", "--config", str(cfg_path))
-    assert code == 2
-    assert "unknown key" in err
+    for overrides in ({"zz_top": 1}, {"jobs": 2}):
+        cfg_path.write_text(json.dumps(overrides))
+        code, _, err = run_cli(capsys, "zeros", "--config", str(cfg_path))
+        assert code == 2
+        assert "unknown key" in err
 
 
 def test_bad_expression_is_exit_2(capsys):
