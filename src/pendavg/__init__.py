@@ -37,7 +37,6 @@ from .continuation import (
     IntegratorConfig,
     PeriodicOrbit,
     ShootingError,
-    integrate,
     predicted_initial_state,
     shoot_periodic,
     verify_zero,
@@ -78,7 +77,6 @@ __all__ = [
     "IntegratorConfig",
     "PeriodicOrbit",
     "ShootingError",
-    "integrate",
     "predicted_initial_state",
     "shoot_periodic",
     "verify_zero",

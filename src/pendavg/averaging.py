@@ -268,9 +268,10 @@ def find_zeros(
     kept when they land strictly inside the annulus, deduplicated, and
     labelled simple when |det| of the finite-difference Jacobian exceeds
     ``det_threshold``.  An empty list is a valid outcome, not an error.
-    Zeros come back in ``canonical_key`` order at ``dedup_radius``, the
-    least residual first within one bin; of near-duplicates, the first in
-    that order is kept.
+    Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
+    grid order within one bin; of near-duplicates, the first in that order
+    is kept.  Residuals of converged seeds are roundoff, so they pick no
+    winner: the first seed to converge into a bin reports that zero.
     """
     if r1 <= 0:
         raise ValueError("r1 must be positive: the origin is always excluded")
@@ -289,8 +290,9 @@ def find_zeros(
         if not (r1 < norm < r2):
             continue
         candidates.append((alpha, residual, iterations))
-    # This is also the output order: zeros are kept in candidate order.
-    candidates.sort(key=lambda c: (canonical_key(c[0], dedup_radius), c[1]))
+    # This is also the output order: zeros are kept in candidate order.  The
+    # sort is stable, so seeds stay in grid order within one bin.
+    candidates.sort(key=lambda c: canonical_key(c[0], dedup_radius))
 
     zeros = []
     for alpha, residual, iterations in candidates:

@@ -68,18 +68,10 @@ def auto_config(eps):
     return IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
 
 
-@dataclass
-class Trajectory:
-    taus: np.ndarray
-    states: np.ndarray  # shape (4, len(taus))
-
-    @property
-    def final(self):
-        return self.states[:, -1]
-
-
 # ---------------------------------------------------------------------------
-# Integrators (state may be (4,) or a (4, m) batch sharing one clock)
+# Integrators: one pass from y0 at taus[0] through the non-decreasing grid
+# ``taus``, returning the state at every grid time, (4, n) for a (4,) state
+# or (4, m, n) for a (4, m) batch sharing one clock
 # ---------------------------------------------------------------------------
 
 def _check_finite(y, tau):
@@ -87,30 +79,27 @@ def _check_finite(y, tau):
         raise ExprDomainError(f"forcing produced a non-finite value near tau={tau:.6g}")
 
 
-def _rk4(rhs, y0, t0, t1, step, max_steps, record=False):
-    span = t1 - t0
-    n = max(1, round(abs(span) / step))
-    if n > max_steps:
-        raise IntegrationError(f"rk4 needs {n} steps > max_steps={max_steps}")
-    h = span / n
+def _rk4(rhs, y0, taus, step, max_steps):
+    counts = [max(1, round((t1 - t0) / step)) for t0, t1 in zip(taus, taus[1:])]
+    if sum(counts) > max_steps:
+        raise IntegrationError(f"rk4 needs {sum(counts)} steps > max_steps={max_steps}")
     y = np.array(y0, dtype=float)
-    taus = [t0]
-    states = [y.copy()]
-    t = t0
-    for i in range(n):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (i + 1) * h
-        _check_finite(y, t)
-        if record:
-            taus.append(t)
-            states.append(y.copy())
-    if record:
-        return np.array(taus), np.stack(states, axis=-1)
-    return y
+    out = np.empty(y.shape + (len(taus),))
+    out[..., 0] = y
+    for j, n in enumerate(counts, start=1):
+        t0 = taus[j - 1]
+        h = (taus[j] - t0) / n
+        t = t0
+        for i in range(n):
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t0 + (i + 1) * h
+            _check_finite(y, t)
+        out[..., j] = y
+    return out
 
 
 # Dormand-Prince 5(4) tableau.
@@ -130,26 +119,23 @@ _DP_B4 = np.array(
 )
 
 
-def _rk45(rhs, y0, t0, t1, abs_tol, rel_tol, max_steps, record=False):
-    span = t1 - t0
-    if span == 0.0:
-        y = np.array(y0, dtype=float)
-        if record:
-            return np.array([t0]), y[..., None].copy()
-        return y
-    direction = 1.0 if span > 0 else -1.0
+def _rk45(rhs, y0, taus, abs_tol, rel_tol, max_steps):
     y = np.array(y0, dtype=float)
-    t = t0
-    h = direction * min(abs(span) / 100.0, 0.1)
-    taus = [t0]
-    states = [y.copy()]
+    out = np.empty(y.shape + (len(taus),))
+    t = taus[0]
+    j = 0
+    h = min((taus[-1] - t) / 100.0, 0.1)
     k1 = rhs(t, y)
     _check_finite(k1, t)
     for _ in range(max_steps):
-        if direction * (t1 - t) <= 0.0:
-            break
-        if direction * (t + h - t1) > 0.0:
-            h = t1 - t
+        while taus[j] - t <= 0.0:
+            out[..., j] = y
+            j += 1
+            if j == len(taus):
+                return out
+        # Cut the step to land on the next grid time exactly.
+        if t + h - taus[j] > 0.0:
+            h = taus[j] - t
         ks = [k1]
         for i in range(1, 7):
             yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
@@ -166,61 +152,37 @@ def _rk45(rhs, y0, t0, t1, abs_tol, rel_tol, max_steps, record=False):
             y = y5
             _check_finite(y, t)
             k1 = ks[6]  # FSAL: last stage is the first stage of the next step
-            if record:
-                taus.append(t)
-                states.append(y.copy())
         factor = 0.9 * (err_norm + 1e-300) ** -0.2
         h = h * min(5.0, max(0.2, factor))
-    else:
-        raise IntegrationError(f"rk45 exceeded max_steps={max_steps}")
-    if record:
-        return np.array(taus), np.stack(states, axis=-1)
-    return y
+    raise IntegrationError(f"rk45 exceeded max_steps={max_steps}")
 
 
-def _propagate(rhs, y0, t0, t1, config, record=False):
+def _propagate(rhs, y0, taus, config):
+    taus = [float(t) for t in taus]
+    if not all(t1 >= t0 for t0, t1 in zip(taus, taus[1:])):
+        raise ValueError("times must be non-negative and non-decreasing")
     if config.method == "rk4":
-        return _rk4(rhs, y0, t0, t1, config.step, config.max_steps, record)
-    return _rk45(rhs, y0, t0, t1, config.abs_tol, config.rel_tol, config.max_steps, record)
-
-
-def integrate(spec, eps, x0, tau_span, config=None):
-    """Integrate the forced system over ``tau_span``; returns a Trajectory.
-
-    The trajectory holds every accepted step (every step for rk4), so it
-    is densely sampled at the integrator's own resolution.
-    """
-    config = config or auto_config(eps)
-    rhs = forced_field(compiled_forcing(spec), eps)
-    taus, states = _propagate(rhs, np.asarray(x0, dtype=float), tau_span[0], tau_span[1], config, record=True)
-    return Trajectory(taus, states)
+        return _rk4(rhs, y0, taus, config.step, config.max_steps)
+    return _rk45(rhs, y0, taus, config.abs_tol, config.rel_tol, config.max_steps)
 
 
 def sample_states(spec, eps, x0, taus, config=None):
-    """States at the requested times for the solution with x0 at tau = 0.
+    """States at the times ``taus`` of the solution with x0 at tau = 0.
 
-    Integrates segment by segment, so each requested time is hit exactly
-    rather than interpolated.
+    One integration pass steps through all the times and hits each one
+    exactly, so nothing is interpolated.  ``taus`` must be non-negative and
+    non-decreasing; repeated times are allowed.
     """
     config = config or auto_config(eps)
     rhs = forced_field(compiled_forcing(spec), eps)
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty((4, taus.size))
-    y = np.asarray(x0, dtype=float)
-    t = 0.0
-    for j, target in enumerate(taus):
-        if target != t:
-            y = _propagate(rhs, y, t, target, config)
-            t = target
-        out[:, j] = y
-    return out
+    return _propagate(rhs, np.asarray(x0, dtype=float), (0.0, *taus), config)[..., 1:]
 
 
 def flow_map(spec, eps, states0, period, config=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch."""
     config = config or auto_config(eps)
     rhs = forced_field(compiled_forcing(spec), eps)
-    return _propagate(rhs, np.asarray(states0, dtype=float), 0.0, period, config)
+    return _propagate(rhs, np.asarray(states0, dtype=float), (0.0, period), config)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +226,10 @@ def shoot_periodic(
 
     The displacement Jacobian (monodromy minus identity) comes from forward
     differences of the flow; the base point and the four stencil columns
-    ride in one batched integration.  ``predicted`` defaults to the guess
-    and is only used for the reported distance.
+    ride in one batched integration.  The converged orbit is then sampled
+    at ``n_samples`` equally spaced times over one period, in one more
+    integration pass.  ``predicted`` defaults to the guess and is only used
+    for the reported distance.
     """
     if eps == 0.0:
         raise ShootingError(

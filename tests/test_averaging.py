@@ -307,13 +307,41 @@ def test_find_zeros_order_ignores_noise_on_axis_zeros():
         system = _NoisyCorollary1(d_plus, d_minus)
         zeros = find_zeros(system, r1=0.1, r2=10.0, grid=(12, 12))
         assert len(zeros) == 4
-        assert zeros[1].alpha[0] == pytest.approx(d_minus, abs=1e-14)
-        assert zeros[2].alpha[0] == pytest.approx(d_plus, abs=1e-14)
+        # The first seed of each bin stops ~6.5e-13 from the noisy zero,
+        # well inside the 1e-11 steps between noise patterns.
+        assert zeros[1].alpha[0] == pytest.approx(d_minus, abs=1e-12)
+        assert zeros[2].alpha[0] == pytest.approx(d_plus, abs=1e-12)
         for zero, target in zip(zeros, oracles.CORO1_ZEROS):
             assert np.abs(zero.alpha - np.asarray(target)).max() <= 1e-8
         index_of = {id(z): i for i, z in enumerate(zeros)}
         classes = antipodal_pairing(zeros)
         assert [[index_of[id(z)] for z in group] for group in classes] == [[0, 3], [1, 2]]
+
+
+class _SquarePair:
+    """g = (x^2 - 1, y): one simple zero (1, 0), reached by plain Newton."""
+
+    def eval_many(self, alphas):
+        x, y = np.asarray(alphas, dtype=float).T
+        return np.stack([x**2 - 1.0, y], axis=1)
+
+    def __call__(self, alpha):
+        return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
+
+    def jacobian(self, alpha):
+        x, _ = np.asarray(alpha, dtype=float)
+        return np.array([[2.0 * x, 0.0], [0.0, 1.0]])
+
+
+def test_find_zeros_keeps_the_first_seed_of_a_bin():
+    # Seeds (0.9, 0) and then (1.5, 0) both reach (1, 0): the first stops
+    # after 3 steps at |g| ~ 2.4e-10, the second after 4 at ~ 2.6e-11.  The
+    # first seed in grid order reports the zero, not the smaller residual.
+    zeros = find_zeros(_SquarePair(), r1=0.9, r2=1.5, grid=(2, 1), newton_tol=1e-9)
+    assert len(zeros) == 1
+    assert zeros[0].iterations == 3
+    assert 1e-10 < zeros[0].residual <= 1e-9
+    assert zeros[0].alpha[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_find_zeros_corollary2():

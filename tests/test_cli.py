@@ -334,11 +334,21 @@ def test_log_level_env_var(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys as _sys
 
+    import pendavg
+
+    # The child imports pendavg from where this process found it, installed
+    # or not.
+    src = os.path.dirname(os.path.dirname(pendavg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [_sys.executable, "-m", "pendavg.cli", "freqs"], capture_output=True, text=True
+        [_sys.executable, "-m", "pendavg.cli", "freqs"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("omega1 = ")

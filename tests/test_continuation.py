@@ -13,7 +13,6 @@ from pendavg.continuation import (
     ShootingError,
     auto_config,
     flow_map,
-    integrate,
     predicted_initial_state,
     sample_states,
     shoot_periodic,
@@ -52,24 +51,38 @@ def test_unforced_flow_matches_closed_form():
     spec = _coro1()
     x0 = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0)
     taus = np.linspace(0.0, T1, 33)
-    states = sample_states(spec, 0.0, x0, taus, TIGHT)
     exact = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), taus)
-    assert np.abs(states - exact).max() <= 1e-9
+    for config in (TIGHT, IntegratorConfig(method="rk4", step=T1 / 4096)):
+        states = sample_states(spec, 0.0, x0, taus, config)
+        assert np.abs(states - exact).max() <= 1e-9
 
 
 def test_zero_initial_state_stays_zero():
     spec = _coro1()
-    traj = integrate(spec, 0.0, np.zeros(4), (0.0, 5.0), TIGHT)
-    assert np.abs(traj.states).max() == 0.0
+    states = sample_states(spec, 0.0, np.zeros(4), np.linspace(0.0, 5.0, 11), TIGHT)
+    assert np.abs(states).max() == 0.0
 
 
-def test_trajectory_is_densely_recorded():
+def test_forced_samples_match_separate_flows():
+    # One pass through all the sample times agrees with a fresh integration
+    # to each; tau = 0 and a repeated time return the state already reached.
     spec = _coro1()
-    traj = integrate(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), (0.0, T1), TIGHT)
-    assert traj.taus[0] == 0.0
-    assert traj.taus[-1] == pytest.approx(T1, abs=0)
-    assert np.all(np.diff(traj.taus) > 0)
-    assert traj.states.shape == (4, traj.taus.size)
+    eps = 1e-2
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    taus = [0.0, 0.0, 0.3, 1.7, 1.7, 4.0, T1]
+    states = sample_states(spec, eps, x0, taus)
+    assert states.shape == (4, len(taus))
+    assert np.all(states[:, 0] == x0) and np.all(states[:, 1] == x0)
+    assert np.all(states[:, 3] == states[:, 4])
+    for j in range(2, len(taus)):
+        assert np.abs(states[:, j] - flow_map(spec, eps, x0, taus[j])).max() <= 1e-10
+
+
+@pytest.mark.parametrize("taus", [[2.0, 1.0], [-1.0, 1.0], [0.5, float("nan")]])
+def test_sample_states_rejects_unordered_times(taus):
+    spec = _coro1()
+    with pytest.raises(ValueError, match="non-decreasing"):
+        sample_states(spec, 1e-2, np.ones(4), taus)
 
 
 def test_modal_invariants_drift_over_ten_periods():
