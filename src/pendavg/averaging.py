@@ -25,9 +25,14 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
+from .newton import NewtonFailure, damped_newton, linearize
 
 MAX_PANELS = 2 ** 16
 _RULE_ORDER = 15
+# Polar (radial, angular) probe grid and the bound on |mean pair| below
+# which ``is_identically_zero`` calls the pair degenerate.
+PROBE_GRID = (8, 8)
+ZERO_THRESHOLD = 1e-13
 
 
 class QuadratureError(RuntimeError):
@@ -45,7 +50,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_RULE_ORDER)
 class QuadratureResult:
     value: np.ndarray
     panels: int
-    error_estimate: float
 
 
 def _composite_gl(f, a, b, panels):
@@ -57,7 +61,9 @@ def _composite_gl(f, a, b, panels):
     if not np.isfinite(values).all():
         raise ExprDomainError("integrand produced non-finite values")
     weights = np.tile(_GL_WEIGHTS * half, panels)
-    return values @ weights
+    # Summed per row: a BLAS product's summation order depends on the row
+    # count, which would make a point's value depend on its batch-mates.
+    return (values * weights).sum(axis=1)
 
 
 def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
@@ -77,7 +83,7 @@ def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
         err = float(np.abs(fine - coarse).max())
         floor = 64.0 * np.finfo(float).eps * float(np.abs(fine).max())
         if err <= max(tol, floor):
-            return QuadratureResult(fine, panels, err)
+            return QuadratureResult(fine, panels)
         coarse = fine
     raise QuadratureError(
         f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
@@ -102,7 +108,10 @@ def _batched_pair(spec, alphas, tol):
 
     Returns (raw, averaged) arrays of shape (m, 2).  Batching keeps the
     adaptive refinement shared, so a whole seed grid or finite-difference
-    stencil costs a single adaptive sweep.
+    stencil costs a single adaptive sweep.  Each point is summed on its own,
+    so its value does not depend on its batch-mates, with one limit: the
+    panel count is shared, so a point that forces more panels also refines
+    every other point of its batch.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
     mode = spec.mode
@@ -154,14 +163,8 @@ class AveragedSystem:
         return averaged
 
     def jacobian(self, alpha):
-        """Central-difference Jacobian with step max(1e-6, 1e-6 * ||alpha||)."""
-        alpha = np.asarray(alpha, dtype=float)
-        h = max(1e-6, 1e-6 * float(np.linalg.norm(alpha)))
-        stencil = np.array(
-            [alpha + [h, 0], alpha - [h, 0], alpha + [0, h], alpha - [0, h]]
-        )
-        vals = self.eval_many(stencil)
-        return np.stack([(vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h)], axis=1)
+        """Central-difference Jacobian from ``newton.linearize``."""
+        return linearize(lambda cols: self.eval_many(cols.T).T, alpha)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,48 +181,6 @@ class ZeroResult:
     iterations: int
 
 
-def _newton_seed(system, seed, tol, max_iterations, bound):
-    """Damped Newton from one seed; returns (alpha, residual, iterations) or None.
-
-    A seed is abandoned on a singular Jacobian, on failure to reduce the
-    residual, on leaving the ball ||alpha|| <= bound, or on any evaluation
-    fault along the way; abandoning is not an error.
-    """
-    x = np.asarray(seed, dtype=float)
-    try:
-        g = system(x)
-        r = float(np.linalg.norm(g))
-        for iteration in range(max_iterations):
-            if r <= tol:
-                return x, r, iteration
-            jac = system.jacobian(x)
-            if not np.isfinite(jac).all():
-                return None
-            try:
-                step = np.linalg.solve(jac, -g)
-            except np.linalg.LinAlgError:
-                return None
-            scale = 1.0
-            for _ in range(9):
-                x_try = x + scale * step
-                if float(np.linalg.norm(x_try)) > bound:
-                    scale *= 0.5
-                    continue
-                g_try = system(x_try)
-                r_try = float(np.linalg.norm(g_try))
-                if r_try < r:
-                    x, g, r = x_try, g_try, r_try
-                    break
-                scale *= 0.5
-            else:
-                return None
-        if r <= tol:
-            return x, r, max_iterations
-        return None
-    except (ExprDomainError, QuadratureError):
-        return None
-
-
 def seed_grid(r1, r2, n_radial=24, n_angular=24):
     """Polar seed grid over the annulus r1 < ||alpha|| < r2."""
     radii = np.linspace(r1, r2, n_radial)
@@ -229,7 +190,7 @@ def seed_grid(r1, r2, n_radial=24, n_angular=24):
     )
 
 
-def is_identically_zero(system, r1, r2, probe=(8, 8), threshold=1e-13):
+def is_identically_zero(system, r1, r2):
     """True when the mean pair vanishes on a probe grid over the annulus.
 
     Degenerate forcings (zero forcing, or any forcing whose projections
@@ -237,8 +198,8 @@ def is_identically_zero(system, r1, r2, probe=(8, 8), threshold=1e-13):
     identically zero pair; Newton would then "converge" at every seed, so
     the search must be short-circuited.
     """
-    values = system.eval_many(seed_grid(r1, r2, *probe))
-    return float(np.abs(values).max()) <= threshold
+    values = system.eval_many(seed_grid(r1, r2, *PROBE_GRID))
+    return float(np.abs(values).max()) <= ZERO_THRESHOLD
 
 
 def canonical_key(alpha, radius):
@@ -258,16 +219,17 @@ def find_zeros(
     r2=50.0,
     grid=(24, 24),
     newton_tol=1e-11,
-    max_iterations=25,
     dedup_radius=1e-6,
     det_threshold=1e-8,
 ):
     """Locate the zeros of the mean pair inside the open annulus.
 
-    Damped Newton runs from every polar grid seed; converged points are
-    kept when they land strictly inside the annulus, deduplicated, and
-    labelled simple when |det| of the finite-difference Jacobian exceeds
-    ``det_threshold``.  An empty list is a valid outcome, not an error.
+    ``newton.damped_newton`` runs from every polar grid seed, confined to
+    the ball ``||alpha|| <= 10 max(r2, 1)``; a seed whose Newton run fails or
+    whose evaluation faults is dropped, which is not an error.  Converged
+    points are kept when they land strictly inside the annulus,
+    deduplicated, and labelled simple when |det| of the central-difference
+    Jacobian exceeds ``det_threshold``.  An empty list is a valid outcome.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order
     is kept.  Residuals of converged seeds are roundoff, so they pick no
@@ -282,10 +244,12 @@ def find_zeros(
     bound = 10.0 * max(r2, 1.0)
     candidates = []
     for seed in seed_grid(r1, r2, *grid):
-        hit = _newton_seed(system, seed, newton_tol, max_iterations, bound)
-        if hit is None:
+        try:
+            alpha, residual, iterations = damped_newton(
+                lambda cols: system.eval_many(cols.T).T, seed, newton_tol, bound=bound
+            )
+        except (NewtonFailure, ExprDomainError, QuadratureError):
             continue
-        alpha, residual, iterations = hit
         norm = float(np.linalg.norm(alpha))
         if not (r1 < norm < r2):
             continue

@@ -262,13 +262,7 @@ def cmd_verify(args):
             "epsilon": eps,
         }
         try:
-            orbit = shoot_periodic(
-                spec,
-                eps,
-                prediction,
-                predicted=prediction,
-                tol=cfg.shoot_tol,
-            )
+            orbit = shoot_periodic(spec, eps, prediction, tol=cfg.shoot_tol)
         except (ShootingError, IntegrationError, ExprDomainError) as exc:
             log.warning("shooting failed for zero %d at eps=%g: %s", zi, eps, exc)
             record["converged"] = False

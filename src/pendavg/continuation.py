@@ -25,6 +25,7 @@ import numpy as np
 
 from .expr import ExprDomainError
 from .model import compiled_forcing, forced_field, unperturbed_orbit
+from .newton import NewtonFailure, damped_newton
 
 
 class IntegrationError(RuntimeError):
@@ -209,81 +210,34 @@ class PeriodicOrbit:
     iterations: int
 
 
-def shoot_periodic(
-    spec,
-    eps,
-    guess,
-    period=None,
-    config=None,
-    predicted=None,
-    tol=1e-10,
-    max_iterations=25,
-    fd_step=1e-6,
-    cond_limit=1e12,
-    n_samples=256,
-):
+def shoot_periodic(spec, eps, guess, config=None, tol=1e-10, cond_limit=1e12, n_samples=256):
     """Newton-solve the period-map fixed point from ``guess``.
 
-    The displacement Jacobian (monodromy minus identity) comes from forward
-    differences of the flow; the base point and the four stencil columns
-    ride in one batched integration.  The converged orbit is then sampled
-    at ``n_samples`` equally spaced times over one period, in one more
-    integration pass.  ``predicted`` defaults to the guess and is only used
-    for the reported distance.
+    The period is ``spec.full_period``.  ``newton.damped_newton`` solves
+    flow(x) - x = 0; its central-difference Jacobian (monodromy minus
+    identity) rides with the base point in one batched integration of 9
+    columns, and a Jacobian with condition above ``cond_limit`` stops the
+    solve.  The converged orbit is then sampled at ``n_samples`` equally
+    spaced times over one period, in one more integration pass.  The
+    reported distance is measured from ``guess``.
     """
     if eps == 0.0:
         raise ShootingError(
             "eps=0: the period map is the identity on the resonant mode plane, "
             "so the displacement Jacobian is singular; shoot at eps != 0"
         )
-    period = float(period if period is not None else spec.full_period)
+    period = spec.full_period
     config = config or auto_config(eps)
-    x = np.asarray(guess, dtype=float).copy()
-    predicted = np.asarray(predicted if predicted is not None else guess, dtype=float)
-
-    residual = math.inf
-    iterations = 0
-    for iteration in range(max_iterations):
-        # One batched integration carries the base column plus the four
-        # forward-difference columns of the monodromy stencil.
-        h = fd_step * np.maximum(1.0, np.abs(x))
-        batch = np.tile(x[:, None], (1, 5))
-        batch[np.arange(4), np.arange(1, 5)] += h
-        ends = flow_map(spec, eps, batch, period, config)
-        disp = ends[:, 0] - x
-        residual = float(np.linalg.norm(disp))
-        iterations = iteration
-        if residual <= tol:
-            break
-        jac = (ends[:, 1:] - ends[:, 0:1]) / h[None, :]
-        jac -= np.eye(4)
-        if np.linalg.cond(jac) > cond_limit:
-            raise ShootingError(
-                f"displacement Jacobian condition exceeds {cond_limit:.1e}: "
-                "epsilon too small for direct shooting"
-            )
-        step = np.linalg.solve(jac, -disp)
-        scale = 1.0
-        for _ in range(9):
-            x_try = x + scale * step
-            end_try = flow_map(spec, eps, x_try, period, config)
-            r_try = float(np.linalg.norm(end_try - x_try))
-            if r_try < residual:
-                x = x_try
-                residual = r_try
-                break
-            scale *= 0.5
-        else:
-            raise ShootingError(
-                f"Newton stalled at residual {residual:.3e} (eps={eps:g})"
-            )
-        if residual <= tol:
-            iterations = iteration + 1
-            break
-    if residual > tol:
-        raise ShootingError(
-            f"no convergence after {max_iterations} iterations: residual {residual:.3e}"
+    guess = np.asarray(guess, dtype=float)
+    try:
+        x, residual, iterations = damped_newton(
+            lambda cols: flow_map(spec, eps, cols, period, config) - cols,
+            guess,
+            tol,
+            cond_limit=cond_limit,
         )
+    except NewtonFailure as exc:
+        raise ShootingError(f"period-map Newton at eps={eps:g}: {exc}") from exc
 
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
     samples = sample_states(spec, eps, x, sample_taus, config)
@@ -294,8 +248,8 @@ def shoot_periodic(
         residual=residual,
         samples_tau=sample_taus,
         samples=samples,
-        predicted_initial=predicted,
-        distance_to_prediction=float(np.linalg.norm(x - predicted)),
+        predicted_initial=guess,
+        distance_to_prediction=float(np.linalg.norm(x - guess)),
         iterations=iterations,
     )
 
@@ -303,16 +257,7 @@ def shoot_periodic(
 def verify_zero(spec, alpha, eps_values, shoot_tol=1e-10, n_samples=256):
     """Shoot from the averaged prediction at each eps of the ladder."""
     prediction = predicted_initial_state(spec.mode, np.asarray(alpha, dtype=float))
-    orbits = []
-    for eps in eps_values:
-        orbits.append(
-            shoot_periodic(
-                spec,
-                eps,
-                prediction,
-                predicted=prediction,
-                tol=shoot_tol,
-                n_samples=n_samples,
-            )
-        )
-    return orbits
+    return [
+        shoot_periodic(spec, eps, prediction, tol=shoot_tol, n_samples=n_samples)
+        for eps in eps_values
+    ]

@@ -192,16 +192,15 @@ class PerturbationSpec:
     f2: Expr
     mode: Mode
     resonance: Resonance
-    epsilon: float = 0.0
 
     def __post_init__(self):
         audit_periodicity(self)
 
     @classmethod
-    def from_strings(cls, f1, f2, mode, p, q, epsilon=0.0):
+    def from_strings(cls, f1, f2, mode, p, q):
         if isinstance(mode, str):
             mode = Mode(mode)
-        return cls(parse(f1), parse(f2), mode, Resonance(p, q), epsilon)
+        return cls(parse(f1), parse(f2), mode, Resonance(p, q))
 
     @property
     def forcing_period(self):

@@ -410,6 +410,19 @@ def test_antipodal_pairing_edges():
     assert [len(c) for c in antipodal_pairing(zeros)] == [1]
 
 
+@pytest.mark.parametrize("which, radius", [("corollary1", 10.0), ("corollary2", 40.0)])
+def test_eval_many_does_not_depend_on_batch_mates(which, radius):
+    # Newton's one-point trials must agree with the base column of its
+    # stencil batches, so each point is summed on its own.
+    system = AveragedSystem(oracles.make_spec(which), tol=1e-11)
+    points = np.random.default_rng(5).uniform(-radius, radius, (40, 2))
+    batch = system.eval_many(points)
+    panels = system.last_panels
+    for point, value in zip(points, batch):
+        assert np.array_equal(system(point), value)
+        assert system.last_panels == panels
+
+
 def test_averaged_system_caches_panel_count():
     spec = oracles.make_spec("corollary1")
     system = AveragedSystem(spec, tol=1e-11)

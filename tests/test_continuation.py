@@ -182,7 +182,7 @@ def test_shoot_corollary1_slow_zero():
     spec = _coro1()
     eps = 1e-2
     pred = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
-    orbit = shoot_periodic(spec, eps, pred, predicted=pred)
+    orbit = shoot_periodic(spec, eps, pred)
     assert orbit.residual <= 1e-9
     assert orbit.distance_to_prediction <= 10.0 * eps
     assert orbit.period == pytest.approx(T1, abs=0)
@@ -214,7 +214,7 @@ def test_antipodal_orbits_are_self_symmetric_and_merge():
     results = []
     for sign in (1.0, -1.0):
         pred = predicted_initial_state(Mode.MODE1, (sign * oracles.CORO1_X0, 0.0))
-        results.append(shoot_periodic(spec, eps, pred, predicted=pred, n_samples=256))
+        results.append(shoot_periodic(spec, eps, pred, n_samples=256))
     plus, minus = results
     assert plus.residual <= 1e-9 and minus.residual <= 1e-9
     for orbit in results:
@@ -232,7 +232,7 @@ def test_shoot_double_period_resonance():
         "0", "(1 - th1^2) * sin(w1 * tau) * (1 + sin(w1 * tau / 2))", "mode1", 2, 1
     )
     pred = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
-    orbit = shoot_periodic(spec, 1e-3, pred, predicted=pred)
+    orbit = shoot_periodic(spec, 1e-3, pred)
     assert orbit.period == pytest.approx(2.0 * T1, abs=0)
     assert orbit.residual <= 1e-9
     assert orbit.distance_to_prediction <= 10.0 * 1e-3

@@ -1,0 +1,125 @@
+"""Damped Newton and its central-difference Jacobian on closed-form maps."""
+
+import numpy as np
+import pytest
+
+from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize
+
+
+class _Recorded:
+    """A column map that records every batch it is called with."""
+
+    def __init__(self, F):
+        self.F = F
+        self.batches = []
+
+    def __call__(self, cols):
+        self.batches.append(cols.copy())
+        return self.F(cols)
+
+    def widths(self):
+        return [cols.shape[1] for cols in self.batches]
+
+
+def _quadratic(cols):
+    x, y, z = cols
+    return np.stack([x * x + 2.0 * x * y - z, 3.0 * y * y - x * z + 1.0, z * z])
+
+
+def _quadratic_jacobian(point):
+    x, y, z = point
+    return np.array([[2.0 * x + 2.0 * y, 2.0 * x, -1.0], [-z, 6.0 * y, -x], [0.0, 0.0, 2.0 * z]])
+
+
+def test_linearize_is_one_call_and_matches_the_exact_jacobian():
+    F = _Recorded(_quadratic)
+    x = np.array([0.3, -2.5, 4.0])
+    value, jac = linearize(F, x)
+    assert F.widths() == [7]
+    cols = F.batches[0]
+    assert np.array_equal(cols[:, 0], x)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    assert np.diag(cols[:, 1:4]) - x == pytest.approx(h, rel=1e-9)
+    assert x - np.diag(cols[:, 4:7]) == pytest.approx(h, rel=1e-9)
+    assert np.array_equal(value, _quadratic(x[:, None])[:, 0])
+    assert np.abs(jac - _quadratic_jacobian(x)).max() <= 1e-8
+
+
+def _root_pair(cols):
+    return np.stack([cols[0] ** 2 - 4.0, cols[1] - 1.0])
+
+
+def test_damped_newton_converges_and_counts_steps():
+    # Plain Newton with the exact Jacobian takes full steps here, and so
+    # must the damped loop: same iterates, same step count.
+    tol = 1e-12
+    x = np.array([3.0, 0.0])
+    want = 0
+    while np.linalg.norm(_root_pair(x[:, None])[:, 0]) > tol:
+        x = x - np.array([(x[0] ** 2 - 4.0) / (2.0 * x[0]), x[1] - 1.0])
+        want += 1
+    root, residual, steps = damped_newton(_root_pair, [3.0, 0.0], tol)
+    assert steps == want > 0
+    assert residual <= tol
+    assert root == pytest.approx([2.0, 1.0], abs=1e-12)
+
+
+def test_damped_newton_at_a_root_takes_no_step():
+    F = _Recorded(_root_pair)
+    root, residual, steps = damped_newton(F, [2.0, 1.0], 1e-12)
+    assert (steps, residual) == (0, 0.0)
+    assert np.array_equal(root, [2.0, 1.0])
+    assert F.widths() == [5]
+
+
+def test_non_finite_jacobian():
+    def F(cols):
+        return np.where(cols > 1.0, np.inf, cols - 2.0)
+
+    with pytest.raises(NewtonFailure, match="non-finite"):
+        damped_newton(F, [1.0], 1e-12)
+
+
+def test_singular_jacobian():
+    with pytest.raises(NewtonFailure, match="singular"):
+        damped_newton(lambda cols: np.ones_like(cols), [0.5, 0.5], 1e-12)
+
+
+def test_condition_above_the_limit():
+    def F(cols):
+        return np.stack([cols[0], 1e-6 * cols[1]])
+
+    with pytest.raises(NewtonFailure, match="condition"):
+        damped_newton(F, [1.0, 1.0], 1e-12, cond_limit=1e3)
+    # Without the limit the same map is solved.
+    assert damped_newton(F, [1.0, 1.0], 1e-12)[1] <= 1e-12
+
+
+def test_stalled_line_search():
+    # The linearization promises the root x = 1, but every trial is worse
+    # than the start: nine halvings, then failure.
+    F = _Recorded(lambda cols: cols - 1.0 if cols.shape[1] == 3 else np.full_like(cols, 5.0))
+    with pytest.raises(NewtonFailure, match="stalled"):
+        damped_newton(F, [0.0], 1e-12)
+    assert F.widths() == [3] + [1] * 9
+
+
+def test_no_convergence_within_max_steps():
+    # Newton on x^3 only shrinks x by 2/3 per step, so tol = 0 is never met.
+    F = _Recorded(lambda cols: cols**3)
+    with pytest.raises(NewtonFailure, match=f"no convergence after {MAX_STEPS} steps"):
+        damped_newton(F, [1.0, 1.0], 0.0)
+    assert F.widths().count(1) == MAX_STEPS
+
+
+def test_trials_outside_the_bound_are_never_evaluated():
+    # The root (10, 0) lies outside the ball of radius 4, so every full step
+    # leaves it; only halved trials inside the ball may be evaluated.
+    bound = 4.0
+    F = _Recorded(lambda cols: np.stack([cols[0] - 10.0, cols[1]]))
+    with pytest.raises(NewtonFailure):
+        damped_newton(F, [0.0, 0.0], 1e-12, bound=bound)
+    trials = [cols[:, 0] for cols in F.batches if cols.shape[1] == 1]
+    assert trials
+    assert max(np.linalg.norm(t) for t in trials) <= bound
+    assert trials[0] == pytest.approx([2.5, 0.0])
