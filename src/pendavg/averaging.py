@@ -25,9 +25,11 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
-from .newton import NewtonFailure, damped_newton, linearize
+from .newton import linearize, solve_many
 
 MAX_PANELS = 2 ** 16
+# Bound on the point x node values of one integrand call.
+CHUNK_FLOATS = 2 ** 14
 _RULE_ORDER = 15
 # Polar (radial, angular) probe grid and the bound on |mean pair| below
 # which ``is_identically_zero`` calls the pair degenerate.
@@ -52,22 +54,59 @@ class QuadratureResult:
     panels: int
 
 
-def _composite_gl(f, a, b, panels):
+def _composite_gl(f, points, a, b, panels):
+    """Composite GL sums at ``points``, shape ``(len(points), k)``.
+
+    The integrand is called on row chunks of at most ``CHUNK_FLOATS`` point x
+    node values, so memory stays flat in the batch size.
+    """
     edges = np.linspace(a, b, panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     centers = (edges[:-1] + edges[1:]) / 2.0
     taus = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    values = np.atleast_2d(np.asarray(f(taus), dtype=float))
-    if not np.isfinite(values).all():
-        raise ExprDomainError("integrand produced non-finite values")
     weights = np.tile(_GL_WEIGHTS * half, panels)
-    # Summed per row: a BLAS product's summation order depends on the row
-    # count, which would make a point's value depend on its batch-mates.
-    return (values * weights).sum(axis=1)
+    rows = max(1, CHUNK_FLOATS // taus.size)
+    sums = []
+    for start in range(0, points.size, rows):
+        values = np.asarray(f(points[start : start + rows], taus), dtype=float)
+        if not np.isfinite(values).all():
+            raise ExprDomainError("integrand produced non-finite values")
+        # Summed per row: a BLAS product's summation order depends on the row
+        # count, which would make a point's value depend on its batch-mates.
+        sums.append((values * weights).sum(axis=-1))
+    return np.concatenate(sums)
+
+
+def _integrate_points(f, m, a, b, tol, max_panels):
+    """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` at m points.
+
+    Returns the ``(m, k)`` values and each point's panel count.  Each point
+    refines until its own criterion holds, so neither depends on the other
+    points.
+    """
+    panels = 4
+    used = np.zeros(m, dtype=int)
+    active = np.arange(m)
+    coarse = _composite_gl(f, active, a, b, panels)
+    value = np.empty_like(coarse)
+    while panels < max_panels and active.size:
+        panels *= 2
+        fine = _composite_gl(f, active, a, b, panels)
+        err = np.abs(fine - coarse).max(axis=1)
+        floor = 64.0 * np.finfo(float).eps * np.abs(fine).max(axis=1)
+        done = err <= np.maximum(tol, floor)
+        value[active[done]] = fine[done]
+        used[active[done]] = panels
+        active, coarse = active[~done], fine[~done]
+    if active.size:
+        raise QuadratureError(
+            f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
+        )
+    return value, used
 
 
 def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
-    """Integrate a vector integrand ``f: (m,) -> (k, m)`` over [a, b].
+    """Integrate a vector integrand ``f: (n,) -> (k, n)`` over [a, b].
 
     Composite Gauss-Legendre with a fixed 15-point rule per panel; the
     panel count doubles until two consecutive refinements differ by at
@@ -75,19 +114,10 @@ def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
     sits below the summation roundoff, the roundoff floor wins: absolute
     accuracy beyond machine precision times the magnitude is unattainable.
     """
-    panels = 4
-    coarse = _composite_gl(f, a, b, panels)
-    while panels < max_panels:
-        panels *= 2
-        fine = _composite_gl(f, a, b, panels)
-        err = float(np.abs(fine - coarse).max())
-        floor = 64.0 * np.finfo(float).eps * float(np.abs(fine).max())
-        if err <= max(tol, floor):
-            return QuadratureResult(fine, panels)
-        coarse = fine
-    raise QuadratureError(
-        f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
+    value, panels = _integrate_points(
+        lambda points, taus: np.atleast_2d(f(taus))[None], 1, a, b, tol, max_panels
     )
+    return QuadratureResult(value[0], int(panels[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +136,11 @@ class AveragedValues:
 def _batched_pair(spec, alphas, tol):
     """Evaluate the bifurcation pair at many alphas in one quadrature.
 
-    Returns (raw, averaged) arrays of shape (m, 2).  Batching keeps the
-    adaptive refinement shared, so a whole seed grid or finite-difference
-    stencil costs a single adaptive sweep.  Each point is summed on its own,
-    so its value does not depend on its batch-mates, with one limit: the
-    panel count is shared, so a point that forces more panels also refines
-    every other point of its batch.
+    Returns (raw, averaged) arrays of shape (m, 2) and the largest panel
+    count.  A whole seed grid or Newton round costs one adaptive sweep, in
+    which each point refines on its own criterion and is summed on its own,
+    so its value is bit for bit its single-point value.  The integrand runs
+    on chunks of at most ``CHUNK_FLOATS`` point x node values.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
     mode = spec.mode
@@ -120,10 +149,9 @@ def _batched_pair(spec, alphas, tol):
     f1, f2 = compiled_forcing(spec)
     period = spec.full_period
 
-    def integrand(taus):
-        states = unperturbed_orbit(
-            mode, (alphas[:, 0:1], alphas[:, 1:2]), taus[None, :]
-        )
+    def integrand(points, taus):
+        chunk = alphas[points]
+        states = unperturbed_orbit(mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
         th1, th1d, th2, th2d = states
         combo = sign * SQRT2 * f1(taus[None, :], th1, th1d, th2, th2d) + f2(
             taus[None, :], th1, th1d, th2, th2d
@@ -131,13 +159,11 @@ def _batched_pair(spec, alphas, tol):
         combo = np.broadcast_to(np.asarray(combo, dtype=float), th1.shape)
         trig_s = np.sin(w * taus)[None, :]
         trig_c = np.cos(w * taus)[None, :]
-        return np.concatenate([trig_s * combo, trig_c * combo])
+        return np.stack([trig_s * combo, trig_c * combo], axis=1)
 
-    result = integrate_adaptive(integrand, 0.0, period, tol)
-    m = alphas.shape[0]
-    raw = np.stack([result.value[:m], result.value[m:]], axis=1)
+    raw, panels = _integrate_points(integrand, alphas.shape[0], 0.0, period, tol, MAX_PANELS)
     averaged = np.stack([-raw[:, 0], raw[:, 1]], axis=1) / (2.0 * period)
-    return raw, averaged, result.panels
+    return raw, averaged, int(panels.max(initial=0))
 
 
 def averaged_pair(spec, alpha, tol=1e-11):
@@ -224,12 +250,14 @@ def find_zeros(
 ):
     """Locate the zeros of the mean pair inside the open annulus.
 
-    ``newton.damped_newton`` runs from every polar grid seed, confined to
-    the ball ``||alpha|| <= 10 max(r2, 1)``; a seed whose Newton run fails or
-    whose evaluation faults is dropped, which is not an error.  Converged
-    points are kept when they land strictly inside the annulus,
-    deduplicated, and labelled simple when |det| of the central-difference
-    Jacobian exceeds ``det_threshold``.  An empty list is a valid outcome.
+    ``newton.solve_many`` runs damped Newton from every polar grid seed in
+    lockstep, one ``eval_many`` call per round, confined to the ball
+    ``||alpha|| <= 10 max(r2, 1)``; each seed takes the steps it would take
+    alone.  A seed whose Newton run fails or whose own evaluation faults
+    (a domain fault or the quadrature cap) is dropped, which is not an
+    error; its round-mates go on.  Converged points are kept when they land
+    strictly inside the annulus, deduplicated, and labelled simple when
+    |det| of the central-difference Jacobian exceeds ``det_threshold``.  An empty list is a valid outcome.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order
     is kept.  Residuals of converged seeds are roundoff, so they pick no
@@ -241,19 +269,18 @@ def find_zeros(
         raise ValueError("require r1 < r2")
     if is_identically_zero(system, r1, r2):
         return []
-    bound = 10.0 * max(r2, 1.0)
-    candidates = []
-    for seed in seed_grid(r1, r2, *grid):
-        try:
-            alpha, residual, iterations = damped_newton(
-                lambda cols: system.eval_many(cols.T).T, seed, newton_tol, bound=bound
-            )
-        except (NewtonFailure, ExprDomainError, QuadratureError):
-            continue
-        norm = float(np.linalg.norm(alpha))
-        if not (r1 < norm < r2):
-            continue
-        candidates.append((alpha, residual, iterations))
+    outcomes = solve_many(
+        lambda cols: system.eval_many(cols.T).T,
+        seed_grid(r1, r2, *grid).T,
+        newton_tol,
+        bound=10.0 * max(r2, 1.0),
+        faults=(ExprDomainError, QuadratureError),
+    )
+    candidates = [
+        outcome
+        for outcome in outcomes
+        if isinstance(outcome, tuple) and r1 < float(np.linalg.norm(outcome[0])) < r2
+    ]
     # This is also the output order: zeros are kept in candidate order.  The
     # sort is stable, so seeds stay in grid order within one bin.
     candidates.sort(key=lambda c: canonical_key(c[0], dedup_radius))

@@ -10,6 +10,10 @@ A generic averaging operator (:class:`AveragingProblem` +
 flow / fundamental-matrix / perturbation triple and audits the structural
 hypotheses numerically; tests use it to cross-check the package's
 mode-specialized path.
+
+:func:`scalar_damped_newton` is damped Newton from one start, one step at a
+time; tests hold the lockstep ``pendavg.newton.solve_many`` to it start for
+start.
 """
 
 import math
@@ -26,6 +30,7 @@ from pendavg.model import (
     compiled_forcing,
     modal_orbit,
 )
+from pendavg.newton import MAX_STEPS, NewtonFailure, linearize
 
 SQRT2 = math.sqrt(2.0)
 W1 = math.sqrt(2.0 - SQRT2)
@@ -228,3 +233,48 @@ def pendulum_problem(spec):
         return np.stack([zero, g_fast, zero, g_slow])
 
     return AveragingProblem(4, 2, spec.full_period, beta, flow, fundamental, perturbation)
+
+
+# ---------------------------------------------------------------------------
+# Scalar damped Newton
+# ---------------------------------------------------------------------------
+
+def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
+    """Damped Newton from one start; returns ``(x, ||F(x)||, steps)``.
+
+    Same rules and failure texts as ``pendavg.newton.solve_many``: nine
+    halvings per step, trials outside ``||x|| <= bound`` skipped unevaluated,
+    at most ``MAX_STEPS`` steps.
+    """
+    x = np.array(x, dtype=float)
+    g, jac = linearize(F, x)
+    r = float(np.linalg.norm(g))
+    steps = 0
+    while r > tol:
+        if steps == MAX_STEPS:
+            raise NewtonFailure(f"no convergence after {MAX_STEPS} steps: residual {r:.3e}")
+        if not np.isfinite(jac).all():
+            raise NewtonFailure("non-finite Jacobian")
+        if cond_limit < math.inf and (cond := np.linalg.cond(jac)) > cond_limit:
+            raise NewtonFailure(f"Jacobian condition {cond:.1e} exceeds {cond_limit:.1e}")
+        try:
+            step = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError:
+            raise NewtonFailure("singular Jacobian") from None
+        scale = 1.0
+        for _ in range(9):
+            x_try = x + scale * step
+            scale *= 0.5
+            if np.linalg.norm(x_try) > bound:
+                continue
+            r_try = float(np.linalg.norm(F(x_try[:, None])[:, 0]))
+            if r_try < r:
+                x, r = x_try, r_try
+                break
+        else:
+            raise NewtonFailure(f"stalled at residual {r:.3e}: 9 halvings did not reduce it")
+        steps += 1
+        if r > tol and steps < MAX_STEPS:
+            g, jac = linearize(F, x)
+            r = float(np.linalg.norm(g))
+    return x, r, steps

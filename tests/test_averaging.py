@@ -14,6 +14,7 @@ from oracles import (
     pendulum_problem,
 )
 from pendavg.averaging import (
+    CHUNK_FLOATS,
     AveragedSystem,
     QuadratureError,
     antipodal_pairing,
@@ -21,9 +22,12 @@ from pendavg.averaging import (
     find_zeros,
     integrate_adaptive,
     is_identically_zero,
+    seed_grid,
 )
 from pendavg.constants import OMEGA1, OMEGA2
+from pendavg.expr import ExprDomainError
 from pendavg.model import PerturbationSpec
+from pendavg.newton import NewtonFailure, solve_many
 
 SQRT2 = math.sqrt(2.0)
 
@@ -421,6 +425,78 @@ def test_eval_many_does_not_depend_on_batch_mates(which, radius):
     for point, value in zip(points, batch):
         assert np.array_equal(system(point), value)
         assert system.last_panels == panels
+
+
+def test_each_point_refines_on_its_own():
+    # (0.2, 0.1) alone meets the tolerance at 8 panels, (6, 4) at 16; side by
+    # side, each must still stop at its own count, or the first point's
+    # value moves in the last bits.
+    spec = PerturbationSpec.from_strings("0", "exp(th2) * sin(w1 * tau)", "mode1", 1, 1)
+    system = AveragedSystem(spec, tol=1e-11)
+    points = np.array([[0.2, 0.1], [6.0, 4.0]])
+    values, panels = [], []
+    for point in points:
+        values.append(system(point))
+        panels.append(system.last_panels)
+    assert panels == [8, 16]
+    assert np.array_equal(system.eval_many(points), values)
+    assert system.last_panels == 16
+
+
+def test_a_batch_larger_than_a_chunk_matches_single_points():
+    system = AveragedSystem(oracles.make_spec("corollary1"), tol=1e-11)
+    # The coarsest level has 4 panels of 15 nodes, so this batch spans more
+    # than one chunk at every level.
+    n = CHUNK_FLOATS // 60 + 7
+    points = np.random.default_rng(6).uniform(-10.0, 10.0, (n, 2))
+    batch = system.eval_many(points)
+    assert np.array_equal(batch, np.array([system(point) for point in points]))
+
+
+def _outcome(result):
+    """Comparable form of one seed's end: exact x bits, or the failure."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    x, residual, steps = result
+    return x.tobytes(), residual, steps
+
+
+def _scalar_outcome(F, seed, tol, bound):
+    try:
+        return oracles.scalar_damped_newton(F, seed, tol, bound=bound)
+    except (NewtonFailure, ExprDomainError, QuadratureError) as exc:
+        return exc
+
+
+_SQRT_FORCING = "sqrt(9 - th1^2) * sin(w1 * tau) + (1 - th1^2) * sin(w1 * tau)"
+
+
+@pytest.mark.parametrize(
+    "f1, f2, mode, r1, r2, grid, counts",
+    [
+        # corollary1: 96 seeds stall or meet a singular Jacobian.
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 0.1, 10.0, (24, 24),
+         {NewtonFailure: 96, tuple: 480}),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 0.1, 40.0, (24, 24), {tuple: 576}),
+        # Most seeds leave the domain of the sqrt and fault alone.
+        ("0", _SQRT_FORCING, "mode1", 0.1, 8.0, (12, 12),
+         {ExprDomainError: 122, NewtonFailure: 4, tuple: 18}),
+    ],
+    ids=["corollary1", "corollary2", "sqrt-domain-faults"],
+)
+def test_lockstep_newton_matches_the_scalar_loop_seed_for_seed(f1, f2, mode, r1, r2, grid, counts):
+    system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, 1, 1), tol=1e-11)
+
+    def F(cols):
+        return system.eval_many(cols.T).T
+
+    seeds = seed_grid(r1, r2, *grid)
+    bound = 10.0 * max(r2, 1.0)
+    lockstep = solve_many(F, seeds.T, 1e-11, bound=bound, faults=(ExprDomainError, QuadratureError))
+    scalar = [_scalar_outcome(F, seed, 1e-11, bound) for seed in seeds]
+    assert [_outcome(r) for r in lockstep] == [_outcome(r) for r in scalar]
+    kinds = [type(r) for r in scalar]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == counts
 
 
 def test_averaged_system_caches_panel_count():

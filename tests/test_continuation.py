@@ -26,6 +26,7 @@ from pendavg.model import (
     modal_amplitudes,
     unperturbed_orbit,
 )
+from pendavg.newton import damped_newton
 
 TIGHT = IntegratorConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
 
@@ -246,3 +247,25 @@ def test_shoot_reports_conditioning():
     pred = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)) + 0.05
     with pytest.raises(ShootingError, match="condition"):
         shoot_periodic(spec, 1e-2, pred, cond_limit=10.0)
+
+
+def test_shooting_newton_matches_the_scalar_loop():
+    # One start: the lockstep solver must call the period map on the same
+    # column widths as the scalar loop (9, then 1 per trial, ...) and end on
+    # the same bits, so `verify` output does not move.
+    spec = _coro1()
+    eps = 1e-3
+    config = auto_config(eps)
+    guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    runs = []
+    for solve in (damped_newton, oracles.scalar_damped_newton):
+        widths = []
+
+        def F(cols, widths=widths):
+            widths.append(cols.shape[1])
+            return flow_map(spec, eps, cols, spec.full_period, config) - cols
+
+        x, residual, steps = solve(F, guess, 1e-10, cond_limit=1e12)
+        runs.append((widths, x.tobytes(), residual, steps))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 9 and runs[0][3] > 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize
+from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize, solve_many
 
 
 class _Recorded:
@@ -123,3 +123,27 @@ def test_trials_outside_the_bound_are_never_evaluated():
     assert trials
     assert max(np.linalg.norm(t) for t in trials) <= bound
     assert trials[0] == pytest.approx([2.5, 0.0])
+
+
+class _Fault(ArithmeticError):
+    pass
+
+
+def _root_two(cols):
+    if (cols < 0.0).any():
+        raise _Fault("negative column")
+    return cols**2 - 4.0
+
+
+def test_a_fault_fails_only_its_own_start():
+    # The start at -1 faults on its own columns; its round-mates end where
+    # they end alone, and without ``faults`` the exception propagates.
+    starts = np.array([[3.0, -1.0, 0.5]])
+    outcomes = solve_many(_root_two, starts, 1e-12, faults=(_Fault,))
+    assert isinstance(outcomes[1], _Fault)
+    for j in (0, 2):
+        x, residual, steps = outcomes[j]
+        alone = damped_newton(_root_two, starts[:, j], 1e-12)
+        assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+    with pytest.raises(_Fault):
+        solve_many(_root_two, starts, 1e-12)
