@@ -9,7 +9,7 @@ reproducible CSV/JSON pipelines.
 """
 
 from .constants import OMEGA1, OMEGA2, T1, T2
-from .expr import EvalEnv, ExprDomainError, ExprSyntaxError, evaluate, format_expr, parse
+from .expr import ExprDomainError, ExprSyntaxError, format_expr, parse
 from .model import (
     Mode,
     PerturbationSpec,
@@ -49,10 +49,8 @@ __all__ = [
     "OMEGA2",
     "T1",
     "T2",
-    "EvalEnv",
     "ExprDomainError",
     "ExprSyntaxError",
-    "evaluate",
     "format_expr",
     "parse",
     "Mode",

@@ -57,23 +57,27 @@ class QuadratureResult:
 def _composite_gl(f, points, a, b, panels):
     """Composite GL sums at ``points``, shape ``(len(points), k)``.
 
-    The integrand is called on row chunks of at most ``CHUNK_FLOATS`` point x
-    node values, so memory stays flat in the batch size.
+    The integrand sees at most ``CHUNK_FLOATS`` point x node values per call:
+    rows are chunked, and each row adds up its node blocks' sums in order.
     """
     edges = np.linspace(a, b, panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     centers = (edges[:-1] + edges[1:]) / 2.0
     taus = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
     weights = np.tile(_GL_WEIGHTS * half, panels)
-    rows = max(1, CHUNK_FLOATS // taus.size)
+    block = min(taus.size, CHUNK_FLOATS)
+    rows = CHUNK_FLOATS // block
     sums = []
     for start in range(0, points.size, rows):
-        values = np.asarray(f(points[start : start + rows], taus), dtype=float)
-        if not np.isfinite(values).all():
-            raise ExprDomainError("integrand produced non-finite values")
-        # Summed per row: a BLAS product's summation order depends on the row
-        # count, which would make a point's value depend on its batch-mates.
-        sums.append((values * weights).sum(axis=-1))
+        chunk, total = points[start : start + rows], None
+        for lo in range(0, taus.size, block):
+            values = np.asarray(f(chunk, taus[lo : lo + block]), dtype=float)
+            if not np.isfinite(values).all():
+                raise ExprDomainError("integrand produced non-finite values")
+            # Summed per row: a BLAS product's order would depend on the batch.
+            part = (values * weights[lo : lo + block]).sum(axis=-1)
+            total = part if total is None else total + part
+        sums.append(total)
     return np.concatenate(sums)
 
 

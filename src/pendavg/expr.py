@@ -18,9 +18,12 @@ Recognized names:
 ``w1`` and ``w2`` are injected by the library so forcing text can hit the
 pendulum mode frequencies exactly instead of going through truncated
 decimals.  Exponents are restricted to numeric literals: integer exponents
-evaluate for any base, real exponents only for positive bases.
+are real for any nonzero base, real exponents only for positive bases.
 
-Expressions are immutable after parsing; evaluation is pure and reentrant.
+Expressions are immutable after parsing.  :func:`compile_expr` is their one
+evaluator: its callables are pure and reentrant, and return every domain
+fault (sqrt of a negative, ``1/0``, overflow, ...) as NaN or inf, never as an
+exception.  Callers check finiteness.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class ExprSyntaxError(ValueError):
 
 
 class ExprDomainError(ArithmeticError):
-    """Evaluation left the real domain (sqrt of a negative, division by zero, ...)."""
+    """A forcing came back NaN or inf where a finite value was needed."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,26 +97,6 @@ class Call:
 
 
 Expr = Num | Var | Const | Neg | BinOp | Call
-
-
-@dataclass(frozen=True)
-class EvalEnv:
-    """Point of evaluation: rescaled time plus the four pendulum coordinates."""
-
-    tau: float
-    th1: float
-    th1d: float
-    th2: float
-    th2d: float
-
-    def as_dict(self):
-        return {
-            "tau": self.tau,
-            "th1": self.th1,
-            "th1d": self.th1d,
-            "th2": self.th2,
-            "th2d": self.th2d,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +215,7 @@ class _Parser:
 
     def exponent(self):
         # The exponent of '^' must be a (possibly negated, possibly
-        # parenthesized) numeric literal, so evaluation stays total.
+        # parenthesized) numeric literal, so every power is real or NaN/inf.
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
@@ -294,82 +277,6 @@ def parse(text):
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
-# ---------------------------------------------------------------------------
-
-def _pow(base, exponent):
-    if float(exponent).is_integer():
-        n = int(exponent)
-        if base == 0.0 and n < 0:
-            raise ExprDomainError("zero base with negative exponent")
-        return base ** n
-    if base < 0.0:
-        raise ExprDomainError(f"negative base {base!r} with non-integer exponent")
-    if base == 0.0 and exponent < 0.0:
-        raise ExprDomainError("zero base with negative exponent")
-    return math.pow(base, exponent)
-
-
-def evaluate(expr, env):
-    """Evaluate ``expr`` at ``env`` in IEEE double precision.
-
-    Domain faults (sqrt of a negative, division by zero, overflow) raise
-    ExprDomainError instead of propagating NaN.
-    """
-    values = env.as_dict() if isinstance(env, EvalEnv) else dict(env)
-    for name in VARIABLES:
-        if not math.isfinite(values[name]):
-            raise ExprDomainError(f"non-finite value for {name!r}")
-    return _eval_node(expr, values)
-
-
-def _eval_node(node, values):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return values[node.name]
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, values)
-    if isinstance(node, Call):
-        x = _eval_node(node.arg, values)
-        if node.func == "sin":
-            return math.sin(x)
-        if node.func == "cos":
-            return math.cos(x)
-        if node.func == "sqrt":
-            if x < 0.0:
-                raise ExprDomainError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if node.func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise ExprDomainError(f"exp overflow at {x!r}") from None
-        if node.func == "abs":
-            return abs(x)
-        raise AssertionError(node.func)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.lhs, values)
-        b = _eval_node(node.rhs, values)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise ExprDomainError("division by zero")
-            return a / b
-        if node.op == "^":
-            return _pow(a, b)
-        raise AssertionError(node.op)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Vectorized compilation
 # ---------------------------------------------------------------------------
 
@@ -377,21 +284,22 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PRECEDENCE = 3
 
 
-def _emit(node):
-    """Emit Python/numpy source for a node; parenthesize defensively."""
+def _emit(node, literals):
+    """Emit numpy source for a node; literal i is appended and named ``_num_<i>``."""
     if isinstance(node, Num):
-        return _format_number(node.value)
+        literals.append(node.value)
+        return f"_num_{len(literals) - 1}"
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Const):
         return f"_const_{node.name}"
     if isinstance(node, Neg):
-        return f"(-{_emit(node.operand)})"
+        return f"(-{_emit(node.operand, literals)})"
     if isinstance(node, Call):
-        return f"_fn_{node.func}({_emit(node.arg)})"
+        return f"_fn_{node.func}({_emit(node.arg, literals)})"
     if isinstance(node, BinOp):
         op = "**" if node.op == "^" else node.op
-        return f"({_emit(node.lhs)} {op} {_emit(node.rhs)})"
+        return f"({_emit(node.lhs, literals)} {op} {_emit(node.rhs, literals)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -400,11 +308,16 @@ def compile_expr(expr):
     """Compile an Expr into a numpy-vectorized callable.
 
     The callable takes (tau, th1, th1d, th2, th2d) and broadcasts like
-    numpy.  Out-of-domain points come back as NaN/inf rather than raising;
-    bulk consumers (quadrature, integrators) check finiteness and report.
+    numpy.  Literals and constants are bound as numpy ``float64``, so no
+    subexpression is Python scalar arithmetic: a domain fault anywhere, even
+    among literals alone, comes back as NaN or inf.  Callers (the periodicity
+    audit, quadrature, integrators) check finiteness and report.
     """
-    body = _emit(expr)
-    source = f"def _compiled(tau, th1, th1d, th2, th2d):\n    return +({body})"
+    literals = []
+    body = _emit(expr, literals)
+    if isinstance(expr, Var):
+        body = f"+{body}"  # a copy, so the result never aliases an argument
+    source = f"def _compiled(tau, th1, th1d, th2, th2d):\n    return {body}"
     namespace = {
         "_fn_sin": np.sin,
         "_fn_cos": np.cos,
@@ -412,8 +325,10 @@ def compile_expr(expr):
         "_fn_exp": np.exp,
         "_fn_abs": np.abs,
     }
+    for i, value in enumerate(literals):
+        namespace[f"_num_{i}"] = np.float64(value)
     for name, value in CONSTANTS.items():
-        namespace[f"_const_{name}"] = value
+        namespace[f"_const_{name}"] = np.float64(value)
     exec(compile(source, "<expr>", "exec"), namespace)  # noqa: S102 - source built from a closed AST
     fn = namespace["_compiled"]
 

@@ -17,6 +17,8 @@ from pendavg.averaging import (
     CHUNK_FLOATS,
     AveragedSystem,
     QuadratureError,
+    _composite_gl,
+    _integrate_points,
     antipodal_pairing,
     averaged_pair,
     find_zeros,
@@ -451,6 +453,29 @@ def test_a_batch_larger_than_a_chunk_matches_single_points():
     points = np.random.default_rng(6).uniform(-10.0, 10.0, (n, 2))
     batch = system.eval_many(points)
     assert np.array_equal(batch, np.array([system(point) for point in points]))
+
+
+def test_an_integrand_call_never_sees_more_than_a_chunk():
+    # At 2^12 panels one point has 61440 nodes, so the node axis must be
+    # split for the call to stay within CHUNK_FLOATS point x node values.
+    sizes = []
+
+    def kinked(points, taus):
+        sizes.append(points.size * taus.size)
+        return np.abs(np.sin(taus) - 0.5)[None, None, :]
+
+    with pytest.raises(QuadratureError):
+        _integrate_points(kinked, 1, 0.0, 10.0, 1e-13, 2 ** 12)
+    assert max(sizes) <= CHUNK_FLOATS
+    # Every level up to the cap was evaluated on all of its nodes.
+    assert sum(sizes) == 15 * (2 * 2 ** 12 - 4)
+
+
+def test_block_sums_add_up_to_the_integral():
+    value = _composite_gl(
+        lambda points, taus: np.sin(taus)[None, None, :], np.arange(1), 0.0, 10.0, 2 ** 12
+    )
+    assert value[0, 0] == pytest.approx(1.0 - math.cos(10.0), abs=1e-13)
 
 
 def _outcome(result):

@@ -281,6 +281,16 @@ def test_non_periodic_forcing_is_exit_2(capsys):
     assert "periodic" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["1/0", "0^(-1)", "(0 - 2)^0.5", "pi / (pi - pi)", "th1 * (0 - 2)^0.5"]
+)
+def test_domain_fault_in_forcing_is_exit_2(capsys, text):
+    # A fault in literals alone is a config error like any other fault.
+    code, _, err = run_cli(capsys, "zeros", "--f1", text, "--f2", "0", "--r1", "0.1", "--r2", "2")
+    assert code == 2
+    assert "not finite on the audit grid" in err
+
+
 def test_zero_epsilon_is_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--preset", "corollary1", "--eps", "1e-3,0")
     assert code == 2
