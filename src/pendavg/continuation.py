@@ -38,12 +38,14 @@ class ShootingError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step classic RK4 or adaptive Dormand-Prince RK45."""
+    """Fixed-step classic RK4 or adaptive Dormand-Prince RK45.
+
+    RK45 scales each component's error by ``tol + tol * max(|y|, |y5|)``.
+    """
 
     method: str = "rk45"
     step: float | None = None
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    tol: float = 1e-12
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -51,8 +53,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.method == "rk4" and (self.step is None or self.step <= 0):
             raise ValueError("rk4 needs a positive fixed step")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -66,7 +68,7 @@ def auto_config(eps):
     """
     tol = min(1e-12, abs(eps) * 1e-9) if eps != 0.0 else 1e-12
     tol = max(tol, 1e-15)
-    return IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
+    return IntegratorConfig(method="rk45", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ _DP_B4 = np.array(
 )
 
 
-def _rk45(rhs, y0, taus, abs_tol, rel_tol, max_steps):
+def _rk45(rhs, y0, taus, tol, max_steps):
     y = np.array(y0, dtype=float)
     out = np.empty(y.shape + (len(taus),))
     t = taus[0]
@@ -144,7 +146,7 @@ def _rk45(rhs, y0, taus, abs_tol, rel_tol, max_steps):
         y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
         y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0)
         err = y5 - y4
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if not math.isfinite(err_norm):
             raise ExprDomainError(f"forcing produced a non-finite value near tau={t:.6g}")
@@ -164,7 +166,7 @@ def _propagate(rhs, y0, taus, config):
         raise ValueError("times must be non-negative and non-decreasing")
     if config.method == "rk4":
         return _rk4(rhs, y0, taus, config.step, config.max_steps)
-    return _rk45(rhs, y0, taus, config.abs_tol, config.rel_tol, config.max_steps)
+    return _rk45(rhs, y0, taus, config.tol, config.max_steps)
 
 
 def sample_states(spec, eps, x0, taus, config=None):

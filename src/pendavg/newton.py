@@ -6,10 +6,11 @@ loop and one central-difference Jacobian.  ``F`` maps a ``(d, m)`` batch of
 columns to a ``(d, m)`` batch of values, so the base point and the whole
 stencil ride in one call.
 
-``solve_many`` runs the loop from many starts in lockstep: each round makes
-one call of ``F`` on the columns every unfinished start needs next (its
-stencil, or its one line-search trial), and every start takes exactly the
-steps it would take alone.  ``damped_newton`` is its one-start form.
+``solve_many`` runs the loop from many starts in lockstep: each step makes
+one call of ``F`` on the stencils of every unfinished start, then one call
+per halving level on the line-search trials still open, and every start
+takes exactly the steps it would take alone.  ``damped_newton`` is its
+one-start form.
 """
 
 from __future__ import annotations
@@ -68,24 +69,24 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _evaluate(F, cols, widths, faults):
-    """``F(cols)``, and the exception of each column block that faults alone.
+def _evaluate(F, blocks, faults):
+    """``F`` on ``(m, d, w)`` column blocks, and the exception of each block that faults alone.
 
-    ``widths`` splits the columns into one block per start.  When the joint
-    call raises one of ``faults``, each block is evaluated on its own; a
-    block that raises alone keeps NaN values and its exception is returned
-    under its position.
+    All blocks go to ``F`` in one call.  When it raises one of ``faults``,
+    each block is evaluated on its own; a block that raises alone keeps NaN
+    values and its exception is returned under its position.
     """
+    m, d, w = blocks.shape
+    cols = blocks.transpose(1, 0, 2).reshape(d, m * w)
     try:
-        return F(cols), {}
+        return F(cols).reshape(d, m, w).transpose(1, 0, 2), {}
     except faults:
         pass
-    values = np.full(cols.shape, np.nan)
+    values = np.full(blocks.shape, np.nan)
     errors = {}
-    ends = np.cumsum(widths)
-    for j, (a, b) in enumerate(zip(ends - widths, ends)):
+    for j, block in enumerate(blocks):
         try:
-            values[:, a:b] = F(cols[:, a:b])
+            values[j] = F(block)
         except faults as exc:
             errors[j] = exc
     return values, errors
@@ -98,118 +99,99 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     that ended it -- a ``NewtonFailure``, or one of ``faults`` raised by
     ``F`` on that start's own columns; other starts go on either way.
 
-    Each step solves with the Jacobian from the central-difference stencil
-    and halves the step up to nine times until the residual drops; trials
-    outside ``||x|| <= bound`` are halved without being evaluated.  A start
-    fails on a non-finite or singular Jacobian, a condition number above
-    ``cond_limit``, a step that no halving improves, or no convergence
-    within ``MAX_STEPS`` steps.  Every start takes the steps it would take
-    alone, given an ``F`` whose columns do not depend on each other.
+    All unfinished starts take step k together.  The step makes one call of
+    ``F`` on every start's central-difference stencil and solves with the
+    Jacobians.  Then it makes one call per halving level on the trials
+    still open: a start's Newton step is halved up to nine times until the
+    residual drops, and trials outside ``||x|| <= bound`` are halved
+    without being evaluated.  A start fails on a non-finite or singular
+    Jacobian, a condition number above ``cond_limit``, a step that no
+    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
+    start takes the steps it would take alone, given an ``F`` whose columns
+    do not depend on each other.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
-    width = 2 * d + 1
     residual = np.zeros(n)
-    step = np.zeros_like(x)
-    trial = np.zeros_like(x)
-    scale = np.ones(n)
-    halvings = np.zeros(n, dtype=int)
-    steps = np.zeros(n, dtype=int)
-    # True: the start's next columns are its stencil; False: its trial.
-    stencil = np.ones(n, dtype=bool)
+    finished = np.zeros(n, dtype=bool)
     outcome = [None] * n
 
-    def finish(idx):
+    def end(idx, result):
         for i in idx:
-            outcome[i] = (x[i].copy(), float(residual[i]), int(steps[i]))
+            outcome[i] = result(i)
+        finished[idx] = True
 
-    def fail(idx, reason):
-        for i in idx:
-            outcome[i] = NewtonFailure(reason(i))
+    def evaluate(idx, blocks):
+        """``F`` on the block of each start in ``idx``; a start whose own block faults ends."""
+        values, errors = _evaluate(F, blocks, faults)
+        for j, exc in errors.items():
+            outcome[idx[j]] = exc
+            finished[idx[j]] = True
+        return values
 
-    def next_trials(idx):
-        """Halve to each start's next trial inside the bound, or fail it."""
-        while idx.size:
-            spent = halvings[idx] == _HALVINGS
-            fail(idx[spent], lambda i: (
-                f"stalled at residual {residual[i]:.3e}: {_HALVINGS} halvings did not reduce it"
-            ))
-            idx = idx[~spent]
-            trial[idx] = x[idx] + scale[idx, None] * step[idx]
-            scale[idx] *= 0.5
-            halvings[idx] += 1
-            idx = idx[_norms(trial[idx]) > bound]
+    def settle(idx, steps):
+        # As in the scalar loop, a residual that is not above tol (NaN too) ends the start.
+        end(idx[~(residual[idx] > tol)], lambda i: (x[i].copy(), float(residual[i]), steps))
 
-    def after_stencils(idx, values, h):
+    live = np.arange(n)
+    for k in range(MAX_STEPS):
+        if not live.size:
+            break
+        cols, h = _stencils(x[live])
+        values = evaluate(live, cols)
+        go = ~finished[live]
+        live, values, h = live[go], values[go], h[go]
         g, jac = values[:, :, 0], _jacobians(values, h)
-        residual[idx] = _norms(g)
-        live = residual[idx] > tol
-        finish(idx[~live])
-        finite = np.isfinite(jac).all(axis=(1, 2))
-        fail(idx[live & ~finite], lambda i: "non-finite Jacobian")
-        live &= finite
+        residual[live] = _norms(g)
+        settle(live, k)
+        end(
+            live[~finished[live] & ~np.isfinite(jac).all(axis=(1, 2))],
+            lambda i: NewtonFailure("non-finite Jacobian"),
+        )
         # Without a limit, skip the SVD behind ``cond``.
         if cond_limit < math.inf:
-            for j in np.flatnonzero(live):
+            for j in np.flatnonzero(~finished[live]):
                 if (cond := np.linalg.cond(jac[j])) > cond_limit:
-                    outcome[idx[j]] = NewtonFailure(
+                    end(live[j : j + 1], lambda i: NewtonFailure(
                         f"Jacobian condition {cond:.1e} exceeds {cond_limit:.1e}"
-                    )
-                    live[j] = False
-        sel = np.flatnonzero(live)
+                    ))
+        go = ~finished[live]
+        live, g, jac = live[go], g[go], jac[go]
         try:
-            step[idx[sel]] = np.linalg.solve(jac[sel], -g[sel][:, :, None])[:, :, 0]
+            step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # Some Jacobian is singular: solve one by one to find which.
-            for j in sel:
+            step = np.empty_like(g)
+            for j in range(live.size):
                 try:
-                    step[idx[j]] = np.linalg.solve(jac[j], -g[j])
+                    step[j] = np.linalg.solve(jac[j], -g[j])
                 except np.linalg.LinAlgError:
-                    outcome[idx[j]] = NewtonFailure("singular Jacobian")
-                    live[j] = False
-        idx = idx[live]
-        scale[idx] = 1.0
-        halvings[idx] = 0
-        stencil[idx] = False
-        next_trials(idx)
+                    end(live[j : j + 1], lambda i: NewtonFailure("singular Jacobian"))
+            go = ~finished[live]
+            live, step = live[go], step[go]
 
-    def after_trials(idx, values):
-        r = _norms(values)
-        better = r < residual[idx]
-        next_trials(idx[~better])
-        idx, r = idx[better], r[better]
-        x[idx] = trial[idx]
-        residual[idx] = r
-        steps[idx] += 1
-        live = r > tol
-        finish(idx[~live])
-        spent = live & (steps[idx] == MAX_STEPS)
-        fail(idx[spent], lambda i: (
-            f"no convergence after {MAX_STEPS} steps: residual {residual[i]:.3e}"
+        search = live
+        for level in range(_HALVINGS):
+            trial = x[search] + 0.5**level * step
+            r = np.full(search.size, np.nan)
+            inside = ~(_norms(trial) > bound)
+            if inside.any():
+                r[inside] = _norms(evaluate(search[inside], trial[inside, :, None])[:, :, 0])
+            # NaN -- a trial outside the bound or one that faulted -- is never lower.
+            lower = r < residual[search]
+            x[search[lower]] = trial[lower]
+            residual[search[lower]] = r[lower]
+            stay = ~lower & ~finished[search]
+            search, step = search[stay], step[stay]
+        end(search, lambda i: NewtonFailure(
+            f"stalled at residual {residual[i]:.3e}: {_HALVINGS} halvings did not reduce it"
         ))
-        stencil[idx[live & ~spent]] = True
-
-    pending = np.arange(n)
-    while pending.size:
-        sten, tri = pending[stencil[pending]], pending[~stencil[pending]]
-        order = np.concatenate([sten, tri])
-        cols, h = _stencils(x[sten])
-        m = sten.size * width
-        values, errors = _evaluate(
-            F,
-            np.concatenate([cols.transpose(1, 0, 2).reshape(d, m), trial[tri].T], axis=1),
-            np.repeat([width, 1], [sten.size, tri.size]),
-            faults,
-        )
-        ok = np.ones(order.size, dtype=bool)
-        for j, exc in errors.items():
-            outcome[order[j]] = exc
-            ok[j] = False
-        ok_sten, ok_tri = ok[: sten.size], ok[sten.size :]
-        stencil_values = values[:, :m].reshape(d, sten.size, width).transpose(1, 0, 2)
-        after_stencils(sten[ok_sten], stencil_values[ok_sten], h[ok_sten])
-        after_trials(tri[ok_tri], values[:, m:].T[ok_tri])
-        pending = np.array([i for i in pending if outcome[i] is None], dtype=int)
+        live = live[~finished[live]]
+        settle(live, k + 1)
+        live = live[~finished[live]]
+    end(live, lambda i: NewtonFailure(
+        f"no convergence after {MAX_STEPS} steps: residual {residual[i]:.3e}"
+    ))
     return outcome
 
 

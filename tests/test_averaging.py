@@ -369,10 +369,14 @@ def test_find_zeros_none_when_mean_is_constant_nonzero():
     assert find_zeros(system, r1=0.1, r2=10.0, grid=(8, 8)) == []
 
 
-@pytest.mark.parametrize("f2", ["0", "1"])
+@pytest.mark.parametrize(
+    "f2", ["0", "1", "sin(9 * w1 * tau)", "sin(17 * w1 * tau)", "sin(33 * w1 * tau)"]
+)
 def test_find_zeros_degenerate_forcings(f2):
-    # Zero forcing, or any constant one: sin/cos of a full period integrate
-    # it away, the mean pair is identically zero, and no isolated zeros exist.
+    # Zero forcing, a constant one, or a high harmonic of w1: sin/cos of a
+    # full period integrate it away, the mean pair is identically zero, and
+    # no isolated zeros exist.  An equispaced rule that compares N and 2N
+    # nodes aliases sin((2N + 1) w1 tau) to a nonzero pair.
     spec = PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
     system = AveragedSystem(spec, tol=1e-11)
     assert is_identically_zero(system, 0.01, 50.0)

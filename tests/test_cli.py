@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pendavg.cli import main
+from pendavg.cli import DEGENERATE_MESSAGE, main
 from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
 from pendavg.model import Mode, unperturbed_orbit
@@ -133,6 +133,17 @@ def test_zeros_degenerate_forcing_message(capsys):
     assert payload["zeros"] == []
     assert payload["orbit_classes"] == 0
     assert "identically zero" in payload["message"]
+
+
+@pytest.mark.parametrize("k", [9, 17, 33])
+def test_zeros_high_harmonic_forcing_is_degenerate(capsys, k):
+    code, out, _ = run_cli(
+        capsys, "zeros", "--f1", "0", "--f2", f"sin({k} * w1 * tau)", "--mode", "mode1"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["zeros"] == []
+    assert payload["message"] == DEGENERATE_MESSAGE
 
 
 def test_zeros_config_echo_reproduces_the_run(capsys, tmp_path):

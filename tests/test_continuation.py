@@ -28,7 +28,7 @@ from pendavg.model import (
 )
 from pendavg.newton import damped_newton
 
-TIGHT = IntegratorConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
+TIGHT = IntegratorConfig(method="rk45", tol=1e-12)
 
 
 def _coro1():
@@ -45,7 +45,7 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="rk4")  # missing step
     with pytest.raises(ValueError):
-        IntegratorConfig(method="rk45", abs_tol=0.0)
+        IntegratorConfig(method="rk45", tol=0.0)
 
 
 def test_unforced_flow_matches_closed_form():
@@ -119,7 +119,7 @@ def test_rk4_step_budget():
 
 def test_rk45_step_budget():
     spec = _coro1()
-    cfg = IntegratorConfig(method="rk45", abs_tol=1e-13, rel_tol=1e-13, max_steps=10)
+    cfg = IntegratorConfig(method="rk45", tol=1e-13, max_steps=10)
     with pytest.raises(IntegrationError):
         flow_map(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), T1, cfg)
 
@@ -131,9 +131,9 @@ def test_forcing_blowup_reported_mid_flight():
 
 
 def test_auto_config_tightens_with_eps():
-    assert auto_config(1e-2).abs_tol == 1e-12
-    assert auto_config(1e-3).abs_tol == 1e-12
-    assert auto_config(1e-4).abs_tol == pytest.approx(1e-13, rel=1e-12)
+    assert auto_config(1e-2).tol == 1e-12
+    assert auto_config(1e-3).tol == 1e-12
+    assert auto_config(1e-4).tol == pytest.approx(1e-13, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

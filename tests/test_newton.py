@@ -1,8 +1,13 @@
 """Damped Newton and its central-difference Jacobian on closed-form maps."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import oracles
+from pendavg.averaging import AveragedSystem, seed_grid
+from pendavg.config import PRESETS
 from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize, solve_many
 
 
@@ -19,6 +24,10 @@ class _Recorded:
 
     def widths(self):
         return [cols.shape[1] for cols in self.batches]
+
+    def columns(self):
+        """How often each column was evaluated, keyed by its bytes."""
+        return Counter(col.tobytes() for cols in self.batches for col in cols.T)
 
 
 def _quadratic(cols):
@@ -147,3 +156,51 @@ def test_a_fault_fails_only_its_own_start():
         assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
     with pytest.raises(_Fault):
         solve_many(_root_two, starts, 1e-12)
+
+
+def _preset_search(name):
+    """The zero search of a preset: its pair, seed grid, tolerance and bound."""
+    config = PRESETS[name]
+    system = AveragedSystem(config.to_spec(), tol=config.quad_tol)
+    seeds = seed_grid(config.r1, config.r2, config.grid_radial, config.grid_angular)
+    return (
+        lambda cols: system.eval_many(cols.T).T,
+        seeds.T,
+        config.newton_tol,
+        10.0 * max(config.r2, 1.0),
+    )
+
+
+def _cubes():
+    # With tol = 0 every start but the root reaches MAX_STEPS.
+    starts = np.array([[1.0, 0.5, -3.0, 0.0], [1.0, -2.0, 0.25, 0.0]])
+    return lambda cols: cols**3, starts, 0.0, np.inf
+
+
+def _root_outside_the_bound():
+    # The map of test_trials_outside_the_bound_are_never_evaluated.
+    starts = np.array([[0.0, 1.0, -3.0, 3.5], [0.0, -1.0, 2.0, 0.0]])
+    return lambda cols: np.stack([cols[0] - 10.0, cols[1]]), starts, 1e-12, 4.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _preset_search("corollary1"),
+        lambda: _preset_search("corollary2"),
+        _cubes,
+        _root_outside_the_bound,
+    ],
+    ids=["corollary1", "corollary2", "max-steps", "bound"],
+)
+def test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop(case):
+    # Same multiset of columns, bit for bit: none extra and none twice.
+    F, starts, tol, bound = case()
+    lockstep, scalar = _Recorded(F), _Recorded(F)
+    solve_many(lockstep, starts, tol, bound=bound)
+    for start in starts.T:
+        try:
+            oracles.scalar_damped_newton(scalar, start, tol, bound=bound)
+        except NewtonFailure:
+            pass
+    assert lockstep.columns() == scalar.columns()
