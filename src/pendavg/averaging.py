@@ -274,7 +274,7 @@ def find_zeros(
     if is_identically_zero(system, r1, r2):
         return []
     outcomes = solve_many(
-        lambda cols: system.eval_many(cols.T).T,
+        lambda cols, _: system.eval_many(cols.T).T,
         seed_grid(r1, r2, *grid).T,
         newton_tol,
         bound=10.0 * max(r2, 1.0),

@@ -38,7 +38,7 @@ from .continuation import (
     IntegrationError,
     ShootingError,
     predicted_initial_state,
-    shoot_periodic,
+    shoot_many,
 )
 from .expr import ExprDomainError, ExprSyntaxError
 from .model import Mode, PeriodicityError, unperturbed_orbit
@@ -249,24 +249,25 @@ def cmd_verify(args):
     # Zeros are already in canonical order, so the zero index orders runs
     # (and trajectory file numbers) within each eps.
     cases = sorted((eps, zi) for zi in range(len(zeros)) for eps in cfg.epsilons)
+    # Every case is shot in one batch; each still succeeds or fails alone.
+    guesses = np.zeros((4, len(cases)))
+    for idx, (_, zi) in enumerate(cases):
+        guesses[:, idx] = predicted_initial_state(spec.mode, zeros[zi].alpha)
+    outcomes = shoot_many(spec, [eps for eps, _ in cases], guesses, tol=cfg.shoot_tol)
 
     runs = []
     failures = 0
     out_dir = getattr(args, "out", None)
-    for idx, (eps, zi) in enumerate(cases):
-        zero = zeros[zi]
-        prediction = predicted_initial_state(spec.mode, zero.alpha)
+    for idx, ((eps, zi), orbit) in enumerate(zip(cases, outcomes)):
         record = {
             "zero_index": zi,
-            "alpha": zero.alpha.tolist(),
+            "alpha": zeros[zi].alpha.tolist(),
             "epsilon": eps,
         }
-        try:
-            orbit = shoot_periodic(spec, eps, prediction, tol=cfg.shoot_tol)
-        except (ShootingError, IntegrationError, ExprDomainError) as exc:
-            log.warning("shooting failed for zero %d at eps=%g: %s", zi, eps, exc)
+        if isinstance(orbit, Exception):
+            log.warning("shooting failed for zero %d at eps=%g: %s", zi, eps, orbit)
             record["converged"] = False
-            record["error"] = str(exc)
+            record["error"] = str(orbit)
             failures += 1
             runs.append(record)
             continue

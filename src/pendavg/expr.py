@@ -312,6 +312,10 @@ def compile_expr(expr):
     subexpression is Python scalar arithmetic: a domain fault anywhere, even
     among literals alone, comes back as NaN or inf.  Callers (the periodicity
     audit, quadrature, integrators) check finiteness and report.
+
+    The callable evaluates under ``np.errstate(all="ignore")``, so it warns
+    about nothing.  Its ``body`` attribute is the same function without
+    that context, for a caller that enters it once around many calls.
     """
     literals = []
     body = _emit(expr, literals)
@@ -339,6 +343,7 @@ def compile_expr(expr):
             return fn(tau, th1, th1d, th2, th2d)
 
     wrapper.source = source
+    wrapper.body = fn
     return wrapper
 
 

@@ -254,17 +254,32 @@ def forced_field(forcing, eps):
 
     ``rhs`` returns ``(th1d, -2 th1 + th2 + eps F1, th2d, 2 th1 - 2 th2 + eps F2)``
     with ``forcing = (F1, F2)`` from :func:`compiled_forcing` evaluated at
-    ``(tau, state)``, for a float ``(4,)`` state or a ``(4, m)`` batch
-    sharing one ``tau``.  Integrators build it once per integration.
+    ``(tau, state)``, for a float ``(4,)`` state or a ``(4, m)`` batch.
+    ``tau`` is a scalar or one time per column, and ``eps`` a scalar or one
+    value per column; a column with eps = 0 gets no forcing term.  The rows
+    are written out rather than taken as ``LINEAR_ORIGINAL @ state``, so no
+    matrix-product summation order enters and each column's value does not
+    depend on the rest of the batch.  Integrators build it once per batch.
     """
     f1, f2 = forcing
+    eps = np.asarray(eps, dtype=float)
+    forced = eps != 0.0
+    every, some = bool(forced.all()), bool(forced.any())
 
     def rhs(tau, state):
-        out = LINEAR_ORIGINAL @ state
-        if eps != 0.0:
-            th1, th1d, th2, th2d = state
-            out[1] = out[1] + eps * f1(tau, th1, th1d, th2, th2d)
-            out[3] = out[3] + eps * f2(tau, th1, th1d, th2, th2d)
+        th1, th1d, th2, th2d = state
+        out = np.empty_like(state)
+        out[0] = th1d
+        out[1] = -2.0 * th1 + th2
+        out[2] = th2d
+        out[3] = 2.0 * th1 - 2.0 * th2
+        if some:
+            for row, f in ((1, f1), (3, f2)):
+                term = eps * f(tau, th1, th1d, th2, th2d)
+                if every:
+                    out[row] += term
+                else:
+                    np.add(out[row], term, out=out[row], where=forced)
         return out
 
     return rhs

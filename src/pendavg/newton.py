@@ -9,8 +9,9 @@ stencil ride in one call.
 ``solve_many`` runs the loop from many starts in lockstep: each step makes
 one call of ``F`` on the stencils of every unfinished start, then one call
 per halving level on the line-search trials still open, and every start
-takes exactly the steps it would take alone.  ``damped_newton`` is its
-one-start form.
+takes exactly the steps it would take alone.  Its ``F`` also gets the start
+index of each column, so each start may pose its own problem (shooting
+gives each its own eps).  ``damped_newton`` is its one-start form.
 """
 
 from __future__ import annotations
@@ -69,24 +70,26 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _evaluate(F, blocks, faults):
-    """``F`` on ``(m, d, w)`` column blocks, and the exception of each block that faults alone.
+def _evaluate(F, idx, blocks, faults):
+    """``F`` on the ``(m, d, w)`` column blocks of the starts ``idx``, and the
+    exception of each block that faults alone.
 
-    All blocks go to ``F`` in one call.  When it raises one of ``faults``,
-    each block is evaluated on its own; a block that raises alone keeps NaN
-    values and its exception is returned under its position.
+    All blocks go to ``F`` in one call, with each column's start index.
+    When it raises one of ``faults``, each block is evaluated on its own; a
+    block that raises alone keeps NaN values and its exception is returned
+    under its position.
     """
     m, d, w = blocks.shape
     cols = blocks.transpose(1, 0, 2).reshape(d, m * w)
     try:
-        return F(cols).reshape(d, m, w).transpose(1, 0, 2), {}
+        return F(cols, np.repeat(idx, w)).reshape(d, m, w).transpose(1, 0, 2), {}
     except faults:
         pass
     values = np.full(blocks.shape, np.nan)
     errors = {}
     for j, block in enumerate(blocks):
         try:
-            values[j] = F(block)
+            values[j] = F(block, np.full(w, idx[j]))
         except faults as exc:
             errors[j] = exc
     return values, errors
@@ -95,6 +98,8 @@ def _evaluate(F, blocks, faults):
 def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     """Damped Newton on ``F(x) = 0`` from each column of ``starts``, in lockstep.
 
+    ``F(cols, owner)`` maps a ``(d, m)`` batch of columns to their values;
+    ``owner[c]`` is the index of the start column ``c`` belongs to.
     Returns one outcome per start: ``(x, ||F(x)||, steps)``, or the exception
     that ended it -- a ``NewtonFailure``, or one of ``faults`` raised by
     ``F`` on that start's own columns; other starts go on either way.
@@ -104,11 +109,11 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     Jacobians.  Then it makes one call per halving level on the trials
     still open: a start's Newton step is halved up to nine times until the
     residual drops, and trials outside ``||x|| <= bound`` are halved
-    without being evaluated.  A start fails on a non-finite or singular
-    Jacobian, a condition number above ``cond_limit``, a step that no
-    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
-    start takes the steps it would take alone, given an ``F`` whose columns
-    do not depend on each other.
+    without being evaluated.  A start fails on a non-finite residual, a
+    non-finite or singular Jacobian, a condition number above
+    ``cond_limit``, a step that no halving improves, or no convergence
+    within ``MAX_STEPS`` steps.  Every start takes the steps it would take
+    alone, given an ``F`` whose columns do not depend on each other.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
@@ -123,15 +128,14 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
 
     def evaluate(idx, blocks):
         """``F`` on the block of each start in ``idx``; a start whose own block faults ends."""
-        values, errors = _evaluate(F, blocks, faults)
+        values, errors = _evaluate(F, idx, blocks, faults)
         for j, exc in errors.items():
             outcome[idx[j]] = exc
             finished[idx[j]] = True
         return values
 
     def settle(idx, steps):
-        # As in the scalar loop, a residual that is not above tol (NaN too) ends the start.
-        end(idx[~(residual[idx] > tol)], lambda i: (x[i].copy(), float(residual[i]), steps))
+        end(idx[residual[idx] <= tol], lambda i: (x[i].copy(), float(residual[i]), steps))
 
     live = np.arange(n)
     for k in range(MAX_STEPS):
@@ -144,6 +148,10 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
         g, jac = values[:, :, 0], _jacobians(values, h)
         residual[live] = _norms(g)
         settle(live, k)
+        end(
+            live[~finished[live] & ~np.isfinite(residual[live])],
+            lambda i: NewtonFailure("non-finite residual"),
+        )
         end(
             live[~finished[live] & ~np.isfinite(jac).all(axis=(1, 2))],
             lambda i: NewtonFailure("non-finite Jacobian"),
@@ -203,7 +211,9 @@ def damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
     ``NewtonFailure`` with the reason the start failed; exceptions from
     ``F`` propagate.
     """
-    (result,) = solve_many(F, np.asarray(x, dtype=float)[:, None], tol, bound, cond_limit)
+    (result,) = solve_many(
+        lambda cols, _: F(cols), np.asarray(x, dtype=float)[:, None], tol, bound, cond_limit
+    )
     if isinstance(result, NewtonFailure):
         raise result
     return result

@@ -249,6 +249,8 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
     x = np.array(x, dtype=float)
     g, jac = linearize(F, x)
     r = float(np.linalg.norm(g))
+    if not math.isfinite(r):
+        raise NewtonFailure("non-finite residual")
     steps = 0
     while r > tol:
         if steps == MAX_STEPS:
@@ -277,4 +279,6 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
         if r > tol and steps < MAX_STEPS:
             g, jac = linearize(F, x)
             r = float(np.linalg.norm(g))
+            if not math.isfinite(r):
+                raise NewtonFailure("non-finite residual")
     return x, r, steps

@@ -521,7 +521,9 @@ def test_lockstep_newton_matches_the_scalar_loop_seed_for_seed(f1, f2, mode, r1,
 
     seeds = seed_grid(r1, r2, *grid)
     bound = 10.0 * max(r2, 1.0)
-    lockstep = solve_many(F, seeds.T, 1e-11, bound=bound, faults=(ExprDomainError, QuadratureError))
+    lockstep = solve_many(
+        lambda cols, _: F(cols), seeds.T, 1e-11, bound=bound, faults=(ExprDomainError, QuadratureError)
+    )
     scalar = [_scalar_outcome(F, seed, 1e-11, bound) for seed in seeds]
     assert [_outcome(r) for r in lockstep] == [_outcome(r) for r in scalar]
     kinds = [type(r) for r in scalar]

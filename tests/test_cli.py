@@ -336,15 +336,38 @@ def test_shooting_failure_recorded_and_exit_3(capsys, monkeypatch):
     import pendavg.cli as cli_mod
     from pendavg.continuation import ShootingError
 
-    def boom(*args, **kwargs):
-        raise ShootingError("synthetic failure")
+    def boom(spec, eps, guesses, **kwargs):
+        return [ShootingError("synthetic failure") for _ in eps]
 
-    monkeypatch.setattr(cli_mod, "shoot_periodic", boom)
+    monkeypatch.setattr(cli_mod, "shoot_many", boom)
     code, out, _ = run_cli(capsys, "verify", "--preset", "corollary2", "--eps", "1e-3")
     assert code == 3
     payload = json.loads(out)
     assert payload["runs"][0]["converged"] is False
     assert "synthetic failure" in payload["runs"][0]["error"]
+
+
+def test_a_faulting_case_fails_alone_and_exit_3(capsys, monkeypatch):
+    # Every case is shot in one batch; a fault on one case's own columns
+    # fails that case only, and the others are reported as usual.
+    import pendavg.continuation as continuation
+    from pendavg.expr import ExprDomainError
+
+    flow_map = continuation.flow_map
+
+    def faulty(spec, eps, *args):
+        if np.any(np.asarray(eps) == 1e-2):
+            raise ExprDomainError("synthetic blow-up")
+        return flow_map(spec, eps, *args)
+
+    monkeypatch.setattr(continuation, "flow_map", faulty)
+    code, out, _ = run_cli(capsys, "verify", "--preset", "corollary2", "--eps", "1e-2,1e-3")
+    assert code == 3
+    runs = json.loads(out)["runs"]
+    assert [run["epsilon"] for run in runs] == [1e-3, 1e-2]
+    assert runs[0]["converged"] is True and runs[0]["residual"] <= 1e-10
+    assert runs[1]["converged"] is False
+    assert "synthetic blow-up" in runs[1]["error"]
 
 
 def test_log_level_env_var(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Integrators, predictions, and period-map shooting."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+import pendavg.continuation as continuation
 from pendavg.constants import T1
 from pendavg.continuation import (
     IntegrationError,
@@ -15,6 +17,7 @@ from pendavg.continuation import (
     flow_map,
     predicted_initial_state,
     sample_states,
+    shoot_many,
     shoot_periodic,
     verify_zero,
 )
@@ -22,11 +25,12 @@ from pendavg.expr import ExprDomainError
 from pendavg.model import (
     Mode,
     PerturbationSpec,
+    compiled_forcing,
     inverse_modal_transform,
     modal_amplitudes,
     unperturbed_orbit,
 )
-from pendavg.newton import damped_newton
+from pendavg.newton import damped_newton, solve_many
 
 TIGHT = IntegratorConfig(method="rk45", tol=1e-12)
 
@@ -128,6 +132,77 @@ def test_forcing_blowup_reported_mid_flight():
     spec = PerturbationSpec.from_strings("0", "exp(th2)", "mode1", 1, 1)
     with pytest.raises(ExprDomainError):
         flow_map(spec, 1.0, np.array([0.0, 0.0, 710.0, 0.0]), 1.0, TIGHT)
+
+
+def test_every_column_is_its_own_run_bit_for_bit():
+    # Columns at their own eps -- so, by default, their own tolerances,
+    # with eps = 0 among them -- end where each ends alone, in any batch.
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    states = x0[:, None] + np.random.default_rng(5).normal(scale=0.05, size=(4, 6))
+    eps = np.array([1e-2, 0.0, 1e-3, 1e-4, 5e-3, 1e-2])
+    taus = [0.0, 0.5, 0.5, 3.0, T1]
+    ends = flow_map(spec, eps, states, T1)
+    samples = sample_states(spec, eps, states, taus)
+    assert ends.shape == (4, 6) and samples.shape == (4, 6, len(taus))
+    for j in range(6):
+        assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
+        alone = sample_states(spec, eps[j], states[:, j], taus)
+        assert samples[:, j].tobytes() == alone.tobytes()
+    pick = [4, 1, 3]
+    assert ends[:, pick].tobytes() == flow_map(spec, eps[pick], states[:, pick], T1).tobytes()
+    # One config for every column: a shared tolerance, clocks still apart.
+    ends = flow_map(spec, eps, states, T1, TIGHT)
+    for j in range(6):
+        assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1, TIGHT).tobytes()
+
+
+def test_a_faulting_column_fails_only_its_own_start():
+    # Three starts share each period-map call, each at its own eps.  One runs
+    # out of steps and one overflows exp(th2) as in
+    # test_forcing_blowup_reported_mid_flight; ``solve_many`` then evaluates
+    # start by start, and the third ends exactly as it ends alone.
+    spec = PerturbationSpec.from_strings("0", "sin(40 * w1 * tau) + exp(th2)", "mode1", 1, 1)
+    config = IntegratorConfig(method="rk45", tol=1e-8, max_steps=300)
+    x0 = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
+    starts = np.stack([x0, np.array([0.0, 0.0, 710.0, 0.0]), x0], axis=1)
+    eps = np.array([1e-3, 1e-3, 1.0])
+
+    def F(cols, owner):
+        return flow_map(spec, eps[owner], cols, T1, config) - cols
+
+    outcomes = solve_many(F, starts, 1e-10, faults=(IntegrationError, ExprDomainError))
+    assert isinstance(outcomes[1], ExprDomainError)
+    assert isinstance(outcomes[2], IntegrationError)
+    (alone,) = solve_many(F, starts[:, :1], 1e-10)
+    x, residual, steps = outcomes[0]
+    assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+
+
+@pytest.mark.parametrize("wraps", [False, True], ids=["plain", "functools-wraps"])
+def test_wrapped_forcing_is_called_as_is(monkeypatch, wraps):
+    # The integrators call the compiled bodies directly, but a forcing
+    # wrapped to count its calls is called through its wrapper -- also one
+    # made with functools.wraps, which copies ``body`` along -- and gives
+    # the same bits.
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    direct = flow_map(spec, 1e-2, x0, T1)
+    calls = []
+
+    def counted(spec):
+        def wrap(f):
+            def count(*args):
+                calls.append(1)
+                return f(*args)
+
+            return functools.wraps(f)(count) if wraps else count
+
+        return tuple(map(wrap, compiled_forcing(spec)))
+
+    monkeypatch.setattr(continuation, "compiled_forcing", counted)
+    assert flow_map(spec, 1e-2, x0, T1).tobytes() == direct.tobytes()
+    assert calls
 
 
 def test_auto_config_tightens_with_eps():
@@ -269,3 +344,41 @@ def test_shooting_newton_matches_the_scalar_loop():
         runs.append((widths, x.tobytes(), residual, steps))
     assert runs[0] == runs[1]
     assert runs[0][0][0] == 9 and runs[0][3] > 0
+
+
+@pytest.mark.parametrize(
+    "which, alpha",
+    [("corollary2", (0.0, oracles.CORO2_W0)), ("corollary1", (oracles.CORO1_X0, 0.0))],
+)
+def test_batched_ladder_equals_shooting_each_eps_alone(which, alpha):
+    spec = oracles.make_spec(which)
+    ladder = (1e-2, 5e-3, 2.5e-3, 1e-3)
+    guess = predicted_initial_state(spec.mode, alpha)
+    batched = verify_zero(spec, alpha, ladder)
+    for orbit, eps in zip(batched, ladder):
+        alone = shoot_periodic(spec, eps, guess)
+        assert orbit.epsilon == eps
+        assert orbit.initial_state.tobytes() == alone.initial_state.tobytes()
+        assert orbit.residual == alone.residual
+        assert orbit.iterations == alone.iterations
+        assert orbit.samples.tobytes() == alone.samples.tobytes()
+
+
+def test_shoot_many_fails_cases_one_by_one(monkeypatch):
+    # eps = 0 is refused, and a sampling pass that faults on one case's
+    # column is redone case by case: only that case fails.
+    spec = oracles.make_spec("corollary2")
+    guess = predicted_initial_state(spec.mode, (0.0, oracles.CORO2_W0))
+    sample = continuation.sample_states
+
+    def faulty(spec, eps, *args):
+        if np.any(np.asarray(eps) == 5e-3):
+            raise ExprDomainError("synthetic sampling fault")
+        return sample(spec, eps, *args)
+
+    monkeypatch.setattr(continuation, "sample_states", faulty)
+    outcomes = shoot_many(spec, [1e-2, 0.0, 5e-3], np.repeat(guess[:, None], 3, axis=1))
+    assert isinstance(outcomes[1], ShootingError) and "eps=0" in str(outcomes[1])
+    assert isinstance(outcomes[2], ExprDomainError)
+    alone = shoot_periodic(spec, 1e-2, guess)
+    assert outcomes[0].samples.tobytes() == alone.samples.tobytes()

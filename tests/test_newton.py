@@ -12,13 +12,16 @@ from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize, s
 
 
 class _Recorded:
-    """A column map that records every batch it is called with."""
+    """A column map that records every batch it is called with.
+
+    It takes the start indices ``solve_many`` passes and ignores them.
+    """
 
     def __init__(self, F):
         self.F = F
         self.batches = []
 
-    def __call__(self, cols):
+    def __call__(self, cols, owner=None):
         self.batches.append(cols.copy())
         return self.F(cols)
 
@@ -138,7 +141,7 @@ class _Fault(ArithmeticError):
     pass
 
 
-def _root_two(cols):
+def _root_two(cols, owner=None):
     if (cols < 0.0).any():
         raise _Fault("negative column")
     return cols**2 - 4.0
@@ -156,6 +159,31 @@ def test_a_fault_fails_only_its_own_start():
         assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
     with pytest.raises(_Fault):
         solve_many(_root_two, starts, 1e-12)
+
+
+def test_a_nan_residual_fails_the_start():
+    # NaN is not above tol, but it is no convergence either.
+    F = lambda cols: np.where(cols > 0.5, np.nan, cols - 2.0)  # noqa: E731
+    for solve in (damped_newton, oracles.scalar_damped_newton):
+        with pytest.raises(NewtonFailure, match="non-finite residual"):
+            solve(F, [1.0], 1e-12)
+
+
+def test_each_start_may_pose_its_own_problem():
+    # Start i solves x^2 = i + 2 from the same point; ``F`` tells the
+    # starts apart by the index of each column.
+    owners = []
+
+    def F(cols, owner):
+        owners.append(owner.copy())
+        return cols**2 - (owner + 2.0)
+
+    outcomes = solve_many(F, np.ones((1, 3)), 1e-12)
+    assert owners[0].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    for i, (x, residual, steps) in enumerate(outcomes):
+        alone = damped_newton(lambda cols, c=i + 2.0: cols**2 - c, [1.0], 1e-12)
+        assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+        assert x[0] == pytest.approx(np.sqrt(i + 2.0), rel=1e-12)
 
 
 def _preset_search(name):
