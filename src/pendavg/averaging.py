@@ -25,7 +25,7 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
-from .newton import linearize, solve_many
+from .newton import evaluate_parts, linearize, solve_many
 
 MAX_PANELS = 2 ** 16
 # Bound on the point x node values of one integrand call.
@@ -39,6 +39,10 @@ ZERO_THRESHOLD = 1e-13
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit the panel cap without meeting tolerance."""
+
+
+# Failures of one point's own evaluation; they drop that seed or probe point.
+_FAULTS = (ExprDomainError, QuadratureError)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +230,14 @@ def is_identically_zero(system, r1, r2):
     Degenerate forcings (zero forcing, or any forcing whose projections
     against sin/cos integrate away over full periods) produce an
     identically zero pair; Newton would then "converge" at every seed, so
-    the search must be short-circuited.
+    the search must be short-circuited.  A point that faults alone is not
+    judged; the first fault is raised only when every point faults.
     """
-    values = system.eval_many(seed_grid(r1, r2, *PROBE_GRID))
-    return float(np.abs(values).max()) <= ZERO_THRESHOLD
+    probes = seed_grid(r1, r2, *PROBE_GRID)
+    values = evaluate_parts(lambda sel: system.eval_many(probes[sel]), len(probes), _FAULTS)
+    if not (finite := [v for v in values if not isinstance(v, Exception)]):
+        raise values[0]
+    return float(np.abs(finite).max()) <= ZERO_THRESHOLD
 
 
 def canonical_key(alpha, radius):
@@ -257,11 +265,12 @@ def find_zeros(
     ``newton.solve_many`` runs damped Newton from every polar grid seed in
     lockstep, one ``eval_many`` call per round, confined to the ball
     ``||alpha|| <= 10 max(r2, 1)``; each seed takes the steps it would take
-    alone.  A seed whose Newton run fails or whose own evaluation faults
-    (a domain fault or the quadrature cap) is dropped, which is not an
-    error; its round-mates go on.  Converged points are kept when they land
-    strictly inside the annulus, deduplicated, and labelled simple when
-    |det| of the central-difference Jacobian exceeds ``det_threshold``.  An empty list is a valid outcome.
+    alone.  A seed or probe point whose own evaluation faults (a domain
+    fault or the quadrature cap) is dropped, as is a seed whose Newton run
+    fails; that is not an error, and the others go on.  Converged points
+    are kept when they land strictly inside the annulus, deduplicated, and
+    labelled simple when |det| of the central-difference Jacobian exceeds
+    ``det_threshold``.  An empty list is a valid outcome.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order
     is kept.  Residuals of converged seeds are roundoff, so they pick no
@@ -278,13 +287,9 @@ def find_zeros(
         seed_grid(r1, r2, *grid).T,
         newton_tol,
         bound=10.0 * max(r2, 1.0),
-        faults=(ExprDomainError, QuadratureError),
+        faults=_FAULTS,
     )
-    candidates = [
-        outcome
-        for outcome in outcomes
-        if isinstance(outcome, tuple) and r1 < float(np.linalg.norm(outcome[0])) < r2
-    ]
+    candidates = [o for o in outcomes if isinstance(o, tuple) and r1 < np.linalg.norm(o[0]) < r2]
     # This is also the output order: zeros are kept in candidate order.  The
     # sort is stable, so seeds stay in grid order within one bin.
     candidates.sort(key=lambda c: canonical_key(c[0], dedup_radius))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .expr import ExprDomainError
 from .model import compiled_forcing, forced_field, unperturbed_orbit
-from .newton import NewtonFailure, solve_many
+from .newton import NewtonFailure, evaluate_parts, solve_many
 
 
 class IntegrationError(RuntimeError):
@@ -291,9 +291,15 @@ class PeriodicOrbit:
 
 # Failures of one case's own integration; they end that case only.
 _FAULTS = (IntegrationError, ExprDomainError)
+# Condition number of a displacement Jacobian above which shooting stops.
+COND_LIMIT = 1e12
+_EPS_ZERO = (
+    "eps=0: the period map is the identity on the resonant mode plane, "
+    "so the displacement Jacobian is singular; shoot at eps != 0"
+)
 
 
-def shoot_many(spec, eps, guesses, config=None, tol=1e-10, cond_limit=1e12, n_samples=256):
+def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     """Newton-solve the period-map fixed point of case i at ``eps[i]`` from ``guesses[:, i]``.
 
     Returns one outcome per case: a ``PeriodicOrbit``, or the exception
@@ -304,57 +310,41 @@ def shoot_many(spec, eps, guesses, config=None, tol=1e-10, cond_limit=1e12, n_sa
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep: each central-difference
     Jacobian (monodromy minus identity) rides with its base point, and
-    every case's columns share each integration, at that case's eps.  A
-    Jacobian with condition above ``cond_limit`` stops that case.  Then one
-    more integration pass samples every converged orbit at ``n_samples``
-    equally spaced times over one period; if it faults, the orbits are
-    sampled one by one.  The reported distance is measured from the guess.
-    Each case ends bit for bit as ``shoot_periodic`` alone would end it.
+    every case's columns share each integration, at ``auto_config`` of its
+    eps.  A Jacobian with condition above ``COND_LIMIT`` stops that case.
+    Then one more pass samples every converged orbit at ``n_samples``
+    equally spaced times over one period, orbit by orbit only if that pass
+    faults.  The reported distance is measured from the guess.  Each case
+    ends bit for bit as ``shoot_periodic`` alone would end it.
     """
     eps = np.asarray(eps, dtype=float).reshape(-1)
     guesses = np.asarray(guesses, dtype=float).reshape(4, eps.size)
     period = spec.full_period
-    outcomes = [
-        ShootingError(
-            "eps=0: the period map is the identity on the resonant mode plane, "
-            "so the displacement Jacobian is singular; shoot at eps != 0"
-        )
-        if e == 0.0
-        else None
-        for e in eps
-    ]
+    outcomes = [ShootingError(_EPS_ZERO) if e == 0.0 else None for e in eps]
     cases = np.flatnonzero(eps != 0.0)
     solved = solve_many(
-        lambda cols, owner: flow_map(spec, eps[cases[owner]], cols, period, config) - cols,
+        lambda cols, owner: flow_map(spec, eps[cases[owner]], cols, period) - cols,
         guesses[:, cases],
         tol,
-        cond_limit=cond_limit,
+        cond_limit=COND_LIMIT,
         faults=_FAULTS,
     )
-    converged = {}
     for i, result in zip(cases, solved):
+        outcomes[i] = result
         if isinstance(result, NewtonFailure):
             outcomes[i] = ShootingError(f"period-map Newton at eps={eps[i]:g}: {result}")
             outcomes[i].__cause__ = result
-        elif isinstance(result, Exception):
-            outcomes[i] = result
-        else:
-            converged[i] = result
 
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
-    idx = list(converged)
-    xs = np.array([converged[i][0] for i in idx]).reshape(-1, 4).T
-    try:
-        samples = np.moveaxis(sample_states(spec, eps[idx], xs, sample_taus, config), 1, 0)
-    except _FAULTS:
-        samples = []
-        for i in idx:
-            try:
-                samples.append(sample_states(spec, eps[i], converged[i][0], sample_taus, config))
-            except _FAULTS as exc:
-                samples.append(exc)
+    idx = np.array([i for i, o in enumerate(outcomes) if isinstance(o, tuple)], dtype=np.intp)
+    xs = np.array([outcomes[i][0] for i in idx]).reshape(-1, 4).T
+    samples = evaluate_parts(
+        lambda sel: np.moveaxis(sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus), 1, 0),
+        idx.size,
+        _FAULTS,
+    )
     for i, sampled in zip(idx, samples):
-        x, residual, iterations = converged[i]
+        x, residual, iterations = outcomes[i]
         if isinstance(sampled, Exception):
             outcomes[i] = sampled
             continue
@@ -372,9 +362,9 @@ def shoot_many(spec, eps, guesses, config=None, tol=1e-10, cond_limit=1e12, n_sa
     return outcomes
 
 
-def shoot_periodic(spec, eps, guess, config=None, tol=1e-10, cond_limit=1e12, n_samples=256):
+def shoot_periodic(spec, eps, guess, tol=1e-10, n_samples=256):
     """``shoot_many`` for one case: its ``PeriodicOrbit``, or raises why it failed."""
-    (outcome,) = shoot_many(spec, [eps], guess, config, tol, cond_limit, n_samples)
+    (outcome,) = shoot_many(spec, [eps], guess, tol, n_samples)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

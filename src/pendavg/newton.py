@@ -11,7 +11,8 @@ one call of ``F`` on the stencils of every unfinished start, then one call
 per halving level on the line-search trials still open, and every start
 takes exactly the steps it would take alone.  Its ``F`` also gets the start
 index of each column, so each start may pose its own problem (shooting
-gives each its own eps).  ``damped_newton`` is its one-start form.
+gives each its own eps).  ``damped_newton`` is its one-start form, and
+``evaluate_parts`` the one rule that isolates a faulting part of a batch.
 """
 
 from __future__ import annotations
@@ -70,29 +71,25 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _evaluate(F, idx, blocks, faults):
-    """``F`` on the ``(m, d, w)`` column blocks of the starts ``idx``, and the
-    exception of each block that faults alone.
+def evaluate_parts(F, n, faults=()):
+    """One entry per part of ``n``: its result, or the exception it raised alone.
 
-    All blocks go to ``F`` in one call, with each column's start index.
-    When it raises one of ``faults``, each block is evaluated on its own; a
-    block that raises alone keeps NaN values and its exception is returned
-    under its position.
+    ``F(sel)`` stacks on axis 0 the results of the parts in the slice ``sel``.
+    The one call on all n parts returns that stack.  Only when it raises one
+    of ``faults`` is each part called alone, and the entries come in a list.
+    Other exceptions propagate: with ``faults=()`` that call is the only one.
     """
-    m, d, w = blocks.shape
-    cols = blocks.transpose(1, 0, 2).reshape(d, m * w)
     try:
-        return F(cols, np.repeat(idx, w)).reshape(d, m, w).transpose(1, 0, 2), {}
+        return F(slice(0, n))
     except faults:
         pass
-    values = np.full(blocks.shape, np.nan)
-    errors = {}
-    for j, block in enumerate(blocks):
+    results = []
+    for j in range(n):
         try:
-            values[j] = F(block, np.full(w, idx[j]))
+            results.append(F(slice(j, j + 1))[0])
         except faults as exc:
-            errors[j] = exc
-    return values, errors
+            results.append(exc)
+    return results
 
 
 def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
@@ -102,7 +99,7 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     ``owner[c]`` is the index of the start column ``c`` belongs to.
     Returns one outcome per start: ``(x, ||F(x)||, steps)``, or the exception
     that ended it -- a ``NewtonFailure``, or one of ``faults`` raised by
-    ``F`` on that start's own columns; other starts go on either way.
+    ``F`` on that start's own columns alone; other starts go on either way.
 
     All unfinished starts take step k together.  The step makes one call of
     ``F`` on every start's central-difference stencil and solves with the
@@ -126,13 +123,25 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
             outcome[i] = result(i)
         finished[idx] = True
 
+    def isolated(idx, f, faults, shape, failure=lambda exc: exc):
+        """``evaluate_parts`` of ``f``, a part per start of ``idx``; a faulting one ends as NaN."""
+        parts = evaluate_parts(f, idx.size, faults)
+        if isinstance(parts, np.ndarray):
+            return parts
+        for j in np.flatnonzero([isinstance(part, Exception) for part in parts]):
+            end(idx[j : j + 1], lambda i: failure(parts[j]))
+            parts[j] = np.full(shape, np.nan)
+        return np.array(parts).reshape(idx.size, *shape)
+
     def evaluate(idx, blocks):
-        """``F`` on the block of each start in ``idx``; a start whose own block faults ends."""
-        values, errors = _evaluate(F, idx, blocks, faults)
-        for j, exc in errors.items():
-            outcome[idx[j]] = exc
-            finished[idx[j]] = True
-        return values
+        """``F`` on the ``(m, d, w)`` blocks of the starts ``idx``, with their owners."""
+        w = blocks.shape[2]
+
+        def f(sel):
+            cols = blocks[sel].transpose(1, 0, 2).reshape(d, -1)
+            return F(cols, np.repeat(idx[sel], w)).reshape(d, -1, w).transpose(1, 0, 2)
+
+        return isolated(idx, f, faults, (d, w))
 
     def settle(idx, steps):
         end(idx[residual[idx] <= tol], lambda i: (x[i].copy(), float(residual[i]), steps))
@@ -142,9 +151,8 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
         if not live.size:
             break
         cols, h = _stencils(x[live])
+        # A start whose stencil faulted is finished; the checks below skip it.
         values = evaluate(live, cols)
-        go = ~finished[live]
-        live, values, h = live[go], values[go], h[go]
         g, jac = values[:, :, 0], _jacobians(values, h)
         residual[live] = _norms(g)
         settle(live, k)
@@ -165,18 +173,15 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
                     ))
         go = ~finished[live]
         live, g, jac = live[go], g[go], jac[go]
-        try:
-            step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # Some Jacobian is singular: solve one by one to find which.
-            step = np.empty_like(g)
-            for j in range(live.size):
-                try:
-                    step[j] = np.linalg.solve(jac[j], -g[j])
-                except np.linalg.LinAlgError:
-                    end(live[j : j + 1], lambda i: NewtonFailure("singular Jacobian"))
-            go = ~finished[live]
-            live, step = live[go], step[go]
+        step = isolated(
+            live,
+            lambda sel: np.linalg.solve(jac[sel], -g[sel, :, None])[:, :, 0],
+            np.linalg.LinAlgError,
+            (d,),
+            lambda exc: NewtonFailure("singular Jacobian"),
+        )
+        go = ~finished[live]
+        live, step = live[go], step[go]
 
         search = live
         for level in range(_HALVINGS):

@@ -146,6 +146,42 @@ def test_zeros_high_harmonic_forcing_is_degenerate(capsys, k):
     assert payload["message"] == DEGENERATE_MESSAGE
 
 
+# Corollary 1's forcing plus a term that is 0 where th1^2 < 9 and NaN beyond:
+# the two agree wherever this one is finite, and all 4 zeros lie there.
+PARTLY_FAULTING_F2 = "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(9 - th1^2)"
+
+
+def test_zeros_survive_probe_points_that_fault(capsys):
+    code, out, _ = run_cli(
+        capsys, "zeros", "--f1", "0", "--f2", PARTLY_FAULTING_F2, "--r1", "0.1", "--r2", "10"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert "message" not in payload
+    alphas = np.array([record["alpha"] for record in payload["zeros"]])
+    assert alphas.shape == (4, 2)
+    assert np.abs(alphas - np.array(oracles.CORO1_ZEROS)).max() <= 1e-7
+
+
+def test_zeros_degenerate_where_the_forcing_is_finite(capsys):
+    code, out, _ = run_cli(
+        capsys, "zeros", "--f1", "0", "--f2", "0 * sqrt(9 - th1^2)", "--r1", "0.1", "--r2", "10"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["zeros"] == []
+    assert payload["message"] == DEGENERATE_MESSAGE
+
+
+def test_zeros_exit_3_when_every_probe_point_faults(capsys):
+    # At r1 = 4 every orbit of the annulus reaches th1^2 > 9.
+    code, _, err = run_cli(
+        capsys, "zeros", "--f1", "0", "--f2", PARTLY_FAULTING_F2, "--r1", "4", "--r2", "10"
+    )
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_zeros_config_echo_reproduces_the_run(capsys, tmp_path):
     overrides = {
         "dedup_radius": 1e-5,

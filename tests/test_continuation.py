@@ -314,14 +314,15 @@ def test_shoot_double_period_resonance():
     assert orbit.distance_to_prediction <= 10.0 * 1e-3
 
 
-def test_shoot_reports_conditioning():
+def test_shoot_reports_conditioning(monkeypatch):
     # Any displacement Jacobian here has condition number well above 10, so a
     # lowered limit must trip the "epsilon too small" guard once Newton
     # actually needs the Jacobian (an offset guess forces an iteration).
     spec = _coro1()
     pred = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)) + 0.05
+    monkeypatch.setattr(continuation, "COND_LIMIT", 10.0)
     with pytest.raises(ShootingError, match="condition"):
-        shoot_periodic(spec, 1e-2, pred, cond_limit=10.0)
+        shoot_periodic(spec, 1e-2, pred)
 
 
 def test_shooting_newton_matches_the_scalar_loop():

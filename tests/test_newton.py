@@ -8,7 +8,14 @@ import pytest
 import oracles
 from pendavg.averaging import AveragedSystem, seed_grid
 from pendavg.config import PRESETS
-from pendavg.newton import MAX_STEPS, NewtonFailure, damped_newton, linearize, solve_many
+from pendavg.newton import (
+    MAX_STEPS,
+    NewtonFailure,
+    damped_newton,
+    evaluate_parts,
+    linearize,
+    solve_many,
+)
 
 
 class _Recorded:
@@ -159,6 +166,48 @@ def test_a_fault_fails_only_its_own_start():
         assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
     with pytest.raises(_Fault):
         solve_many(_root_two, starts, 1e-12)
+
+
+class _Parts:
+    """Part j evaluates to (j / 2, -j / 2); a part in ``faulty`` raises.
+
+    It records the ``(start, stop)`` of every slice it is called on.
+    """
+
+    def __init__(self, faulty=()):
+        self.faulty = set(faulty)
+        self.calls = []
+
+    def __call__(self, sel):
+        self.calls.append((sel.start, sel.stop))
+        positions = np.arange(4)[sel]
+        if self.faulty & set(positions.tolist()):
+            raise _Fault("faulty part")
+        return np.stack([positions / 2.0, -positions / 2.0], axis=1)
+
+
+def test_evaluate_parts_without_a_fault_makes_one_call():
+    F = _Parts()
+    parts = evaluate_parts(F, 4, (_Fault,))
+    assert F.calls == [(0, 4)]
+    assert [part.tolist() for part in parts] == [[j / 2.0, -j / 2.0] for j in range(4)]
+
+
+def test_evaluate_parts_isolates_a_faulting_part():
+    F = _Parts(faulty={1})
+    parts = evaluate_parts(F, 4, (_Fault,))
+    assert F.calls == [(0, 4), (0, 1), (1, 2), (2, 3), (3, 4)]
+    assert isinstance(parts[1], _Fault)
+    clean = _Parts()(slice(0, 4))
+    for j in (0, 2, 3):
+        assert parts[j].tobytes() == clean[j].tobytes()
+
+
+def test_evaluate_parts_without_faults_propagates_after_one_call():
+    F = _Parts(faulty={1})
+    with pytest.raises(_Fault):
+        evaluate_parts(F, 4)
+    assert F.calls == [(0, 4)]
 
 
 def test_a_nan_residual_fails_the_start():
