@@ -13,6 +13,9 @@ The ``mean`` pair is the canonical output (it is exactly the projected
 period average of M^-1(t) G1 along the orbit, the object whose simple
 zeros continue to periodic orbits); the ``raw`` pair differs only by the
 nonzero constant -/(+ 2 p T) per component, so both have the same zeros.
+
+The raw pair is a periodic trapezoid sum, which converges geometrically on
+the smooth periodic integrand of a smooth forcing (``_integrate_points``).
 """
 
 from __future__ import annotations
@@ -27,18 +30,19 @@ from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
 from .newton import evaluate_parts, linearize, solve_many
 
-MAX_PANELS = 2 ** 16
+# Base-grid node counts of the first sweep level and of the last one allowed.
+FIRST_NODES = 8
+MAX_NODES = 2 ** 16
 # Bound on the point x node values of one integrand call.
 CHUNK_FLOATS = 2 ** 14
-_RULE_ORDER = 15
-# Polar (radial, angular) probe grid and the bound on |mean pair| below
-# which ``is_identically_zero`` calls the pair degenerate.
+# Polar (radial, angular) probe grid, and the bound on |mean pair| over the
+# largest |integrand| at or below which the pair counts as degenerate.
 PROBE_GRID = (8, 8)
 ZERO_THRESHOLD = 1e-13
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit the panel cap without meeting tolerance."""
+    """The trapezoid sweep hit the node cap without meeting tolerance."""
 
 
 # Failures of one point's own evaluation; they drop that seed or probe point.
@@ -46,86 +50,72 @@ _FAULTS = (ExprDomainError, QuadratureError)
 
 
 # ---------------------------------------------------------------------------
-# Adaptive composite Gauss-Legendre quadrature
+# Periodic trapezoid rule with a shifted check grid
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_RULE_ORDER)
+def _node_sums(f, points, base, check):
+    """``(len(points), k, 2)`` sums of ``f`` over ``base`` and over ``check``.
 
-
-@dataclass
-class QuadratureResult:
-    value: np.ndarray
-    panels: int
-
-
-def _composite_gl(f, points, a, b, panels):
-    """Composite GL sums at ``points``, shape ``(len(points), k)``.
-
-    The integrand sees at most ``CHUNK_FLOATS`` point x node values per call:
-    rows are chunked, and each row adds up its node blocks' sums in order.
+    Also returns each point's largest |f|.  Each integrand call takes a
+    block of base nodes and the matching block of check nodes, within
+    ``CHUNK_FLOATS`` point x node values; each row adds its blocks in order.
     """
-    edges = np.linspace(a, b, panels + 1)
-    half = (edges[1] - edges[0]) / 2.0
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    taus = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.tile(_GL_WEIGHTS * half, panels)
-    block = min(taus.size, CHUNK_FLOATS)
-    rows = CHUNK_FLOATS // block
-    sums = []
+    block = min(base.size, CHUNK_FLOATS // 2)
+    rows = CHUNK_FLOATS // (2 * block)
+    sums, sizes = None, np.zeros(points.size)
     for start in range(0, points.size, rows):
-        chunk, total = points[start : start + rows], None
-        for lo in range(0, taus.size, block):
-            values = np.asarray(f(chunk, taus[lo : lo + block]), dtype=float)
-            if not np.isfinite(values).all():
+        chunk, total = points[start : start + rows], 0.0
+        for lo in range(0, base.size, block):
+            taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
+            values = np.asarray(f(chunk, taus), dtype=float)
+            peak = np.abs(values).max(axis=(1, 2))
+            if not np.isfinite(peak).all():
                 raise ExprDomainError("integrand produced non-finite values")
             # Summed per row: a BLAS product's order would depend on the batch.
-            part = (values * weights[lo : lo + block]).sum(axis=-1)
-            total = part if total is None else total + part
-        sums.append(total)
-    return np.concatenate(sums)
+            total = total + values.reshape(*values.shape[:2], 2, block).sum(axis=-1)
+            np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
+        if sums is None:
+            sums = np.empty((points.size,) + total.shape[1:])
+        sums[start : start + rows] = total
+    return sums, sizes
 
 
-def _integrate_points(f, m, a, b, tol, max_panels):
-    """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` at m points.
+def _integrate_points(f, m, period, tol, max_nodes=MAX_NODES):
+    """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` over a period.
 
-    Returns the ``(m, k)`` values and each point's panel count.  Each point
-    refines until its own criterion holds, so neither depends on the other
-    points.
+    Each of the m points gets the trapezoid rule on N = 8, 16, ...,
+    ``max_nodes`` equispaced base nodes from 0; doubling adds the midpoints.
+    The error estimate is the gap to the same rule on a check grid shifted
+    by (sqrt 5 - 1) / 2 of the coarsest spacing.  Against 2N nodes instead,
+    a component aliasing onto both grids, such as sin((2N + 1) w tau)
+    sin(w tau), would go unseen; on the check grid it has another phase.
+    A point stops once the gap is at most ``tol``, or its roundoff floor.
+    Returns the ``(m, k)`` values, the largest node count and the largest
+    |f| met.  Each point refines and sums on its own, free of the others.
     """
-    panels = 4
-    used = np.zeros(m, dtype=int)
+    n = FIRST_NODES
+    shift = (math.sqrt(5.0) - 1.0) / 2.0 * period / n
+    base = np.arange(n) * (period / n)
     active = np.arange(m)
-    coarse = _composite_gl(f, active, a, b, panels)
-    value = np.empty_like(coarse)
-    while panels < max_panels and active.size:
-        panels *= 2
-        fine = _composite_gl(f, active, a, b, panels)
-        err = np.abs(fine - coarse).max(axis=1)
-        floor = 64.0 * np.finfo(float).eps * np.abs(fine).max(axis=1)
-        done = err <= np.maximum(tol, floor)
-        value[active[done]] = fine[done]
-        used[active[done]] = panels
-        active, coarse = active[~done], fine[~done]
-    if active.size:
-        raise QuadratureError(
-            f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
+    sums, size = _node_sums(f, active, base, base + shift)
+    value, scale = np.empty(sums.shape[:2]), 0.0
+    while True:
+        h = period / n
+        done = np.abs(sums[..., 0] - sums[..., 1]).max(axis=1) * h <= np.maximum(
+            tol, 64.0 * np.finfo(float).eps * np.abs(sums[..., 0]).max(axis=1) * h
         )
-    return value, used
-
-
-def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
-    """Integrate a vector integrand ``f: (n,) -> (k, n)`` over [a, b].
-
-    Composite Gauss-Legendre with a fixed 15-point rule per panel; the
-    panel count doubles until two consecutive refinements differ by at
-    most ``tol`` in every component.  For integrals so large that ``tol``
-    sits below the summation roundoff, the roundoff floor wins: absolute
-    accuracy beyond machine precision times the magnitude is unattainable.
-    """
-    value, panels = _integrate_points(
-        lambda points, taus: np.atleast_2d(f(taus))[None], 1, a, b, tol, max_panels
-    )
-    return QuadratureResult(value[0], int(panels[0]))
+        value[active[done]] = sums[done, :, 0] * h
+        scale = float(np.max(size, initial=scale, where=done))
+        active, sums, size = active[~done], sums[~done], size[~done]
+        if not active.size or 2 * n > max_nodes:
+            break
+        mids = (np.arange(n) + 0.5) * h
+        more, more_size = _node_sums(f, active, mids, mids + shift)
+        sums, size = sums + more, np.maximum(size, more_size)
+        n *= 2
+    if active.size:
+        raise QuadratureError(f"quadrature did not reach tol={tol:.1e} within {max_nodes} nodes")
+    return value, n, scale
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +128,18 @@ class AveragedValues:
 
     raw: np.ndarray
     averaged: np.ndarray
-    panels: int
+    nodes: int
 
 
 def _batched_pair(spec, alphas, tol):
     """Evaluate the bifurcation pair at many alphas in one quadrature.
 
-    Returns (raw, averaged) arrays of shape (m, 2) and the largest panel
-    count.  A whole seed grid or Newton round costs one adaptive sweep, in
-    which each point refines on its own criterion and is summed on its own,
-    so its value is bit for bit its single-point value.  The integrand runs
-    on chunks of at most ``CHUNK_FLOATS`` point x node values.
+    Returns (raw, averaged) arrays of shape (m, 2), the largest base node
+    count and the largest |integrand|.  A whole seed grid or Newton round
+    costs one trapezoid sweep, in which each point refines on its own
+    criterion and is summed on its own, so its value is bit for bit its
+    single-point value.  The integrand runs on chunks of at most
+    ``CHUNK_FLOATS`` point x node values.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
     mode = spec.mode
@@ -160,40 +151,39 @@ def _batched_pair(spec, alphas, tol):
     def integrand(points, taus):
         chunk = alphas[points]
         states = unperturbed_orbit(mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
-        th1, th1d, th2, th2d = states
-        combo = sign * SQRT2 * f1(taus[None, :], th1, th1d, th2, th2d) + f2(
-            taus[None, :], th1, th1d, th2, th2d
-        )
-        combo = np.broadcast_to(np.asarray(combo, dtype=float), th1.shape)
-        trig_s = np.sin(w * taus)[None, :]
-        trig_c = np.cos(w * taus)[None, :]
-        return np.stack([trig_s * combo, trig_c * combo], axis=1)
+        combo = sign * SQRT2 * f1(taus[None, :], *states) + f2(taus[None, :], *states)
+        combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
+        return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
 
-    raw, panels = _integrate_points(integrand, alphas.shape[0], 0.0, period, tol, MAX_PANELS)
+    raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol)
     averaged = np.stack([-raw[:, 0], raw[:, 1]], axis=1) / (2.0 * period)
-    return raw, averaged, int(panels.max(initial=0))
+    return raw, averaged, nodes, scale
 
 
 def averaged_pair(spec, alpha, tol=1e-11):
     """Raw and mean bifurcation values at one point of the mode plane."""
-    raw, averaged, panels = _batched_pair(spec, np.asarray(alpha, dtype=float)[None, :], tol)
-    return AveragedValues(raw[0], averaged[0], panels)
+    raw, averaged, nodes, _ = _batched_pair(spec, np.asarray(alpha, dtype=float)[None, :], tol)
+    return AveragedValues(raw[0], averaged[0], nodes)
 
 
 @dataclass
 class AveragedSystem:
-    """Callable mean bifurcation pair with finite-difference Jacobian access."""
+    """Callable mean bifurcation pair with finite-difference Jacobian access.
+
+    After each evaluation, ``last_panels`` holds the largest base-grid node
+    count of the batch and ``last_scale`` its largest |integrand|.
+    """
 
     spec: PerturbationSpec
     tol: float = 1e-11
     last_panels: int = field(default=0, compare=False)
+    last_scale: float = field(default=0.0, compare=False)
 
     def __call__(self, alpha):
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
 
     def eval_many(self, alphas):
-        _, averaged, panels = _batched_pair(self.spec, alphas, self.tol)
-        self.last_panels = panels
+        _, averaged, self.last_panels, self.last_scale = _batched_pair(self.spec, alphas, self.tol)
         return averaged
 
     def jacobian(self, alpha):
@@ -219,9 +209,7 @@ def seed_grid(r1, r2, n_radial=24, n_angular=24):
     """Polar seed grid over the annulus r1 < ||alpha|| < r2."""
     radii = np.linspace(r1, r2, n_radial)
     angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
-    return np.array(
-        [[r * math.cos(t), r * math.sin(t)] for r in radii for t in angles]
-    )
+    return np.array([[r * math.cos(t), r * math.sin(t)] for r in radii for t in angles])
 
 
 def is_identically_zero(system, r1, r2):
@@ -230,14 +218,23 @@ def is_identically_zero(system, r1, r2):
     Degenerate forcings (zero forcing, or any forcing whose projections
     against sin/cos integrate away over full periods) produce an
     identically zero pair; Newton would then "converge" at every seed, so
-    the search must be short-circuited.  A point that faults alone is not
-    judged; the first fault is raised only when every point faults.
+    the search must be short-circuited.  Such a pair is the roundoff of a
+    cancelling integral, so it is judged against ``ZERO_THRESHOLD`` times
+    the largest |integrand| (``system.last_scale``; 1 for a system without
+    it).  A point that faults alone is not judged; the first fault is
+    raised only when every point faults.
     """
     probes = seed_grid(r1, r2, *PROBE_GRID)
-    values = evaluate_parts(lambda sel: system.eval_many(probes[sel]), len(probes), _FAULTS)
+
+    def pair_and_scale(sel):
+        pair = system.eval_many(probes[sel])
+        return np.column_stack([pair, np.full(len(pair), getattr(system, "last_scale", 1.0))])
+
+    values = evaluate_parts(pair_and_scale, len(probes), _FAULTS)
     if not (finite := [v for v in values if not isinstance(v, Exception)]):
         raise values[0]
-    return float(np.abs(finite).max()) <= ZERO_THRESHOLD
+    finite = np.array(finite)
+    return float(np.abs(finite[:, :2]).max()) <= ZERO_THRESHOLD * finite[:, 2].max()
 
 
 def canonical_key(alpha, radius):

@@ -9,7 +9,9 @@ A generic averaging operator (:class:`AveragingProblem` +
 :func:`averaged_function`) computes the same mean value from an arbitrary
 flow / fundamental-matrix / perturbation triple and audits the structural
 hypotheses numerically; tests use it to cross-check the package's
-mode-specialized path.
+mode-specialized path.  It integrates with :func:`integrate_adaptive`, a
+composite Gauss-Legendre rule independent of the package's periodic
+trapezoid sweep.
 
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
 time; tests hold the lockstep ``pendavg.newton.solve_many`` to it start for
@@ -22,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from pendavg.averaging import integrate_adaptive
+from pendavg.averaging import CHUNK_FLOATS, QuadratureError
+from pendavg.expr import ExprDomainError
 from pendavg.model import (
     INVERSE_MODAL_MATRIX,
     Mode,
@@ -94,6 +97,88 @@ def make_spec(which):
     if which == "corollary2":
         return PerturbationSpec.from_strings(CORO2_F1, CORO2_F2, "mode2", 1, 1)
     raise ValueError(which)
+
+
+# ---------------------------------------------------------------------------
+# Adaptive composite Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+MAX_PANELS = 2 ** 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+@dataclass
+class QuadratureResult:
+    value: np.ndarray
+    panels: int
+
+
+def _composite_gl(f, points, a, b, panels):
+    """Composite GL sums at ``points``, shape ``(len(points), k)``.
+
+    The integrand sees at most ``CHUNK_FLOATS`` point x node values per call:
+    rows are chunked, and each row adds up its node blocks' sums in order.
+    """
+    edges = np.linspace(a, b, panels + 1)
+    half = (edges[1] - edges[0]) / 2.0
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    taus = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
+    weights = np.tile(_GL_WEIGHTS * half, panels)
+    block = min(taus.size, CHUNK_FLOATS)
+    rows = CHUNK_FLOATS // block
+    sums = []
+    for start in range(0, points.size, rows):
+        chunk, total = points[start : start + rows], None
+        for lo in range(0, taus.size, block):
+            values = np.asarray(f(chunk, taus[lo : lo + block]), dtype=float)
+            if not np.isfinite(values).all():
+                raise ExprDomainError("integrand produced non-finite values")
+            part = (values * weights[lo : lo + block]).sum(axis=-1)
+            total = part if total is None else total + part
+        sums.append(total)
+    return np.concatenate(sums)
+
+
+def _integrate_points(f, m, a, b, tol, max_panels):
+    """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` at m points.
+
+    Returns the ``(m, k)`` values and each point's panel count; each point
+    refines until its own criterion holds.
+    """
+    panels = 4
+    used = np.zeros(m, dtype=int)
+    active = np.arange(m)
+    coarse = _composite_gl(f, active, a, b, panels)
+    value = np.empty_like(coarse)
+    while panels < max_panels and active.size:
+        panels *= 2
+        fine = _composite_gl(f, active, a, b, panels)
+        err = np.abs(fine - coarse).max(axis=1)
+        floor = 64.0 * np.finfo(float).eps * np.abs(fine).max(axis=1)
+        done = err <= np.maximum(tol, floor)
+        value[active[done]] = fine[done]
+        used[active[done]] = panels
+        active, coarse = active[~done], fine[~done]
+    if active.size:
+        raise QuadratureError(
+            f"quadrature did not reach tol={tol:.1e} within {max_panels} panels"
+        )
+    return value, used
+
+
+def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
+    """Integrate a vector integrand ``f: (n,) -> (k, n)`` over [a, b].
+
+    Composite Gauss-Legendre with a fixed 15-point rule per panel; the
+    panel count doubles from 8 until two consecutive refinements differ by
+    at most ``tol`` in every component, or by the roundoff floor of the
+    value.  Needs no periodicity, so it checks the package's periodic rule
+    from outside.
+    """
+    value, panels = _integrate_points(
+        lambda points, taus: np.atleast_2d(f(taus))[None], 1, a, b, tol, max_panels
+    )
+    return QuadratureResult(value[0], int(panels[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ from oracles import (
 )
 from pendavg.averaging import (
     CHUNK_FLOATS,
+    FIRST_NODES,
+    MAX_NODES,
     AveragedSystem,
     QuadratureError,
-    _composite_gl,
     _integrate_points,
     antipodal_pairing,
     averaged_pair,
     find_zeros,
-    integrate_adaptive,
     is_identically_zero,
     seed_grid,
 )
@@ -35,16 +35,18 @@ SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Quadrature: the Gauss-Legendre oracle, then the periodic trapezoid sweep
 # ---------------------------------------------------------------------------
 
 def test_quadrature_sin_squared():
-    res = integrate_adaptive(lambda t: np.sin(t) ** 2, 0.0, 2.0 * math.pi, 1e-12)
+    res = oracles.integrate_adaptive(lambda t: np.sin(t) ** 2, 0.0, 2.0 * math.pi, 1e-12)
     assert res.value[0] == pytest.approx(math.pi, abs=1e-13)
 
 
 def test_quadrature_vector_integrand():
-    res = integrate_adaptive(lambda t: np.stack([np.sin(t), np.cos(t) ** 2]), 0.0, math.pi, 1e-12)
+    res = oracles.integrate_adaptive(
+        lambda t: np.stack([np.sin(t), np.cos(t) ** 2]), 0.0, math.pi, 1e-12
+    )
     assert res.value[0] == pytest.approx(2.0, abs=1e-13)
     assert res.value[1] == pytest.approx(math.pi / 2.0, abs=1e-13)
 
@@ -52,7 +54,40 @@ def test_quadrature_vector_integrand():
 def test_quadrature_panel_cap():
     # A kink keeps the refinement differences around h^2, far above 1e-13.
     with pytest.raises(QuadratureError):
-        integrate_adaptive(lambda t: np.abs(np.sin(t) - 0.5), 0.0, 10.0, 1e-13, max_panels=64)
+        oracles.integrate_adaptive(
+            lambda t: np.abs(np.sin(t) - 0.5), 0.0, 10.0, 1e-13, max_panels=64
+        )
+
+
+def test_block_sums_add_up_to_the_integral():
+    value = oracles._composite_gl(
+        lambda points, taus: np.sin(taus)[None, None, :], np.arange(1), 0.0, 10.0, 2 ** 12
+    )
+    assert value[0, 0] == pytest.approx(1.0 - math.cos(10.0), abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_trapezoid_is_not_fooled_by_aliasing(p):
+    # sin(k w tau) sin(w tau) for k = 2^j +- 1 holds a cosine of frequency
+    # 2^j w, which every base grid of at most p 2^j nodes takes for a
+    # constant; a comparison of N with 2N nodes would stop there on a wrong
+    # value.  k = 2^j is the neighbour that aliases on no such grid.  Over p
+    # periods the integral is p pi / w at k = 1 and 0 otherwise.
+    w = OMEGA1
+    period = p * 2.0 * math.pi / w
+    ks = sorted({k for j in range(1, 19) for k in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
+    for k in ks:
+        if 2 * p * (k + 1) > MAX_NODES:
+            continue
+
+        def f(points, taus):
+            return (np.sin(k * w * taus) * np.sin(w * taus))[None, None, :]
+
+        value, nodes, _ = _integrate_points(f, 1, period, 1e-12)
+        exact = period / 2.0 if k == 1 else 0.0
+        assert value[0, 0] == pytest.approx(exact, abs=1e-10), (k, nodes)
+        # Exact once the grid resolves the frequency (k + 1) w.
+        assert nodes <= max(FIRST_NODES, 4 * p * (k + 1)), (k, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +219,30 @@ def test_generic_operator_matches_specialized(which):
         generic = averaged_function(problem, np.asarray(alpha), 1e-12)
         special = system(np.asarray(alpha))
         assert np.abs(generic - special).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "f1, f2, mode",
+    [
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1"),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2"),
+        ("0", "sin(th1) * cos(w1 * tau)", "mode1"),
+        ("0", "exp(0.1 * th2) * cos(w1 * tau) + th1d^3", "mode1"),
+    ],
+    ids=["corollary1", "corollary2", "sin-th1", "exp-th2"],
+)
+def test_trapezoid_sweep_matches_the_gauss_legendre_oracle(f1, f2, mode, p):
+    # The generic operator integrates with composite Gauss-Legendre, which
+    # shares no node or weight with the trapezoid sweep.
+    spec = PerturbationSpec.from_strings(f1, f2, mode, p, 1)
+    system = AveragedSystem(spec, tol=1e-12)
+    problem = pendulum_problem(spec)
+    points = np.random.default_rng(11).uniform(-10.0, 10.0, (6, 2))
+    got = system.eval_many(points)
+    want = np.array([averaged_function(problem, alpha, 1e-12) for alpha in points])
+    scale = max(np.abs(want).max(), 1.0)
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("which", ["corollary1", "corollary2"])
@@ -383,6 +442,18 @@ def test_find_zeros_degenerate_forcings(f2):
     assert find_zeros(system, r1=0.01, r2=50.0, grid=(8, 8)) == []
 
 
+@pytest.mark.parametrize(
+    "p, k", [(1, 32), (1, 36), (1, 44), (1, 64), (1, 68), (2, 20), (2, 32), (2, 43), (2, 64), (2, 69)]
+)
+def test_degeneracy_is_judged_against_the_integrand_scale(p, k):
+    # th1^2 sin(k w1 tau) has no component at w1 for these k, so the mean
+    # pair is zero.  Its roundoff on th1^2 ~ 100 at the rim of the annulus
+    # reaches 4e-13, so an absolute threshold of 1e-13 calls many such pairs
+    # non-zero.
+    spec = PerturbationSpec.from_strings("0", f"th1^2 * sin({k} * w1 * tau)", "mode1", p, 1)
+    assert is_identically_zero(AveragedSystem(spec, tol=1e-11), 0.1, 10.0)
+
+
 def test_find_zeros_validates_annulus():
     spec = oracles.make_spec("corollary1")
     system = AveragedSystem(spec, tol=1e-11)
@@ -434,34 +505,36 @@ def test_eval_many_does_not_depend_on_batch_mates(which, radius):
 
 
 def test_each_point_refines_on_its_own():
-    # (0.2, 0.1) alone meets the tolerance at 8 panels, (6, 4) at 16; side by
-    # side, each must still stop at its own count, or the first point's
-    # value moves in the last bits.
+    # (0.2, 0.1) alone meets the tolerance at 16 base nodes, (6, 4) at 32;
+    # side by side, each must still stop at its own count, or the first
+    # point's value moves in the last bits.
     spec = PerturbationSpec.from_strings("0", "exp(th2) * sin(w1 * tau)", "mode1", 1, 1)
     system = AveragedSystem(spec, tol=1e-11)
     points = np.array([[0.2, 0.1], [6.0, 4.0]])
-    values, panels = [], []
+    values, nodes = [], []
     for point in points:
         values.append(system(point))
-        panels.append(system.last_panels)
-    assert panels == [8, 16]
+        nodes.append(system.last_panels)
+    assert nodes == [16, 32]
     assert np.array_equal(system.eval_many(points), values)
-    assert system.last_panels == 16
+    assert system.last_panels == 32
 
 
 def test_a_batch_larger_than_a_chunk_matches_single_points():
     system = AveragedSystem(oracles.make_spec("corollary1"), tol=1e-11)
-    # The coarsest level has 4 panels of 15 nodes, so this batch spans more
-    # than one chunk at every level.
-    n = CHUNK_FLOATS // 60 + 7
+    # The coarsest level has 8 base and 8 check nodes, so this batch spans
+    # more than one chunk at every level.
+    n = CHUNK_FLOATS // (2 * FIRST_NODES) + 7
     points = np.random.default_rng(6).uniform(-10.0, 10.0, (n, 2))
     batch = system.eval_many(points)
     assert np.array_equal(batch, np.array([system(point) for point in points]))
 
 
 def test_an_integrand_call_never_sees_more_than_a_chunk():
-    # At 2^12 panels one point has 61440 nodes, so the node axis must be
-    # split for the call to stay within CHUNK_FLOATS point x node values.
+    # A kink keeps the trapezoid error near N^-2, far above 1e-13 at the
+    # cap.  At 2^15 base nodes a level adds 2^14 base and 2^14 check nodes,
+    # so the node axis must be split for each call to stay within
+    # CHUNK_FLOATS point x node values.
     sizes = []
 
     def kinked(points, taus):
@@ -469,17 +542,11 @@ def test_an_integrand_call_never_sees_more_than_a_chunk():
         return np.abs(np.sin(taus) - 0.5)[None, None, :]
 
     with pytest.raises(QuadratureError):
-        _integrate_points(kinked, 1, 0.0, 10.0, 1e-13, 2 ** 12)
+        _integrate_points(kinked, 1, 2.0 * math.pi, 1e-13, 2 ** 15)
     assert max(sizes) <= CHUNK_FLOATS
-    # Every level up to the cap was evaluated on all of its nodes.
-    assert sum(sizes) == 15 * (2 * 2 ** 12 - 4)
-
-
-def test_block_sums_add_up_to_the_integral():
-    value = _composite_gl(
-        lambda points, taus: np.sin(taus)[None, None, :], np.arange(1), 0.0, 10.0, 2 ** 12
-    )
-    assert value[0, 0] == pytest.approx(1.0 - math.cos(10.0), abs=1e-13)
+    # Every level up to the cap was evaluated on all of its base and check
+    # nodes, and no node twice.
+    assert sum(sizes) == 2 * 2 ** 15
 
 
 def _outcome(result):

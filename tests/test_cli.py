@@ -345,7 +345,7 @@ def test_zero_epsilon_is_exit_2(capsys):
 
 
 def test_quadrature_cap_is_exit_3(capsys):
-    # A kinked forcing keeps panel refinement from ever meeting 1e-12.
+    # A kinked forcing keeps node refinement from ever meeting 1e-12.
     code, _, err = run_cli(
         capsys,
         "average",
