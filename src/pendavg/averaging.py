@@ -205,6 +205,14 @@ class ZeroResult:
     iterations: int
 
 
+class ZeroList(list):
+    """``find_zeros``'s zeros; ``degenerate`` is its ``is_identically_zero`` verdict."""
+
+    def __init__(self, zeros=(), degenerate=False):
+        super().__init__(zeros)
+        self.degenerate = degenerate
+
+
 def seed_grid(r1, r2, n_radial=24, n_angular=24):
     """Polar seed grid over the annulus r1 < ||alpha|| < r2."""
     radii = np.linspace(r1, r2, n_radial)
@@ -267,7 +275,9 @@ def find_zeros(
     fails; that is not an error, and the others go on.  Converged points
     are kept when they land strictly inside the annulus, deduplicated, and
     labelled simple when |det| of the central-difference Jacobian exceeds
-    ``det_threshold``.  An empty list is a valid outcome.
+    ``det_threshold``.  An empty list is a valid outcome; its
+    ``degenerate`` flag tells an identically zero pair from one with no
+    zero in the annulus.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order
     is kept.  Residuals of converged seeds are roundoff, so they pick no
@@ -278,7 +288,7 @@ def find_zeros(
     if r2 <= r1:
         raise ValueError("require r1 < r2")
     if is_identically_zero(system, r1, r2):
-        return []
+        return ZeroList(degenerate=True)
     outcomes = solve_many(
         lambda cols, _: system.eval_many(cols.T).T,
         seed_grid(r1, r2, *grid).T,
@@ -291,7 +301,7 @@ def find_zeros(
     # sort is stable, so seeds stay in grid order within one bin.
     candidates.sort(key=lambda c: canonical_key(c[0], dedup_radius))
 
-    zeros = []
+    zeros = ZeroList()
     for alpha, residual, iterations in candidates:
         if any(np.linalg.norm(alpha - z.alpha) < dedup_radius for z in zeros):
             continue

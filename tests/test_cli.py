@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pendavg import averaging, cli
 from pendavg.cli import DEGENERATE_MESSAGE, main
 from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
@@ -111,24 +112,43 @@ def test_zeros_corollary2_report(capsys):
     assert alpha[1] == pytest.approx(oracles.CORO2_W0, abs=1e-7)
 
 
-def test_zeros_empty_for_constant_nonzero_mean(capsys, tmp_path):
+def _count_probes(monkeypatch):
+    """Count ``is_identically_zero`` calls through the averaging and CLI names."""
+    calls = []
+    probe = averaging.is_identically_zero
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    for owner in (averaging, cli):
+        monkeypatch.setattr(owner, "is_identically_zero", counted)
+    return calls
+
+
+def test_zeros_empty_for_constant_nonzero_mean(capsys, tmp_path, monkeypatch):
     # sin(w1 tau) forcing gives a constant nonzero mean pair: no zeros in
-    # the annulus, exit code still 0, and no degeneracy message.
+    # the annulus, exit code still 0, and no degeneracy message.  The
+    # search's own probe decides that: one probe per run.
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(
         json.dumps({"f2": "sin(w1 * tau)", "grid_radial": 6, "grid_angular": 6, "r1": 0.1, "r2": 5.0})
     )
+    probes = _count_probes(monkeypatch)
     code, out, _ = run_cli(capsys, "zeros", "--config", str(cfg_path))
     assert code == 0
+    assert len(probes) == 1
     payload = json.loads(out)
     assert payload["zeros"] == []
     assert payload["orbit_classes"] == 0
     assert "message" not in payload
 
 
-def test_zeros_degenerate_forcing_message(capsys):
+def test_zeros_degenerate_forcing_message(capsys, monkeypatch):
+    probes = _count_probes(monkeypatch)
     code, out, _ = run_cli(capsys, "zeros", "--f1", "0", "--f2", "0", "--mode", "mode1")
     assert code == 0
+    assert len(probes) == 1
     payload = json.loads(out)
     assert payload["zeros"] == []
     assert payload["orbit_classes"] == 0

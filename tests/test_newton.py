@@ -114,6 +114,44 @@ def test_condition_above_the_limit():
     assert damped_newton(F, [1.0, 1.0], 1e-12)[1] <= 1e-12
 
 
+def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
+    # At x = 0 the Jacobian of c^2 - 1 has an exact zero pivot.  That start
+    # ends before the solve, which runs once per step on the other two.
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    F = lambda cols, _=None: cols**2 - 1.0  # noqa: E731
+    starts = np.array([[2.0, 0.0, 0.5], [3.0, 0.5, 0.7]])
+    outcomes = solve_many(F, starts, 1e-12)
+    assert len(solves) == 6
+    assert isinstance(outcomes[1], NewtonFailure)
+    assert str(outcomes[1]) == "singular Jacobian"
+    with pytest.raises(NewtonFailure, match="^singular Jacobian$"):
+        oracles.scalar_damped_newton(F, starts[:, 1], 1e-12)
+    for j, steps in ((0, 6), (2, 5)):
+        x, residual, taken = damped_newton(F, starts[:, j], 1e-12)
+        assert (outcomes[j][0].tobytes(), *outcomes[j][1:]) == (x.tobytes(), residual, taken)
+        assert taken == steps
+
+
+def test_each_start_fails_on_its_own_condition_number():
+    # Start i scales its second row by 10^-(6 - i): condition 1e6, 1e5, 1e4
+    # and 1e3.  Above the limit 2e3, each message quotes its own number.
+    def F(cols, owner):
+        return np.stack([cols[0], 10.0 ** (owner - 6.0) * cols[1]])
+
+    outcomes = solve_many(F, np.ones((2, 4)), 1e-12, cond_limit=2e3)
+    for i, want in enumerate(["1.0e+06", "1.0e+05", "1.0e+04"]):
+        assert isinstance(outcomes[i], NewtonFailure)
+        assert str(outcomes[i]) == f"Jacobian condition {want} exceeds 2.0e+03"
+    assert outcomes[3][1] <= 1e-12
+
+
 def test_stalled_line_search():
     # The linearization promises the root x = 1, but every trial is worse
     # than the start: nine halvings, then failure.
