@@ -12,25 +12,33 @@ condition is needed.
 
 At ``eps = 0`` the period map is the identity on the whole resonant mode
 plane and the displacement Jacobian is singular there, so shooting is
-rejected; conditioning degrades like 1/eps as eps shrinks, which is why
-the integrator tolerance is auto-tightened with eps.
+rejected; conditioning degrades like 1/eps as eps shrinks.
+
+RK45 integrates the paper's standard form (``model.slow_field``): the slow
+deviation ``v = (z - z0) / eps`` of the variation-of-constants state
+``z = Phi(-tau) M y`` from its start.  The linear oscillation ``Phi`` is
+applied in closed form, so ``v`` stays O(1), its field does not scale with
+eps, and the step count does not depend on eps; one tolerance on ``v``
+bounds the O(eps) displacement to the same relative accuracy at every eps.
+The fixed-step RK4 integrates the fast state, as an independent reference.
 
 The integrators step a ``(4, m)`` batch of columns, each on its own clock:
 its own time, step size, accept/reject decision and step count.  A column
-may carry its own eps, and by default its own tolerance, and its result is
-bit for bit the one it gets alone.  So ``shoot_many`` shoots every
-(guess, eps) case at once: one lockstep Newton over all cases, then one
-sampling pass over every converged orbit.
+may carry its own eps, and its result is bit for bit the one it gets
+alone.  So ``shoot_many`` shoots every (guess, eps) case at once: one
+lockstep Newton over all cases, then one sampling pass over every
+converged orbit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import ExprDomainError
-from .model import compiled_forcing, forced_field, unperturbed_orbit
+from .model import compiled_forcing, forced_field, slow_field, unperturbed_orbit
 from .newton import NewtonFailure, evaluate_parts, solve_many
 
 
@@ -44,42 +52,35 @@ class ShootingError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step classic RK4 or adaptive Dormand-Prince RK45.
+    """Adaptive Dormand-Prince RK45 on the slow deviation, or fixed-step RK4.
 
     One config serves every column of a batch, but each column keeps its
-    own clock.  RK45 scales each component's error by
-    ``tol + tol * max(|y|, |y5|)`` and accepts, rejects and resizes each
-    column's step on the RMS of that column's four scaled errors;
+    own clock.  RK45 integrates the slow deviation ``v`` of
+    ``model.slow_field``: it scales each component's error by
+    ``tol + tol * max(|v|, |v5|)`` and accepts, rejects and resizes each
+    column's step on the RMS of that column's four scaled errors, so an
+    error of ``tol`` in ``v`` is one of ``eps * tol`` in the state.  RK4
+    integrates the fast state ``model.forced_field`` with a fixed ``step``.
     ``max_steps`` bounds each column's step attempts.  Where a config is
-    optional, ``None`` gives each column ``auto_config`` of its own eps.
+    optional, ``None`` means ``IntegratorConfig()``.
     """
 
     method: str = "rk45"
     step: float | None = None
-    tol: float = 1e-12
+    tol: float = 1e-9
     max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.method == "rk4" and (self.step is None or self.step <= 0):
-            raise ValueError("rk4 needs a positive fixed step")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.method == "rk4" and not (
+            self.step is not None and self.step > 0 and math.isfinite(self.step)
+        ):
+            raise ValueError("rk4 needs a positive finite fixed step")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-
-
-def auto_config(eps):
-    """Default adaptive config with tolerance min(1e-12, |eps| * 1e-9).
-
-    Smaller eps needs a tighter integrator because the displacement map
-    shrinks with eps; the tolerance is floored at 1e-15 since anything
-    below double precision is unachievable.
-    """
-    tol = min(1e-12, abs(eps) * 1e-9) if eps != 0.0 else 1e-12
-    tol = max(tol, 1e-15)
-    return IntegratorConfig(method="rk45", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +155,13 @@ def _dormand_prince(rhs, t, y, h, k1):
     return y5, k7, err
 
 
-def _rk45(forcing, eps, y, taus, tol, max_steps):
+def _rk45(make_rhs, params, y, taus, tol, max_steps):
     """Adaptive RK45 with one clock per column.
 
-    ``forcing`` is the ``(F1, F2)`` pair of ``forced_field``; ``eps`` and
-    ``tol`` hold one value per column.  Each column records its state at
-    every grid time it reaches, cuts its step to land on its next grid time
-    exactly, and leaves the batch after the last one.
+    ``make_rhs(*params)`` builds the right-hand side of the columns that the
+    per-column ``params`` describe, each a ``(..., m)`` array.  Each column
+    records its state at every grid time it reaches, cuts its step to land
+    on its next grid time exactly, and leaves the batch after the last one.
     """
     m, n = y.shape[1], len(taus)
     grid = np.array(taus)
@@ -171,7 +172,7 @@ def _rk45(forcing, eps, y, taus, tol, max_steps):
     t = np.full(m, taus[0])
     h = np.full(m, min((taus[-1] - taus[0]) / 100.0, 0.1))
     j = np.zeros(m, dtype=np.intp)  # each column's next grid index
-    rhs = forced_field(forcing, eps)
+    rhs = make_rhs(*params)
     k1 = rhs(t, y)
     _check_finite(k1, t)
     # Every column still stepping makes one attempt per pass, so the pass
@@ -184,11 +185,16 @@ def _rk45(forcing, eps, y, taus, tol, max_steps):
                 continue
             if not keep.any():
                 return out
-            col, t, h, j, eps, tol = (a[keep] for a in (col, t, h, j, eps, tol))
+            col, t, h, j = (a[keep] for a in (col, t, h, j))
             y, k1 = y[:, keep], k1[:, keep]
-            rhs = forced_field(forcing, eps)
+            params = tuple(p[..., keep] for p in params)
+            rhs = make_rhs(*params)
         target = grid[j]
         h = np.where(t + h > target, target - t, h)
+        if (stalled := t + h == t).any():
+            # The step is below half a unit in the last place of t, so the
+            # column cannot advance; near a blow-up it would spin forever.
+            raise IntegrationError(f"rk45 step underflow near tau={t[stalled][0]:.6g}")
         y5, k7, err = _dormand_prince(rhs, t, y, h, k1)
         scaled = err / (tol + tol * np.maximum(np.abs(y), np.abs(y5)))
         scaled = scaled * scaled
@@ -213,32 +219,47 @@ def _body(f):
     return f if hasattr(f, "__wrapped__") else getattr(f, "body", f)
 
 
+def _slow_deviation(forcing, eps, x0, taus, config):
+    """The ``(4, m, n)`` slow deviations ``v`` of ``model.slow_field`` at ``taus``.
+
+    RK45 from ``v = 0`` at ``taus[0]``, for the ``(4, m)`` starts ``x0`` at
+    the ``(m,)`` values ``eps``; ``forcing`` is the ``(F1, F2)`` pair.
+    """
+
+    def make_rhs(eps, x0):
+        return slow_field(forcing, eps, x0)[0]
+
+    return _rk45(make_rhs, (eps, x0), np.zeros_like(x0), taus, config.tol, config.max_steps)
+
+
 def _propagate(spec, eps, y0, taus, config):
     """States of the forced system at every time of ``taus``, from y0 at taus[0].
 
     ``y0`` is ``(4,)`` or a ``(4, m)`` batch, and the result ``(4, n)`` or
-    ``(4, m, n)``.  ``eps`` is a scalar or one value per column; with
-    ``config=None`` each column integrates at ``auto_config`` of its eps.
-    The integration runs under one ``np.errstate`` and calls the compiled
-    forcing bodies directly; the integrators check finiteness themselves.
+    ``(4, m, n)``.  ``eps`` is a scalar or one value per column, and
+    ``config=None`` means ``IntegratorConfig()``.  RK45 integrates each
+    column's slow deviation and maps it back to the state at every grid
+    time; RK4 steps the fast state.  The integration runs under one
+    ``np.errstate`` and calls the compiled forcing bodies directly; the
+    integrators check finiteness themselves.
     """
     taus = [float(t) for t in taus]
     if not all(t1 >= t0 for t0, t1 in zip(taus, taus[1:])):
         raise ValueError("times must be non-negative and non-decreasing")
     y0 = np.asarray(y0, dtype=float)
-    y = y0.reshape(4, -1)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), y.shape[1:])
-    if config is None:
-        tol = np.array([auto_config(e).tol for e in eps])
-        config = IntegratorConfig()
-    else:
-        tol = np.full(eps.shape, config.tol)
+    x0 = y0.reshape(4, -1)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), x0.shape[1:])
+    config = IntegratorConfig() if config is None else config
     forcing = tuple(map(_body, compiled_forcing(spec)))
     with np.errstate(all="ignore"):
         if config.method == "rk4":
-            out = _rk4(forced_field(forcing, eps), y, taus, config.step, config.max_steps)
+            out = _rk4(forced_field(forcing, eps), x0, taus, config.step, config.max_steps)
         else:
-            out = _rk45(forcing, eps, y, taus, tol, config.max_steps)
+            v = _slow_deviation(forcing, eps, x0, taus, config)
+            # One column per (start, time), so the map runs on (4, m * n).
+            n = len(taus)
+            _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
+            out = state(np.tile(taus, eps.size), v.reshape(4, -1)).reshape(v.shape)
     return out.reshape(y0.shape + (len(taus),))
 
 
@@ -258,9 +279,9 @@ def sample_states(spec, eps, x0, taus, config=None):
 def flow_map(spec, eps, states0, period, config=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
-    ``eps`` is a scalar or one value per column; each column steps on its
-    own clock and, with ``config=None``, at ``auto_config`` of its own eps,
-    so its endpoint is bit for bit the one it gets alone.
+    ``eps`` is a scalar or one value per column, and ``config=None`` means
+    ``IntegratorConfig()``.  Each column steps on its own clock, so its
+    endpoint is bit for bit the one it gets alone.
     """
     return _propagate(spec, eps, states0, (0.0, period), config)[..., -1]
 
@@ -310,12 +331,13 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep: each central-difference
     Jacobian (monodromy minus identity) rides with its base point, and
-    every case's columns share each integration, at ``auto_config`` of its
-    eps.  A Jacobian with condition above ``COND_LIMIT`` stops that case.
-    Then one more pass samples every converged orbit at ``n_samples``
-    equally spaced times over one period, orbit by orbit only if that pass
-    faults.  The reported distance is measured from the guess.  Each case
-    ends bit for bit as ``shoot_periodic`` alone would end it.
+    every case's columns share each integration, RK45 on the slow deviation
+    at the default ``IntegratorConfig``.  A Jacobian with condition above
+    ``COND_LIMIT`` stops that case.  Then one more pass samples every
+    converged orbit at ``n_samples`` equally spaced times over one period,
+    orbit by orbit only if that pass faults.  The reported distance is
+    measured from the guess.  Each case ends bit for bit as
+    ``shoot_periodic`` alone would end it.
     """
     eps = np.asarray(eps, dtype=float).reshape(-1)
     guesses = np.asarray(guesses, dtype=float).reshape(4, eps.size)
@@ -374,9 +396,9 @@ def verify_zero(spec, alpha, eps_values, shoot_tol=1e-10, n_samples=256):
     """Shoot from the averaged prediction at each eps of the ladder.
 
     All the eps values are shot together (``shoot_many``), each column at
-    its own eps and integrator tolerance; the orbits come back in ladder
-    order, equal bit for bit to shooting each eps alone, and the first
-    failing eps in ladder order raises.
+    its own eps; the orbits come back in ladder order, equal bit for bit to
+    shooting each eps alone, and the first failing eps in ladder order
+    raises.
     """
     prediction = predicted_initial_state(spec.mode, np.asarray(alpha, dtype=float))
     guesses = np.repeat(prediction[:, None], len(eps_values), axis=1)

@@ -259,7 +259,8 @@ def forced_field(forcing, eps):
     value per column; a column with eps = 0 gets no forcing term.  The rows
     are written out rather than taken as ``LINEAR_ORIGINAL @ state``, so no
     matrix-product summation order enters and each column's value does not
-    depend on the rest of the batch.  Integrators build it once per batch.
+    depend on the rest of the batch.  The fixed-step RK4 of ``continuation``
+    steps it, once built per batch; RK45 steps :func:`slow_field` instead.
     """
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)
@@ -283,6 +284,78 @@ def forced_field(forcing, eps):
         return out
 
     return rhs
+
+
+# slow_field works on row pairs: the positions P = (X, Z) and velocities
+# V = (Y, W) of the two mode planes.  M maps (th1, th2) to P and (th1d,
+# th2d), like (F1, F2), to V; M^-1 maps them back.  The (2, 2) blocks are
+# applied column by column, as a (2, 1) coefficient column times a (m,) row.
+_PLANE_OMEGAS = np.array([[OMEGA1], [OMEGA2]])
+_M_P = tuple(MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
+_M_V = tuple(MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
+_MINV_P = tuple(INVERSE_MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
+_MINV_V = tuple(INVERSE_MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
+
+
+def slow_field(forcing, eps, x0):
+    """The forced system in the standard form of the averaging theorem.
+
+    With ``u = M y`` the modal state (``M`` is ``MODAL_MATRIX``) and ``Phi``
+    the :func:`fundamental_matrix`, the change ``u = Phi(tau) z`` leaves only
+    the forcing: ``z' = eps Phi(-tau) M (0, F1, 0, F2)``.  The slow deviation
+    ``v = (z - z0) / eps`` from ``z0 = M x0`` starts at ``v(0) = 0`` and obeys
+
+        v' = Phi(-tau) M (0, F1, 0, F2) = (-s1 gY, c1 gY, -s2 gW, c2 gW),
+
+    where ``gY = F1 / sqrt 2 + F2 / 2``, ``gW = F2 / 2 - F1 / sqrt 2`` and
+    ``c_k, s_k = cos, sin(omega_k tau)``.  The forcing is evaluated at the
+    state ``x0 + M^-1 [Phi(tau) (z0 + eps v) - z0]``, which is ``x0`` bit for
+    bit at ``tau = 0``; ``M^-1 M`` is never formed.  At ``eps = 0`` that
+    state is the unperturbed orbit through ``x0``, and the resonant rows of
+    ``v`` over the period ``p T`` are ``p T`` times the mean bifurcation pair.
+
+    ``eps`` is ``(m,)`` and ``x0`` ``(4, m)``, one value or state per column.
+    Returns ``(rhs, state)``, both of ``(tau, v)`` with ``(m,)`` times and a
+    ``(4, m)`` deviation: ``rhs`` gives ``v'`` and ``state`` the state.  As
+    in :func:`forced_field`, every row is written out, so no matrix-product
+    summation order enters and no column depends on the rest of the batch.
+    """
+    f1, f2 = forcing
+    eps = np.asarray(eps, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    x0P, x0V = x0[0::2], x0[1::2]
+    z0P = _M_P[0] * x0P[0] + _M_P[1] * x0P[1]
+    z0V = _M_V[0] * x0V[0] + _M_V[1] * x0V[1]
+
+    def plane_states(c, s, v):
+        # Phi(tau) q - z0 in each plane, with s = sin(-omega tau).
+        w = eps * v
+        qP, qV = z0P + w[0::2], z0V + w[1::2]
+        (dX, dZ), (dY, dW) = (c * qP - s * qV) - z0P, (c * qV + s * qP) - z0V
+        return (
+            x0P + (_MINV_P[0] * dX + _MINV_P[1] * dZ),
+            x0V + (_MINV_V[0] * dY + _MINV_V[1] * dW),
+        )
+
+    def trig(tau):
+        angle = _PLANE_OMEGAS * -tau
+        return np.cos(angle), np.sin(angle)
+
+    def state(tau, v):
+        (th1, th2), (th1d, th2d) = plane_states(*trig(tau), v)
+        return np.stack([th1, th1d, th2, th2d])
+
+    def rhs(tau, v):
+        c, s = trig(tau)
+        (th1, th2), (th1d, th2d) = plane_states(c, s, v)
+        F1, F2 = f1(tau, th1, th1d, th2, th2d), f2(tau, th1, th1d, th2, th2d)
+        g = _M_V[0] * F1 + _M_V[1] * F2
+        out = np.empty_like(v)
+        out[0::2] = s * g
+        out[1::2] = c * g
+        return out
+
+    return rhs, state
 
 
 def vector_field_original(tau, state, spec, eps):

@@ -8,12 +8,12 @@ import pytest
 
 import oracles
 import pendavg.continuation as continuation
+from pendavg.averaging import averaged_pair
 from pendavg.constants import T1
 from pendavg.continuation import (
     IntegrationError,
     IntegratorConfig,
     ShootingError,
-    auto_config,
     flow_map,
     predicted_initial_state,
     sample_states,
@@ -50,6 +50,14 @@ def test_integrator_config_validation():
         IntegratorConfig(method="rk4")  # missing step
     with pytest.raises(ValueError):
         IntegratorConfig(method="rk45", tol=0.0)
+    # Non-finite settings are refused here, not met later as a blamed
+    # forcing (tol = nan), a wrong endpoint (tol or step = inf) or a crash.
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            IntegratorConfig(method="rk45", tol=tol)
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            IntegratorConfig(method="rk4", step=step)
 
 
 def test_unforced_flow_matches_closed_form():
@@ -134,9 +142,19 @@ def test_forcing_blowup_reported_mid_flight():
         flow_map(spec, 1.0, np.array([0.0, 0.0, 710.0, 0.0]), 1.0, TIGHT)
 
 
+def test_a_stalled_step_fails_at_once():
+    # Near a finite-time blow-up the step falls below half the spacing of
+    # doubles at tau, so t + h == t and the column cannot advance; it fails
+    # there instead of spinning through max_steps.
+    spec = PerturbationSpec.from_strings("0", "th2d^2", "mode1", 1, 1)
+    config = IntegratorConfig(max_steps=20000)
+    with pytest.raises(IntegrationError, match="underflow"):
+        flow_map(spec, 1.0, np.array([0.0, 0.0, 0.0, 3.0]), T1, config)
+
+
 def test_every_column_is_its_own_run_bit_for_bit():
-    # Columns at their own eps -- so, by default, their own tolerances,
-    # with eps = 0 among them -- end where each ends alone, in any batch.
+    # Columns at their own eps, with eps = 0 among them, end where each
+    # ends alone, in any batch.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     states = x0[:, None] + np.random.default_rng(5).normal(scale=0.05, size=(4, 6))
@@ -163,7 +181,7 @@ def test_a_faulting_column_fails_only_its_own_start():
     # test_forcing_blowup_reported_mid_flight; ``solve_many`` then evaluates
     # start by start, and the third ends exactly as it ends alone.
     spec = PerturbationSpec.from_strings("0", "sin(40 * w1 * tau) + exp(th2)", "mode1", 1, 1)
-    config = IntegratorConfig(method="rk45", tol=1e-8, max_steps=300)
+    config = IntegratorConfig(method="rk45", tol=1e-8, max_steps=1000)
     x0 = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
     starts = np.stack([x0, np.array([0.0, 0.0, 710.0, 0.0]), x0], axis=1)
     eps = np.array([1e-3, 1e-3, 1.0])
@@ -205,10 +223,65 @@ def test_wrapped_forcing_is_called_as_is(monkeypatch, wraps):
     assert calls
 
 
-def test_auto_config_tightens_with_eps():
-    assert auto_config(1e-2).tol == 1e-12
-    assert auto_config(1e-3).tol == 1e-12
-    assert auto_config(1e-4).tol == pytest.approx(1e-13, rel=1e-12)
+def test_step_count_does_not_depend_on_eps(monkeypatch):
+    # RK45 steps the slow deviation, whose field does not scale with eps, so
+    # a period costs the same forcing calls at every eps, eps = 0 included.
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    calls = []
+
+    def counted(spec):
+        def wrap(f):
+            def count(*args):
+                calls.append(1)
+                return f(*args)
+
+            return count
+
+        return tuple(map(wrap, compiled_forcing(spec)))
+
+    monkeypatch.setattr(continuation, "compiled_forcing", counted)
+    counts = []
+    for eps in (1e-2, 1e-4, 1e-6, 0.0):
+        calls.clear()
+        flow_map(spec, eps, x0, spec.full_period)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 4
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
+    # At eps = 0 the slow deviation integrates the forcing along the
+    # unperturbed orbit, so over the full period its resonant rows are the
+    # period times the mean bifurcation pair: the shooting and averaging
+    # halves of the pipeline compute the same integral.
+    spec = oracles.make_spec(which)
+    forcing = compiled_forcing(spec)
+    period = spec.full_period
+    rows = slice(0, 2) if spec.mode is Mode.MODE1 else slice(2, 4)
+    for alpha in [(1.3, -0.7), (3.0, 5.0)]:
+        x0 = predicted_initial_state(spec.mode, alpha)[:, None]
+        v = continuation._slow_deviation(
+            forcing, np.zeros(1), x0, [0.0, period], IntegratorConfig()
+        )
+        mean = averaged_pair(spec, alpha, 1e-13).averaged
+        slow = v[rows, 0, -1] / period
+        assert np.abs(slow - mean).max() <= 1e-9 * np.abs(mean).max()
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_slow_form_agrees_with_fast_state_rk4(which, eps):
+    # The default RK45 steps the slow deviation and maps it back through M,
+    # M^-1 and Phi; fixed-step RK4 steps the state itself.  Their endpoints
+    # agree off the prediction, so the signs of that map are right.
+    spec = oracles.make_spec(which)
+    alpha = (oracles.CORO1_X0, 0.0) if which == "corollary1" else (0.0, oracles.CORO2_W0)
+    x0 = predicted_initial_state(spec.mode, alpha) + 0.01
+    period = spec.full_period
+    slow = flow_map(spec, eps, x0, period)
+    fast = flow_map(spec, eps, x0, period, IntegratorConfig(method="rk4", step=period / 8192))
+    assert np.abs(slow - fast).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +336,7 @@ def test_shoot_corollary1_slow_zero():
     assert orbit.distance_to_prediction <= 10.0 * eps
     assert orbit.period == pytest.approx(T1, abs=0)
     # the returned state really is a fixed point of the period map
-    end = flow_map(spec, eps, orbit.initial_state, orbit.period, auto_config(eps))
+    end = flow_map(spec, eps, orbit.initial_state, orbit.period, IntegratorConfig())
     assert np.linalg.norm(end - orbit.initial_state) <= 1e-9
 
 
@@ -331,7 +404,7 @@ def test_shooting_newton_matches_the_scalar_loop():
     # the same bits, so `verify` output does not move.
     spec = _coro1()
     eps = 1e-3
-    config = auto_config(eps)
+    config = IntegratorConfig()
     guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     runs = []
     for solve in (damped_newton, oracles.scalar_damped_newton):
