@@ -21,7 +21,6 @@ from .model import (
     modal_transform,
     reduce,
     unperturbed_orbit,
-    vector_field_original,
 )
 from .averaging import (
     AveragedSystem,
@@ -34,7 +33,6 @@ from .averaging import (
 )
 from .continuation import (
     IntegrationError,
-    IntegratorConfig,
     PeriodicOrbit,
     ShootingError,
     predicted_initial_state,
@@ -63,7 +61,6 @@ __all__ = [
     "modal_transform",
     "reduce",
     "unperturbed_orbit",
-    "vector_field_original",
     "AveragedSystem",
     "AveragedValues",
     "QuadratureError",
@@ -72,7 +69,6 @@ __all__ = [
     "averaged_pair",
     "find_zeros",
     "IntegrationError",
-    "IntegratorConfig",
     "PeriodicOrbit",
     "ShootingError",
     "predicted_initial_state",

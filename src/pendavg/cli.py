@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -106,9 +107,12 @@ def _parse_pair(text, what):
     if len(parts) != 2:
         raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not all(map(math.isfinite, pair)):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return pair
 
 
 def _parse_grid(text):
@@ -127,6 +131,8 @@ def _parse_grid(text):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"--grid: {exc}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"--grid axis ends must be finite, got {axis!r}")
         if n < 1:
             raise ConfigError("--grid needs at least one point per axis")
         out.append(np.linspace(lo, hi, n))

@@ -44,11 +44,14 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be 'mode1' or 'mode2', got {self.mode!r}")
         if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
             raise ConfigError(f"resonance p:q must be coprime positive integers, got {self.p}:{self.q}")
-        if not (0 < self.r1 < self.r2):
-            raise ConfigError(f"annulus needs 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
+        # Written so that NaN fails each test: JSON files and float flags
+        # both accept NaN and Infinity.
+        if not (0 < self.r1 < self.r2 and math.isfinite(self.r2)):
+            raise ConfigError(f"annulus needs finite 0 < r1 < r2, got r1={self.r1}, r2={self.r2}")
         for name in ("quad_tol", "newton_tol", "shoot_tol", "dedup_radius", "det_threshold"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.grid_radial < 1 or self.grid_angular < 1:
             raise ConfigError("seed grid dimensions must be at least 1")
         for eps in self.epsilons:

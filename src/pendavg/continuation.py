@@ -20,9 +20,10 @@ deviation ``v = (z - z0) / eps`` of the variation-of-constants state
 applied in closed form, so ``v`` stays O(1), its field does not scale with
 eps, and the step count does not depend on eps; one tolerance on ``v``
 bounds the O(eps) displacement to the same relative accuracy at every eps.
-The fixed-step RK4 integrates the fast state, as an independent reference.
+It is the one integrator; its tolerance and step budget are the module
+constants ``RK45_TOL`` and ``RK45_MAX_STEPS``.
 
-The integrators step a ``(4, m)`` batch of columns, each on its own clock:
+The integrator steps a ``(4, m)`` batch of columns, each on its own clock:
 its own time, step size, accept/reject decision and step count.  A column
 may carry its own eps, and its result is bit for bit the one it gets
 alone.  So ``shoot_many`` shoots every (guess, eps) case at once: one
@@ -32,13 +33,12 @@ converged orbit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import ExprDomainError
-from .model import compiled_forcing, forced_field, slow_field, unperturbed_orbit
+from .model import compiled_forcing, slow_field, unperturbed_orbit
 from .newton import NewtonFailure, evaluate_parts, solve_many
 
 
@@ -50,42 +50,16 @@ class ShootingError(RuntimeError):
     """The period-map Newton solve failed or was ill-posed."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Adaptive Dormand-Prince RK45 on the slow deviation, or fixed-step RK4.
-
-    One config serves every column of a batch, but each column keeps its
-    own clock.  RK45 integrates the slow deviation ``v`` of
-    ``model.slow_field``: it scales each component's error by
-    ``tol + tol * max(|v|, |v5|)`` and accepts, rejects and resizes each
-    column's step on the RMS of that column's four scaled errors, so an
-    error of ``tol`` in ``v`` is one of ``eps * tol`` in the state.  RK4
-    integrates the fast state ``model.forced_field`` with a fixed ``step``.
-    ``max_steps`` bounds each column's step attempts.  Where a config is
-    optional, ``None`` means ``IntegratorConfig()``.
-    """
-
-    method: str = "rk45"
-    step: float | None = None
-    tol: float = 1e-9
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.method == "rk4" and not (
-            self.step is not None and self.step > 0 and math.isfinite(self.step)
-        ):
-            raise ValueError("rk4 needs a positive finite fixed step")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+# RK45's tolerance on the slow deviation, and its step attempts per column.
+RK45_TOL = 1e-9
+RK45_MAX_STEPS = 2_000_000
+# Condition number of a displacement Jacobian above which shooting stops.
+COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
-# Integrators: one pass of a (4, m) batch from y at taus[0] through the
-# non-decreasing grid ``taus``, returning the (4, m, n) states at every grid
+# Integrator: one pass of a (4, m) batch from taus[0] through the
+# non-decreasing grid ``taus``, returning the (4, m, n) values at every grid
 # time.  Every column keeps its own clock, so no column depends on another.
 # ---------------------------------------------------------------------------
 
@@ -100,28 +74,6 @@ def _check_finite(values, tau):
         bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
         near = np.broadcast_to(tau, bad.shape)[bad][0]
         raise ExprDomainError(f"forcing produced a non-finite value near tau={near:.6g}")
-
-
-def _rk4(rhs, y, taus, step, max_steps):
-    counts = [max(1, round((t1 - t0) / step)) for t0, t1 in zip(taus, taus[1:])]
-    if sum(counts) > max_steps:
-        raise IntegrationError(f"rk4 needs {sum(counts)} steps > max_steps={max_steps}")
-    out = np.empty(y.shape + (len(taus),))
-    out[..., 0] = y
-    for j, n in enumerate(counts, start=1):
-        t0 = taus[j - 1]
-        h = (taus[j] - t0) / n
-        t = t0
-        for i in range(n):
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + h / 2 * k1)
-            k3 = rhs(t + h / 2, y + h / 2 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t0 + (i + 1) * h
-            _check_finite(y, t)
-        out[..., j] = y
-    return out
 
 
 def _dormand_prince(rhs, t, y, h, k1):
@@ -155,15 +107,22 @@ def _dormand_prince(rhs, t, y, h, k1):
     return y5, k7, err
 
 
-def _rk45(make_rhs, params, y, taus, tol, max_steps):
-    """Adaptive RK45 with one clock per column.
+def _slow_deviation(forcing, eps, x0, taus):
+    """The ``(4, m, n)`` slow deviations ``v`` of ``model.slow_field`` at ``taus``.
 
-    ``make_rhs(*params)`` builds the right-hand side of the columns that the
-    per-column ``params`` describe, each a ``(..., m)`` array.  Each column
-    records its state at every grid time it reaches, cuts its step to land
-    on its next grid time exactly, and leaves the batch after the last one.
+    Adaptive Dormand-Prince RK45 from ``v = 0`` at ``taus[0]``, for the
+    ``(4, m)`` starts ``x0`` at the ``(m,)`` values ``eps``; ``forcing`` is
+    the ``(F1, F2)`` pair.  Each column keeps its own clock.  It scales each
+    component's error by ``RK45_TOL + RK45_TOL * max(|v|, |v5|)`` and
+    accepts, rejects and resizes its step on the RMS of its four scaled
+    errors, so an error of ``RK45_TOL`` in ``v`` is one of
+    ``eps * RK45_TOL`` in the state.  It records its state at every grid
+    time it reaches, cuts its step to land on its next grid time exactly,
+    and leaves the batch after the last one.  ``RK45_MAX_STEPS`` bounds each
+    column's step attempts.
     """
-    m, n = y.shape[1], len(taus)
+    tol, max_steps = RK45_TOL, RK45_MAX_STEPS
+    m, n = x0.shape[1], len(taus)
     grid = np.array(taus)
     out = np.empty((4, m, n))
     if not m:
@@ -172,7 +131,8 @@ def _rk45(make_rhs, params, y, taus, tol, max_steps):
     t = np.full(m, taus[0])
     h = np.full(m, min((taus[-1] - taus[0]) / 100.0, 0.1))
     j = np.zeros(m, dtype=np.intp)  # each column's next grid index
-    rhs = make_rhs(*params)
+    y = np.zeros_like(x0)
+    rhs = slow_field(forcing, eps, x0)[0]
     k1 = rhs(t, y)
     _check_finite(k1, t)
     # Every column still stepping makes one attempt per pass, so the pass
@@ -185,10 +145,9 @@ def _rk45(make_rhs, params, y, taus, tol, max_steps):
                 continue
             if not keep.any():
                 return out
-            col, t, h, j = (a[keep] for a in (col, t, h, j))
-            y, k1 = y[:, keep], k1[:, keep]
-            params = tuple(p[..., keep] for p in params)
-            rhs = make_rhs(*params)
+            col, t, h, j, eps = (a[keep] for a in (col, t, h, j, eps))
+            y, k1, x0 = y[:, keep], k1[:, keep], x0[:, keep]
+            rhs = slow_field(forcing, eps, x0)[0]
         target = grid[j]
         h = np.where(t + h > target, target - t, h)
         if (stalled := t + h == t).any():
@@ -219,29 +178,15 @@ def _body(f):
     return f if hasattr(f, "__wrapped__") else getattr(f, "body", f)
 
 
-def _slow_deviation(forcing, eps, x0, taus, config):
-    """The ``(4, m, n)`` slow deviations ``v`` of ``model.slow_field`` at ``taus``.
-
-    RK45 from ``v = 0`` at ``taus[0]``, for the ``(4, m)`` starts ``x0`` at
-    the ``(m,)`` values ``eps``; ``forcing`` is the ``(F1, F2)`` pair.
-    """
-
-    def make_rhs(eps, x0):
-        return slow_field(forcing, eps, x0)[0]
-
-    return _rk45(make_rhs, (eps, x0), np.zeros_like(x0), taus, config.tol, config.max_steps)
-
-
-def _propagate(spec, eps, y0, taus, config):
+def _propagate(spec, eps, y0, taus):
     """States of the forced system at every time of ``taus``, from y0 at taus[0].
 
     ``y0`` is ``(4,)`` or a ``(4, m)`` batch, and the result ``(4, n)`` or
-    ``(4, m, n)``.  ``eps`` is a scalar or one value per column, and
-    ``config=None`` means ``IntegratorConfig()``.  RK45 integrates each
-    column's slow deviation and maps it back to the state at every grid
-    time; RK4 steps the fast state.  The integration runs under one
+    ``(4, m, n)``.  ``eps`` is a scalar or one value per column.  RK45
+    integrates each column's slow deviation, which is mapped back to the
+    state at every grid time.  The integration runs under one
     ``np.errstate`` and calls the compiled forcing bodies directly; the
-    integrators check finiteness themselves.
+    integrator checks finiteness itself.
     """
     taus = [float(t) for t in taus]
     if not all(t1 >= t0 for t0, t1 in zip(taus, taus[1:])):
@@ -249,21 +194,17 @@ def _propagate(spec, eps, y0, taus, config):
     y0 = np.asarray(y0, dtype=float)
     x0 = y0.reshape(4, -1)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), x0.shape[1:])
-    config = IntegratorConfig() if config is None else config
     forcing = tuple(map(_body, compiled_forcing(spec)))
     with np.errstate(all="ignore"):
-        if config.method == "rk4":
-            out = _rk4(forced_field(forcing, eps), x0, taus, config.step, config.max_steps)
-        else:
-            v = _slow_deviation(forcing, eps, x0, taus, config)
-            # One column per (start, time), so the map runs on (4, m * n).
-            n = len(taus)
-            _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
-            out = state(np.tile(taus, eps.size), v.reshape(4, -1)).reshape(v.shape)
-    return out.reshape(y0.shape + (len(taus),))
+        v = _slow_deviation(forcing, eps, x0, taus)
+        # One column per (start, time), so the map runs on (4, m * n).
+        n = len(taus)
+        _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
+        out = state(np.tile(taus, eps.size), v.reshape(4, -1)).reshape(v.shape)
+    return out.reshape(y0.shape + (n,))
 
 
-def sample_states(spec, eps, x0, taus, config=None):
+def sample_states(spec, eps, x0, taus):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
@@ -273,17 +214,16 @@ def sample_states(spec, eps, x0, taus, config=None):
     must be non-negative and non-decreasing; repeated times are allowed.
     Returns ``(4, n)`` or ``(4, m, n)``.
     """
-    return _propagate(spec, eps, x0, (0.0, *taus), config)[..., 1:]
+    return _propagate(spec, eps, x0, (0.0, *taus))[..., 1:]
 
 
-def flow_map(spec, eps, states0, period, config=None):
+def flow_map(spec, eps, states0, period):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
-    ``eps`` is a scalar or one value per column, and ``config=None`` means
-    ``IntegratorConfig()``.  Each column steps on its own clock, so its
-    endpoint is bit for bit the one it gets alone.
+    ``eps`` is a scalar or one value per column.  Each column steps on its
+    own clock, so its endpoint is bit for bit the one it gets alone.
     """
-    return _propagate(spec, eps, states0, (0.0, period), config)[..., -1]
+    return _propagate(spec, eps, states0, (0.0, period))[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +252,6 @@ class PeriodicOrbit:
 
 # Failures of one case's own integration; they end that case only.
 _FAULTS = (IntegrationError, ExprDomainError)
-# Condition number of a displacement Jacobian above which shooting stops.
-COND_LIMIT = 1e12
 _EPS_ZERO = (
     "eps=0: the period map is the identity on the resonant mode plane, "
     "so the displacement Jacobian is singular; shoot at eps != 0"
@@ -331,13 +269,12 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep: each central-difference
     Jacobian (monodromy minus identity) rides with its base point, and
-    every case's columns share each integration, RK45 on the slow deviation
-    at the default ``IntegratorConfig``.  A Jacobian with condition above
-    ``COND_LIMIT`` stops that case.  Then one more pass samples every
-    converged orbit at ``n_samples`` equally spaced times over one period,
-    orbit by orbit only if that pass faults.  The reported distance is
-    measured from the guess.  Each case ends bit for bit as
-    ``shoot_periodic`` alone would end it.
+    every case's columns share each integration, RK45 on the slow
+    deviation.  A Jacobian with condition above ``COND_LIMIT`` stops that
+    case.  Then one more pass samples every converged orbit at
+    ``n_samples`` equally spaced times over one period, orbit by orbit only
+    if that pass faults.  The reported distance is measured from the guess.
+    Each case ends bit for bit as ``shoot_periodic`` alone would end it.
     """
     eps = np.asarray(eps, dtype=float).reshape(-1)
     guesses = np.asarray(guesses, dtype=float).reshape(4, eps.size)

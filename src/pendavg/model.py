@@ -1,4 +1,4 @@
-"""Small-oscillation double pendulum: vector fields, modes, orbit families.
+"""Small-oscillation double pendulum: modes, orbit families, the standard form.
 
 Conventions
 -----------
@@ -246,45 +246,8 @@ def audit_periodicity(spec):
 
 
 # ---------------------------------------------------------------------------
-# Vector fields
+# Vector field in standard form
 # ---------------------------------------------------------------------------
-
-def forced_field(forcing, eps):
-    """Right-hand side ``rhs(tau, state)`` of the perturbed first-order system.
-
-    ``rhs`` returns ``(th1d, -2 th1 + th2 + eps F1, th2d, 2 th1 - 2 th2 + eps F2)``
-    with ``forcing = (F1, F2)`` from :func:`compiled_forcing` evaluated at
-    ``(tau, state)``, for a float ``(4,)`` state or a ``(4, m)`` batch.
-    ``tau`` is a scalar or one time per column, and ``eps`` a scalar or one
-    value per column; a column with eps = 0 gets no forcing term.  The rows
-    are written out rather than taken as ``LINEAR_ORIGINAL @ state``, so no
-    matrix-product summation order enters and each column's value does not
-    depend on the rest of the batch.  The fixed-step RK4 of ``continuation``
-    steps it, once built per batch; RK45 steps :func:`slow_field` instead.
-    """
-    f1, f2 = forcing
-    eps = np.asarray(eps, dtype=float)
-    forced = eps != 0.0
-    every, some = bool(forced.all()), bool(forced.any())
-
-    def rhs(tau, state):
-        th1, th1d, th2, th2d = state
-        out = np.empty_like(state)
-        out[0] = th1d
-        out[1] = -2.0 * th1 + th2
-        out[2] = th2d
-        out[3] = 2.0 * th1 - 2.0 * th2
-        if some:
-            for row, f in ((1, f1), (3, f2)):
-                term = eps * f(tau, th1, th1d, th2, th2d)
-                if every:
-                    out[row] += term
-                else:
-                    np.add(out[row], term, out=out[row], where=forced)
-        return out
-
-    return rhs
-
 
 # slow_field works on row pairs: the positions P = (X, Z) and velocities
 # V = (Y, W) of the two mode planes.  M maps (th1, th2) to P and (th1d,
@@ -316,9 +279,10 @@ def slow_field(forcing, eps, x0):
 
     ``eps`` is ``(m,)`` and ``x0`` ``(4, m)``, one value or state per column.
     Returns ``(rhs, state)``, both of ``(tau, v)`` with ``(m,)`` times and a
-    ``(4, m)`` deviation: ``rhs`` gives ``v'`` and ``state`` the state.  As
-    in :func:`forced_field`, every row is written out, so no matrix-product
+    ``(4, m)`` deviation: ``rhs`` gives ``v'`` and ``state`` the state.
+    Every row is written out rather than taken as a matrix product, so no
     summation order enters and no column depends on the rest of the batch.
+    ``continuation``'s RK45 steps ``rhs``, rebuilt whenever columns leave.
     """
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)
@@ -356,11 +320,6 @@ def slow_field(forcing, eps, x0):
         return out
 
     return rhs, state
-
-
-def vector_field_original(tau, state, spec, eps):
-    """:func:`forced_field` of ``spec`` at one ``(tau, state)``."""
-    return forced_field(compiled_forcing(spec), eps)(tau, np.asarray(state, dtype=float))
 
 
 # ---------------------------------------------------------------------------

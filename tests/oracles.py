@@ -16,6 +16,11 @@ trapezoid sweep.
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
 time; tests hold the lockstep ``pendavg.newton.solve_many`` to it start for
 start.
+
+:func:`fast_field` is the forced system in its original coordinates, and
+:func:`rk4` steps it with fixed-step classical RK4: a reference for the
+package's RK45, which integrates the slow deviation of the standard form
+instead of the fast state.
 """
 
 import math
@@ -367,3 +372,54 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
             if not math.isfinite(r):
                 raise NewtonFailure("non-finite residual")
     return x, r, steps
+
+
+# ---------------------------------------------------------------------------
+# Fast-state field and fixed-step RK4
+# ---------------------------------------------------------------------------
+
+def fast_field(spec, eps):
+    """Right-hand side ``rhs(tau, state)`` of the forced first-order system.
+
+    ``(th1d, -2 th1 + th2 + eps F1, th2d, 2 th1 - 2 th2 + eps F2)`` for a
+    ``(4,)`` state or a ``(4, m)`` batch at a scalar ``eps``.
+    """
+    f1, f2 = compiled_forcing(spec)
+
+    def rhs(tau, state):
+        th1, th1d, th2, th2d = state
+        return np.stack(
+            [
+                th1d,
+                -2.0 * th1 + th2 + eps * f1(tau, th1, th1d, th2, th2d),
+                th2d,
+                2.0 * th1 - 2.0 * th2 + eps * f2(tau, th1, th1d, th2, th2d),
+            ]
+        )
+
+    return rhs
+
+
+def rk4(spec, eps, x0, taus, step):
+    """Fixed-step RK4 on the fast state from ``x0`` at ``taus[0]``.
+
+    Each interval of the grid ``taus`` takes ``round(length / step)`` equal
+    steps, at least one.  Returns the states at every time of ``taus``, of
+    shape ``x0.shape + (len(taus),)``.
+    """
+    rhs = fast_field(spec, eps)
+    y = np.asarray(x0, dtype=float)
+    out = [y]
+    for t0, t1 in zip(taus, taus[1:]):
+        n = max(1, round((t1 - t0) / step))
+        h = (t1 - t0) / n
+        t = t0
+        for i in range(n):
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2, y + h / 2 * k1)
+            k3 = rhs(t + h / 2, y + h / 2 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = t0 + (i + 1) * h
+        out.append(y)
+    return np.stack(out, axis=-1)

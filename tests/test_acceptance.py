@@ -18,7 +18,7 @@ from pendavg.averaging import (
 )
 from pendavg.config import PRESETS
 from pendavg.constants import T1
-from pendavg.continuation import IntegratorConfig, flow_map, verify_zero
+from pendavg.continuation import flow_map, predicted_initial_state, verify_zero
 from pendavg.model import (
     INVERSE_MODAL_MATRIX,
     LINEAR_MODAL,
@@ -27,7 +27,6 @@ from pendavg.model import (
     Mode,
     fundamental_matrix,
     unperturbed_orbit,
-    vector_field_original,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -151,7 +150,8 @@ def test_criterion_6_structural_invariants():
         m = fundamental_matrix(tau)
         ortho = max(ortho, float(np.abs(m @ m.T - np.eye(4)).max()))
 
-    spec = oracles.make_spec("corollary1")
+    field = oracles.fast_field(oracles.make_spec("corollary1"), 0.0)
+
     def ode_defect(mode, h):
         worst = 0.0
         for tau in np.linspace(0.1, 0.1 + mode.period, 7):
@@ -159,7 +159,7 @@ def test_criterion_6_structural_invariants():
                 unperturbed_orbit(mode, (1.1, -0.7), tau + h)
                 - unperturbed_orbit(mode, (1.1, -0.7), tau - h)
             ) / (2 * h)
-            rhs = vector_field_original(tau, unperturbed_orbit(mode, (1.1, -0.7), tau), spec, 0.0)
+            rhs = field(tau, unperturbed_orbit(mode, (1.1, -0.7), tau))
             worst = max(worst, float(np.abs(fd - rhs).max()))
         return worst
 
@@ -184,11 +184,16 @@ def test_criterion_7_numerics_self_checks():
     exact = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), T1)
 
     def rk4_error(n):
-        cfg = IntegratorConfig(method="rk4", step=T1 / n)
-        return float(np.abs(flow_map(spec, 0.0, x0, T1, cfg) - exact).max())
+        return float(np.abs(oracles.rk4(spec, 0.0, x0, (0.0, T1), T1 / n)[:, -1] - exact).max())
 
     ratio = rk4_error(128) / rk4_error(256)
     rk4_ok = 8.0 < ratio < 32.0
+
+    # The shipped RK45 on the slow deviation against the fast-state RK4.
+    start = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)) + 0.01
+    reference = oracles.rk4(spec, 1e-2, start, (0.0, T1), T1 / 8192)[:, -1]
+    rk45_gap = float(np.abs(flow_map(spec, 1e-2, start, T1) - reference).max())
+    rk45_ok = rk45_gap <= 1e-10
 
     newton_ok = True
     for which, target in (
@@ -214,11 +219,12 @@ def test_criterion_7_numerics_self_checks():
             tight = averaged_pair(s, alpha, 1e-12).averaged
             tol_ok &= float(np.abs(loose - tight).max()) <= 1e-9
 
-    ok = rk4_ok and newton_ok and tol_ok
+    ok = rk4_ok and rk45_ok and newton_ok and tol_ok
     _verdict(
         7,
         "numerics self-checks",
         ok,
-        f"rk4 halving ratio {ratio:.1f}, newton quadratic {newton_ok}, "
+        f"rk4 halving ratio {ratio:.1f}, rk45 vs rk4 gap {rk45_gap:.1e}, "
+        f"newton quadratic {newton_ok}, "
         f"quadrature tolerance monotonicity {tol_ok}",
     )

@@ -364,6 +364,50 @@ def test_zero_epsilon_is_exit_2(capsys):
     assert "epsilon" in err
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--tol", "inf"], None),
+        (["--tol", "nan"], None),
+        (["--r2", "inf"], None),
+        ([], '{"newton_tol": NaN}'),
+        ([], '{"dedup_radius": Infinity}'),
+        ([], '{"shoot_tol": NaN}'),
+        ([], '{"det_threshold": Infinity}'),
+        ([], '{"r2": Infinity}'),
+    ],
+    ids=[
+        "flag-tol-inf", "flag-tol-nan", "flag-r2-inf", "file-newton_tol", "file-dedup_radius",
+        "file-shoot_tol", "file-det_threshold", "file-r2",
+    ],
+)
+def test_non_finite_number_is_exit_2(capsys, tmp_path, flags, config):
+    # Float flags and JSON files both accept NaN and Infinity; each is
+    # refused before any work, not met later as a crash or a numerical failure.
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        flags = ["--config", str(path)]
+    code, out, err = run_cli(capsys, "zeros", "--preset", "corollary1", *flags)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--mode", "mode1", "--alpha", "inf,0"],
+        ["average", "--preset", "corollary1", "--point", "nan,0"],
+        ["average", "--preset", "corollary1", "--grid", "0:inf:3"],
+    ],
+    ids=["alpha", "point", "grid"],
+)
+def test_non_finite_pair_or_grid_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_quadrature_cap_is_exit_3(capsys):
     # A kinked forcing keeps node refinement from ever meeting 1e-12.
     code, _, err = run_cli(

@@ -12,7 +12,6 @@ from pendavg.averaging import averaged_pair
 from pendavg.constants import T1
 from pendavg.continuation import (
     IntegrationError,
-    IntegratorConfig,
     ShootingError,
     flow_map,
     predicted_initial_state,
@@ -32,9 +31,6 @@ from pendavg.model import (
 )
 from pendavg.newton import damped_newton, solve_many
 
-TIGHT = IntegratorConfig(method="rk45", tol=1e-12)
-
-
 def _coro1():
     return oracles.make_spec("corollary1")
 
@@ -43,36 +39,24 @@ def _coro1():
 # Integrators
 # ---------------------------------------------------------------------------
 
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="rk4")  # missing step
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="rk45", tol=0.0)
-    # Non-finite settings are refused here, not met later as a blamed
-    # forcing (tol = nan), a wrong endpoint (tol or step = inf) or a crash.
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol"):
-            IntegratorConfig(method="rk45", tol=tol)
-    for step in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="step"):
-            IntegratorConfig(method="rk4", step=step)
+@pytest.fixture
+def tight(monkeypatch):
+    """RK45 at tolerance 1e-12 on the slow deviation."""
+    monkeypatch.setattr(continuation, "RK45_TOL", 1e-12)
 
 
-def test_unforced_flow_matches_closed_form():
+def test_unforced_flow_matches_closed_form(tight):
     spec = _coro1()
     x0 = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0)
     taus = np.linspace(0.0, T1, 33)
     exact = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), taus)
-    for config in (TIGHT, IntegratorConfig(method="rk4", step=T1 / 4096)):
-        states = sample_states(spec, 0.0, x0, taus, config)
-        assert np.abs(states - exact).max() <= 1e-9
+    assert np.abs(sample_states(spec, 0.0, x0, taus) - exact).max() <= 1e-9
+    assert np.abs(oracles.rk4(spec, 0.0, x0, taus, T1 / 4096) - exact).max() <= 1e-9
 
 
-def test_zero_initial_state_stays_zero():
+def test_zero_initial_state_stays_zero(tight):
     spec = _coro1()
-    states = sample_states(spec, 0.0, np.zeros(4), np.linspace(0.0, 5.0, 11), TIGHT)
+    states = sample_states(spec, 0.0, np.zeros(4), np.linspace(0.0, 5.0, 11))
     assert np.abs(states).max() == 0.0
 
 
@@ -98,11 +82,11 @@ def test_sample_states_rejects_unordered_times(taus):
         sample_states(spec, 1e-2, np.ones(4), taus)
 
 
-def test_modal_invariants_drift_over_ten_periods():
+def test_modal_invariants_drift_over_ten_periods(tight):
     spec = _coro1()
     x0 = unperturbed_orbit(Mode.MODE1, (0.8, -0.5), 0.0)
     i1_start, i2_start = modal_amplitudes(x0)
-    end = flow_map(spec, 0.0, x0, 10.0 * T1, TIGHT)
+    end = flow_map(spec, 0.0, x0, 10.0 * T1)
     i1_end, i2_end = modal_amplitudes(end)
     assert abs(i1_end - i1_start) <= 1e-10
     assert abs(i2_end - i2_start) <= 1e-10
@@ -114,45 +98,38 @@ def test_rk4_global_error_is_fourth_order():
     exact = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), T1)
 
     def error(n_steps):
-        cfg = IntegratorConfig(method="rk4", step=T1 / n_steps)
-        end = flow_map(spec, 0.0, x0, T1, cfg)
+        end = oracles.rk4(spec, 0.0, x0, (0.0, T1), T1 / n_steps)[:, -1]
         return float(np.abs(end - exact).max())
 
     ratio = error(128) / error(256)
     assert 8.0 < ratio < 32.0  # nominal 16 per halving
 
 
-def test_rk4_step_budget():
+def test_rk45_step_budget(monkeypatch):
     spec = _coro1()
-    cfg = IntegratorConfig(method="rk4", step=1e-4, max_steps=100)
+    monkeypatch.setattr(continuation, "RK45_TOL", 1e-13)
+    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 10)
     with pytest.raises(IntegrationError):
-        flow_map(spec, 0.0, np.zeros(4), T1, cfg)
+        flow_map(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), T1)
 
 
-def test_rk45_step_budget():
-    spec = _coro1()
-    cfg = IntegratorConfig(method="rk45", tol=1e-13, max_steps=10)
-    with pytest.raises(IntegrationError):
-        flow_map(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), T1, cfg)
-
-
-def test_forcing_blowup_reported_mid_flight():
+def test_forcing_blowup_reported_mid_flight(tight):
     spec = PerturbationSpec.from_strings("0", "exp(th2)", "mode1", 1, 1)
     with pytest.raises(ExprDomainError):
-        flow_map(spec, 1.0, np.array([0.0, 0.0, 710.0, 0.0]), 1.0, TIGHT)
+        flow_map(spec, 1.0, np.array([0.0, 0.0, 710.0, 0.0]), 1.0)
 
 
-def test_a_stalled_step_fails_at_once():
+def test_a_stalled_step_fails_at_once(monkeypatch):
     # Near a finite-time blow-up the step falls below half the spacing of
     # doubles at tau, so t + h == t and the column cannot advance; it fails
-    # there instead of spinning through max_steps.
+    # there instead of spinning through the step budget.
     spec = PerturbationSpec.from_strings("0", "th2d^2", "mode1", 1, 1)
-    config = IntegratorConfig(max_steps=20000)
+    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 20000)
     with pytest.raises(IntegrationError, match="underflow"):
-        flow_map(spec, 1.0, np.array([0.0, 0.0, 0.0, 3.0]), T1, config)
+        flow_map(spec, 1.0, np.array([0.0, 0.0, 0.0, 3.0]), T1)
 
 
-def test_every_column_is_its_own_run_bit_for_bit():
+def test_every_column_is_its_own_run_bit_for_bit(monkeypatch):
     # Columns at their own eps, with eps = 0 among them, end where each
     # ends alone, in any batch.
     spec = _coro1()
@@ -169,25 +146,27 @@ def test_every_column_is_its_own_run_bit_for_bit():
         assert samples[:, j].tobytes() == alone.tobytes()
     pick = [4, 1, 3]
     assert ends[:, pick].tobytes() == flow_map(spec, eps[pick], states[:, pick], T1).tobytes()
-    # One config for every column: a shared tolerance, clocks still apart.
-    ends = flow_map(spec, eps, states, T1, TIGHT)
+    # Another tolerance, shared by every column: clocks still apart.
+    monkeypatch.setattr(continuation, "RK45_TOL", 1e-12)
+    ends = flow_map(spec, eps, states, T1)
     for j in range(6):
-        assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1, TIGHT).tobytes()
+        assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
 
 
-def test_a_faulting_column_fails_only_its_own_start():
+def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
     # Three starts share each period-map call, each at its own eps.  One runs
     # out of steps and one overflows exp(th2) as in
     # test_forcing_blowup_reported_mid_flight; ``solve_many`` then evaluates
     # start by start, and the third ends exactly as it ends alone.
     spec = PerturbationSpec.from_strings("0", "sin(40 * w1 * tau) + exp(th2)", "mode1", 1, 1)
-    config = IntegratorConfig(method="rk45", tol=1e-8, max_steps=1000)
+    monkeypatch.setattr(continuation, "RK45_TOL", 1e-8)
+    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 1000)
     x0 = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
     starts = np.stack([x0, np.array([0.0, 0.0, 710.0, 0.0]), x0], axis=1)
     eps = np.array([1e-3, 1e-3, 1.0])
 
     def F(cols, owner):
-        return flow_map(spec, eps[owner], cols, T1, config) - cols
+        return flow_map(spec, eps[owner], cols, T1) - cols
 
     outcomes = solve_many(F, starts, 1e-10, faults=(IntegrationError, ExprDomainError))
     assert isinstance(outcomes[1], ExprDomainError)
@@ -261,9 +240,7 @@ def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
     rows = slice(0, 2) if spec.mode is Mode.MODE1 else slice(2, 4)
     for alpha in [(1.3, -0.7), (3.0, 5.0)]:
         x0 = predicted_initial_state(spec.mode, alpha)[:, None]
-        v = continuation._slow_deviation(
-            forcing, np.zeros(1), x0, [0.0, period], IntegratorConfig()
-        )
+        v = continuation._slow_deviation(forcing, np.zeros(1), x0, [0.0, period])
         mean = averaged_pair(spec, alpha, 1e-13).averaged
         slow = v[rows, 0, -1] / period
         assert np.abs(slow - mean).max() <= 1e-9 * np.abs(mean).max()
@@ -272,15 +249,15 @@ def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
 @pytest.mark.parametrize("which", ["corollary1", "corollary2"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_slow_form_agrees_with_fast_state_rk4(which, eps):
-    # The default RK45 steps the slow deviation and maps it back through M,
-    # M^-1 and Phi; fixed-step RK4 steps the state itself.  Their endpoints
+    # RK45 steps the slow deviation and maps it back through M, M^-1 and
+    # Phi; the reference's fixed-step RK4 steps the state itself.  Their endpoints
     # agree off the prediction, so the signs of that map are right.
     spec = oracles.make_spec(which)
     alpha = (oracles.CORO1_X0, 0.0) if which == "corollary1" else (0.0, oracles.CORO2_W0)
     x0 = predicted_initial_state(spec.mode, alpha) + 0.01
     period = spec.full_period
     slow = flow_map(spec, eps, x0, period)
-    fast = flow_map(spec, eps, x0, period, IntegratorConfig(method="rk4", step=period / 8192))
+    fast = oracles.rk4(spec, eps, x0, (0.0, period), period / 8192)[:, -1]
     assert np.abs(slow - fast).max() <= 1e-10
 
 
@@ -336,7 +313,7 @@ def test_shoot_corollary1_slow_zero():
     assert orbit.distance_to_prediction <= 10.0 * eps
     assert orbit.period == pytest.approx(T1, abs=0)
     # the returned state really is a fixed point of the period map
-    end = flow_map(spec, eps, orbit.initial_state, orbit.period, IntegratorConfig())
+    end = flow_map(spec, eps, orbit.initial_state, orbit.period)
     assert np.linalg.norm(end - orbit.initial_state) <= 1e-9
 
 
@@ -404,7 +381,6 @@ def test_shooting_newton_matches_the_scalar_loop():
     # the same bits, so `verify` output does not move.
     spec = _coro1()
     eps = 1e-3
-    config = IntegratorConfig()
     guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     runs = []
     for solve in (damped_newton, oracles.scalar_damped_newton):
@@ -412,7 +388,7 @@ def test_shooting_newton_matches_the_scalar_loop():
 
         def F(cols, widths=widths):
             widths.append(cols.shape[1])
-            return flow_map(spec, eps, cols, spec.full_period, config) - cols
+            return flow_map(spec, eps, cols, spec.full_period) - cols
 
         x, residual, steps = solve(F, guess, 1e-10, cond_limit=1e12)
         runs.append((widths, x.tobytes(), residual, steps))

@@ -1,9 +1,12 @@
-"""Package surface: the public names and the README's library example."""
+"""Package surface: the public names, the README's library example and config schema."""
 
+import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pendavg
+from pendavg.config import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,12 @@ def test_public_names_resolve_and_readme_quick_start_runs(capsys):
     residual, distance = map(float, lines[1].split())
     assert residual <= 1e-10
     assert distance <= 1e-2
+
+
+def test_readme_config_schema_is_the_defaults():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Config file schema"):]
+    schema = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    defaults = asdict(ExperimentConfig())
+    defaults["epsilons"] = list(defaults["epsilons"])
+    assert schema == defaults
