@@ -80,11 +80,11 @@ def _node_sums(f, points, base, check):
     return sums, sizes
 
 
-def _integrate_points(f, m, period, tol, max_nodes=MAX_NODES):
+def _integrate_points(f, m, period, tol):
     """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` over a period.
 
     Each of the m points gets the trapezoid rule on N = 8, 16, ...,
-    ``max_nodes`` equispaced base nodes from 0; doubling adds the midpoints.
+    ``MAX_NODES`` equispaced base nodes from 0; doubling adds the midpoints.
     The error estimate is the gap to the same rule on a check grid shifted
     by (sqrt 5 - 1) / 2 of the coarsest spacing.  Against 2N nodes instead,
     a component aliasing onto both grids, such as sin((2N + 1) w tau)
@@ -107,14 +107,14 @@ def _integrate_points(f, m, period, tol, max_nodes=MAX_NODES):
         value[active[done]] = sums[done, :, 0] * h
         scale = float(np.max(size, initial=scale, where=done))
         active, sums, size = active[~done], sums[~done], size[~done]
-        if not active.size or 2 * n > max_nodes:
+        if not active.size or 2 * n > MAX_NODES:
             break
         mids = (np.arange(n) + 0.5) * h
         more, more_size = _node_sums(f, active, mids, mids + shift)
         sums, size = sums + more, np.maximum(size, more_size)
         n *= 2
     if active.size:
-        raise QuadratureError(f"quadrature did not reach tol={tol:.1e} within {max_nodes} nodes")
+        raise QuadratureError(f"quadrature did not reach tol={tol:.1e} within {MAX_NODES} nodes")
     return value, n, scale
 
 
@@ -315,8 +315,10 @@ def find_zeros(
 def antipodal_pairing(zeros, radius=1e-6):
     """Group alpha with -alpha: both seed the same unperturbed orbit.
 
-    Returns a list of classes (lists of 1 or 2 ZeroResults); the class
-    count is the number of distinct predicted periodic orbits.
+    Returns the classes as lists of 1 or 2 indices into ``zeros``, each
+    zero paired with the first later zero within ``radius`` of its
+    negation; the class count is the number of distinct predicted
+    periodic orbits.
     """
     classes = []
     used = [False] * len(zeros)
@@ -324,13 +326,13 @@ def antipodal_pairing(zeros, radius=1e-6):
         if used[i]:
             continue
         used[i] = True
-        group = [z]
+        group = [i]
         for j in range(i + 1, len(zeros)):
             if used[j]:
                 continue
             if np.linalg.norm(zeros[j].alpha + z.alpha) < radius:
                 used[j] = True
-                group.append(zeros[j])
+                group.append(j)
                 break
         classes.append(group)
     return classes

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -64,8 +64,8 @@ def _add_experiment_flags(sub):
     sub.add_argument("--q", type=int, help="resonance denominator")
     sub.add_argument("--r1", type=float, help="inner annulus radius")
     sub.add_argument("--r2", type=float, help="outer annulus radius")
-    sub.add_argument("--tol", type=float, help="quadrature tolerance")
-    sub.add_argument("--eps", metavar="LIST", help="comma-separated epsilon ladder")
+    sub.add_argument("--tol", dest="quad_tol", metavar="TOL", type=float, help="quadrature tolerance")
+    sub.add_argument("--eps", dest="epsilons", metavar="LIST", help="comma-separated epsilon ladder")
 
 
 def _parse_eps_list(text):
@@ -83,22 +83,12 @@ def _config_from_args(args):
         cfg = PRESETS[args.preset]
     if getattr(args, "config", None):
         cfg = merge_config(cfg, read_config_file(args.config), source=args.config)
+    # Each experiment flag's dest is the config field it sets.
     overrides = {}
-    for flag, key in (
-        ("f1", "f1"),
-        ("f2", "f2"),
-        ("mode", "mode"),
-        ("p", "p"),
-        ("q", "q"),
-        ("r1", "r1"),
-        ("r2", "r2"),
-        ("tol", "quad_tol"),
-    ):
-        value = getattr(args, flag, None)
+    for field in fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "eps", None) is not None:
-        overrides["epsilons"] = _parse_eps_list(args.eps)
+            overrides[field.name] = _parse_eps_list(value) if field.name == "epsilons" else value
     return merge_config(cfg, overrides, source="flags")
 
 
@@ -139,12 +129,17 @@ def _parse_grid(text):
     return out
 
 
-def _emit(args, filename, text):
-    sys.stdout.write(text)
+def _write_out(args, filename, text):
+    """Write ``text`` to ``filename`` under ``--out``, if it is given."""
     out_dir = getattr(args, "out", None)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_text(os.path.join(out_dir, filename), text)
+
+
+def _emit(args, filename, text):
+    sys.stdout.write(text)
+    _write_out(args, filename, text)
 
 
 def _config_echo(cfg):
@@ -189,12 +184,11 @@ def _zeros_payload(cfg, zeros, classes):
         }
         for z in zeros
     ]
-    index_of = {id(z): i for i, z in enumerate(zeros)}
     payload = {
         "config": _config_echo(cfg),
         "zeros": zero_records,
         "orbit_classes": len(classes),
-        "classes": [[index_of[id(z)] for z in group] for group in classes],
+        "classes": classes,
     }
     if zeros.degenerate:
         payload["message"] = DEGENERATE_MESSAGE
@@ -245,22 +239,18 @@ def cmd_verify(args):
     cfg = _config_from_args(args)
     spec, zeros, classes = _search(cfg)
     payload = _zeros_payload(cfg, zeros, classes)
-    class_of = {
-        id(zero): ci for ci, group in enumerate(classes) for zero in group
-    }
+    class_of = {zi: ci for ci, group in enumerate(classes) for zi in group}
 
     # Zeros are already in canonical order, so the zero index orders runs
     # (and trajectory file numbers) within each eps.
     cases = sorted((eps, zi) for zi in range(len(zeros)) for eps in cfg.epsilons)
     # Every case is shot in one batch; each still succeeds or fails alone.
-    guesses = np.zeros((4, len(cases)))
-    for idx, (_, zi) in enumerate(cases):
-        guesses[:, idx] = predicted_initial_state(spec.mode, zeros[zi].alpha)
+    alphas = np.array([zeros[zi].alpha for _, zi in cases]).reshape(-1, 2)
+    guesses = predicted_initial_state(spec.mode, alphas.T)
     outcomes = shoot_many(spec, [eps for eps, _ in cases], guesses, tol=cfg.shoot_tol)
 
     runs = []
     failures = 0
-    out_dir = getattr(args, "out", None)
     for idx, ((eps, zi), orbit) in enumerate(zip(cases, outcomes)):
         record = {
             "zero_index": zi,
@@ -286,14 +276,10 @@ def cmd_verify(args):
                 "iterations": orbit.iterations,
             }
         )
-        if out_dir:
+        if args.out:
             name = f"trajectory_{idx:03d}.csv"
             rows = np.vstack([orbit.samples_tau, orbit.samples]).T
-            os.makedirs(out_dir, exist_ok=True)
-            write_text(
-                os.path.join(out_dir, name),
-                csv_lines(["tau", "th1", "th1d", "th2", "th2d"], rows),
-            )
+            _write_out(args, name, csv_lines(["tau", "th1", "th1d", "th2", "th2d"], rows))
             record["trajectory_file"] = name
         runs.append(record)
 
@@ -303,7 +289,7 @@ def cmd_verify(args):
     summary = []
     for eps in sorted(set(cfg.epsilons)):
         converged = {
-            class_of[id(zeros[run["zero_index"]])]
+            class_of[run["zero_index"]]
             for run in runs
             if run["epsilon"] == eps and run.get("converged")
         }

@@ -350,10 +350,11 @@ def modal_orbit(mode, alpha, tau):
 
 
 # (pos, vel, pos) / divisors = (th1, th1d, th2), and th2d = vel: the
-# reciprocals of the resonant plane's INVERSE_MODAL_MATRIX entries.  Kept for
-# speed: a search makes ~15.7k orbit calls, and at its (1..4, 120..240)
-# shapes the matrix-column product (tensordot) measured 5-13 us slower per
-# call, while an outer-product form was no faster than dividing.
+# reciprocals of the resonant plane's INVERSE_MODAL_MATRIX entries.  Written
+# out rather than derived from the matrix to keep orbit values bit for bit:
+# 1 / INVERSE_MODAL_MATRIX[2, 0] is 0.7653668647301796, one ulp above
+# OMEGA1 (0.7653668647301795), so a derived table would move mode-1 th2
+# values by an ulp.
 _ORBIT_DIVISORS = {
     Mode.MODE1: (math.sqrt(4.0 - 2.0 * SQRT2), SQRT2, OMEGA1),
     Mode.MODE2: (-math.sqrt(4.0 + 2.0 * SQRT2), -SQRT2, OMEGA2),

@@ -7,6 +7,7 @@ writer with sorted keys instead of relying on library repr choices.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -38,14 +39,7 @@ def json_dumps(obj, indent=0):
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-            .replace("\t", "\\t")
-        )
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

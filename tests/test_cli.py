@@ -218,6 +218,15 @@ def test_zeros_config_echo_reproduces_the_run(capsys, tmp_path):
     assert merge_config(ExperimentConfig(), json.loads(out)["config"]) == run_cfg
 
 
+def test_zeros_report_escapes_control_characters(capsys):
+    # The expression tokenizer skips \v, \f and \x1c as whitespace, so the
+    # run succeeds and the config echo must escape them to stay valid JSON.
+    f2 = "(1 - th1^2)\v*\fsin(w1 *\x1c tau)"
+    code, out, _ = run_cli(capsys, "zeros", "--preset=corollary1", "--f2", f2)
+    assert code == 0
+    assert json.loads(out)["config"]["f2"] == f2
+
+
 def test_zeros_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, "zeros", "--preset", "corollary2")
     _, second, _ = run_cli(capsys, "zeros", "--preset", "corollary2")
