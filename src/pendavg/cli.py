@@ -78,18 +78,20 @@ def _parse_eps_list(text):
 
 
 def _config_from_args(args):
+    """The merged config and its parsed forcing texts (for ``to_spec``)."""
     cfg = ExperimentConfig()
+    trees = {}
     if getattr(args, "preset", None):
         cfg = PRESETS[args.preset]
     if getattr(args, "config", None):
-        cfg = merge_config(cfg, read_config_file(args.config), source=args.config)
+        cfg = merge_config(cfg, read_config_file(args.config), args.config, trees)
     # Each experiment flag's dest is the config field it sets.
     overrides = {}
     for field in fields(ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             overrides[field.name] = _parse_eps_list(value) if field.name == "epsilons" else value
-    return merge_config(cfg, overrides, source="flags")
+    return merge_config(cfg, overrides, "flags", trees), trees
 
 
 def _parse_pair(text, what):
@@ -153,8 +155,8 @@ def _config_echo(cfg):
 # Zero search shared by `zeros` and `verify`
 # ---------------------------------------------------------------------------
 
-def _search(cfg):
-    spec = cfg.to_spec()
+def _search(cfg, trees):
+    spec = cfg.to_spec(trees)
     zeros = find_zeros(
         AveragedSystem(spec, tol=cfg.quad_tol),
         r1=cfg.r1,
@@ -211,8 +213,8 @@ def cmd_freqs(args):
 
 
 def cmd_average(args):
-    cfg = _config_from_args(args)
-    spec = cfg.to_spec()
+    cfg, trees = _config_from_args(args)
+    spec = cfg.to_spec(trees)
     system = AveragedSystem(spec, tol=cfg.quad_tol)
     if args.point:
         alphas = np.array([_parse_pair(p, "--point") for p in args.point])
@@ -228,16 +230,16 @@ def cmd_average(args):
 
 
 def cmd_zeros(args):
-    cfg = _config_from_args(args)
-    _, zeros, classes = _search(cfg)
+    cfg, trees = _config_from_args(args)
+    _, zeros, classes = _search(cfg, trees)
     payload = _zeros_payload(cfg, zeros, classes)
     _emit(args, "zeros.json", json_dumps(payload) + "\n")
     return 0
 
 
 def cmd_verify(args):
-    cfg = _config_from_args(args)
-    spec, zeros, classes = _search(cfg)
+    cfg, trees = _config_from_args(args)
+    spec, zeros, classes = _search(cfg, trees)
     payload = _zeros_payload(cfg, zeros, classes)
     class_of = {zi: ci for ci, group in enumerate(classes) for zi in group}
 
@@ -247,7 +249,14 @@ def cmd_verify(args):
     # Every case is shot in one batch; each still succeeds or fails alone.
     alphas = np.array([zeros[zi].alpha for _, zi in cases]).reshape(-1, 2)
     guesses = predicted_initial_state(spec.mode, alphas.T)
-    outcomes = shoot_many(spec, [eps for eps, _ in cases], guesses, tol=cfg.shoot_tol)
+    # Trajectories are sampled only when they are written.
+    outcomes = shoot_many(
+        spec,
+        [eps for eps, _ in cases],
+        guesses,
+        tol=cfg.shoot_tol,
+        n_samples=256 if args.out else 0,
+    )
 
     runs = []
     failures = 0

@@ -14,21 +14,25 @@ At ``eps = 0`` the period map is the identity on the whole resonant mode
 plane and the displacement Jacobian is singular there, so shooting is
 rejected; conditioning degrades like 1/eps as eps shrinks.
 
-RK45 integrates the paper's standard form (``model.slow_field``): the slow
-deviation ``v = (z - z0) / eps`` of the variation-of-constants state
+DOP853 integrates the paper's standard form (``model.slow_field``): the
+slow deviation ``v = (z - z0) / eps`` of the variation-of-constants state
 ``z = Phi(-tau) M y`` from its start.  The linear oscillation ``Phi`` is
 applied in closed form, so ``v`` stays O(1), its field does not scale with
 eps, and the step count does not depend on eps; one tolerance on ``v``
 bounds the O(eps) displacement to the same relative accuracy at every eps.
-It is the one integrator; its tolerance and step budget are the module
-constants ``RK45_TOL`` and ``RK45_MAX_STEPS``.
+DOP853 is the eighth-order Runge-Kutta pair of Prince and Dormand with the
+8(5,3) error estimate and a seventh-order dense output, as given by Hairer,
+Norsett and Wanner.  It is the one integrator; its tolerance and step
+budget are the module constants ``DOP853_TOL`` and ``DOP853_MAX_STEPS``.
 
 The integrator steps a ``(4, m)`` batch of columns, each on its own clock:
 its own time, step size, accept/reject decision and step count.  A column
 may carry its own eps, and its result is bit for bit the one it gets
-alone.  So ``shoot_many`` shoots every (guess, eps) case at once: one
-lockstep Newton over all cases, then one sampling pass over every
-converged orbit.
+alone.  It steps only to its end time: ``flow_map`` maps back the
+endpoint, and ``sample_states`` reads every earlier sample time from the
+dense output of the step that contains it.  So ``shoot_many`` shoots every
+(guess, eps) case at once: one lockstep Newton over all cases, then one
+sampling pass over every converged orbit.
 """
 
 from __future__ import annotations
@@ -50,18 +54,87 @@ class ShootingError(RuntimeError):
     """The period-map Newton solve failed or was ill-posed."""
 
 
-# RK45's tolerance on the slow deviation, and its step attempts per column.
-RK45_TOL = 1e-9
-RK45_MAX_STEPS = 2_000_000
+# DOP853's tolerance on the slow deviation, and its step attempts per column.
+DOP853_TOL = 1e-9
+DOP853_MAX_STEPS = 2_000_000
 # Condition number of a displacement Jacobian above which shooting stops.
 COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
-# Integrator: one pass of a (4, m) batch from taus[0] through the
-# non-decreasing grid ``taus``, returning the (4, m, n) values at every grid
-# time.  Every column keeps its own clock, so no column depends on another.
+# Integrator: DOP853, the explicit Runge-Kutta pair of order 8 with error
+# estimators of orders 5 and 3 and a dense output of order 7 (Hairer,
+# Norsett & Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
+# sections II.5-II.6; Prince & Dormand, J. Comput. Appl. Math. 7 (1981)).
+# Stage i is evaluated at t + _C[i] h from y + h sum_j _A[i - 1][j] k_j.
+# Stages 0-11 make the step, whose weights are row 12 (the FSAL stage at
+# the new state); _E3 and _E5 weight stages 0-11 into the two error
+# estimates, and stages 13-15 and the rows _D build the interpolant.
+# Every (4, m) column keeps its own clock, so no column depends on another.
 # ---------------------------------------------------------------------------
+
+# The coefficients, each row ended by ";": the 16 nodes C, rows 1-15 of A
+# (row i weights stages 0 to i - 1), E3 and E5 (stages 0-11), and the four
+# rows of D (stages 0-15).  They are one string of literals because
+# compiling them as some 280 float constants took about 0.25 MB of parser
+# memory on every import without cached bytecode, which showed in peak RSS.
+_TABLE = """
+0.0 0.05260015195876773 0.0789002279381516 0.1183503419072274 0.2816496580927726
+0.3333333333333333 0.25 0.3076923076923077 0.6512820512820513 0.6 0.8571428571428571 1.0 1.0
+0.1 0.2 0.7777777777777778;
+0.05260015195876773;
+0.0197250569845379 0.0591751709536137;
+0.02958758547680685 0.0 0.08876275643042054;
+0.2413651341592667 0.0 -0.8845494793282861 0.924834003261792;
+0.037037037037037035 0.0 0.0 0.17082860872947386 0.12546768756682242;
+0.037109375 0.0 0.0 0.17025221101954405 0.06021653898045596 -0.017578125;
+0.03709200011850479 0.0 0.0 0.17038392571223998 0.10726203044637328 -0.015319437748624402
+0.008273789163814023;
+0.6241109587160757 0.0 0.0 -3.3608926294469414 -0.868219346841726 27.59209969944671
+20.154067550477894 -43.48988418106996;
+0.47766253643826434 0.0 0.0 -2.4881146199716677 -0.590290826836843 21.230051448181193
+15.279233632882423 -33.28821096898486 -0.020331201708508627;
+-0.9371424300859873 0.0 0.0 5.186372428844064 1.0914373489967295 -8.149787010746927
+-18.52006565999696 22.739487099350505 2.4936055526796523 -3.0467644718982196;
+2.273310147516538 0.0 0.0 -10.53449546673725 -2.0008720582248625 -17.9589318631188
+27.94888452941996 -2.8589982771350235 -8.87285693353063 12.360567175794303
+0.6433927460157636;
+0.054293734116568765 0.0 0.0 0.0 0.0 4.450312892752409 1.8915178993145003 -5.801203960010585
+0.3111643669578199 -0.1521609496625161 0.20136540080403034 0.04471061572777259;
+0.056167502283047954 0.0 0.0 0.0 0.0 0.0 0.25350021021662483 -0.2462390374708025
+-0.12419142326381637 0.15329179827876568 0.00820105229563469 0.007567897660545699 -0.008298;
+0.03183464816350214 0.0 0.0 0.0 0.0 0.028300909672366776 0.053541988307438566
+-0.05492374857139099 0.0 0.0 -0.00010834732869724932 0.0003825710908356584
+-0.00034046500868740456 0.1413124436746325;
+-0.42889630158379194 0.0 0.0 0.0 0.0 -4.697621415361164 7.683421196062599 4.06898981839711
+0.3567271874552811 0.0 0.0 0.0 -0.0013990241651590145 2.9475147891527724 -9.15095847217987;
+-0.18980075407240762 0.0 0.0 0.0 0.0 4.450312892752409 1.8915178993145003 -5.801203960010585
+-0.4226823213237919 -0.1521609496625161 0.20136540080403034 0.02265179219836082;
+0.01312004499419488 0.0 0.0 0.0 0.0 -1.2251564463762044 -0.4957589496572502
+1.6643771824549864 -0.35032884874997366 0.3341791187130175 0.08192320648511571
+-0.022355307863886294;
+-8.428938276109013 0.0 0.0 0.0 0.0 0.5667149535193777 -3.0689499459498917 2.38466765651207
+2.117034582445028 -0.871391583777973 2.2404374302607883 0.6315787787694688
+-0.08899033645133331 18.148505520854727 -9.194632392478356 -4.436036387594894;
+10.427508642579134 0.0 0.0 0.0 0.0 242.28349177525817 165.20045171727028 -374.5467547226902
+-22.113666853125306 7.733432668472264 -30.674084731089398 -9.332130526430229
+15.697238121770845 -31.139403219565178 -9.35292435884448 35.81684148639408;
+19.985053242002433 0.0 0.0 0.0 0.0 -387.0373087493518 -189.17813819516758 527.8081592054236
+-11.57390253995963 6.8812326946963 -1.0006050966910838 0.7777137798053443 -2.778205752353508
+-60.19669523126412 84.32040550667716 11.99229113618279;
+-25.69393346270375 0.0 0.0 0.0 0.0 -154.18974869023643 -231.5293791760455 357.6391179106141
+93.40532418362432 -37.45832313645163 104.0996495089623 29.8402934266605 -43.53345659001114
+96.32455395918828 -39.17726167561544 -149.72683625798564;
+"""
+_ROWS = [tuple(map(float, row.split())) for row in _TABLE.split(";")[:-1]]
+_C, _A, _E3, _E5, _D = _ROWS[0], tuple(_ROWS[1:16]), _ROWS[16], _ROWS[17], tuple(_ROWS[18:])
+# Stage weights as (i, 1, 1) columns against the first i stages of a
+# (16, 4, m) stack.  A row is summed over that leading axis, which adds the
+# stages in order for every column alike.
+_A_COLS = tuple(np.array(row)[:, None, None] for row in _A)
+_E3_COLS, _E5_COLS = (np.array(e)[:, None, None] for e in (_E3, _E5))
+_D_COLS = tuple(np.array(row)[:, None, None] for row in _D)
+
 
 def _check_finite(values, tau):
     """Raise ``ExprDomainError`` unless the ``(..., m)`` values are all finite.
@@ -76,96 +149,115 @@ def _check_finite(values, tau):
         raise ExprDomainError(f"forcing produced a non-finite value near tau={near:.6g}")
 
 
-def _dormand_prince(rhs, t, y, h, k1):
-    """One Dormand-Prince 5(4) step of every column from ``(t, y)`` by ``h``.
+def _stages(rhs, t, y, h, k, first, last):
+    """Fill stages ``first`` to ``last`` of the ``(16, 4, m)`` stack ``k`` in place."""
+    for i in range(first, last + 1):
+        k[i] = rhs(t + _C[i] * h, y + h * (_A_COLS[i - 1] * k[:i]).sum(axis=0))
 
-    Returns the fifth-order state, its stage (the next step's first stage),
-    and the error estimate: h times the stages weighted by B5 - B4.
+
+def _dop853_step(rhs, t, y, h, k):
+    """One DOP853 step of every column from ``(t, y)`` by ``h``.
+
+    ``k[0]`` holds ``rhs(t, y)``; stages 1-12 are written into ``k``, the
+    last being ``rhs(t + h, y_new)``, the next step's first stage.  Returns
+    ``y_new`` and the two error estimates divided by h, of orders 5 and 3.
     """
-    k2 = rhs(t + 0.2 * h, y + h * (0.2 * k1))
-    k3 = rhs(t + 0.3 * h, y + h * (3 / 40 * k1 + 9 / 40 * k2))
-    k4 = rhs(t + 0.8 * h, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-    k5 = rhs(
-        t + 8 / 9 * h,
-        y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4),
-    )
-    k6 = rhs(
-        t + h,
-        y + h * (
-            9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
-            - 5103 / 18656 * k5
-        ),
-    )
-    y5 = y + h * (
-        35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6
-    )
-    k7 = rhs(t + h, y5)
-    err = h * (
-        71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
-        + 22 / 525 * k6 - 1 / 40 * k7
-    )
-    return y5, k7, err
+    _stages(rhs, t, y, h, k, 1, 11)
+    y_new = y + h * (_A_COLS[11] * k[:12]).sum(axis=0)
+    k[12] = rhs(t + h, y_new)
+    return y_new, (_E5_COLS * k[:12]).sum(axis=0), (_E3_COLS * k[:12]).sum(axis=0)
 
 
-def _slow_deviation(forcing, eps, x0, taus):
-    """The ``(4, m, n)`` slow deviations ``v`` of ``model.slow_field`` at ``taus``.
+def _dense_output(rhs, t, y, h, k, y_new):
+    """The ``(7, 4, m)`` interpolant coefficients of the step just made.
 
-    Adaptive Dormand-Prince RK45 from ``v = 0`` at ``taus[0]``, for the
-    ``(4, m)`` starts ``x0`` at the ``(m,)`` values ``eps``; ``forcing`` is
-    the ``(F1, F2)`` pair.  Each column keeps its own clock.  It scales each
-    component's error by ``RK45_TOL + RK45_TOL * max(|v|, |v5|)`` and
-    accepts, rejects and resizes its step on the RMS of its four scaled
-    errors, so an error of ``RK45_TOL`` in ``v`` is one of
-    ``eps * RK45_TOL`` in the state.  It records its state at every grid
-    time it reaches, cuts its step to land on its next grid time exactly,
-    and leaves the batch after the last one.  ``RK45_MAX_STEPS`` bounds each
-    column's step attempts.
+    Stages 13-15 are written into ``k``.  ``_interpolate`` reads the
+    seventh-order dense output from them.
     """
-    tol, max_steps = RK45_TOL, RK45_MAX_STEPS
-    m, n = x0.shape[1], len(taus)
-    grid = np.array(taus)
-    out = np.empty((4, m, n))
-    if not m:
+    _stages(rhs, t, y, h, k, 13, 15)
+    dy = y_new - y
+    hk0 = h * k[0]
+    coeffs = [dy, hk0 - dy, 2.0 * dy - (h * k[12] + hk0)]
+    coeffs += [h * (row * k).sum(axis=0) for row in _D_COLS]
+    return np.stack(coeffs)
+
+
+def _interpolate(y, coeffs, theta):
+    """The dense output at ``t + theta * h``: ``y`` at theta = 0, bit for bit."""
+    out = coeffs[6]
+    for i in range(5, -1, -1):
+        out = coeffs[i] + (theta if i % 2 else 1.0 - theta) * out
+    return y + theta * out
+
+
+def _slow_deviation(forcing, eps, x0, end, dense=None):
+    """The ``(4, m)`` slow deviations ``v`` of ``model.slow_field`` at ``end``.
+
+    Adaptive DOP853 from ``v = 0`` at tau = 0, for the ``(4, m)`` starts
+    ``x0`` at the ``(m,)`` values ``eps``; ``forcing`` is the ``(F1, F2)``
+    pair.  Each column keeps its own clock: its own time, step size,
+    accept/reject decision and step count.  It scales each component's
+    error by ``DOP853_TOL + DOP853_TOL * max(|v|, |v_new|)`` and accepts,
+    rejects and resizes its step on the 8(5,3) error norm of its four
+    scaled errors, so an error of ``DOP853_TOL`` in ``v`` is one of
+    ``eps * DOP853_TOL`` in the state.  A column cuts its last step to
+    land on ``end`` exactly and then leaves the batch.
+    ``DOP853_MAX_STEPS`` bounds each column's step attempts.
+
+    ``dense``, if given, is called after each step that some column
+    accepts, with those columns' indices, start and end times, step sizes,
+    start states and ``_dense_output`` coefficients; only then are the three
+    extra stages computed.
+    """
+    tol, max_steps = DOP853_TOL, DOP853_MAX_STEPS
+    m = x0.shape[1]
+    out = np.zeros_like(x0)
+    if not m or end == 0.0:
         return out
     col = np.arange(m)  # the output column of each column still stepping
-    t = np.full(m, taus[0])
-    h = np.full(m, min((taus[-1] - taus[0]) / 100.0, 0.1))
-    j = np.zeros(m, dtype=np.intp)  # each column's next grid index
+    t = np.zeros(m)
+    h = np.full(m, min(end / 100.0, 0.1))
     y = np.zeros_like(x0)
     rhs = slow_field(forcing, eps, x0)[0]
-    k1 = rhs(t, y)
-    _check_finite(k1, t)
+    k = np.empty((16, 4, m))
+    k[0] = rhs(t, y)
+    _check_finite(k[0], t)
     # Every column still stepping makes one attempt per pass, so the pass
     # count is each column's own step count.
     for _ in range(max_steps):
-        while (hit := grid[j] <= t).any():
-            out[:, col[hit], j[hit]] = y[:, hit]
-            j[hit] += 1
-            if (keep := j < n).all():
-                continue
-            if not keep.any():
-                return out
-            col, t, h, j, eps = (a[keep] for a in (col, t, h, j, eps))
-            y, k1, x0 = y[:, keep], k1[:, keep], x0[:, keep]
-            rhs = slow_field(forcing, eps, x0)[0]
-        target = grid[j]
-        h = np.where(t + h > target, target - t, h)
+        last = t + h >= end
+        h = np.where(last, end - t, h)
         if (stalled := t + h == t).any():
             # The step is below half a unit in the last place of t, so the
             # column cannot advance; near a blow-up it would spin forever.
-            raise IntegrationError(f"rk45 step underflow near tau={t[stalled][0]:.6g}")
-        y5, k7, err = _dormand_prince(rhs, t, y, h, k1)
-        scaled = err / (tol + tol * np.maximum(np.abs(y), np.abs(y5)))
-        scaled = scaled * scaled
-        err_norm = np.sqrt((scaled[0] + scaled[1] + scaled[2] + scaled[3]) / 4.0)
+            raise IntegrationError(f"dop853 step underflow near tau={t[stalled][0]:.6g}")
+        y_new, err5, err3 = _dop853_step(rhs, t, y, h, k)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err5, err3 = (err5 / scale) ** 2, (err3 / scale) ** 2
+        err5 = err5[0] + err5[1] + err5[2] + err5[3]
+        denom = err5 + 0.01 * (err3[0] + err3[1] + err3[2] + err3[3])
+        err_norm = np.abs(h) * err5 / np.sqrt(4.0 * np.where(denom > 0.0, denom, 1.0))
         _check_finite(err_norm, t)
         ok = err_norm <= 1.0
-        t = np.where(ok, t + h, t)
-        y = np.where(ok, y5, y)
+        t_new = np.where(last, end, t + h)
+        if dense is not None and ok.any():
+            coeffs = _dense_output(rhs, t, y, h, k, y_new)[..., ok]
+            _check_finite(coeffs, t[ok])
+            dense(col[ok], t[ok], t_new[ok], h[ok], y[:, ok], coeffs)
+        t = np.where(ok, t_new, t)
+        y = np.where(ok, y_new, y)
         _check_finite(y, t)
-        k1 = np.where(ok, k7, k1)  # FSAL: the last stage is the next first stage
-        h = h * np.minimum(5.0, np.maximum(0.2, 0.9 * (err_norm + 1e-300) ** -0.2))
-    raise IntegrationError(f"rk45 exceeded max_steps={max_steps}")
+        k[0] = np.where(ok, k[12], k[0])  # FSAL: the last stage is the next first stage
+        h = h * np.minimum(5.0, np.maximum(0.2, 0.9 * (err_norm + 1e-300) ** -0.125))
+        if (done := ok & last).any():
+            out[:, col[done]] = y[:, done]
+            if done.all():
+                return out
+            keep = ~done
+            col, t, h, eps = (a[keep] for a in (col, t, h, eps))
+            y, x0, k = y[:, keep], x0[:, keep], k[:, :, keep]
+            rhs = slow_field(forcing, eps, x0)[0]
+    raise IntegrationError(f"dop853 exceeded max_steps={max_steps}")
 
 
 def _body(f):
@@ -178,52 +270,71 @@ def _body(f):
     return f if hasattr(f, "__wrapped__") else getattr(f, "body", f)
 
 
-def _propagate(spec, eps, y0, taus):
-    """States of the forced system at every time of ``taus``, from y0 at taus[0].
+def _setup(spec, eps, y0, times):
+    """The compiled forcing bodies, ``(m,)`` eps and ``(4, m)`` starts of a run.
 
-    ``y0`` is ``(4,)`` or a ``(4, m)`` batch, and the result ``(4, n)`` or
-    ``(4, m, n)``.  ``eps`` is a scalar or one value per column.  RK45
-    integrates each column's slow deviation, which is mapped back to the
-    state at every grid time.  The integration runs under one
-    ``np.errstate`` and calls the compiled forcing bodies directly; the
+    ``times`` must be non-negative and non-decreasing.  Callers integrate
+    under one ``np.errstate`` and call the forcing bodies directly; the
     integrator checks finiteness itself.
     """
-    taus = [float(t) for t in taus]
-    if not all(t1 >= t0 for t0, t1 in zip(taus, taus[1:])):
+    if not all(t1 >= t0 for t0, t1 in zip((0.0, *times), times)):
         raise ValueError("times must be non-negative and non-decreasing")
-    y0 = np.asarray(y0, dtype=float)
-    x0 = y0.reshape(4, -1)
+    x0 = np.asarray(y0, dtype=float).reshape(4, -1)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), x0.shape[1:])
-    forcing = tuple(map(_body, compiled_forcing(spec)))
-    with np.errstate(all="ignore"):
-        v = _slow_deviation(forcing, eps, x0, taus)
-        # One column per (start, time), so the map runs on (4, m * n).
-        n = len(taus)
-        _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
-        out = state(np.tile(taus, eps.size), v.reshape(4, -1)).reshape(v.shape)
-    return out.reshape(y0.shape + (n,))
+    return tuple(map(_body, compiled_forcing(spec))), eps, x0
 
 
 def sample_states(spec, eps, x0, taus):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
-    or one value per column.  One integration pass steps through all the
-    times and each column hits each one exactly on its own clock, so
-    nothing is interpolated and no column depends on another.  ``taus``
-    must be non-negative and non-decreasing; repeated times are allowed.
-    Returns ``(4, n)`` or ``(4, m, n)``.
+    or one value per column.  One DOP853 pass runs at its own steps up to
+    the last time.  Every time before it is read from the seventh-order
+    dense output of the step that contains it, and the last time is the
+    endpoint, so a time costs no step.  Each slow deviation is mapped back
+    to its state through ``model.slow_field``; tau = 0 gives x0 bit for
+    bit.  ``taus`` must be non-negative and non-decreasing; repeated times
+    are allowed.  No column depends on another.  Returns ``(4, n)`` or
+    ``(4, m, n)``.
     """
-    return _propagate(spec, eps, x0, (0.0, *taus))[..., 1:]
+    taus = np.array([float(t) for t in taus])
+    shape = np.shape(x0) + taus.shape
+    forcing, eps, x0 = _setup(spec, eps, x0, taus)
+    m, n = x0.shape[1], taus.size
+    v = np.empty((4, m, n))
+
+    def record(col, t, t_new, h, y, coeffs):
+        # One entry per (column, time in [t, t_new)) of the step.
+        lo, hi = np.searchsorted(taus, t), np.searchsorted(taus, t_new)
+        count = hi - lo
+        step = np.repeat(np.arange(col.size), count)
+        j = lo[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
+        theta = (taus[j] - t[step]) / h[step]
+        v[:, col[step], j] = _interpolate(y[:, step], coeffs[:, :, step], theta)
+
+    with np.errstate(all="ignore"):
+        end = taus[-1] if n else 0.0
+        v[:, :, taus == end] = _slow_deviation(forcing, eps, x0, end, record)[:, :, None]
+        # One column per (start, time), so the map runs on (4, m * n).
+        _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
+        out = state(np.tile(taus, m), v.reshape(4, -1)).reshape(v.shape)
+    return out.reshape(shape)
 
 
 def flow_map(spec, eps, states0, period):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
-    ``eps`` is a scalar or one value per column.  Each column steps on its
-    own clock, so its endpoint is bit for bit the one it gets alone.
+    ``eps`` is a scalar or one value per column.  DOP853 steps each
+    column's slow deviation on its own clock, so its endpoint is bit for
+    bit the one it gets alone; only the endpoint is mapped back to a state.
     """
-    return _propagate(spec, eps, states0, (0.0, period))[..., -1]
+    period = float(period)
+    forcing, eps, x0 = _setup(spec, eps, states0, (period,))
+    with np.errstate(all="ignore"):
+        v = _slow_deviation(forcing, eps, x0, period)
+        _, state = slow_field(forcing, eps, x0)
+        out = state(np.full(eps.shape, period), v)
+    return out.reshape(np.shape(states0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +380,13 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep: each central-difference
     Jacobian (monodromy minus identity) rides with its base point, and
-    every case's columns share each integration, RK45 on the slow
-    deviation.  A Jacobian with condition above ``COND_LIMIT`` stops that
-    case.  Then one more pass samples every converged orbit at
-    ``n_samples`` equally spaced times over one period, orbit by orbit only
-    if that pass faults.  The reported distance is measured from the guess.
+    every case's columns share each integration, DOP853 on the slow
+    deviation, of which ``flow_map`` maps back only the endpoint.  A
+    Jacobian with condition above ``COND_LIMIT`` stops that case.  Then
+    one more pass (``sample_states``) samples every converged orbit at
+    ``n_samples`` equally spaced times over one period from its dense
+    output, orbit by orbit only if that pass faults; ``n_samples = 0``
+    skips it and leaves ``samples`` empty.  The reported distance is measured from the guess.
     Each case ends bit for bit as ``shoot_periodic`` alone would end it.
     """
     eps = np.asarray(eps, dtype=float).reshape(-1)
@@ -297,11 +410,16 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
     idx = np.array([i for i, o in enumerate(outcomes) if isinstance(o, tuple)], dtype=np.intp)
     xs = np.array([outcomes[i][0] for i in idx]).reshape(-1, 4).T
-    samples = evaluate_parts(
-        lambda sel: np.moveaxis(sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus), 1, 0),
-        idx.size,
-        _FAULTS,
-    )
+    if n_samples:
+        samples = evaluate_parts(
+            lambda sel: np.moveaxis(
+                sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus), 1, 0
+            ),
+            idx.size,
+            _FAULTS,
+        )
+    else:
+        samples = [np.empty((4, 0)) for _ in idx]
     for i, sampled in zip(idx, samples):
         x, residual, iterations = outcomes[i]
         if isinstance(sampled, Exception):

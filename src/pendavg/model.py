@@ -198,9 +198,11 @@ class PerturbationSpec:
 
     @classmethod
     def from_strings(cls, f1, f2, mode, p, q):
+        """Build from forcing texts, or from trees already parsed from them."""
         if isinstance(mode, str):
             mode = Mode(mode)
-        return cls(parse(f1), parse(f2), mode, Resonance(p, q))
+        f1, f2 = (parse(f) if isinstance(f, str) else f for f in (f1, f2))
+        return cls(f1, f2, mode, Resonance(p, q))
 
     @property
     def forcing_period(self):
@@ -282,7 +284,7 @@ def slow_field(forcing, eps, x0):
     ``(4, m)`` deviation: ``rhs`` gives ``v'`` and ``state`` the state.
     Every row is written out rather than taken as a matrix product, so no
     summation order enters and no column depends on the rest of the batch.
-    ``continuation``'s RK45 steps ``rhs``, rebuilt whenever columns leave.
+    ``continuation``'s DOP853 steps ``rhs``, rebuilt whenever columns leave.
     """
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)

@@ -19,7 +19,7 @@ start.
 
 :func:`fast_field` is the forced system in its original coordinates, and
 :func:`rk4` steps it with fixed-step classical RK4: a reference for the
-package's RK45, which integrates the slow deviation of the standard form
+package's DOP853, which integrates the slow deviation of the standard form
 instead of the fast state.
 """
 

@@ -189,11 +189,11 @@ def test_criterion_7_numerics_self_checks():
     ratio = rk4_error(128) / rk4_error(256)
     rk4_ok = 8.0 < ratio < 32.0
 
-    # The shipped RK45 on the slow deviation against the fast-state RK4.
+    # The shipped DOP853 on the slow deviation against the fast-state RK4.
     start = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)) + 0.01
     reference = oracles.rk4(spec, 1e-2, start, (0.0, T1), T1 / 8192)[:, -1]
-    rk45_gap = float(np.abs(flow_map(spec, 1e-2, start, T1) - reference).max())
-    rk45_ok = rk45_gap <= 1e-10
+    dop853_gap = float(np.abs(flow_map(spec, 1e-2, start, T1) - reference).max())
+    dop853_ok = dop853_gap <= 1e-10
 
     newton_ok = True
     for which, target in (
@@ -219,12 +219,12 @@ def test_criterion_7_numerics_self_checks():
             tight = averaged_pair(s, alpha, 1e-12).averaged
             tol_ok &= float(np.abs(loose - tight).max()) <= 1e-9
 
-    ok = rk4_ok and rk45_ok and newton_ok and tol_ok
+    ok = rk4_ok and dop853_ok and newton_ok and tol_ok
     _verdict(
         7,
         "numerics self-checks",
         ok,
-        f"rk4 halving ratio {ratio:.1f}, rk45 vs rk4 gap {rk45_gap:.1e}, "
+        f"rk4 halving ratio {ratio:.1f}, dop853 vs rk4 gap {dop853_gap:.1e}, "
         f"newton quadratic {newton_ok}, "
         f"quadrature tolerance monotonicity {tol_ok}",
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pendavg import averaging, cli
+from pendavg import averaging, cli, config, continuation, model
 from pendavg.cli import DEGENERATE_MESSAGE, main
 from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
@@ -273,6 +273,29 @@ def test_verify_corollary1_counts_two_orbits(capsys):
     assert payload["verified"] == [{"epsilon": 1e-3, "verified_orbit_classes": 2}]
 
 
+def test_verify_samples_only_what_it_writes(capsys, tmp_path, monkeypatch):
+    # Without --out no trajectory is written, so no orbit is sampled and the
+    # report is unchanged; with --out every run still writes 256 rows.
+    code, expected, _ = run_cli(capsys, "verify", "--preset", "corollary1")
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("sampled an orbit that is not written")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(continuation, "sample_states", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--preset", "corollary1")
+    assert code == 0 and out == expected
+    out_dir = tmp_path / "verify"
+    code, out, _ = run_cli(capsys, "verify", "--preset", "corollary1", "--out", str(out_dir))
+    assert code == 0
+    runs = json.loads(out)["runs"]
+    assert len(runs) == 16
+    for run in runs:
+        traj = (out_dir / run["trajectory_file"]).read_text().splitlines()
+        assert traj[0] == "tau,th1,th1d,th2,th2d" and len(traj) == 1 + 256
+
+
 # ---------------------------------------------------------------------------
 # orbit
 # ---------------------------------------------------------------------------
@@ -334,6 +357,40 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(str(cfg_path))
     assert cfg.f2 == "sin(w1 * tau)"
     assert cfg.r2 == 7.5
+
+
+def test_each_forcing_text_is_parsed_once(capsys, tmp_path, monkeypatch):
+    # The config is validated after every layer and then built into a
+    # spec, but each forcing text of the run is parsed once.
+    calls = []
+    for owner in (config, model):
+        monkeypatch.setattr(
+            owner, "parse", lambda text, parse=owner.parse: calls.append(text) or parse(text)
+        )
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"r2": 10.0}))
+    preset = PRESETS["corollary1"]
+    for extra in ([], ["--config", str(cfg_path)]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "zeros", "--preset", "corollary1", *extra, "--tol", "1e-11")
+        assert code == 0
+        assert sorted(calls) == sorted([preset.f1, preset.f2])
+
+
+@pytest.mark.parametrize(
+    "bad, flags, message",
+    [
+        ({"f1": "2x"}, ["--f1", "0"], "f1: "),
+        ({"r1": -1.0}, ["--r1", "0.5"], "annulus needs finite 0 < r1 < r2"),
+    ],
+    ids=["forcing", "annulus"],
+)
+def test_a_bad_file_value_is_reported_under_a_flag_override(capsys, tmp_path, bad, flags, message):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(bad))
+    code, out, err = run_cli(capsys, "zeros", "--config", str(cfg_path), *flags)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_unknown_config_key_is_exit_2(capsys, tmp_path):

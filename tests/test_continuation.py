@@ -41,8 +41,8 @@ def _coro1():
 
 @pytest.fixture
 def tight(monkeypatch):
-    """RK45 at tolerance 1e-12 on the slow deviation."""
-    monkeypatch.setattr(continuation, "RK45_TOL", 1e-12)
+    """DOP853 at tolerance 1e-12 on the slow deviation."""
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-12)
 
 
 def test_unforced_flow_matches_closed_form(tight):
@@ -105,10 +105,10 @@ def test_rk4_global_error_is_fourth_order():
     assert 8.0 < ratio < 32.0  # nominal 16 per halving
 
 
-def test_rk45_step_budget(monkeypatch):
+def test_dop853_step_budget(monkeypatch):
     spec = _coro1()
-    monkeypatch.setattr(continuation, "RK45_TOL", 1e-13)
-    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 10)
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-13)
+    monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 10)
     with pytest.raises(IntegrationError):
         flow_map(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), T1)
 
@@ -124,7 +124,7 @@ def test_a_stalled_step_fails_at_once(monkeypatch):
     # doubles at tau, so t + h == t and the column cannot advance; it fails
     # there instead of spinning through the step budget.
     spec = PerturbationSpec.from_strings("0", "th2d^2", "mode1", 1, 1)
-    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 20000)
+    monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 20000)
     with pytest.raises(IntegrationError, match="underflow"):
         flow_map(spec, 1.0, np.array([0.0, 0.0, 0.0, 3.0]), T1)
 
@@ -147,7 +147,7 @@ def test_every_column_is_its_own_run_bit_for_bit(monkeypatch):
     pick = [4, 1, 3]
     assert ends[:, pick].tobytes() == flow_map(spec, eps[pick], states[:, pick], T1).tobytes()
     # Another tolerance, shared by every column: clocks still apart.
-    monkeypatch.setattr(continuation, "RK45_TOL", 1e-12)
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-12)
     ends = flow_map(spec, eps, states, T1)
     for j in range(6):
         assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
@@ -159,8 +159,8 @@ def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
     # test_forcing_blowup_reported_mid_flight; ``solve_many`` then evaluates
     # start by start, and the third ends exactly as it ends alone.
     spec = PerturbationSpec.from_strings("0", "sin(40 * w1 * tau) + exp(th2)", "mode1", 1, 1)
-    monkeypatch.setattr(continuation, "RK45_TOL", 1e-8)
-    monkeypatch.setattr(continuation, "RK45_MAX_STEPS", 1000)
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-8)
+    monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 1000)
     x0 = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
     starts = np.stack([x0, np.array([0.0, 0.0, 710.0, 0.0]), x0], axis=1)
     eps = np.array([1e-3, 1e-3, 1.0])
@@ -203,7 +203,7 @@ def test_wrapped_forcing_is_called_as_is(monkeypatch, wraps):
 
 
 def test_step_count_does_not_depend_on_eps(monkeypatch):
-    # RK45 steps the slow deviation, whose field does not scale with eps, so
+    # DOP853 steps the slow deviation, whose field does not scale with eps, so
     # a period costs the same forcing calls at every eps, eps = 0 included.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
@@ -240,7 +240,7 @@ def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
     rows = slice(0, 2) if spec.mode is Mode.MODE1 else slice(2, 4)
     for alpha in [(1.3, -0.7), (3.0, 5.0)]:
         x0 = predicted_initial_state(spec.mode, alpha)[:, None]
-        v = continuation._slow_deviation(forcing, np.zeros(1), x0, [0.0, period])
+        v = continuation._slow_deviation(forcing, np.zeros(1), x0, period)[..., None]
         mean = averaged_pair(spec, alpha, 1e-13).averaged
         slow = v[rows, 0, -1] / period
         assert np.abs(slow - mean).max() <= 1e-9 * np.abs(mean).max()
@@ -249,7 +249,7 @@ def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
 @pytest.mark.parametrize("which", ["corollary1", "corollary2"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_slow_form_agrees_with_fast_state_rk4(which, eps):
-    # RK45 steps the slow deviation and maps it back through M, M^-1 and
+    # DOP853 steps the slow deviation and maps it back through M, M^-1 and
     # Phi; the reference's fixed-step RK4 steps the state itself.  Their endpoints
     # agree off the prediction, so the signs of that map are right.
     spec = oracles.make_spec(which)
@@ -259,6 +259,87 @@ def test_slow_form_agrees_with_fast_state_rk4(which, eps):
     slow = flow_map(spec, eps, x0, period)
     fast = oracles.rk4(spec, eps, x0, (0.0, period), period / 8192)[:, -1]
     assert np.abs(slow - fast).max() <= 1e-10
+
+
+def test_dop853_tableau_is_consistent():
+    # The transcribed coefficients: each row of A sums to its node, the
+    # weights integrate t^k exactly for k <= 7, and both error estimates
+    # vanish on a constant field.
+    C, A = continuation._C, continuation._A
+    assert len(C) == 16 and [len(row) for row in A] == list(range(1, 16))
+    for i, row in enumerate(A, start=1):
+        assert abs(math.fsum(row) - C[i]) <= 1e-15 * math.fsum(map(abs, row)) + 1e-16, i
+    weights = A[11]
+    for k in range(8):
+        quad = math.fsum(b * c**k for b, c in zip(weights, C))
+        assert abs(quad - 1.0 / (k + 1)) <= 1e-15 * math.fsum(map(abs, weights)), k
+    for e in (continuation._E3, continuation._E5):
+        assert len(e) == 12 and abs(math.fsum(e)) <= 1e-15 * math.fsum(map(abs, e))
+
+
+def _smooth_field(t, y):
+    # Rows 0-1: y' = y^2, so y(t) = y0 / (1 - y0 t); rows 2-3: y' = cos(t) y,
+    # so y(t) = y0 exp(sin t).
+    return np.concatenate([y[:2] ** 2, np.cos(t) * y[2:]])
+
+
+def _smooth_exact(y0, t):
+    return np.concatenate([y0[:2] / (1.0 - y0[:2] * t), y0[2:] * np.exp(np.sin(t))])
+
+
+def _one_step(h):
+    """One DOP853 step of ``_smooth_field`` from t = 0: the start, the end, and the interpolant."""
+    y0 = np.array([[0.5], [0.3], [1.0], [-0.3]])
+    t, h = np.zeros(1), np.full(1, h)
+    k = np.empty((16, 4, 1))
+    k[0] = _smooth_field(t, y0)
+    y1 = continuation._dop853_step(_smooth_field, t, y0, h, k)[0]
+    return y0, y1, continuation._dense_output(_smooth_field, t, y0, h, k, y1)
+
+
+def test_dop853_local_error_is_ninth_order():
+    # Halving h divides the local error by about 2^9; a mistyped stage
+    # weight drops the order and the ratio with it.
+    def local_error(h):
+        y0, y1, _ = _one_step(h)
+        return float(np.abs(y1 - _smooth_exact(y0, h)).max())
+
+    ratio = local_error(0.4) / local_error(0.2)
+    assert 2.0**8 < ratio < 2.0**10
+
+
+def test_dense_output_is_seventh_order_and_ends_on_the_step():
+    # The interpolant gives the start bit for bit at theta = 0 and the
+    # step's end to roundoff at theta = 1.  Mid-step its error is O(h^8):
+    # halving h divides it by about 2^8, and a mistyped row of _D drops it.
+    y0, y1, coeffs = _one_step(0.4)
+    assert coeffs.shape == (7, 4, 1)
+    assert continuation._interpolate(y0, coeffs, np.zeros(1)).tobytes() == y0.tobytes()
+    assert np.abs(continuation._interpolate(y0, coeffs, np.ones(1)) - y1).max() <= 1e-15
+
+    def mid_error(h):
+        y0, _, coeffs = _one_step(h)
+        mid = continuation._interpolate(y0, coeffs, np.full(1, 0.5))
+        return float(np.abs(mid - _smooth_exact(y0, 0.5 * h)).max())
+
+    ratio = mid_error(0.4) / mid_error(0.2)
+    assert 2.0**7 < ratio < 2.0**10
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize(
+    "which, alpha",
+    [("corollary1", (oracles.CORO1_X0, 0.0)), ("corollary2", (0.0, oracles.CORO2_W0))],
+)
+def test_interpolated_samples_match_a_tight_pass(monkeypatch, which, alpha, eps):
+    # The 256 orbit samples come from the dense output of natural steps;
+    # a pass at tolerance 1e-13 from the same start agrees to 1e-10.
+    spec = oracles.make_spec(which)
+    orbit = shoot_periodic(spec, eps, predicted_initial_state(spec.mode, alpha))
+    assert orbit.samples.shape == (4, 256)
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-13)
+    tight = sample_states(spec, eps, orbit.initial_state, orbit.samples_tau)
+    assert np.abs(orbit.samples - tight).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

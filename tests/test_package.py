@@ -1,7 +1,10 @@
 """Package surface: the public names, the README's library example and config schema."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,3 +35,20 @@ def test_readme_config_schema_is_the_defaults():
     defaults = asdict(ExperimentConfig())
     defaults["epsilons"] = list(defaults["epsilons"])
     assert schema == defaults
+
+
+def test_scipy_is_never_imported():
+    # numpy is the one dependency: the integrator's coefficients are
+    # literals, so neither the package nor a verify run loads scipy.
+    code = (
+        "import contextlib, io, sys\n"
+        "import pendavg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pendavg.cli.main(['verify', '--preset', 'corollary1', '--eps', '1e-2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
