@@ -28,11 +28,14 @@ budget are the module constants ``DOP853_TOL`` and ``DOP853_MAX_STEPS``.
 The integrator steps a ``(4, m)`` batch of columns, each on its own clock:
 its own time, step size, accept/reject decision and step count.  A column
 may carry its own eps, and its result is bit for bit the one it gets
-alone.  It steps only to its end time: ``flow_map`` maps back the
-endpoint, and ``sample_states`` reads every earlier sample time from the
-dense output of the step that contains it.  So ``shoot_many`` shoots every
-(guess, eps) case at once: one lockstep Newton over all cases, then one
-sampling pass over every converged orbit.
+alone.  It steps only to its end time, and ``flow_map`` maps back the
+endpoint.  A flow can also record its accepted steps.  The dense output of
+a step depends only on its start, state and size, so ``sample_states``
+rebuilds it for every recorded step in one batch and reads each sample
+time from the step that contains it.  So ``shoot_many`` shoots every
+(guess, eps) case at once: one lockstep Newton over all cases, whose flows
+record their steps, and then each converged orbit is sampled from the flow
+that gave its solution, with no further integration.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def _check_finite(values, tau):
 
 
 def _stages(rhs, t, y, h, k, first, last):
-    """Fill stages ``first`` to ``last`` of the ``(16, 4, m)`` stack ``k`` in place."""
+    """Fill stages ``first`` to ``last`` of the ``(s, 4, m)`` stage stack ``k`` in place."""
     for i in range(first, last + 1):
         k[i] = rhs(t + _C[i] * h, y + h * (_A_COLS[i - 1] * k[:i]).sum(axis=0))
 
@@ -182,15 +185,19 @@ def _dense_output(rhs, t, y, h, k, y_new):
     return np.stack(coeffs)
 
 
-def _interpolate(y, coeffs, theta):
-    """The dense output at ``t + theta * h``: ``y`` at theta = 0, bit for bit."""
-    out = coeffs[6]
+def _interpolate(y, coeffs, theta, at=...):
+    """The dense output of steps ``at`` at ``t + theta * h``: ``y`` at theta = 0, bit for bit.
+
+    ``at`` indexes the last axis of ``y`` and of each coefficient row, one
+    row at a time, so a gather of many steps holds one gathered row.
+    """
+    out = coeffs[6][:, at]
     for i in range(5, -1, -1):
-        out = coeffs[i] + (theta if i % 2 else 1.0 - theta) * out
-    return y + theta * out
+        out = coeffs[i][:, at] + (theta if i % 2 else 1.0 - theta) * out
+    return y[:, at] + theta * out
 
 
-def _slow_deviation(forcing, eps, x0, end, dense=None):
+def _slow_deviation(forcing, eps, x0, end, steps=None):
     """The ``(4, m)`` slow deviations ``v`` of ``model.slow_field`` at ``end``.
 
     Adaptive DOP853 from ``v = 0`` at tau = 0, for the ``(4, m)`` starts
@@ -204,10 +211,11 @@ def _slow_deviation(forcing, eps, x0, end, dense=None):
     land on ``end`` exactly and then leaves the batch.
     ``DOP853_MAX_STEPS`` bounds each column's step attempts.
 
-    ``dense``, if given, is called after each step that some column
-    accepts, with those columns' indices, start and end times, step sizes,
-    start states and ``_dense_output`` coefficients; only then are the three
-    extra stages computed.
+    ``steps``, if given, is a list to which each pass appends the
+    ``(col, t, h, y)`` of the steps it accepted: their output columns,
+    start times, step sizes and ``(4, k)`` start states.  That record is
+    all ``_dense_samples`` needs to rebuild their dense output, so the
+    loop itself evaluates only the 12 stages of each step.
     """
     tol, max_steps = DOP853_TOL, DOP853_MAX_STEPS
     m = x0.shape[1]
@@ -219,7 +227,7 @@ def _slow_deviation(forcing, eps, x0, end, dense=None):
     h = np.full(m, min(end / 100.0, 0.1))
     y = np.zeros_like(x0)
     rhs = slow_field(forcing, eps, x0)[0]
-    k = np.empty((16, 4, m))
+    k = np.empty((13, 4, m))  # the step's stages; the dense ones are rebuilt from ``steps``
     k[0] = rhs(t, y)
     _check_finite(k[0], t)
     # Every column still stepping makes one attempt per pass, so the pass
@@ -239,12 +247,9 @@ def _slow_deviation(forcing, eps, x0, end, dense=None):
         err_norm = np.abs(h) * err5 / np.sqrt(4.0 * np.where(denom > 0.0, denom, 1.0))
         _check_finite(err_norm, t)
         ok = err_norm <= 1.0
-        t_new = np.where(last, end, t + h)
-        if dense is not None and ok.any():
-            coeffs = _dense_output(rhs, t, y, h, k, y_new)[..., ok]
-            _check_finite(coeffs, t[ok])
-            dense(col[ok], t[ok], t_new[ok], h[ok], y[:, ok], coeffs)
-        t = np.where(ok, t_new, t)
+        if steps is not None and ok.any():
+            steps.append((col[ok], t[ok], h[ok], y[:, ok]))
+        t = np.where(ok, np.where(last, end, t + h), t)
         y = np.where(ok, y_new, y)
         _check_finite(y, t)
         k[0] = np.where(ok, k[12], k[0])  # FSAL: the last stage is the next first stage
@@ -260,6 +265,50 @@ def _slow_deviation(forcing, eps, x0, end, dense=None):
     raise IntegrationError(f"dop853 exceeded max_steps={max_steps}")
 
 
+def _rebuilt_dense_output(rhs, t, y, h):
+    """``_dense_output`` of the steps ``(t, y, h)``: 16 calls of ``rhs`` on all of them."""
+    k = np.empty((16,) + y.shape)
+    k[0] = rhs(t, y)
+    return _dense_output(rhs, t, y, h, k, _dop853_step(rhs, t, y, h, k)[0])
+
+
+def _dense_samples(forcing, eps, x0, steps, taus):
+    """The ``(4, m, n)`` slow deviations at the sorted ``(n,)`` times ``taus``, from a record.
+
+    ``steps`` is a record that ``_slow_deviation`` appended to for the
+    ``(m,)`` eps and ``(4, m)`` starts ``x0``.  The dense output of a step
+    depends only on its ``(t, y, h)``, so every recorded step of every
+    column is rebuilt in one batch: ``k[0] = rhs(t, y)``, the FSAL stage
+    the pass carried into that step, then its 12 stages and the 3 dense
+    ones.  Each column comes out bit for bit as the pass would have made
+    it.  A time is read from the last step of its column that starts at or
+    before it.  Also returns each column's reach, ``t + h`` of its last
+    step, past which a time would be extrapolated (0 when there are no
+    steps or no times).
+    """
+    m, n = x0.shape[1], taus.size
+    v, reach = np.zeros((4, m, n)), np.zeros(m)
+    if not (steps and n):
+        return v, reach
+    col, t, h, y = (np.concatenate(a, axis=-1) for a in zip(*steps))
+    coeffs = _rebuilt_dense_output(slow_field(forcing, eps[col], x0[:, col])[0], t, y, h)
+    # In record order, the first non-finite step named is the one the pass met first.
+    _check_finite(coeffs, t)
+    # Each column's steps in time order.  A step's times run up to the start
+    # of its column's next step; the last step's run to the last time.
+    order = np.argsort(col, kind="stable")
+    last = np.append(col[order[1:]] != col[order[:-1]], True)
+    reach[col[order[last]]] = t[order[last]] + h[order[last]]
+    lo = np.searchsorted(taus, t[order])
+    count = np.where(last, n, np.append(lo[1:], n)) - lo
+    i = np.repeat(np.arange(order.size), count)
+    j = lo[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    step = order[i]
+    theta = (taus[j] - t[step]) / h[step]
+    v[:, col[step], j] = _interpolate(y, coeffs, theta, step)
+    return v, reach
+
+
 def _body(f):
     """The ``body`` of a ``compile_expr`` callable, to call inside one ``np.errstate``.
 
@@ -273,65 +322,69 @@ def _body(f):
 def _setup(spec, eps, y0, times):
     """The compiled forcing bodies, ``(m,)`` eps and ``(4, m)`` starts of a run.
 
-    ``times`` must be non-negative and non-decreasing.  Callers integrate
-    under one ``np.errstate`` and call the forcing bodies directly; the
+    ``times`` must be finite, non-negative and non-decreasing: an infinite
+    time would step until ``DOP853_MAX_STEPS``.  Callers integrate under
+    one ``np.errstate`` and call the forcing bodies directly; the
     integrator checks finiteness itself.
     """
-    if not all(t1 >= t0 for t0, t1 in zip((0.0, *times), times)):
-        raise ValueError("times must be non-negative and non-decreasing")
+    ordered = all(t1 >= t0 for t0, t1 in zip((0.0, *times), times))
+    if not (ordered and np.isfinite(times).all()):
+        raise ValueError("times must be finite, non-negative and non-decreasing")
     x0 = np.asarray(y0, dtype=float).reshape(4, -1)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), x0.shape[1:])
     return tuple(map(_body, compiled_forcing(spec))), eps, x0
 
 
-def sample_states(spec, eps, x0, taus):
+def sample_states(spec, eps, x0, taus, steps=None):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
-    or one value per column.  One DOP853 pass runs at its own steps up to
-    the last time.  Every time before it is read from the seventh-order
-    dense output of the step that contains it, and the last time is the
-    endpoint, so a time costs no step.  Each slow deviation is mapped back
-    to its state through ``model.slow_field``; tau = 0 gives x0 bit for
-    bit.  ``taus`` must be non-negative and non-decreasing; repeated times
-    are allowed.  No column depends on another.  Returns ``(4, n)`` or
-    ``(4, m, n)``.
+    or one value per column.  Every sample is read from the seventh-order
+    dense output of the DOP853 step that contains it, rebuilt from a record
+    of the accepted steps (``_dense_samples``), so a time costs no step.
+    ``steps`` is such a record of a flow of these columns, as ``flow_map``
+    appends it; a time past the end of that flow is refused.  Without one,
+    one pass runs at its own steps up to the last time, which is its
+    endpoint, and records its own.  Each slow deviation is mapped back to
+    its state through ``model.slow_field``; tau = 0 gives x0 bit for bit.
+    ``taus`` must be finite, non-negative and non-decreasing; repeated
+    times are allowed.  No column depends on another.  Returns ``(4, n)``
+    or ``(4, m, n)``.
     """
     taus = np.array([float(t) for t in taus])
     shape = np.shape(x0) + taus.shape
     forcing, eps, x0 = _setup(spec, eps, x0, taus)
     m, n = x0.shape[1], taus.size
-    v = np.empty((4, m, n))
-
-    def record(col, t, t_new, h, y, coeffs):
-        # One entry per (column, time in [t, t_new)) of the step.
-        lo, hi = np.searchsorted(taus, t), np.searchsorted(taus, t_new)
-        count = hi - lo
-        step = np.repeat(np.arange(col.size), count)
-        j = lo[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
-        theta = (taus[j] - t[step]) / h[step]
-        v[:, col[step], j] = _interpolate(y[:, step], coeffs[:, :, step], theta)
-
     with np.errstate(all="ignore"):
-        end = taus[-1] if n else 0.0
-        v[:, :, taus == end] = _slow_deviation(forcing, eps, x0, end, record)[:, :, None]
+        if steps is None:
+            steps, end = [], taus[-1] if n else 0.0
+            cut = np.searchsorted(taus, end)
+            v = np.empty((4, m, n))
+            v[:, :, cut:] = _slow_deviation(forcing, eps, x0, end, steps)[:, :, None]
+            v[:, :, :cut] = _dense_samples(forcing, eps, x0, steps, taus[:cut])[0]
+        else:
+            v, reach = _dense_samples(forcing, eps, x0, steps, taus)
+            if (reach < (taus[-1] if n else 0.0)).any():
+                raise ValueError("times must not pass the end of the recorded flow")
         # One column per (start, time), so the map runs on (4, m * n).
         _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
         out = state(np.tile(taus, m), v.reshape(4, -1)).reshape(v.shape)
     return out.reshape(shape)
 
 
-def flow_map(spec, eps, states0, period):
+def flow_map(spec, eps, states0, period, steps=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
     ``eps`` is a scalar or one value per column.  DOP853 steps each
     column's slow deviation on its own clock, so its endpoint is bit for
     bit the one it gets alone; only the endpoint is mapped back to a state.
+    ``steps``, if given, is a list that gets the record of the accepted
+    steps, from which ``sample_states`` reads this flow's states.
     """
     period = float(period)
     forcing, eps, x0 = _setup(spec, eps, states0, (period,))
     with np.errstate(all="ignore"):
-        v = _slow_deviation(forcing, eps, x0, period)
+        v = _slow_deviation(forcing, eps, x0, period, steps)
         _, state = slow_field(forcing, eps, x0)
         out = state(np.full(eps.shape, period), v)
     return out.reshape(np.shape(states0))
@@ -369,6 +422,13 @@ _EPS_ZERO = (
 )
 
 
+def _steps_of(x, start, cols, owner, record):
+    """The ``(t, h, y)`` steps of the column of start ``start`` that is ``x`` bit for bit."""
+    col, t, h, y = record
+    (j,) = [j for j in np.flatnonzero(owner == start) if cols[:, j].tobytes() == x.tobytes()]
+    return t[col == j], h[col == j], y[:, col == j]
+
+
 def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     """Newton-solve the period-map fixed point of case i at ``eps[i]`` from ``guesses[:, i]``.
 
@@ -382,42 +442,57 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     Jacobian (monodromy minus identity) rides with its base point, and
     every case's columns share each integration, DOP853 on the slow
     deviation, of which ``flow_map`` maps back only the endpoint.  A
-    Jacobian with condition above ``COND_LIMIT`` stops that case.  Then
-    one more pass (``sample_states``) samples every converged orbit at
-    ``n_samples`` equally spaced times over one period from its dense
-    output, orbit by orbit only if that pass faults; ``n_samples = 0``
-    skips it and leaves ``samples`` empty.  The reported distance is measured from the guess.
-    Each case ends bit for bit as ``shoot_periodic`` alone would end it.
+    Jacobian with condition above ``COND_LIMIT`` stops that case.  Each
+    flow also records its accepted steps.  A case's solution is, bit for
+    bit, one column of the last flow that held it (a line-search trial or
+    a stencil base), so its orbit is sampled from that column's record:
+    ``sample_states`` rebuilds the dense output of every converged orbit
+    in one batch, orbit by orbit only if that faults, and integrates
+    nothing.  It samples ``n_samples`` equally spaced times over one
+    period; ``n_samples = 0`` leaves ``samples`` empty, and a negative
+    count is refused before any flow.  The reported distance is measured
+    from the guess.  Each case ends bit for bit as ``shoot_periodic`` alone
+    would end it.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     eps = np.asarray(eps, dtype=float).reshape(-1)
     guesses = np.asarray(guesses, dtype=float).reshape(4, eps.size)
     period = spec.full_period
     outcomes = [ShootingError(_EPS_ZERO) if e == 0.0 else None for e in eps]
     cases = np.flatnonzero(eps != 0.0)
-    solved = solve_many(
-        lambda cols, owner: flow_map(spec, eps[cases[owner]], cols, period) - cols,
-        guesses[:, cases],
-        tol,
-        cond_limit=COND_LIMIT,
-        faults=_FAULTS,
-    )
-    for i, result in zip(cases, solved):
+    # Start -> (columns, owners, packed step record) of the last flow that held it.
+    flows = {}
+
+    def F(cols, owner):
+        steps = []
+        ends = flow_map(spec, eps[cases[owner]], cols, period, steps)
+        record = tuple(np.concatenate(a, axis=-1) for a in zip(*steps))
+        flows.update(dict.fromkeys(owner.tolist(), (cols, owner, record)))
+        return ends - cols
+
+    solved = solve_many(F, guesses[:, cases], tol, cond_limit=COND_LIMIT, faults=_FAULTS)
+    records = {}  # case -> (t, h, y) of its solution's own steps
+    for start, (i, result) in enumerate(zip(cases, solved)):
         outcomes[i] = result
         if isinstance(result, NewtonFailure):
             outcomes[i] = ShootingError(f"period-map Newton at eps={eps[i]:g}: {result}")
             outcomes[i].__cause__ = result
+        elif isinstance(result, tuple):
+            records[i] = _steps_of(result[0], start, *flows[start])
+    flows.clear()  # only the solutions' own steps are sampled
 
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
-    idx = np.array([i for i, o in enumerate(outcomes) if isinstance(o, tuple)], dtype=np.intp)
+    idx = np.array(list(records), dtype=np.intp)
     xs = np.array([outcomes[i][0] for i in idx]).reshape(-1, 4).T
+
+    def sample(sel):
+        steps = [(np.full(records[i][0].size, r), *records[i]) for r, i in enumerate(idx[sel])]
+        samples = sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus, steps)
+        return np.moveaxis(samples, 1, 0)
+
     if n_samples:
-        samples = evaluate_parts(
-            lambda sel: np.moveaxis(
-                sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus), 1, 0
-            ),
-            idx.size,
-            _FAULTS,
-        )
+        samples = evaluate_parts(sample, idx.size, _FAULTS)
     else:
         samples = [np.empty((4, 0)) for _ in idx]
     for i, sampled in zip(idx, samples):

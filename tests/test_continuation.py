@@ -75,11 +75,39 @@ def test_forced_samples_match_separate_flows():
         assert np.abs(states[:, j] - flow_map(spec, eps, x0, taus[j])).max() <= 1e-10
 
 
-@pytest.mark.parametrize("taus", [[2.0, 1.0], [-1.0, 1.0], [0.5, float("nan")]])
+@pytest.mark.parametrize(
+    "taus", [[2.0, 1.0], [-1.0, 1.0], [0.5, float("nan")], [0.0, float("inf")]]
+)
 def test_sample_states_rejects_unordered_times(taus):
     spec = _coro1()
     with pytest.raises(ValueError, match="non-decreasing"):
         sample_states(spec, 1e-2, np.ones(4), taus)
+
+
+def test_flow_map_rejects_an_infinite_period():
+    # An infinite end time would step until DOP853_MAX_STEPS.
+    spec = _coro1()
+    with pytest.raises(ValueError, match="finite"):
+        flow_map(spec, 1e-2, np.ones(4), float("inf"))
+
+
+def test_recorded_flow_samples_equal_a_pass_to_its_end():
+    # Samples read from a flow_map record are bit for bit those of a pass
+    # of sample_states to the same end: both take the same steps from the
+    # same first step.  A time past the recorded end is refused.
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    states = x0[:, None] + np.random.default_rng(11).normal(scale=0.05, size=(4, 3))
+    eps = np.array([1e-2, 0.0, 1e-3])
+    taus = [0.0, 0.0, 0.4, 2.5, 2.5, 7.0, T1 - 1e-3]
+    steps = []
+    ends = flow_map(spec, eps, states, T1, steps)
+    assert ends.tobytes() == flow_map(spec, eps, states, T1).tobytes()
+    recorded = sample_states(spec, eps, states, taus, steps)
+    own_pass = sample_states(spec, eps, states, [*taus, T1])[..., :-1]
+    assert recorded.tobytes() == own_pass.tobytes()
+    with pytest.raises(ValueError, match="recorded flow"):
+        sample_states(spec, eps, states, [0.0, 2.0 * T1], steps)
 
 
 def test_modal_invariants_drift_over_ten_periods(tight):
@@ -493,6 +521,62 @@ def test_batched_ladder_equals_shooting_each_eps_alone(which, alpha):
         assert orbit.residual == alone.residual
         assert orbit.iterations == alone.iterations
         assert orbit.samples.tobytes() == alone.samples.tobytes()
+
+
+def test_orbit_samples_come_from_the_flow_that_converged():
+    # A case that ends after a line-search trial, and one restarted from
+    # its solution, which settles at the base of its first stencil: each
+    # orbit is sampled from that flow, bit for bit a pass to the period's end.
+    spec = _coro1()
+    eps = 1e-2
+    orbit = shoot_periodic(spec, eps, predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)))
+    again = shoot_periodic(spec, eps, orbit.initial_state)
+    assert orbit.iterations > 0 and again.iterations == 0
+    for o in (orbit, again):
+        own_pass = sample_states(spec, eps, o.initial_state, [*o.samples_tau, o.period])
+        assert o.samples.tobytes() == own_pass[:, :-1].tobytes()
+
+
+def test_shoot_many_refuses_negative_n_samples_before_any_flow(monkeypatch):
+    spec = _coro1()
+    guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    calls = []
+    flow = continuation.flow_map
+    monkeypatch.setattr(continuation, "flow_map", lambda *args: calls.append(1) or flow(*args))
+    with pytest.raises(ValueError, match="n_samples"):
+        shoot_many(spec, [1e-2], guess, n_samples=-1)
+    assert not calls
+
+
+def test_sampling_integrates_nothing(monkeypatch):
+    # The orbits are sampled from the steps their Newton flows recorded:
+    # with 256 samples the solve makes the same integrations and the same
+    # DOP853 passes as with none.
+    spec = _coro1()
+    guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    deviation, step = continuation._slow_deviation, continuation._dop853_step
+    inside, counts = [], []
+
+    def counted_deviation(*args):
+        counts[-1][0] += 1
+        inside.append(True)
+        try:
+            return deviation(*args)
+        finally:
+            inside.pop()
+
+    def counted_step(*args):
+        counts[-1][1] += len(inside)
+        return step(*args)
+
+    monkeypatch.setattr(continuation, "_slow_deviation", counted_deviation)
+    monkeypatch.setattr(continuation, "_dop853_step", counted_step)
+    for n_samples in (256, 0):
+        counts.append([0, 0])
+        guesses = np.repeat(guess[:, None], 2, axis=1)
+        orbits = shoot_many(spec, [1e-2, 1e-3], guesses, n_samples=n_samples)
+        assert all(orbit.samples.shape == (4, n_samples) for orbit in orbits)
+    assert counts[0] == counts[1] and counts[0][1] > counts[0][0] > 0
 
 
 def test_shoot_many_fails_cases_one_by_one(monkeypatch):
