@@ -35,7 +35,9 @@ rebuilds it for every recorded step in one batch and reads each sample
 time from the step that contains it.  So ``shoot_many`` shoots every
 (guess, eps) case at once: one lockstep Newton over all cases, whose flows
 record their steps, and then each converged orbit is sampled from the flow
-that gave its solution, with no further integration.
+that gave its solution, with no further integration.  A Newton step whose
+full step is taken costs one flow, that trial with its stencil, which is
+also the next step's Jacobian.
 """
 
 from __future__ import annotations
@@ -438,14 +440,16 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     integration.  Other cases go on either way.
 
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
-    flow(x) - x = 0 for every case in lockstep: each central-difference
-    Jacobian (monodromy minus identity) rides with its base point, and
-    every case's columns share each integration, DOP853 on the slow
-    deviation, of which ``flow_map`` maps back only the endpoint.  A
-    Jacobian with condition above ``COND_LIMIT`` stops that case.  Each
-    flow also records its accepted steps.  A case's solution is, bit for
-    bit, one column of the last flow that held it (a line-search trial or
-    a stencil base), so its orbit is sampled from that column's record:
+    flow(x) - x = 0 for every case in lockstep, and every case's columns
+    share each integration, DOP853 on the slow deviation, of which
+    ``flow_map`` maps back only the endpoint.  Each full-step trial rides
+    with its central-difference stencil, so when it is taken its
+    Jacobian (monodromy minus identity) is already there: a step costs one
+    flow.  A Jacobian with condition above ``COND_LIMIT`` stops that case.
+    Each flow also records its accepted steps.  A case's solution is, bit
+    for bit, one column of the last flow that held it (the base column of
+    its trial's stencil, a halved trial, or the guess's stencil base), so
+    its orbit is sampled from that column's record:
     ``sample_states`` rebuilds the dense output of every converged orbit
     in one batch, orbit by orbit only if that faults, and integrates
     nothing.  It samples ``n_samples`` equally spaced times over one

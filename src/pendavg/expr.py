@@ -303,7 +303,12 @@ def _emit(node, literals):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-@lru_cache(maxsize=None)
+# Compiled forcings kept per process.  A run uses two; the bound keeps a
+# long-lived process that compiles forcing after forcing at a fixed size.
+COMPILE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def compile_expr(expr):
     """Compile an Expr into a numpy-vectorized callable.
 

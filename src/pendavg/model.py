@@ -251,15 +251,26 @@ def audit_periodicity(spec):
 # Vector field in standard form
 # ---------------------------------------------------------------------------
 
-# slow_field works on row pairs: the positions P = (X, Z) and velocities
-# V = (Y, W) of the two mode planes.  M maps (th1, th2) to P and (th1d,
-# th2d), like (F1, F2), to V; M^-1 maps them back.  The (2, 2) blocks are
-# applied column by column, as a (2, 1) coefficient column times a (m,) row.
-_PLANE_OMEGAS = np.array([[OMEGA1], [OMEGA2]])
-_M_P = tuple(MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
-_M_V = tuple(MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
-_MINV_P = tuple(INVERSE_MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
-_MINV_V = tuple(INVERSE_MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
+# slow_field works on (4, m) rows in modal order (X, Y, Z, W): each row is
+# a position (X, Z) or a velocity (Y, W) of one mode plane.  Row r of M y
+# (and of M^-1 u) combines the two rows of its kind, _PAIR[0][r] and
+# _PAIR[1][r], which are gathered with ``take`` and weighted by (4, 1)
+# coefficient columns; row r's partner in its plane is _PARTNER[r].  So
+# every row is written out, as a coefficient column times a gathered row.
+_PLANE_OMEGAS = np.array([[OMEGA1], [OMEGA1], [OMEGA2], [OMEGA2]])
+_PARTNER = np.array([1, 0, 3, 2], dtype=np.intp)
+# Phi(tau) turns (X, Y) by c X + s Y, c Y - s X with s = sin(omega tau);
+# slow_field takes sin(-omega tau), so the partner's sign is - for X and Z.
+_PARTNER_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+_PAIR = (np.array([0, 1, 0, 1], dtype=np.intp), np.array([2, 3, 2, 3], dtype=np.intp))
+_M_COLS = tuple(MODAL_MATRIX[np.arange(4), p, None] for p in _PAIR)
+_MINV_COLS = tuple(INVERSE_MODAL_MATRIX[np.arange(4), p, None] for p in _PAIR)
+# (gY, gY, gW, gW): the velocity rows of M (0, F1, 0, F2), one per row of v.
+_G_COLS = tuple(MODAL_MATRIX[(1, 1, 3, 3), j, None] for j in (1, 3))
+# v' = (-s1 gY, c1 gY, -s2 gW, c2 gW) takes sin(-omega tau) in rows X, Z and
+# cos in rows Y, W: rows 5, 1, 7, 3 of the (8, m) stack of cosines and
+# partner-signed sines that ``trig`` makes (its sines 5 and 7 keep sign +).
+_FIELD_TRIG = np.array([5, 1, 7, 3], dtype=np.intp)
 
 
 def slow_field(forcing, eps, x0):
@@ -289,37 +300,34 @@ def slow_field(forcing, eps, x0):
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    x0P, x0V = x0[0::2], x0[1::2]
-    z0P = _M_P[0] * x0P[0] + _M_P[1] * x0P[1]
-    z0V = _M_V[0] * x0V[0] + _M_V[1] * x0V[1]
-
-    def plane_states(c, s, v):
-        # Phi(tau) q - z0 in each plane, with s = sin(-omega tau).
-        w = eps * v
-        qP, qV = z0P + w[0::2], z0V + w[1::2]
-        (dX, dZ), (dY, dW) = (c * qP - s * qV) - z0P, (c * qV + s * qP) - z0V
-        return (
-            x0P + (_MINV_P[0] * dX + _MINV_P[1] * dZ),
-            x0V + (_MINV_V[0] * dY + _MINV_V[1] * dW),
-        )
+    z0 = _M_COLS[0] * x0.take(_PAIR[0], axis=0) + _M_COLS[1] * x0.take(_PAIR[1], axis=0)
 
     def trig(tau):
+        # cos and the partner-signed sin of -omega tau, row by row.
         angle = _PLANE_OMEGAS * -tau
-        return np.cos(angle), np.sin(angle)
+        cs = np.empty((2,) + angle.shape)
+        np.cos(angle, out=cs[0])
+        np.sin(angle, out=cs[1])
+        cs[1] *= _PARTNER_SIGN
+        return cs
+
+    def moved(cs, v):
+        # x0 + M^-1 [Phi(tau) q - z0] with q = z0 + eps v.
+        q = z0 + eps * v
+        d = (cs[0] * q + cs[1] * q.take(_PARTNER, axis=0)) - z0
+        return x0 + (
+            _MINV_COLS[0] * d.take(_PAIR[0], axis=0) + _MINV_COLS[1] * d.take(_PAIR[1], axis=0)
+        )
 
     def state(tau, v):
-        (th1, th2), (th1d, th2d) = plane_states(*trig(tau), v)
-        return np.stack([th1, th1d, th2, th2d])
+        return moved(trig(tau), v)
 
     def rhs(tau, v):
-        c, s = trig(tau)
-        (th1, th2), (th1d, th2d) = plane_states(c, s, v)
+        cs = trig(tau)
+        th1, th1d, th2, th2d = moved(cs, v)
         F1, F2 = f1(tau, th1, th1d, th2, th2d), f2(tau, th1, th1d, th2, th2d)
-        g = _M_V[0] * F1 + _M_V[1] * F2
-        out = np.empty_like(v)
-        out[0::2] = s * g
-        out[1::2] = c * g
-        return out
+        g = _G_COLS[0] * F1 + _G_COLS[1] * F2
+        return cs.reshape(8, -1).take(_FIELD_TRIG, axis=0) * g
 
     return rhs, state
 

@@ -17,6 +17,10 @@ trapezoid sweep.
 time; tests hold the lockstep ``pendavg.newton.solve_many`` to it start for
 start.
 
+:func:`pair_row_slow_field` is ``pendavg.model.slow_field`` written on
+``(2, m)`` row pairs, one per mode plane; the package's ``(4, m)`` form is
+held to it bit for bit.
+
 :func:`fast_field` is the forced system in its original coordinates, and
 :func:`rk4` steps it with fixed-step classical RK4: a reference for the
 package's DOP853, which integrates the slow deviation of the standard form
@@ -30,9 +34,11 @@ from typing import Callable
 import numpy as np
 
 from pendavg.averaging import CHUNK_FLOATS, QuadratureError
+from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.expr import ExprDomainError
 from pendavg.model import (
     INVERSE_MODAL_MATRIX,
+    MODAL_MATRIX,
     Mode,
     PerturbationSpec,
     compiled_forcing,
@@ -334,7 +340,9 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
 
     Same rules and failure texts as ``pendavg.newton.solve_many``: nine
     halvings per step, trials outside ``||x|| <= bound`` skipped unevaluated,
-    at most ``MAX_STEPS`` steps.
+    at most ``MAX_STEPS`` steps.  The full-step trial is linearized where it
+    stands, and once accepted that linearization is the next step's; if it
+    raises, the trial is evaluated alone.  A halved trial is one column.
     """
     x = np.array(x, dtype=float)
     g, jac = linearize(F, x)
@@ -354,12 +362,19 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
         except np.linalg.LinAlgError:
             raise NewtonFailure("singular Jacobian") from None
         scale = 1.0
-        for _ in range(9):
+        for level in range(9):
             x_try = x + scale * step
             scale *= 0.5
             if np.linalg.norm(x_try) > bound:
                 continue
-            r_try = float(np.linalg.norm(F(x_try[:, None])[:, 0]))
+            lin = None
+            if level == 0:
+                try:
+                    lin = linearize(F, x_try)
+                except Exception:
+                    pass
+            g_try = F(x_try[:, None])[:, 0] if lin is None else lin[0]
+            r_try = float(np.linalg.norm(g_try))
             if r_try < r:
                 x, r = x_try, r_try
                 break
@@ -367,11 +382,71 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
             raise NewtonFailure(f"stalled at residual {r:.3e}: 9 halvings did not reduce it")
         steps += 1
         if r > tol and steps < MAX_STEPS:
-            g, jac = linearize(F, x)
+            g, jac = linearize(F, x) if lin is None else lin
             r = float(np.linalg.norm(g))
             if not math.isfinite(r):
                 raise NewtonFailure("non-finite residual")
     return x, r, steps
+
+
+# ---------------------------------------------------------------------------
+# The standard form on row pairs
+# ---------------------------------------------------------------------------
+
+# Positions P = (X, Z) and velocities V = (Y, W) of the two mode planes.  M
+# maps (th1, th2) to P and (th1d, th2d), like (F1, F2), to V; M^-1 maps them
+# back.  The (2, 2) blocks are applied column by column, as a (2, 1)
+# coefficient column times a (m,) row.
+_PLANE_OMEGAS = np.array([[OMEGA1], [OMEGA2]])
+_M_P = tuple(MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
+_M_V = tuple(MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
+_MINV_P = tuple(INVERSE_MODAL_MATRIX[(0, 2), j, None] for j in (0, 2))
+_MINV_V = tuple(INVERSE_MODAL_MATRIX[(1, 3), j, None] for j in (1, 3))
+
+
+def pair_row_slow_field(forcing, eps, x0):
+    """``pendavg.model.slow_field`` on row pairs: ``(rhs, state)`` of ``(tau, v)``.
+
+    The position rows ``(X, Z)`` and velocity rows ``(Y, W)`` of ``v`` are
+    handled as two ``(2, m)`` arrays, each plane turned by its own
+    ``cos, sin(-omega tau)`` row.
+    """
+    f1, f2 = forcing
+    eps = np.asarray(eps, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    x0P, x0V = x0[0::2], x0[1::2]
+    z0P = _M_P[0] * x0P[0] + _M_P[1] * x0P[1]
+    z0V = _M_V[0] * x0V[0] + _M_V[1] * x0V[1]
+
+    def plane_states(c, s, v):
+        # Phi(tau) q - z0 in each plane, with s = sin(-omega tau).
+        w = eps * v
+        qP, qV = z0P + w[0::2], z0V + w[1::2]
+        (dX, dZ), (dY, dW) = (c * qP - s * qV) - z0P, (c * qV + s * qP) - z0V
+        return (
+            x0P + (_MINV_P[0] * dX + _MINV_P[1] * dZ),
+            x0V + (_MINV_V[0] * dY + _MINV_V[1] * dW),
+        )
+
+    def trig(tau):
+        angle = _PLANE_OMEGAS * -tau
+        return np.cos(angle), np.sin(angle)
+
+    def state(tau, v):
+        (th1, th2), (th1d, th2d) = plane_states(*trig(tau), v)
+        return np.stack([th1, th1d, th2, th2d])
+
+    def rhs(tau, v):
+        c, s = trig(tau)
+        (th1, th2), (th1d, th2d) = plane_states(c, s, v)
+        F1, F2 = f1(tau, th1, th1d, th2, th2d), f2(tau, th1, th1d, th2, th2d)
+        g = _M_V[0] * F1 + _M_V[1] * F2
+        out = np.empty_like(v)
+        out[0::2] = s * g
+        out[1::2] = c * g
+        return out
+
+    return rhs, state
 
 
 # ---------------------------------------------------------------------------

@@ -486,8 +486,9 @@ def test_shoot_reports_conditioning(monkeypatch):
 
 def test_shooting_newton_matches_the_scalar_loop():
     # One start: the lockstep solver must call the period map on the same
-    # column widths as the scalar loop (9, then 1 per trial, ...) and end on
-    # the same bits, so `verify` output does not move.
+    # column widths as the scalar loop and end on the same bits, so `verify`
+    # output does not move.  Both full steps are taken, each trial with its
+    # stencil: three flows of 9 columns.
     spec = _coro1()
     eps = 1e-3
     guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
@@ -502,7 +503,7 @@ def test_shooting_newton_matches_the_scalar_loop():
         x, residual, steps = solve(F, guess, 1e-10, cond_limit=1e12)
         runs.append((widths, x.tobytes(), residual, steps))
     assert runs[0] == runs[1]
-    assert runs[0][0][0] == 9 and runs[0][3] > 0
+    assert runs[0][0] == [9, 9, 9] and runs[0][3] == 2
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pendavg.expr import (
+    COMPILE_CACHE_SIZE,
     BinOp,
     Call,
     Const,
@@ -242,3 +243,18 @@ def test_compiled_broadcasts_over_arrays():
     for i in range(11):
         want = _REFERENCE[text](taus[i], th1[i], 0.0, 0.0, 0.0)
         assert math.isclose(out[i], want, rel_tol=1e-14, abs_tol=1e-14)
+
+
+def test_the_compile_cache_is_bounded():
+    # A process that compiles forcing after forcing keeps at most the bound.
+    for k in range(200):
+        compile_expr(parse(f"{k + 1} * sin(w1 * tau)"))
+    assert compile_expr.cache_info().currsize <= COMPILE_CACHE_SIZE
+
+
+def test_a_repeated_forcing_hits_the_compile_cache():
+    expr = parse("(1 - th1^2) * sin(w1 * tau) + 0.25")
+    first = compile_expr(expr)
+    hits = compile_expr.cache_info().hits
+    assert compile_expr(parse("(1 - th1^2) * sin(w1 * tau) + 0.25")) is first
+    assert compile_expr.cache_info().hits == hits + 1

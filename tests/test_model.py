@@ -17,12 +17,14 @@ from pendavg.model import (
     PeriodicityError,
     PhysicalParams,
     Resonance,
+    compiled_forcing,
     fundamental_matrix,
     inverse_modal_transform,
     modal_amplitudes,
     modal_orbit,
     modal_transform,
     reduce,
+    slow_field,
     unperturbed_orbit,
 )
 
@@ -136,6 +138,22 @@ def test_vector_field_batches():
     for j in range(2):
         single = oracles.fast_field(spec, 0.01)(0.4, states[:, j])
         assert np.allclose(batch[:, j], single, atol=0)
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+@pytest.mark.parametrize("m", [1, 4, 36])
+def test_slow_field_rows_equal_the_pair_row_form_bit_for_bit(which, m):
+    forcing = compiled_forcing(oracles.make_spec(which))
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        eps = rng.uniform(-0.1, 0.1, m)
+        x0 = rng.normal(0.0, 3.0, (4, m))
+        tau, v = rng.uniform(0.0, 40.0, m), rng.normal(0.0, 5.0, (4, m))
+        rhs, state = slow_field(forcing, eps, x0)
+        rhs_ref, state_ref = oracles.pair_row_slow_field(forcing, eps, x0)
+        assert rhs(tau, v).tobytes() == rhs_ref(tau, v).tobytes()
+        assert state(tau, v).tobytes() == state_ref(tau, v).tobytes()
+        assert state(0, 0).tobytes() == x0.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,13 @@ def test_each_start_fails_on_its_own_condition_number():
 
 
 def test_stalled_line_search():
-    # The linearization promises the root x = 1, but every trial is worse
-    # than the start: nine halvings, then failure.
-    F = _Recorded(lambda cols: cols - 1.0 if cols.shape[1] == 3 else np.full_like(cols, 5.0))
+    # The linearization near 0 promises the root x = 1, but every trial,
+    # 1 down to 1/256, is worse than the start: nine halvings, then failure.
+    F = _Recorded(lambda cols: np.where(np.abs(cols) < 1e-3, cols - 1.0, 5.0))
     with pytest.raises(NewtonFailure, match="stalled"):
         damped_newton(F, [0.0], 1e-12)
-    assert F.widths() == [3] + [1] * 9
+    # The start's stencil, the full step with its stencil, then eight halvings.
+    assert F.widths() == [3, 3] + [1] * 8
 
 
 def test_no_convergence_within_max_steps():
@@ -166,7 +167,9 @@ def test_no_convergence_within_max_steps():
     F = _Recorded(lambda cols: cols**3)
     with pytest.raises(NewtonFailure, match=f"no convergence after {MAX_STEPS} steps"):
         damped_newton(F, [1.0, 1.0], 0.0)
-    assert F.widths().count(1) == MAX_STEPS
+    # Every full step is taken, so each step is one call: its trial with
+    # the stencil that serves the next step.
+    assert F.widths() == [5] * (MAX_STEPS + 1)
 
 
 def test_trials_outside_the_bound_are_never_evaluated():
@@ -204,6 +207,70 @@ def test_a_fault_fails_only_its_own_start():
         assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
     with pytest.raises(_Fault):
         solve_many(_root_two, starts, 1e-12)
+
+
+def _stencil_faults(F, trial):
+    """``F``, but raising ``_Fault`` on a batch holding a stencil column of ``trial``.
+
+    Those are the columns within 1e-3 of ``trial`` other than ``trial``
+    itself; the message names the first of them.
+    """
+
+    def faulty(cols, owner=None):
+        near = (np.abs(cols - trial[:, None]) < 1e-3).all(axis=0)
+        bad = near & (cols != trial[:, None]).any(axis=0)
+        if bad.any():
+            raise _Fault(f"stencil column {cols[:, bad][:, 0]}")
+        return F(cols)
+
+    return faulty
+
+
+def _first_full_step(F, start, tol):
+    """The clean run's outcome, and its first full-step trial: the base of its second call."""
+    clean = _Recorded(F)
+    outcome = damped_newton(clean, start, tol)
+    assert clean.widths()[:2] == [2 * len(start) + 1] * 2
+    return outcome, clean.batches[1][:, 0]
+
+
+def _same(a, b):
+    return (a[0].tobytes(), *a[1:]) == (b[0].tobytes(), *b[1:])
+
+
+def test_a_faulting_stencil_of_a_converging_trial_changes_no_outcome():
+    # Newton on x - 2 from 1 lands within 1e-6 of the root at its first
+    # full step; only that trial's stencil faults.  Tried with the stencil,
+    # then alone, the trial ends the start as it ends without the fault.
+    root = lambda cols: cols - 2.0  # noqa: E731
+    clean, trial = _first_full_step(root, [1.0], 1e-6)
+    F = _Recorded(_stencil_faults(root, trial))
+    assert _same(damped_newton(F, [1.0], 1e-6), clean)
+    assert clean[2] == 1 and F.widths() == [3, 3, 1]
+    outcomes = solve_many(F, np.array([[1.0, 1.0]]), 1e-6, faults=(_Fault,))
+    assert all(_same(outcome, clean) for outcome in outcomes)
+    # At tol 1e-12 the trial is accepted short of convergence.  Its stencil
+    # is then evaluated at the next step, and its fault ends the start:
+    # the fault of that stencil alone, at the step it is needed.
+    (outcome,) = solve_many(F, np.array([[1.0]]), 1e-12, faults=(_Fault,))
+    with pytest.raises(_Fault) as alone:
+        linearize(F, trial)
+    assert isinstance(outcome, _Fault) and str(outcome) == str(alone.value)
+
+
+def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
+    # Newton on atan from 1.5 overshoots to about -1.69, where |atan| is
+    # larger: that full step is rejected and its half taken.  Only the
+    # rejected trial's stencil faults.
+    clean, trial = _first_full_step(np.arctan, [1.5], 1e-12)
+    assert abs(np.arctan(trial[0])) > abs(np.arctan(1.5))
+    F = _Recorded(_stencil_faults(np.arctan, trial))
+    assert _same(damped_newton(F, [1.5], 1e-12), clean)
+    assert F.widths()[:4] == [3, 3, 1, 1]
+    starts = np.array([[1.5, 0.5, 1.5]])
+    outcomes = solve_many(F, starts, 1e-12, faults=(_Fault,))
+    for outcome, start in zip(outcomes, starts.T):
+        assert _same(outcome, damped_newton(np.arctan, start, 1e-12))
 
 
 class _Parts:
