@@ -28,7 +28,7 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
-from .newton import evaluate_parts, linearize, solve_many
+from .newton import fault_record, linearize, solve_many
 
 # Base-grid node counts of the first sweep level and of the last one allowed.
 FIRST_NODES = 8
@@ -45,10 +45,6 @@ class QuadratureError(RuntimeError):
     """The trapezoid sweep hit the node cap without meeting tolerance."""
 
 
-# Failures of one point's own evaluation; they drop that seed or probe point.
-_FAULTS = (ExprDomainError, QuadratureError)
-
-
 # ---------------------------------------------------------------------------
 # Periodic trapezoid rule with a shifted check grid
 # ---------------------------------------------------------------------------
@@ -56,9 +52,10 @@ _FAULTS = (ExprDomainError, QuadratureError)
 def _node_sums(f, points, base, check):
     """``(len(points), k, 2)`` sums of ``f`` over ``base`` and over ``check``.
 
-    Also returns each point's largest |f|.  Each integrand call takes a
-    block of base nodes and the matching block of check nodes, within
-    ``CHUNK_FLOATS`` point x node values; each row adds its blocks in order.
+    Also returns each point's largest |f|, which is not finite where one of
+    its values is not.  Each integrand call takes a block of base nodes and
+    the matching block of check nodes, within ``CHUNK_FLOATS`` point x node
+    values; each row adds its blocks in order.
     """
     block = min(base.size, CHUNK_FLOATS // 2)
     rows = CHUNK_FLOATS // (2 * block)
@@ -69,8 +66,6 @@ def _node_sums(f, points, base, check):
             taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
             values = np.asarray(f(chunk, taus), dtype=float)
             peak = np.abs(values).max(axis=(1, 2))
-            if not np.isfinite(peak).all():
-                raise ExprDomainError("integrand produced non-finite values")
             # Summed per row: a BLAS product's order would depend on the batch.
             total = total + values.reshape(*values.shape[:2], 2, block).sum(axis=-1)
             np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
@@ -80,7 +75,7 @@ def _node_sums(f, points, base, check):
     return sums, sizes
 
 
-def _integrate_points(f, m, period, tol):
+def _integrate_points(f, m, period, tol, faults=None):
     """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` over a period.
 
     Each of the m points gets the trapezoid rule on N = 8, 16, ...,
@@ -89,9 +84,11 @@ def _integrate_points(f, m, period, tol):
     by (sqrt 5 - 1) / 2 of the coarsest spacing.  Against 2N nodes instead,
     a component aliasing onto both grids, such as sin((2N + 1) w tau)
     sin(w tau), would go unseen; on the check grid it has another phase.
-    A point stops once the gap is at most ``tol``, or its roundoff floor.
-    Returns the ``(m, k)`` values, the largest node count and the largest
-    |f| met.  Each point refines and sums on its own, free of the others.
+    A point stops once the gap is at most ``tol``, or its roundoff floor;
+    it faults (NaN, entered in ``faults`` as ``newton.fault_record`` says)
+    at a level with a non-finite value, or open at ``MAX_NODES``.  Returns
+    the ``(m, k)`` values, the largest node count and the largest |f| of
+    the points that finished.  Each point refines and sums on its own.
     """
     n = FIRST_NODES
     shift = (math.sqrt(5.0) - 1.0) / 2.0 * period / n
@@ -99,7 +96,14 @@ def _integrate_points(f, m, period, tol):
     active = np.arange(m)
     sums, size = _node_sums(f, active, base, base + shift)
     value, scale = np.empty(sums.shape[:2]), 0.0
+    faults = fault_record(faults)
     while True:
+        if not np.isfinite(size).all():
+            bad = ~np.isfinite(size)
+            for point in active[bad].tolist():
+                faults[point] = ExprDomainError("integrand produced non-finite values")
+            value[active[bad]] = np.nan
+            active, sums, size = active[~bad], sums[~bad], size[~bad]
         h = period / n
         done = np.abs(sums[..., 0] - sums[..., 1]).max(axis=1) * h <= np.maximum(
             tol, 64.0 * np.finfo(float).eps * np.abs(sums[..., 0]).max(axis=1) * h
@@ -113,8 +117,9 @@ def _integrate_points(f, m, period, tol):
         more, more_size = _node_sums(f, active, mids, mids + shift)
         sums, size = sums + more, np.maximum(size, more_size)
         n *= 2
-    if active.size:
-        raise QuadratureError(f"quadrature did not reach tol={tol:.1e} within {MAX_NODES} nodes")
+    for p in active.tolist():
+        faults[p] = QuadratureError(f"quadrature did not reach tol={tol:.1e} within {MAX_NODES} nodes")
+        value[p] = np.nan
     return value, n, scale
 
 
@@ -131,15 +136,16 @@ class AveragedValues:
     nodes: int
 
 
-def _batched_pair(spec, alphas, tol):
+def _batched_pair(spec, alphas, tol, faults=None):
     """Evaluate the bifurcation pair at many alphas in one quadrature.
 
     Returns (raw, averaged) arrays of shape (m, 2), the largest base node
-    count and the largest |integrand|.  A whole seed grid or Newton round
-    costs one trapezoid sweep, in which each point refines on its own
-    criterion and is summed on its own, so its value is bit for bit its
-    single-point value.  The integrand runs on chunks of at most
-    ``CHUNK_FLOATS`` point x node values.
+    count and the largest |integrand|, with ``faults`` as in
+    ``_integrate_points``.  A whole seed grid or Newton round costs one
+    trapezoid sweep, in which each point refines on its own criterion and
+    is summed on its own, so its value is bit for bit its single-point
+    value.  The integrand runs on chunks of at most ``CHUNK_FLOATS`` point
+    x node values.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
     mode = spec.mode
@@ -155,7 +161,7 @@ def _batched_pair(spec, alphas, tol):
         combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
         return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
 
-    raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol)
+    raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol, faults)
     averaged = np.stack([-raw[:, 0], raw[:, 1]], axis=1) / (2.0 * period)
     return raw, averaged, nodes, scale
 
@@ -170,8 +176,10 @@ def averaged_pair(spec, alpha, tol=1e-11):
 class AveragedSystem:
     """Callable mean bifurcation pair with finite-difference Jacobian access.
 
-    After each evaluation, ``last_panels`` holds the largest base-grid node
-    count of the batch and ``last_scale`` its largest |integrand|.
+    ``eval_many(alphas, faults)`` returns NaN for a point that faults, with
+    its entry in ``faults`` (``newton.fault_record``).  After each call,
+    ``last_panels`` holds the largest base-grid node count of the batch and
+    ``last_scale`` the largest |integrand| of the points that finished.
     """
 
     spec: PerturbationSpec
@@ -182,8 +190,9 @@ class AveragedSystem:
     def __call__(self, alpha):
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
 
-    def eval_many(self, alphas):
-        _, averaged, self.last_panels, self.last_scale = _batched_pair(self.spec, alphas, self.tol)
+    def eval_many(self, alphas, faults=None):
+        pair = _batched_pair(self.spec, alphas, self.tol, faults)
+        _, averaged, self.last_panels, self.last_scale = pair
         return averaged
 
     def jacobian(self, alpha):
@@ -229,20 +238,17 @@ def is_identically_zero(system, r1, r2):
     the search must be short-circuited.  Such a pair is the roundoff of a
     cancelling integral, so it is judged against ``ZERO_THRESHOLD`` times
     the largest |integrand| (``system.last_scale``; 1 for a system without
-    it).  A point that faults alone is not judged; the first fault is
-    raised only when every point faults.
+    it).  The probe points are evaluated in one call; a point that faults
+    is not judged, and the first probe point's fault is raised only when
+    every point faults.
     """
     probes = seed_grid(r1, r2, *PROBE_GRID)
-
-    def pair_and_scale(sel):
-        pair = system.eval_many(probes[sel])
-        return np.column_stack([pair, np.full(len(pair), getattr(system, "last_scale", 1.0))])
-
-    values = evaluate_parts(pair_and_scale, len(probes), _FAULTS)
-    if not (finite := [v for v in values if not isinstance(v, Exception)]):
-        raise values[0]
-    finite = np.array(finite)
-    return float(np.abs(finite[:, :2]).max()) <= ZERO_THRESHOLD * finite[:, 2].max()
+    faults = {}
+    pair = system.eval_many(probes, faults)
+    if len(faults) == len(probes):
+        raise faults[0]
+    # A point that faults is NaN, which the max skips.
+    return float(np.nanmax(np.abs(pair))) <= ZERO_THRESHOLD * getattr(system, "last_scale", 1.0)
 
 
 def canonical_key(alpha, radius):
@@ -271,8 +277,9 @@ def find_zeros(
     lockstep, one ``eval_many`` call per round, confined to the ball
     ``||alpha|| <= 10 max(r2, 1)``; each seed takes the steps it would take
     alone.  A seed or probe point whose own evaluation faults (a domain
-    fault or the quadrature cap) is dropped, as is a seed whose Newton run
-    fails; that is not an error, and the others go on.  Converged points
+    fault or the quadrature cap) leaves its batch with that fault, and is
+    dropped, as is a seed whose Newton run fails; that is not an error,
+    and the others go on.  Converged points
     are kept when they land strictly inside the annulus, deduplicated, and
     labelled simple when |det| of the central-difference Jacobian exceeds
     ``det_threshold``.  An empty list is a valid outcome; its
@@ -290,11 +297,10 @@ def find_zeros(
     if is_identically_zero(system, r1, r2):
         return ZeroList(degenerate=True)
     outcomes = solve_many(
-        lambda cols, _: system.eval_many(cols.T).T,
+        lambda cols, _, faults: system.eval_many(cols.T, faults).T,
         seed_grid(r1, r2, *grid).T,
         newton_tol,
         bound=10.0 * max(r2, 1.0),
-        faults=_FAULTS,
     )
     candidates = [o for o in outcomes if isinstance(o, tuple) and r1 < np.linalg.norm(o[0]) < r2]
     # This is also the output order: zeros are kept in candidate order.  The

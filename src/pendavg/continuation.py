@@ -25,19 +25,15 @@ DOP853 is the eighth-order Runge-Kutta pair of Prince and Dormand with the
 Norsett and Wanner.  It is the one integrator; its tolerance and step
 budget are the module constants ``DOP853_TOL`` and ``DOP853_MAX_STEPS``.
 
-The integrator steps a ``(4, m)`` batch of columns, each on its own clock:
-its own time, step size, accept/reject decision and step count.  A column
-may carry its own eps, and its result is bit for bit the one it gets
-alone.  It steps only to its end time, and ``flow_map`` maps back the
-endpoint.  A flow can also record its accepted steps.  The dense output of
-a step depends only on its start, state and size, so ``sample_states``
-rebuilds it for every recorded step in one batch and reads each sample
-time from the step that contains it.  So ``shoot_many`` shoots every
-(guess, eps) case at once: one lockstep Newton over all cases, whose flows
-record their steps, and then each converged orbit is sampled from the flow
-that gave its solution, with no further integration.  A Newton step whose
-full step is taken costs one flow, that trial with its stencil, which is
-also the next step's Jacobian.
+The integrator steps a ``(4, m)`` batch of columns, each on its own clock
+and at its own eps, so its result is bit for bit the one it gets alone; a
+column that faults leaves with its reason, as a finished one leaves.  It
+steps only to its end time, and ``flow_map`` maps back the endpoint.  A
+flow can also record its accepted steps, whose dense output
+``sample_states`` rebuilds in one batch.  So ``shoot_many`` shoots every
+(guess, eps) case at once, in one lockstep Newton, and samples each
+converged orbit from the flow that gave its solution, with no further
+integration.  A fault costs only its own case.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ import numpy as np
 
 from .expr import ExprDomainError
 from .model import compiled_forcing, slow_field, unperturbed_orbit
-from .newton import NewtonFailure, evaluate_parts, solve_many
+from .newton import NewtonFailure, fault_record, solve_many
 
 
 class IntegrationError(RuntimeError):
@@ -141,17 +137,19 @@ _E3_COLS, _E5_COLS = (np.array(e)[:, None, None] for e in (_E3, _E5))
 _D_COLS = tuple(np.array(row)[:, None, None] for row in _D)
 
 
-def _check_finite(values, tau):
-    """Raise ``ExprDomainError`` unless the ``(..., m)`` values are all finite.
+def _check_finite(values, tau, col, faults):
+    """Mask of the columns of the ``(..., k)`` values that are not all finite; None if none.
 
-    The message names the time of the first column that is not, ``tau``
-    being one time per column or one for all.
+    Each such column j enters output column ``col[j]`` in ``faults``, unless
+    there already, as an ``ExprDomainError`` near its time ``tau[j]`` (or ``tau``).
     """
     finite = np.isfinite(values)
-    if not finite.all():
-        bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
-        near = np.broadcast_to(tau, bad.shape)[bad][0]
-        raise ExprDomainError(f"forcing produced a non-finite value near tau={near:.6g}")
+    if finite.all():
+        return None
+    bad = ~finite.reshape(-1, finite.shape[-1]).all(axis=0)
+    for c, t in zip(col[bad].tolist(), np.broadcast_to(tau, bad.shape)[bad].tolist()):
+        faults.setdefault(c, ExprDomainError(f"forcing produced a non-finite value near tau={t:.6g}"))
+    return bad
 
 
 def _stages(rhs, t, y, h, k, first, last):
@@ -199,7 +197,7 @@ def _interpolate(y, coeffs, theta, at=...):
     return y[:, at] + theta * out
 
 
-def _slow_deviation(forcing, eps, x0, end, steps=None):
+def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None):
     """The ``(4, m)`` slow deviations ``v`` of ``model.slow_field`` at ``end``.
 
     Adaptive DOP853 from ``v = 0`` at tau = 0, for the ``(4, m)`` starts
@@ -213,6 +211,11 @@ def _slow_deviation(forcing, eps, x0, end, steps=None):
     land on ``end`` exactly and then leaves the batch.
     ``DOP853_MAX_STEPS`` bounds each column's step attempts.
 
+    A column that faults leaves in the same way, NaN, with its entry in
+    ``faults`` (``newton.fault_record``) pass by pass, check by check, then
+    by column: it goes non-finite (``ExprDomainError`` near its own time),
+    or its step underflows or runs out (``IntegrationError``).
+
     ``steps``, if given, is a list to which each pass appends the
     ``(col, t, h, y)`` of the steps it accepted: their output columns,
     start times, step sizes and ``(4, k)`` start states.  That record is
@@ -221,9 +224,9 @@ def _slow_deviation(forcing, eps, x0, end, steps=None):
     """
     tol, max_steps = DOP853_TOL, DOP853_MAX_STEPS
     m = x0.shape[1]
-    out = np.zeros_like(x0)
     if not m or end == 0.0:
-        return out
+        return np.zeros_like(x0)
+    out = np.full_like(x0, np.nan)
     col = np.arange(m)  # the output column of each column still stepping
     t = np.zeros(m)
     h = np.full(m, min(end / 100.0, 0.1))
@@ -231,71 +234,78 @@ def _slow_deviation(forcing, eps, x0, end, steps=None):
     rhs = slow_field(forcing, eps, x0)[0]
     k = np.empty((13, 4, m))  # the step's stages; the dense ones are rebuilt from ``steps``
     k[0] = rhs(t, y)
-    _check_finite(k[0], t)
-    # Every column still stepping makes one attempt per pass, so the pass
-    # count is each column's own step count.
+    faults = fault_record(faults)
+    gone = (leave := _check_finite(k[0], t, col, faults)) is not None
+    # Each column still stepping makes one attempt per pass, so the pass count is its
+    # step count.  Where ``gone``, ``leave`` marks the columns finished or faulted.
     for _ in range(max_steps):
+        if gone:
+            keep = ~leave
+            col, t, h, eps = (a[keep] for a in (col, t, h, eps))
+            y, x0, k = y[:, keep], x0[:, keep], k[:, :, keep]
+            if not col.size:
+                break
+            rhs = slow_field(forcing, eps, x0)[0]
         last = t + h >= end
         h = np.where(last, end - t, h)
-        if (stalled := t + h == t).any():
-            # The step is below half a unit in the last place of t, so the
-            # column cannot advance; near a blow-up it would spin forever.
-            raise IntegrationError(f"dop853 step underflow near tau={t[stalled][0]:.6g}")
+        # A step below half a unit in the last place of t cannot advance
+        # its column; near a blow-up it would spin forever.
+        if gone := (leave := t + h == t).any():
+            for c, tc in zip(col[leave].tolist(), t[leave].tolist()):
+                faults[c] = IntegrationError(f"dop853 step underflow near tau={tc:.6g}")
         y_new, err5, err3 = _dop853_step(rhs, t, y, h, k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err5, err3 = (err5 / scale) ** 2, (err3 / scale) ** 2
         err5 = err5[0] + err5[1] + err5[2] + err5[3]
         denom = err5 + 0.01 * (err3[0] + err3[1] + err3[2] + err3[3])
         err_norm = np.abs(h) * err5 / np.sqrt(4.0 * np.where(denom > 0.0, denom, 1.0))
-        _check_finite(err_norm, t)
-        ok = err_norm <= 1.0
+        if (bad := _check_finite(err_norm, t, col, faults)) is not None:
+            leave, gone = leave | bad, True
+        ok = err_norm <= 1.0  # a stalled column may step too; it leaves all the same
         if steps is not None and ok.any():
             steps.append((col[ok], t[ok], h[ok], y[:, ok]))
         t = np.where(ok, np.where(last, end, t + h), t)
         y = np.where(ok, y_new, y)
-        _check_finite(y, t)
+        if (bad := _check_finite(y, t, col, faults)) is not None:
+            leave, gone = leave | bad, True
         k[0] = np.where(ok, k[12], k[0])  # FSAL: the last stage is the next first stage
         h = h * np.minimum(5.0, np.maximum(0.2, 0.9 * (err_norm + 1e-300) ** -0.125))
         if (done := ok & last).any():
+            done &= ~leave
             out[:, col[done]] = y[:, done]
-            if done.all():
-                return out
-            keep = ~done
-            col, t, h, eps = (a[keep] for a in (col, t, h, eps))
-            y, x0, k = y[:, keep], x0[:, keep], k[:, :, keep]
-            rhs = slow_field(forcing, eps, x0)[0]
-    raise IntegrationError(f"dop853 exceeded max_steps={max_steps}")
+            leave, gone = leave | done, True
+    else:
+        for c in col[~leave].tolist():
+            faults[c] = IntegrationError(f"dop853 exceeded max_steps={max_steps}")
+    return out
 
 
-def _rebuilt_dense_output(rhs, t, y, h):
-    """``_dense_output`` of the steps ``(t, y, h)``: 16 calls of ``rhs`` on all of them."""
-    k = np.empty((16,) + y.shape)
-    k[0] = rhs(t, y)
-    return _dense_output(rhs, t, y, h, k, _dop853_step(rhs, t, y, h, k)[0])
-
-
-def _dense_samples(forcing, eps, x0, steps, taus):
+def _dense_samples(forcing, eps, x0, steps, taus, faults):
     """The ``(4, m, n)`` slow deviations at the sorted ``(n,)`` times ``taus``, from a record.
 
     ``steps`` is a record that ``_slow_deviation`` appended to for the
     ``(m,)`` eps and ``(4, m)`` starts ``x0``.  The dense output of a step
     depends only on its ``(t, y, h)``, so every recorded step of every
-    column is rebuilt in one batch: ``k[0] = rhs(t, y)``, the FSAL stage
-    the pass carried into that step, then its 12 stages and the 3 dense
-    ones.  Each column comes out bit for bit as the pass would have made
-    it.  A time is read from the last step of its column that starts at or
-    before it.  Also returns each column's reach, ``t + h`` of its last
-    step, past which a time would be extrapolated (0 when there are no
-    steps or no times).
+    column is rebuilt in one batch, 16 calls of ``rhs`` on all of them:
+    ``k[0] = rhs(t, y)``, the FSAL stage the pass carried into that step,
+    then its 12 stages and the 3 dense ones.  Each column comes out bit for
+    bit as the pass would have made it.  A column with a non-finite step
+    is entered in ``faults`` at its first such step in record order, the
+    one the pass met first.  A time is read from the last step of its
+    column that starts at or before it.  Also returns each column's reach,
+    ``t + h`` of its last step, past which a time would be extrapolated (0
+    when there are no steps or no times).
     """
     m, n = x0.shape[1], taus.size
     v, reach = np.zeros((4, m, n)), np.zeros(m)
     if not (steps and n):
         return v, reach
     col, t, h, y = (np.concatenate(a, axis=-1) for a in zip(*steps))
-    coeffs = _rebuilt_dense_output(slow_field(forcing, eps[col], x0[:, col])[0], t, y, h)
-    # In record order, the first non-finite step named is the one the pass met first.
-    _check_finite(coeffs, t)
+    rhs = slow_field(forcing, eps[col], x0[:, col])[0]
+    k = np.empty((16,) + y.shape)
+    k[0] = rhs(t, y)
+    coeffs = _dense_output(rhs, t, y, h, k, _dop853_step(rhs, t, y, h, k)[0])
+    _check_finite(coeffs, t, col, faults)
     # Each column's steps in time order.  A step's times run up to the start
     # of its column's next step; the last step's run to the last time.
     order = np.argsort(col, kind="stable")
@@ -337,7 +347,7 @@ def _setup(spec, eps, y0, times):
     return tuple(map(_body, compiled_forcing(spec))), eps, x0
 
 
-def sample_states(spec, eps, x0, taus, steps=None):
+def sample_states(spec, eps, x0, taus, steps=None, faults=None):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
@@ -351,42 +361,46 @@ def sample_states(spec, eps, x0, taus, steps=None):
     its state through ``model.slow_field``; tau = 0 gives x0 bit for bit.
     ``taus`` must be finite, non-negative and non-decreasing; repeated
     times are allowed.  No column depends on another.  Returns ``(4, n)``
-    or ``(4, m, n)``.
+    or ``(4, m, n)``.  A column that faults, in its pass or in the rebuild,
+    gets NaN samples and its entry in ``faults`` (``newton.fault_record``).
     """
     taus = np.array([float(t) for t in taus])
     shape = np.shape(x0) + taus.shape
     forcing, eps, x0 = _setup(spec, eps, x0, taus)
     m, n = x0.shape[1], taus.size
+    faults = fault_record(faults)
     with np.errstate(all="ignore"):
         if steps is None:
             steps, end = [], taus[-1] if n else 0.0
             cut = np.searchsorted(taus, end)
             v = np.empty((4, m, n))
-            v[:, :, cut:] = _slow_deviation(forcing, eps, x0, end, steps)[:, :, None]
-            v[:, :, :cut] = _dense_samples(forcing, eps, x0, steps, taus[:cut])[0]
+            v[:, :, cut:] = _slow_deviation(forcing, eps, x0, end, steps, faults)[:, :, None]
+            v[:, :, :cut] = _dense_samples(forcing, eps, x0, steps, taus[:cut], faults)[0]
         else:
-            v, reach = _dense_samples(forcing, eps, x0, steps, taus)
+            v, reach = _dense_samples(forcing, eps, x0, steps, taus, faults)
             if (reach < (taus[-1] if n else 0.0)).any():
                 raise ValueError("times must not pass the end of the recorded flow")
+        v[:, list(faults)] = np.nan
         # One column per (start, time), so the map runs on (4, m * n).
         _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
         out = state(np.tile(taus, m), v.reshape(4, -1)).reshape(v.shape)
     return out.reshape(shape)
 
 
-def flow_map(spec, eps, states0, period, steps=None):
+def flow_map(spec, eps, states0, period, steps=None, faults=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
     ``eps`` is a scalar or one value per column.  DOP853 steps each
     column's slow deviation on its own clock, so its endpoint is bit for
     bit the one it gets alone; only the endpoint is mapped back to a state.
     ``steps``, if given, is a list that gets the record of the accepted
-    steps, from which ``sample_states`` reads this flow's states.
+    steps, from which ``sample_states`` reads this flow's states.  A column
+    that faults ends NaN, with its entry in ``faults`` (``fault_record``).
     """
     period = float(period)
     forcing, eps, x0 = _setup(spec, eps, states0, (period,))
     with np.errstate(all="ignore"):
-        v = _slow_deviation(forcing, eps, x0, period, steps)
+        v = _slow_deviation(forcing, eps, x0, period, steps, faults)
         _, state = slow_field(forcing, eps, x0)
         out = state(np.full(eps.shape, period), v)
     return out.reshape(np.shape(states0))
@@ -416,8 +430,6 @@ class PeriodicOrbit:
     iterations: int
 
 
-# Failures of one case's own integration; they end that case only.
-_FAULTS = (IntegrationError, ExprDomainError)
 _EPS_ZERO = (
     "eps=0: the period map is the identity on the resonant mode plane, "
     "so the displacement Jacobian is singular; shoot at eps != 0"
@@ -436,8 +448,8 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
 
     Returns one outcome per case: a ``PeriodicOrbit``, or the exception
     that ended the case -- ``ShootingError`` (eps = 0, or a failed Newton
-    solve) or the ``IntegrationError`` / ``ExprDomainError`` of its own
-    integration.  Other cases go on either way.
+    solve) or the ``IntegrationError`` / ``ExprDomainError`` with which
+    one of its own columns left a flow.  Other cases go on either way.
 
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep, and every case's columns
@@ -449,12 +461,11 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     Each flow also records its accepted steps.  A case's solution is, bit
     for bit, one column of the last flow that held it (the base column of
     its trial's stencil, a halved trial, or the guess's stencil base), so
-    its orbit is sampled from that column's record:
     ``sample_states`` rebuilds the dense output of every converged orbit
-    in one batch, orbit by orbit only if that faults, and integrates
-    nothing.  It samples ``n_samples`` equally spaced times over one
-    period; ``n_samples = 0`` leaves ``samples`` empty, and a negative
-    count is refused before any flow.  The reported distance is measured
+    from those records in one batch, integrating nothing.  It samples
+    ``n_samples`` equally spaced times over one period; ``n_samples = 0``
+    leaves ``samples`` empty, and a negative count is refused before any
+    flow.  The reported distance is measured
     from the guess.  Each case ends bit for bit as ``shoot_periodic`` alone
     would end it.
     """
@@ -468,14 +479,14 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     # Start -> (columns, owners, packed step record) of the last flow that held it.
     flows = {}
 
-    def F(cols, owner):
+    def F(cols, owner, faults):
         steps = []
-        ends = flow_map(spec, eps[cases[owner]], cols, period, steps)
+        ends = flow_map(spec, eps[cases[owner]], cols, period, steps, faults)
         record = tuple(np.concatenate(a, axis=-1) for a in zip(*steps))
         flows.update(dict.fromkeys(owner.tolist(), (cols, owner, record)))
         return ends - cols
 
-    solved = solve_many(F, guesses[:, cases], tol, cond_limit=COND_LIMIT, faults=_FAULTS)
+    solved = solve_many(F, guesses[:, cases], tol, cond_limit=COND_LIMIT)
     records = {}  # case -> (t, h, y) of its solution's own steps
     for start, (i, result) in enumerate(zip(cases, solved)):
         outcomes[i] = result
@@ -489,20 +500,14 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
     idx = np.array(list(records), dtype=np.intp)
     xs = np.array([outcomes[i][0] for i in idx]).reshape(-1, 4).T
-
-    def sample(sel):
-        steps = [(np.full(records[i][0].size, r), *records[i]) for r, i in enumerate(idx[sel])]
-        samples = sample_states(spec, eps[idx[sel]], xs[:, sel], sample_taus, steps)
-        return np.moveaxis(samples, 1, 0)
-
+    faults, samples = {}, np.empty((idx.size, 4, 0))
     if n_samples:
-        samples = evaluate_parts(sample, idx.size, _FAULTS)
-    else:
-        samples = [np.empty((4, 0)) for _ in idx]
-    for i, sampled in zip(idx, samples):
+        steps = [(np.full(records[i][0].size, r), *records[i]) for r, i in enumerate(idx)]
+        samples = np.moveaxis(sample_states(spec, eps[idx], xs, sample_taus, steps, faults), 1, 0)
+    for r, (i, sampled) in enumerate(zip(idx, samples)):
         x, residual, iterations = outcomes[i]
-        if isinstance(sampled, Exception):
-            outcomes[i] = sampled
+        if r in faults:
+            outcomes[i] = faults[r]
             continue
         outcomes[i] = PeriodicOrbit(
             epsilon=float(eps[i]),

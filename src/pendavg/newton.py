@@ -13,8 +13,10 @@ Jacobian along: a step whose full step is taken makes one call of ``F``.
 Only the starts, and trials accepted after a halving, need a stencil call
 of their own; a halved trial is one column.  Its ``F`` also gets the start
 index of each column, so each start may pose its own problem (shooting
-gives each its own eps).  ``damped_newton`` is its one-start form, and
-``evaluate_parts`` the one rule that isolates a faulting part of a batch.
+gives each its own eps).  A column ``F`` cannot evaluate is data, not an
+exception: ``F`` enters it in a dict of faults (``fault_record``), and the
+fault ends only the start that needs that column.  ``damped_newton`` is
+the one-start form.
 """
 
 from __future__ import annotations
@@ -73,37 +75,34 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def evaluate_parts(F, n, faults=()):
-    """One entry per part of ``n``: its result, or the exception it raised alone.
+class _Raising(dict):
+    """A fault record that raises each fault as it is entered."""
 
-    ``F(sel)`` stacks on axis 0 the results of the parts in the slice ``sel``.
-    The one call on all n parts returns that stack.  Only when it raises one
-    of ``faults`` is each part called alone, and the entries come in a list;
-    a single part is not called again.  Other exceptions propagate: with
-    ``faults=()`` that call is the only one.
+    def __setitem__(self, column, fault):
+        raise fault
+
+    setdefault = __setitem__
+
+
+def fault_record(faults):
+    """The dict in which a batched call enters each column it cannot evaluate.
+
+    ``faults`` itself gets them as ``column: exception``, in the order met;
+    without it, the call raises its first fault as it meets it.
     """
-    try:
-        return F(slice(0, n))
-    except faults as exc:
-        if n == 1:
-            return [exc]  # that call was the part alone
-    results = []
-    for j in range(n):
-        try:
-            results.append(F(slice(j, j + 1))[0])
-        except faults as exc:
-            results.append(exc)
-    return results
+    return _Raising() if faults is None else faults
 
 
-def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
+def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     """Damped Newton on ``F(x) = 0`` from each column of ``starts``, in lockstep.
 
-    ``F(cols, owner)`` maps a ``(d, m)`` batch of columns to their values;
-    ``owner[c]`` is the index of the start column ``c`` belongs to.
-    Returns one outcome per start: ``(x, ||F(x)||, steps)``, or the exception
-    that ended it -- a ``NewtonFailure``, or one of ``faults`` raised by
-    ``F`` on that start's own columns alone; other starts go on either way.
+    ``F(cols, owner, faults)`` maps a ``(d, m)`` batch of columns to their
+    values; ``owner[c]`` is the index of the start column ``c`` belongs to,
+    and each column ``F`` cannot evaluate goes into the dict ``faults``
+    (``fault_record``).  Returns one outcome per start: ``(x, ||F(x)||,
+    steps)``, or the exception that ended it -- a ``NewtonFailure``, or a
+    fault of its own columns; other starts go on either way.  What ``F``
+    raises propagates.
 
     All unfinished starts take step k together.  Each start's
     central-difference Jacobian comes from ``F`` on its stencil, and one
@@ -114,46 +113,41 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
     without being evaluated.  The full-step trials carry their stencils in
     their call.  An accepted one's stencil is the next step's, so such a
     step makes one call of ``F``; a start, and a trial accepted after a
-    halving, have their stencils evaluated at the next step.  If the call
-    of trials with stencils raises one of ``faults``, its stencils are
-    dropped and the trials evaluated alone, so a stencil changes no
-    outcome: its fault ends a start only at the step that needs it, as
-    that stencil's own fault.  A start fails on a non-finite
+    halving, have their stencils evaluated at the next step.  A trial ends
+    its start on the fault of its own column, and a stencil with its first
+    fault at the step that needs it (an accepted trial's is kept until
+    then), so a stencil changes no outcome.  A start fails on a non-finite
     residual, a non-finite Jacobian, a condition number above
     ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
     determinant that underflows to 0), a step that no halving improves, or
     no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
-    it would take alone, given an ``F`` whose columns do not depend on each other.
+    it would take alone, given an ``F`` whose columns do not depend on each
+    other and whose first fault among any columns is theirs alone.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
     residual = np.zeros(n)
     finished = np.zeros(n, dtype=bool)
     outcome = [None] * n
-    # ``known[i]`` holds ``F`` on the stencil of ``x[i]`` where ``ready[i]``.
+    # ``known[i]`` holds ``F`` on the stencil of ``x[i]`` where ``ready[i]``;
+    # ``blocked[i]`` is the first fault of the stencil that start i needs next.
     known = np.empty((n, d, 2 * d + 1))
     ready = np.zeros(n, dtype=bool)
+    blocked = {}
 
     def end(idx, result):
+        """End each start of ``idx`` not yet finished with ``result(i)``."""
+        idx = idx[~finished[idx]]
         for i in idx:
             outcome[i] = result(i)
         finished[idx] = True
 
-    def call(idx, blocks, sel=slice(None)):
-        """``F`` on the ``(m, d, w)`` blocks of the starts ``idx[sel]``, as blocks."""
-        w = blocks.shape[2]
-        cols = blocks[sel].transpose(1, 0, 2).reshape(d, -1)
-        return F(cols, np.repeat(idx[sel], w)).reshape(d, -1, w).transpose(1, 0, 2)
-
-    def evaluate(idx, blocks):
-        """``F`` on the blocks of starts ``idx``; a block that faults alone ends its start."""
-        parts = evaluate_parts(lambda sel: call(idx, blocks, sel), idx.size, faults)
-        if isinstance(parts, np.ndarray):
-            return parts
-        for j in np.flatnonzero([isinstance(part, Exception) for part in parts]):
-            end(idx[j : j + 1], lambda i: parts[j])
-            parts[j] = np.full(blocks.shape[1:], np.nan)
-        return np.array(parts)
+    def call(idx, blocks):
+        """``F`` on the ``(m, d, w)`` blocks of starts ``idx``, and its faults by (block, column)."""
+        w, faults = blocks.shape[2], {}
+        values = F(blocks.transpose(1, 0, 2).reshape(d, -1), np.repeat(idx, w), faults)
+        faults = {divmod(c, w): fault for c, fault in faults.items()}
+        return values.reshape(d, -1, w).transpose(1, 0, 2), faults
 
     def settle(idx, steps):
         end(idx[residual[idx] <= tol], lambda i: (x[i].copy(), float(residual[i]), steps))
@@ -166,19 +160,17 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
         values, need = known[live], ~ready[live]
         ready[live] = False
         if need.any():
-            # A start whose stencil faulted is finished; the checks below skip it.
-            values[need] = evaluate(live[need], cols[need])
+            idx = live[need]
+            values[need], faults = call(idx, cols[need])
+            for (j, _), fault in faults.items():
+                blocked.setdefault(idx[j], fault)
+        if blocked:
+            end(live[np.isin(live, list(blocked))], blocked.get)
         g, jac = values[:, :, 0], _jacobians(values, h)
         residual[live] = _norms(g)
         settle(live, k)
-        end(
-            live[~finished[live] & ~np.isfinite(residual[live])],
-            lambda i: NewtonFailure("non-finite residual"),
-        )
-        end(
-            live[~finished[live] & ~np.isfinite(jac).all(axis=(1, 2))],
-            lambda i: NewtonFailure("non-finite Jacobian"),
-        )
+        end(live[~np.isfinite(residual[live])], lambda i: NewtonFailure("non-finite residual"))
+        end(live[~np.isfinite(jac).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
         go = ~finished[live]
         live, g, jac = live[go], g[go], jac[go]
         # Without a limit, skip the SVD behind ``cond``.
@@ -189,8 +181,7 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
                 f"Jacobian condition {cond[i]:.1e} exceeds {cond_limit:.1e}"
             ))
         # ``det`` is 0 at an exact zero pivot of the LU that ``solve`` raises on.
-        singular = ~finished[live] & (np.linalg.det(jac) == 0.0)
-        end(live[singular], lambda i: NewtonFailure("singular Jacobian"))
+        end(live[np.linalg.det(jac) == 0.0], lambda i: NewtonFailure("singular Jacobian"))
         go = ~finished[live]
         live, g, jac = live[go], g[go], jac[go]
         step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
@@ -201,20 +192,21 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
             r = np.full(search.size, np.nan)
             inside = ~(_norms(trial) > bound)
             at = search[inside]
-            if at.size and level == 0:
-                # The full-step trials carry their stencils.  If that call
-                # faults, the stencils are dropped and the trials evaluated
-                # alone, so a stencil changes no outcome.
-                try:
-                    known[at] = call(at, _stencils(trial[inside])[0])
-                    ready[at] = True
-                except faults:
-                    known[at, :, :1] = evaluate(at, trial[inside, :, None])
-                r[inside] = _norms(known[at, :, 0])
-            elif at.size:
-                r[inside] = _norms(evaluate(at, trial[inside, :, None])[:, :, 0])
+            faults = {}
+            if at.size:
+                # The full-step trials carry their stencils.
+                blocks = _stencils(trial[inside])[0] if level == 0 else trial[inside, :, None]
+                values, faults = call(at, blocks)
+                r[inside] = _norms(values[:, :, 0])
+                if level == 0:
+                    known[at], ready[at] = values, True
             # NaN -- a trial outside the bound or one that faulted -- is never lower.
             lower = r < residual[search]
+            for (j, c), fault in faults.items():
+                if c == 0:  # the trial's own column
+                    end(at[j : j + 1], lambda i: fault)
+                elif lower[inside][j]:
+                    blocked.setdefault(at[j], fault)
             ready[search[~lower]] = False  # a rejected trial's stencil is not x's
             x[search[lower]] = trial[lower]
             residual[search[lower]] = r[lower]
@@ -235,21 +227,13 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, faults=()):
 def damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
     """Solve ``F(x) = 0`` from ``x``; returns ``(x, ||F(x)||, steps)``.
 
-    The one-start form of ``solve_many``: ``F`` sees the stencil of 2d + 1
-    columns, then per step the full-step trial with its stencil (2d + 1
-    columns) and one column per halved trial.  Raises ``NewtonFailure``
-    with the reason the start failed, or what ``F`` raised on the start's
-    own columns.  A stencil that raises is dropped as in ``solve_many``, so
-    it changes no outcome.
+    The one-start form of ``solve_many``, for an ``F(cols)`` that raises
+    its faults: ``F`` sees the stencil of 2d + 1 columns, then per step the
+    full-step trial with its stencil and one column per halved trial.
+    Raises the ``NewtonFailure`` that ended the start, or what ``F`` raised.
     """
-    (result,) = solve_many(
-        lambda cols, _: F(cols),
-        np.asarray(x, dtype=float)[:, None],
-        tol,
-        bound,
-        cond_limit,
-        faults=(Exception,),
-    )
+    x = np.asarray(x, dtype=float)[:, None]
+    (result,) = solve_many(lambda cols, *_: F(cols), x, tol, bound, cond_limit)
     if isinstance(result, Exception):
         raise result
     return result

@@ -350,7 +350,7 @@ class _NoisyCorollary1:
     def _shift(self, y):
         return np.where(y > 0, self.d_plus, self.d_minus)
 
-    def eval_many(self, alphas):
+    def eval_many(self, alphas, faults=None):
         x, y = np.asarray(alphas, dtype=float).T
         g1 = x**2 + 3.0 * y**2 - oracles.CORO1_X0**2
         return np.stack([g1, (x - self._shift(y)) * y], axis=1)
@@ -385,7 +385,7 @@ def test_find_zeros_order_ignores_noise_on_axis_zeros():
 class _SquarePair:
     """g = (x^2 - 1, y): one simple zero (1, 0), reached by plain Newton."""
 
-    def eval_many(self, alphas):
+    def eval_many(self, alphas, faults=None):
         x, y = np.asarray(alphas, dtype=float).T
         return np.stack([x**2 - 1.0, y], axis=1)
 
@@ -553,6 +553,87 @@ def test_an_integrand_call_never_sees_more_than_a_chunk(monkeypatch):
     assert sum(sizes) == 2 * 2 ** 15
 
 
+def test_a_capped_point_leaves_its_batch_alone(monkeypatch):
+    # Off the a-axis the kink of abs(th2d) keeps the trapezoid error far
+    # above 1e-11 at the node cap; on it the sweep converges.  In one batch
+    # the capped point is entered as a QuadratureError and comes back NaN,
+    # the others keep their single-point bits, and every point's nodes are
+    # evaluated once: the batch costs the sum of the points alone, and the
+    # capped point its 2 x MAX_NODES base and check nodes.
+    spec = PerturbationSpec.from_strings("0", "abs(th2d) * sin(w1 * tau)", "mode1", 1, 1)
+    system = AveragedSystem(spec, tol=1e-11)
+    points = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
+    nodes = []
+    orbit = averaging.unperturbed_orbit
+
+    def counted(mode, alpha, tau):
+        nodes.append(np.size(alpha[0]) * np.size(tau))
+        return orbit(mode, alpha, tau)
+
+    monkeypatch.setattr(averaging, "unperturbed_orbit", counted)
+    faults = {}
+    batch = system.eval_many(points, faults)
+    batch_nodes = sum(nodes)
+    assert list(faults) == [1] and isinstance(faults[1], QuadratureError)
+    assert str(faults[1]) == f"quadrature did not reach tol=1.0e-11 within {MAX_NODES} nodes"
+    assert np.isnan(batch[1]).all()
+    alone_nodes = []
+    for j, point in enumerate(points):
+        nodes.clear()
+        if j == 1:
+            with pytest.raises(QuadratureError, match=str(MAX_NODES)):
+                system(point)
+            assert sum(nodes) == 2 * MAX_NODES
+        else:
+            assert system(point).tobytes() == batch[j].tobytes()
+        alone_nodes.append(sum(nodes))
+    assert batch_nodes == sum(alone_nodes)
+    # Without a dict the batch raises that fault.
+    with pytest.raises(QuadratureError, match=str(MAX_NODES)):
+        system.eval_many(points)
+
+
+def test_a_non_finite_point_leaves_its_batch_alone():
+    # sqrt(9 - th1^2) is NaN on orbits with |th1| > 3: such a point leaves
+    # at its first level with an ExprDomainError, in point order, and the
+    # largest |integrand| is that of the points that finished.
+    spec = PerturbationSpec.from_strings(
+        "0", "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(9 - th1^2)", "mode1", 1, 1
+    )
+    system = AveragedSystem(spec, tol=1e-11)
+    points = np.array([[5.0, 0.0], [1.0, 0.5], [0.0, 6.0], [0.3, -0.2]])
+    faults = {}
+    batch = system.eval_many(points, faults)
+    assert list(faults) == [0, 2]
+    assert all(str(e) == "integrand produced non-finite values" for e in faults.values())
+    assert np.isnan(batch[[0, 2]]).all()
+    scales = []
+    for j in (1, 3):
+        assert system(points[j]).tobytes() == batch[j].tobytes()
+        scales.append(system.last_scale)
+    system.eval_many(points, {})
+    assert system.last_scale == max(scales)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        system.eval_many(points)
+
+
+def test_the_probe_is_one_call_whatever_faults(monkeypatch):
+    # Points of the annulus beyond |th1| = 3 fault.  The probe judges the
+    # others in its one call, and raises probe point 0's fault only when
+    # every point faults.
+    spec = PerturbationSpec.from_strings(
+        "0", "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(9 - th1^2)", "mode1", 1, 1
+    )
+    calls = []
+    eval_many = AveragedSystem.eval_many
+    monkeypatch.setattr(AveragedSystem, "eval_many", lambda *a: calls.append(1) or eval_many(*a))
+    system = AveragedSystem(spec, tol=1e-11)
+    assert not is_identically_zero(system, 0.1, 10.0)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        is_identically_zero(system, 4.0, 10.0)
+    assert len(calls) == 2
+
+
 def _outcome(result):
     """Comparable form of one seed's end: exact x bits, or the failure."""
     if isinstance(result, Exception):
@@ -593,7 +674,7 @@ def test_lockstep_newton_matches_the_scalar_loop_seed_for_seed(f1, f2, mode, r1,
     seeds = seed_grid(r1, r2, *grid)
     bound = 10.0 * max(r2, 1.0)
     lockstep = solve_many(
-        lambda cols, _: F(cols), seeds.T, 1e-11, bound=bound, faults=(ExprDomainError, QuadratureError)
+        lambda cols, _, faults: system.eval_many(cols.T, faults).T, seeds.T, 1e-11, bound=bound
     )
     scalar = [_scalar_outcome(F, seed, 1e-11, bound) for seed in seeds]
     assert [_outcome(r) for r in lockstep] == [_outcome(r) for r in scalar]

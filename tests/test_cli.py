@@ -11,6 +11,7 @@ from pendavg import averaging, cli, config, continuation, model
 from pendavg.cli import DEGENERATE_MESSAGE, main
 from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
+from pendavg.expr import ExprDomainError
 from pendavg.model import Mode, unperturbed_orbit
 
 
@@ -513,27 +514,28 @@ def test_shooting_failure_recorded_and_exit_3(capsys, monkeypatch):
     assert "synthetic failure" in payload["runs"][0]["error"]
 
 
-def test_a_faulting_case_fails_alone_and_exit_3(capsys, monkeypatch):
-    # Every case is shot in one batch; a fault on one case's own columns
-    # fails that case only, and the others are reported as usual.
-    import pendavg.continuation as continuation
-    from pendavg.expr import ExprDomainError
-
-    flow_map = continuation.flow_map
-
-    def faulty(spec, eps, *args):
-        if np.any(np.asarray(eps) == 1e-2):
-            raise ExprDomainError("synthetic blow-up")
-        return flow_map(spec, eps, *args)
-
-    monkeypatch.setattr(continuation, "flow_map", faulty)
-    code, out, _ = run_cli(capsys, "verify", "--preset", "corollary2", "--eps", "1e-2,1e-3")
+def test_a_faulting_case_fails_alone_and_exit_3(capsys):
+    # Every case is shot in one batch.  Corollary 1's forcing plus a term
+    # that is NaN where th2d^2 > X0^2 + 0.3 (4.686... is X0^2) keeps all four
+    # zeros, but at eps 0.2 the flows of the (+-X0, 0) orbits stray past it.
+    # Those two cases fail with the fault each meets alone; the others are
+    # reported as usual.
+    f2 = "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(4.686291501015239 + 0.3 - th2d^2)"
+    code, out, _ = run_cli(capsys, "verify", "--preset", "corollary1", "--f2", f2, "--eps", "0.2,1e-3")
     assert code == 3
     runs = json.loads(out)["runs"]
-    assert [run["epsilon"] for run in runs] == [1e-3, 1e-2]
-    assert runs[0]["converged"] is True and runs[0]["residual"] <= 1e-10
-    assert runs[1]["converged"] is False
-    assert "synthetic blow-up" in runs[1]["error"]
+    assert [(run["epsilon"], run["zero_index"]) for run in runs] == [
+        (eps, zi) for eps in (1e-3, 0.2) for zi in range(4)
+    ]
+    failed = [run for run in runs if not run["converged"]]
+    assert [(run["epsilon"], run["zero_index"]) for run in failed] == [(0.2, 0), (0.2, 3)]
+    spec = model.PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
+    for run in failed:
+        guess = continuation.predicted_initial_state(Mode.MODE1, np.array(run["alpha"]))
+        with pytest.raises(ExprDomainError) as alone:
+            continuation.shoot_periodic(spec, 0.2, guess, n_samples=0)
+        assert run["error"] == str(alone.value)
+    assert all(run["residual"] <= 1e-10 for run in runs if run["converged"])
 
 
 def test_log_level_env_var(capsys, monkeypatch):

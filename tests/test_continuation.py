@@ -181,27 +181,69 @@ def test_every_column_is_its_own_run_bit_for_bit(monkeypatch):
         assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
 
 
-def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
-    # Three starts share each period-map call, each at its own eps.  One runs
-    # out of steps and one overflows exp(th2) as in
-    # test_forcing_blowup_reported_mid_flight; ``solve_many`` then evaluates
-    # start by start, and the third ends exactly as it ends alone.
+def _faulting_columns(monkeypatch):
+    """A spec and three ``(4, 3)`` starts at their own eps: clean, overflowing, out of steps.
+
+    The second overflows exp(th2) at tau = 0, as in
+    test_forcing_blowup_reported_mid_flight; the third, at eps = 1, needs
+    more than the 300 steps allowed.
+    """
     spec = PerturbationSpec.from_strings("0", "sin(40 * w1 * tau) + exp(th2)", "mode1", 1, 1)
     monkeypatch.setattr(continuation, "DOP853_TOL", 1e-8)
-    monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 1000)
+    monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 300)
     x0 = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
     starts = np.stack([x0, np.array([0.0, 0.0, 710.0, 0.0]), x0], axis=1)
-    eps = np.array([1e-3, 1e-3, 1.0])
+    return spec, starts, np.array([1e-3, 1e-3, 1.0])
 
-    def F(cols, owner):
-        return flow_map(spec, eps[owner], cols, T1) - cols
 
-    outcomes = solve_many(F, starts, 1e-10, faults=(IntegrationError, ExprDomainError))
+def _raised(call):
+    with pytest.raises((ExprDomainError, IntegrationError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_a_faulting_column_leaves_its_flow_alone(monkeypatch):
+    # In a flow, and in a sampling pass, each faulting column is entered
+    # with what it raises alone, in the order met: the overflow at the
+    # first stage, then the step budget.  It comes back NaN, and the clean
+    # column keeps its bits.  Without a dict the call raises the first entry.
+    spec, starts, eps = _faulting_columns(monkeypatch)
+    taus = [0.0, 1.0, T1]
+    for run in (
+        lambda j, *f: flow_map(spec, eps[j], starts[:, j], T1, None, *f),
+        lambda j, *f: sample_states(spec, eps[j], starts[:, j], taus, None, *f),
+    ):
+        faults = {}
+        out = run(slice(None), faults)
+        assert list(faults) == [1, 2]
+        assert np.isnan(out[:, 1:]).all()
+        assert out[:, 0].tobytes() == run(0).tobytes()
+        for j in (1, 2):
+            assert _raised(lambda: run(j)) == (type(faults[j]), str(faults[j]))
+        assert _raised(lambda: run(slice(None))) == (type(faults[1]), str(faults[1]))
+
+
+def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
+    # Three starts share each period-map call, each at its own eps.  The
+    # two that fault end with what they meet alone, and the third ends
+    # exactly as it ends alone.
+    spec, starts, eps = _faulting_columns(monkeypatch)
+
+    def F(cols, owner, faults):
+        return flow_map(spec, eps[owner], cols, T1, None, faults) - cols
+
+    outcomes = solve_many(F, starts, 1e-10)
     assert isinstance(outcomes[1], ExprDomainError)
     assert isinstance(outcomes[2], IntegrationError)
-    (alone,) = solve_many(F, starts[:, :1], 1e-10)
-    x, residual, steps = outcomes[0]
-    assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+    for j in range(3):
+        alone = solve_many(
+            lambda cols, owner, faults: F(cols, owner + j, faults), starts[:, j : j + 1], 1e-10
+        )[0]
+        if j:
+            assert (type(alone), str(alone)) == (type(outcomes[j]), str(outcomes[j]))
+        else:
+            x, residual, steps = outcomes[0]
+            assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
 
 
 @pytest.mark.parametrize("wraps", [False, True], ids=["plain", "functools-wraps"])
@@ -581,20 +623,66 @@ def test_sampling_integrates_nothing(monkeypatch):
 
 
 def test_shoot_many_fails_cases_one_by_one(monkeypatch):
-    # eps = 0 is refused, and a sampling pass that faults on one case's
-    # column is redone case by case: only that case fails.
+    # eps = 0 is refused, and a sampling rebuild that enters a fault for one
+    # case's column fails only that case: the other is sampled in the same
+    # call, bit for bit as alone.
     spec = oracles.make_spec("corollary2")
     guess = predicted_initial_state(spec.mode, (0.0, oracles.CORO2_W0))
     sample = continuation.sample_states
+    calls = []
 
-    def faulty(spec, eps, *args):
-        if np.any(np.asarray(eps) == 5e-3):
-            raise ExprDomainError("synthetic sampling fault")
-        return sample(spec, eps, *args)
+    def faulty(spec, eps, x0, taus, steps, faults):
+        calls.append(eps.size)
+        out = sample(spec, eps, x0, taus, steps, faults)
+        for c in np.flatnonzero(eps == 5e-3):
+            faults.setdefault(int(c), ExprDomainError("synthetic sampling fault"))
+        return out
 
     monkeypatch.setattr(continuation, "sample_states", faulty)
     outcomes = shoot_many(spec, [1e-2, 0.0, 5e-3], np.repeat(guess[:, None], 3, axis=1))
+    assert calls == [2]
     assert isinstance(outcomes[1], ShootingError) and "eps=0" in str(outcomes[1])
-    assert isinstance(outcomes[2], ExprDomainError)
+    assert isinstance(outcomes[2], ExprDomainError) and str(outcomes[2]) == "synthetic sampling fault"
+    monkeypatch.setattr(continuation, "sample_states", sample)
     alone = shoot_periodic(spec, 1e-2, guess)
     assert outcomes[0].samples.tobytes() == alone.samples.tobytes()
+
+
+# The eps of test_faulting_cases_cost_no_flow_of_their_own.
+_EIGHT_EPS = [1e-2, 5e-3, 2.5e-3, 1e-3, -1e-3, -1e-2, 2e-2, 3e-3]
+
+
+@pytest.mark.parametrize("d", ["3e-4", "1e-4", "1e-5"])
+def test_faulting_cases_cost_no_flow_of_their_own(monkeypatch, d):
+    # Corollary 1's forcing plus a term that is 0 where th2d^2 < X0^2 + d
+    # (4.686... is X0^2) and NaN beyond.  On the orbit of the zero (X0, 0),
+    # th2d^2 reaches X0^2, so a case faults where its flow strays past the
+    # margin.  Each of the eight cases ends as it ends alone: the same
+    # fault, or the same orbit bits.
+    # The lockstep Newton makes the 3 flows of a clean run (the guesses'
+    # stencils and two full steps with theirs), and none of them raises.
+    f2 = f"(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(4.686291501015239 + {d} - th2d^2)"
+    spec = PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
+    guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    flow, calls = continuation.flow_map, []
+
+    def counted(*args):
+        calls.append(None)
+        out = flow(*args)
+        calls[-1] = "returned"
+        return out
+
+    monkeypatch.setattr(continuation, "flow_map", counted)
+    outcomes = shoot_many(spec, _EIGHT_EPS, np.repeat(guess[:, None], 8, axis=1))
+    assert calls == ["returned"] * 3
+    assert any(isinstance(o, ExprDomainError) for o in outcomes)
+    assert any(not isinstance(o, Exception) for o in outcomes)
+    for eps, outcome in zip(_EIGHT_EPS, outcomes):
+        try:
+            alone = shoot_periodic(spec, eps, guess)
+        except ExprDomainError as exc:
+            assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+            continue
+        assert outcome.initial_state.tobytes() == alone.initial_state.tobytes()
+        assert outcome.samples.tobytes() == alone.samples.tobytes()
+        assert outcome.iterations == alone.iterations

@@ -12,7 +12,7 @@ from pendavg.newton import (
     MAX_STEPS,
     NewtonFailure,
     damped_newton,
-    evaluate_parts,
+    fault_record,
     linearize,
     solve_many,
 )
@@ -21,16 +21,17 @@ from pendavg.newton import (
 class _Recorded:
     """A column map that records every batch it is called with.
 
-    It takes the start indices ``solve_many`` passes and ignores them.
+    Any further arguments, such as the start indices and the fault record
+    of ``solve_many``, are passed on to the map.
     """
 
     def __init__(self, F):
         self.F = F
         self.batches = []
 
-    def __call__(self, cols, owner=None):
+    def __call__(self, cols, *rest):
         self.batches.append(cols.copy())
-        return self.F(cols)
+        return self.F(cols, *rest)
 
     def widths(self):
         return [cols.shape[1] for cols in self.batches]
@@ -125,7 +126,7 @@ def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    F = lambda cols, _=None: cols**2 - 1.0  # noqa: E731
+    F = lambda cols, *_: cols**2 - 1.0  # noqa: E731
     starts = np.array([[2.0, 0.0, 0.5], [3.0, 0.5, 0.7]])
     outcomes = solve_many(F, starts, 1e-12)
     assert len(solves) == 6
@@ -142,7 +143,7 @@ def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
 def test_each_start_fails_on_its_own_condition_number():
     # Start i scales its second row by 10^-(6 - i): condition 1e6, 1e5, 1e4
     # and 1e3.  Above the limit 2e3, each message quotes its own number.
-    def F(cols, owner):
+    def F(cols, owner, faults):
         return np.stack([cols[0], 10.0 ** (owner - 6.0) * cols[1]])
 
     outcomes = solve_many(F, np.ones((2, 4)), 1e-12, cond_limit=2e3)
@@ -189,41 +190,61 @@ class _Fault(ArithmeticError):
     pass
 
 
-def _root_two(cols, owner=None):
-    if (cols < 0.0).any():
-        raise _Fault("negative column")
-    return cols**2 - 4.0
+def _faulting(F, bad):
+    """``F``, with a ``_Fault`` naming each column where ``bad(cols)`` holds.
+
+    It takes ``solve_many``'s ``(cols, owner, faults)``: the faults are
+    entered in ``faults`` in column order, and their columns come back NaN.
+    Without a ``faults`` dict, the first is raised.
+    """
+
+    def faulty(cols, owner=None, faults=None):
+        record = fault_record(faults)
+        for c in np.flatnonzero(bad(cols)):
+            record[c] = _Fault(f"column {cols[:, c]}")
+        values = F(cols)
+        values[:, bad(cols)] = np.nan
+        return values
+
+    return faulty
+
+
+_root_two = _faulting(lambda cols: cols**2 - 4.0, lambda cols: (cols < 0.0).any(axis=0))
 
 
 def test_a_fault_fails_only_its_own_start():
-    # The start at -1 faults on its own columns; its round-mates end where
-    # they end alone, and without ``faults`` the exception propagates.
+    # The start at -1 faults on its own columns: it ends with the fault of
+    # the first of them, at the first call.  Its round-mates end where they
+    # end alone, and no call is made again.  An ``F`` that raises propagates.
     starts = np.array([[3.0, -1.0, 0.5]])
-    outcomes = solve_many(_root_two, starts, 1e-12, faults=(_Fault,))
-    assert isinstance(outcomes[1], _Fault)
+    F = _Recorded(_root_two)
+    outcomes = solve_many(F, starts, 1e-12)
+    assert isinstance(outcomes[1], _Fault) and str(outcomes[1]) == "column [-1.]"
     for j in (0, 2):
         x, residual, steps = outcomes[j]
         alone = damped_newton(_root_two, starts[:, j], 1e-12)
         assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
-    with pytest.raises(_Fault):
-        solve_many(_root_two, starts, 1e-12)
+    clean = _Recorded(_root_two)
+    solve_many(clean, starts[:, [0, 2]], 1e-12)
+    assert len(F.batches) == len(clean.batches)
+    with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
+        solve_many(lambda cols, owner, faults: _root_two(cols), starts, 1e-12)
+    with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
+        damped_newton(_root_two, starts[:, 1], 1e-12)
 
 
 def _stencil_faults(F, trial):
-    """``F``, but raising ``_Fault`` on a batch holding a stencil column of ``trial``.
+    """``_faulting`` on the stencil columns of ``trial``.
 
     Those are the columns within 1e-3 of ``trial`` other than ``trial``
-    itself; the message names the first of them.
+    itself.
     """
 
-    def faulty(cols, owner=None):
+    def bad(cols):
         near = (np.abs(cols - trial[:, None]) < 1e-3).all(axis=0)
-        bad = near & (cols != trial[:, None]).any(axis=0)
-        if bad.any():
-            raise _Fault(f"stencil column {cols[:, bad][:, 0]}")
-        return F(cols)
+        return near & (cols != trial[:, None]).any(axis=0)
 
-    return faulty
+    return _faulting(F, bad)
 
 
 def _first_full_step(F, start, tol):
@@ -240,19 +261,20 @@ def _same(a, b):
 
 def test_a_faulting_stencil_of_a_converging_trial_changes_no_outcome():
     # Newton on x - 2 from 1 lands within 1e-6 of the root at its first
-    # full step; only that trial's stencil faults.  Tried with the stencil,
-    # then alone, the trial ends the start as it ends without the fault.
+    # full step; only that trial's stencil faults.  The trial ends the
+    # start as it ends without the fault, and nothing is evaluated again.
     root = lambda cols: cols - 2.0  # noqa: E731
     clean, trial = _first_full_step(root, [1.0], 1e-6)
     F = _Recorded(_stencil_faults(root, trial))
-    assert _same(damped_newton(F, [1.0], 1e-6), clean)
-    assert clean[2] == 1 and F.widths() == [3, 3, 1]
-    outcomes = solve_many(F, np.array([[1.0, 1.0]]), 1e-6, faults=(_Fault,))
+    outcomes = solve_many(F, np.array([[1.0, 1.0]]), 1e-6)
+    assert clean[2] == 1 and F.widths() == [6, 6]
     assert all(_same(outcome, clean) for outcome in outcomes)
-    # At tol 1e-12 the trial is accepted short of convergence.  Its stencil
-    # is then evaluated at the next step, and its fault ends the start:
-    # the fault of that stencil alone, at the step it is needed.
-    (outcome,) = solve_many(F, np.array([[1.0]]), 1e-12, faults=(_Fault,))
+    # At tol 1e-12 the trial is accepted short of convergence.  Its
+    # stencil's fault, kept from that call, ends the start at the next
+    # step: the fault of that stencil alone, with no call to find it.
+    F.batches.clear()
+    (outcome,) = solve_many(F, np.array([[1.0]]), 1e-12)
+    assert F.widths() == [3, 3]
     with pytest.raises(_Fault) as alone:
         linearize(F, trial)
     assert isinstance(outcome, _Fault) and str(outcome) == str(alone.value)
@@ -265,54 +287,13 @@ def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
     clean, trial = _first_full_step(np.arctan, [1.5], 1e-12)
     assert abs(np.arctan(trial[0])) > abs(np.arctan(1.5))
     F = _Recorded(_stencil_faults(np.arctan, trial))
-    assert _same(damped_newton(F, [1.5], 1e-12), clean)
-    assert F.widths()[:4] == [3, 3, 1, 1]
+    (outcome,) = solve_many(F, np.array([[1.5]]), 1e-12)
+    assert _same(outcome, clean)
+    assert F.widths()[:3] == [3, 3, 1]
     starts = np.array([[1.5, 0.5, 1.5]])
-    outcomes = solve_many(F, starts, 1e-12, faults=(_Fault,))
+    outcomes = solve_many(F, starts, 1e-12)
     for outcome, start in zip(outcomes, starts.T):
         assert _same(outcome, damped_newton(np.arctan, start, 1e-12))
-
-
-class _Parts:
-    """Part j evaluates to (j / 2, -j / 2); a part in ``faulty`` raises.
-
-    It records the ``(start, stop)`` of every slice it is called on.
-    """
-
-    def __init__(self, faulty=()):
-        self.faulty = set(faulty)
-        self.calls = []
-
-    def __call__(self, sel):
-        self.calls.append((sel.start, sel.stop))
-        positions = np.arange(4)[sel]
-        if self.faulty & set(positions.tolist()):
-            raise _Fault("faulty part")
-        return np.stack([positions / 2.0, -positions / 2.0], axis=1)
-
-
-def test_evaluate_parts_without_a_fault_makes_one_call():
-    F = _Parts()
-    parts = evaluate_parts(F, 4, (_Fault,))
-    assert F.calls == [(0, 4)]
-    assert [part.tolist() for part in parts] == [[j / 2.0, -j / 2.0] for j in range(4)]
-
-
-def test_evaluate_parts_isolates_a_faulting_part():
-    F = _Parts(faulty={1})
-    parts = evaluate_parts(F, 4, (_Fault,))
-    assert F.calls == [(0, 4), (0, 1), (1, 2), (2, 3), (3, 4)]
-    assert isinstance(parts[1], _Fault)
-    clean = _Parts()(slice(0, 4))
-    for j in (0, 2, 3):
-        assert parts[j].tobytes() == clean[j].tobytes()
-
-
-def test_evaluate_parts_without_faults_propagates_after_one_call():
-    F = _Parts(faulty={1})
-    with pytest.raises(_Fault):
-        evaluate_parts(F, 4)
-    assert F.calls == [(0, 4)]
 
 
 def test_a_nan_residual_fails_the_start():
@@ -328,7 +309,7 @@ def test_each_start_may_pose_its_own_problem():
     # starts apart by the index of each column.
     owners = []
 
-    def F(cols, owner):
+    def F(cols, owner, faults):
         owners.append(owner.copy())
         return cols**2 - (owner + 2.0)
 
@@ -379,7 +360,7 @@ def test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop(case):
     # Same multiset of columns, bit for bit: none extra and none twice.
     F, starts, tol, bound = case()
     lockstep, scalar = _Recorded(F), _Recorded(F)
-    solve_many(lockstep, starts, tol, bound=bound)
+    solve_many(lambda cols, owner, faults: lockstep(cols), starts, tol, bound=bound)
     for start in starts.T:
         try:
             oracles.scalar_damped_newton(scalar, start, tol, bound=bound)
