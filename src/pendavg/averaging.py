@@ -161,7 +161,8 @@ def _batched_pair(spec, alphas, tol, faults=None):
         combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
         return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
 
-    raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol, faults)
+    with np.errstate(all="ignore"):
+        raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol, faults)
     averaged = np.stack([-raw[:, 0], raw[:, 1]], axis=1) / (2.0 * period)
     return raw, averaged, nodes, scale
 

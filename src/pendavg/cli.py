@@ -78,20 +78,19 @@ def _parse_eps_list(text):
 
 
 def _config_from_args(args):
-    """The merged config and its parsed forcing texts (for ``to_spec``)."""
+    """The config merged from preset, ``--config`` file and flags."""
     cfg = ExperimentConfig()
-    trees = {}
     if getattr(args, "preset", None):
         cfg = PRESETS[args.preset]
     if getattr(args, "config", None):
-        cfg = merge_config(cfg, read_config_file(args.config), args.config, trees)
+        cfg = merge_config(cfg, read_config_file(args.config), args.config)
     # Each experiment flag's dest is the config field it sets.
     overrides = {}
     for field in fields(ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             overrides[field.name] = _parse_eps_list(value) if field.name == "epsilons" else value
-    return merge_config(cfg, overrides, "flags", trees), trees
+    return merge_config(cfg, overrides, "flags")
 
 
 def _parse_pair(text, what):
@@ -144,19 +143,12 @@ def _emit(args, filename, text):
     _write_out(args, filename, text)
 
 
-def _config_echo(cfg):
-    """Every ExperimentConfig field, so a report can reproduce its run."""
-    echo = asdict(cfg)
-    echo["epsilons"] = list(cfg.epsilons)
-    return echo
-
-
 # ---------------------------------------------------------------------------
 # Zero search shared by `zeros` and `verify`
 # ---------------------------------------------------------------------------
 
-def _search(cfg, trees):
-    spec = cfg.to_spec(trees)
+def _search(cfg):
+    spec = cfg.to_spec()
     zeros = find_zeros(
         AveragedSystem(spec, tol=cfg.quad_tol),
         r1=cfg.r1,
@@ -187,7 +179,8 @@ def _zeros_payload(cfg, zeros, classes):
         for z in zeros
     ]
     payload = {
-        "config": _config_echo(cfg),
+        # Every field, so a report can reproduce its run.
+        "config": asdict(cfg),
         "zeros": zero_records,
         "orbit_classes": len(classes),
         "classes": classes,
@@ -213,8 +206,8 @@ def cmd_freqs(args):
 
 
 def cmd_average(args):
-    cfg, trees = _config_from_args(args)
-    spec = cfg.to_spec(trees)
+    cfg = _config_from_args(args)
+    spec = cfg.to_spec()
     system = AveragedSystem(spec, tol=cfg.quad_tol)
     if args.point:
         alphas = np.array([_parse_pair(p, "--point") for p in args.point])
@@ -230,16 +223,16 @@ def cmd_average(args):
 
 
 def cmd_zeros(args):
-    cfg, trees = _config_from_args(args)
-    _, zeros, classes = _search(cfg, trees)
+    cfg = _config_from_args(args)
+    _, zeros, classes = _search(cfg)
     payload = _zeros_payload(cfg, zeros, classes)
     _emit(args, "zeros.json", json_dumps(payload) + "\n")
     return 0
 
 
 def cmd_verify(args):
-    cfg, trees = _config_from_args(args)
-    spec, zeros, classes = _search(cfg, trees)
+    cfg = _config_from_args(args)
+    spec, zeros, classes = _search(cfg)
     payload = _zeros_payload(cfg, zeros, classes)
     class_of = {zi: ci for ci, group in enumerate(classes) for zi in group}
 
@@ -340,8 +333,9 @@ def build_parser():
 
     sub = subs.add_parser("average", help="evaluate the mean bifurcation pair (CSV)")
     _add_experiment_flags(sub)
-    sub.add_argument("--point", metavar="A,B", action="append", help="evaluation point (repeatable)")
-    sub.add_argument("--grid", metavar="SPEC", help="grid spec min:max:n[,min:max:n]")
+    where = sub.add_mutually_exclusive_group()
+    where.add_argument("--point", metavar="A,B", action="append", help="evaluation point (repeatable)")
+    where.add_argument("--grid", metavar="SPEC", help="grid spec min:max:n[,min:max:n]")
     sub.add_argument("--out", metavar="DIR", help="also write average.csv here")
     sub.set_defaults(func=cmd_average)
 

@@ -34,20 +34,13 @@ class ExperimentConfig:
     det_threshold: float = 1e-8
     epsilons: tuple = ()
 
-    def validate(self, trees=None):
-        """Check every field; raise ``ConfigError`` naming the first bad one.
-
-        Each forcing text is parsed into ``trees`` (text -> expression
-        tree), unless it is there already, so a run that validates after
-        every layer and then calls ``to_spec(trees)`` parses each text once.
-        """
-        trees = {} if trees is None else trees
+    def validate(self):
+        """Check every field; raise ``ConfigError`` naming the first bad one."""
         for name, text in (("f1", self.f1), ("f2", self.f2)):
-            if text not in trees:
-                try:
-                    trees[text] = parse(text)
-                except ExprSyntaxError as exc:
-                    raise ConfigError(f"{name}: {exc}") from exc
+            try:
+                parse(text)  # cached, so to_spec parses it no more
+            except ExprSyntaxError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if self.mode not in ("mode1", "mode2"):
             raise ConfigError(f"mode must be 'mode1' or 'mode2', got {self.mode!r}")
         if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
@@ -72,12 +65,10 @@ class ExperimentConfig:
                 )
         return self
 
-    def to_spec(self, trees=None):
-        """The ``PerturbationSpec``, taking parsed forcing from ``trees`` if there."""
-        trees = {} if trees is None else trees
-        f1, f2 = (trees.get(text, text) for text in (self.f1, self.f2))
+    def to_spec(self):
+        """The ``PerturbationSpec`` of this experiment."""
         try:
-            return PerturbationSpec.from_strings(f1, f2, self.mode, self.p, self.q)
+            return PerturbationSpec.from_strings(self.f1, self.f2, self.mode, self.p, self.q)
         except (ExprSyntaxError, PeriodicityError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -152,12 +143,11 @@ def load_config(path):
     return merge_config(ExperimentConfig(), read_config_file(path), source=str(path))
 
 
-def merge_config(base, overrides, source="overrides", trees=None):
+def merge_config(base, overrides, source="overrides"):
     """Apply a dict of overrides to a config, validating names and types.
 
     The merged config is validated whole, so a bad value is reported at the
-    layer that brings it even if a later layer overrides it; ``trees`` is
-    passed on to ``ExperimentConfig.validate``.
+    layer that brings it even if a later layer overrides it.
     """
     clean = {}
     for key, value in overrides.items():
@@ -165,4 +155,4 @@ def merge_config(base, overrides, source="overrides", trees=None):
             known = ", ".join(sorted(_FIELD_TYPES))
             raise ConfigError(f"{source}: unknown key {key!r} (known keys: {known})")
         clean[key] = _coerce(key, value)
-    return replace(base, **clean).validate(trees)
+    return replace(base, **clean).validate()

@@ -321,30 +321,19 @@ def _dense_samples(forcing, eps, x0, steps, taus, faults):
     return v, reach
 
 
-def _body(f):
-    """The ``body`` of a ``compile_expr`` callable, to call inside one ``np.errstate``.
-
-    Any other callable is called as is.  So is a wrapper made with
-    ``functools.wraps``: it copies ``body`` along, but it may count or time
-    the calls it passes on.
-    """
-    return f if hasattr(f, "__wrapped__") else getattr(f, "body", f)
-
-
 def _setup(spec, eps, y0, times):
-    """The compiled forcing bodies, ``(m,)`` eps and ``(4, m)`` starts of a run.
+    """The compiled forcing, ``(m,)`` eps and ``(4, m)`` starts of a run.
 
     ``times`` must be finite, non-negative and non-decreasing: an infinite
     time would step until ``DOP853_MAX_STEPS``.  Callers integrate under
-    one ``np.errstate`` and call the forcing bodies directly; the
-    integrator checks finiteness itself.
+    one ``np.errstate``; the integrator checks finiteness itself.
     """
     ordered = all(t1 >= t0 for t0, t1 in zip((0.0, *times), times))
     if not (ordered and np.isfinite(times).all()):
         raise ValueError("times must be finite, non-negative and non-decreasing")
     x0 = np.asarray(y0, dtype=float).reshape(4, -1)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), x0.shape[1:])
-    return tuple(map(_body, compiled_forcing(spec))), eps, x0
+    return compiled_forcing(spec), eps, x0
 
 
 def sample_states(spec, eps, x0, taus, steps=None, faults=None):

@@ -20,10 +20,12 @@ pendulum mode frequencies exactly instead of going through truncated
 decimals.  Exponents are restricted to numeric literals: integer exponents
 are real for any nonzero base, real exponents only for positive bases.
 
-Expressions are immutable after parsing.  :func:`compile_expr` is their one
-evaluator: its callables are pure and reentrant, and return every domain
-fault (sqrt of a negative, ``1/0``, overflow, ...) as NaN or inf, never as an
-exception.  Callers check finiteness.
+Expressions are immutable after parsing, and :func:`parse` and
+:func:`compile_expr` are cached, so each forcing text of a run is parsed and
+compiled once.  :func:`compile_expr` is the one evaluator: its functions are
+pure and reentrant, and return every domain fault (sqrt of a negative,
+``1/0``, overflow, ...) as NaN or inf, never as an exception.  Callers
+evaluate inside ``np.errstate(all="ignore")`` and check finiteness.
 """
 
 from __future__ import annotations
@@ -271,8 +273,14 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {value!r}", self.text, pos)
 
 
+# Parsed and compiled forcings kept per process.  A run uses two; the bound
+# keeps a long-lived process that reads forcing after forcing at a fixed size.
+COMPILE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def parse(text):
-    """Parse expression text into an immutable AST."""
+    """Parse expression text into an immutable AST (cached per text)."""
     return _Parser(text).parse()
 
 
@@ -303,24 +311,19 @@ def _emit(node, literals):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# Compiled forcings kept per process.  A run uses two; the bound keeps a
-# long-lived process that compiles forcing after forcing at a fixed size.
-COMPILE_CACHE_SIZE = 64
-
-
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def compile_expr(expr):
-    """Compile an Expr into a numpy-vectorized callable.
+    """Compile an Expr into a numpy-vectorized function.
 
-    The callable takes (tau, th1, th1d, th2, th2d) and broadcasts like
-    numpy.  Literals and constants are bound as numpy ``float64``, so no
-    subexpression is Python scalar arithmetic: a domain fault anywhere, even
-    among literals alone, comes back as NaN or inf.  Callers (the periodicity
-    audit, quadrature, integrators) check finiteness and report.
-
-    The callable evaluates under ``np.errstate(all="ignore")``, so it warns
-    about nothing.  Its ``body`` attribute is the same function without
-    that context, for a caller that enters it once around many calls.
+    The function takes (tau, th1, th1d, th2, th2d) and broadcasts like
+    numpy; a constant expression returns a scalar even for array arguments,
+    and callers needing a full grid broadcast it themselves.  Literals and
+    constants are bound as numpy ``float64``, so no subexpression is Python
+    scalar arithmetic: a domain fault anywhere, even among literals alone,
+    comes back as NaN or inf.  numpy warns about such a fault, so callers
+    (the periodicity audit, quadrature, integrators) evaluate inside one
+    ``np.errstate(all="ignore")`` around many calls, then check finiteness
+    and report.
     """
     literals = []
     body = _emit(expr, literals)
@@ -339,16 +342,7 @@ def compile_expr(expr):
     for name, value in CONSTANTS.items():
         namespace[f"_const_{name}"] = np.float64(value)
     exec(compile(source, "<expr>", "exec"), namespace)  # noqa: S102 - source built from a closed AST
-    fn = namespace["_compiled"]
-
-    def wrapper(tau, th1, th1d, th2, th2d):
-        # A constant expression returns a scalar even for array arguments;
-        # callers needing a full grid broadcast the result themselves.
-        with np.errstate(all="ignore"):
-            return fn(tau, th1, th1d, th2, th2d)
-
-    wrapper.body = fn
-    return wrapper
+    return namespace["_compiled"]
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,10 @@ class PerturbationSpec:
 
     @classmethod
     def from_strings(cls, f1, f2, mode, p, q):
-        """Build from forcing texts, or from trees already parsed from them."""
+        """Build from forcing texts."""
         if isinstance(mode, str):
             mode = Mode(mode)
-        f1, f2 = (parse(f) if isinstance(f, str) else f for f in (f1, f2))
-        return cls(f1, f2, mode, Resonance(p, q))
+        return cls(parse(f1), parse(f2), mode, Resonance(p, q))
 
     @property
     def forcing_period(self):
@@ -235,8 +234,9 @@ def audit_periodicity(spec):
     tgrid = taus[None, :]
     for k, fn in (("F1", f1), ("F2", f2)):
         cols = [s[:, None] * np.ones_like(tgrid) for s in states.T]
-        base = fn(tgrid, *cols)
-        shifted = fn(tgrid + shift, *cols)
+        with np.errstate(all="ignore"):
+            base = fn(tgrid, *cols)
+            shifted = fn(tgrid + shift, *cols)
         if not (np.isfinite(base).all() and np.isfinite(shifted).all()):
             raise PeriodicityError(f"{k} is not finite on the audit grid")
         gap = float(np.abs(shifted - base).max())

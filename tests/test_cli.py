@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pendavg import averaging, cli, config, continuation, model
+from pendavg import averaging, cli, continuation, expr, model
 from pendavg.cli import DEGENERATE_MESSAGE, main
 from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
@@ -80,6 +80,15 @@ def test_average_requires_points_or_grid(capsys):
     code, _, err = run_cli(capsys, "average", "--preset", "corollary1")
     assert code == 2
     assert "point" in err
+
+
+def test_average_refuses_points_and_grid_together(capsys):
+    # One of the two would be ignored, so giving both is a usage error.
+    with pytest.raises(SystemExit) as exit_:
+        main(["average", "--preset", "corollary1", "--point", "0,0", "--grid", "0:1:2"])
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "not allowed with argument" in out.err
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +369,16 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.r2 == 7.5
 
 
-def test_each_forcing_text_is_parsed_once(capsys, tmp_path, monkeypatch):
+def test_each_forcing_text_is_parsed_once(capsys, tmp_path):
     # The config is validated after every layer and then built into a
     # spec, but each forcing text of the run is parsed once.
-    calls = []
-    for owner in (config, model):
-        monkeypatch.setattr(
-            owner, "parse", lambda text, parse=owner.parse: calls.append(text) or parse(text)
-        )
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"r2": 10.0}))
-    preset = PRESETS["corollary1"]
-    for extra in ([], ["--config", str(cfg_path)]):
-        calls.clear()
-        code, _, _ = run_cli(capsys, "zeros", "--preset", "corollary1", *extra, "--tol", "1e-11")
+    for extra in ([], ["--config", str(cfg_path)], ["--config", str(cfg_path), "--tol", "1e-11"]):
+        expr.parse.cache_clear()
+        code, _, _ = run_cli(capsys, "zeros", "--preset", "corollary1", *extra)
         assert code == 0
-        assert sorted(calls) == sorted([preset.f1, preset.f2])
+        assert expr.parse.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(

@@ -248,10 +248,8 @@ def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
 
 @pytest.mark.parametrize("wraps", [False, True], ids=["plain", "functools-wraps"])
 def test_wrapped_forcing_is_called_as_is(monkeypatch, wraps):
-    # The integrators call the compiled bodies directly, but a forcing
-    # wrapped to count its calls is called through its wrapper -- also one
-    # made with functools.wraps, which copies ``body`` along -- and gives
-    # the same bits.
+    # A forcing wrapped to count its calls, plainly or with functools.wraps,
+    # is called through its wrapper and gives the same bits.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     direct = flow_map(spec, 1e-2, x0, T1)

@@ -109,11 +109,13 @@ def test_implicit_multiplication_rejected():
     ],
 )
 def test_domain_faults_come_back_non_finite(text):
-    # Faults in literal-only subexpressions too: no exception, no warning
-    # (the suite turns warnings into errors), no complex value.
+    # Faults in literal-only subexpressions too: no exception, no complex
+    # value.  Callers evaluate inside one errstate, as here.
     fn = compile_expr(parse(text))
     grid = np.linspace(0.1, 2.0, 7)
-    for value in (fn(*ENV), fn(grid, grid, grid, grid, grid)):
+    with np.errstate(all="ignore"):
+        values = fn(*ENV), fn(grid, grid, grid, grid, grid)
+    for value in values:
         assert np.isrealobj(value)
         assert not np.isfinite(value).any()
 
@@ -126,8 +128,9 @@ def test_integer_exponent_allows_negative_base():
 def test_nonfinite_input_comes_back_non_finite():
     # Non-finite states are not rejected here: they flow through to the
     # finiteness checks of quadrature and the integrators.
-    assert _at("th1", (0.0, math.inf, 0.0, 0.0, 0.0)) == math.inf
-    assert math.isnan(_at("0 * th1", (0.0, math.inf, 0.0, 0.0, 0.0)))
+    with np.errstate(all="ignore"):
+        assert _at("th1", (0.0, math.inf, 0.0, 0.0, 0.0)) == math.inf
+        assert math.isnan(_at("0 * th1", (0.0, math.inf, 0.0, 0.0, 0.0)))
 
 
 def test_eval_is_pure():
@@ -258,3 +261,16 @@ def test_a_repeated_forcing_hits_the_compile_cache():
     hits = compile_expr.cache_info().hits
     assert compile_expr(parse("(1 - th1^2) * sin(w1 * tau) + 0.25")) is first
     assert compile_expr.cache_info().hits == hits + 1
+
+
+def test_the_parse_cache_is_bounded():
+    for k in range(200):
+        parse(f"{k + 1} * cos(w2 * tau)")
+    assert parse.cache_info().currsize <= COMPILE_CACHE_SIZE
+
+
+def test_a_repeated_forcing_hits_the_parse_cache():
+    first = parse("(1 - th1^2) * sin(w1 * tau) + 0.5")
+    hits = parse.cache_info().hits
+    assert parse("(1 - th1^2) * sin(w1 * tau) + 0.5") is first
+    assert parse.cache_info().hits == hits + 1
