@@ -28,7 +28,7 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
-from .newton import fault_record, linearize, solve_many
+from .newton import Solution, fault_record, solve_many
 
 # Base-grid node counts of the first sweep level and of the last one allowed.
 FIRST_NODES = 8
@@ -197,8 +197,9 @@ class AveragedSystem:
         return averaged
 
     def jacobian(self, alpha):
-        """Central-difference Jacobian from ``newton.linearize``."""
-        return linearize(lambda cols: self.eval_many(cols.T).T, alpha)[1]
+        """The Jacobian ``solve_many`` carries for a start that settles at ``alpha``; raises its faults."""
+        alpha = np.asarray(alpha, dtype=float)[:, None]
+        return solve_many(lambda cols, *_: self.eval_many(cols.T).T, alpha, math.inf)[0].jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +281,13 @@ def find_zeros(
     alone.  A seed or probe point whose own evaluation faults (a domain
     fault or the quadrature cap) leaves its batch with that fault, and is
     dropped, as is a seed whose Newton run fails; that is not an error,
-    and the others go on.  Converged points
-    are kept when they land strictly inside the annulus, deduplicated, and
-    labelled simple when |det| of the central-difference Jacobian exceeds
-    ``det_threshold``.  An empty list is a valid outcome; its
-    ``degenerate`` flag tells an identically zero pair from one with no
-    zero in the annulus.
+    and the others go on; so is a seed whose stencil at its solution
+    faults.  Converged points are kept when they land strictly inside the
+    annulus, deduplicated, and labelled simple when |det| of the
+    central-difference Jacobian exceeds ``det_threshold``: the Jacobian
+    that Newton evaluated at the zero, at no further evaluation.  An
+    empty list is a valid outcome; its ``degenerate`` flag tells an
+    identically zero pair from one with no zero in the annulus.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order
     is kept.  Residuals of converged seeds are roundoff, so they pick no
@@ -303,19 +305,17 @@ def find_zeros(
         newton_tol,
         bound=10.0 * max(r2, 1.0),
     )
-    candidates = [o for o in outcomes if isinstance(o, tuple) and r1 < np.linalg.norm(o[0]) < r2]
+    candidates = [o for o in outcomes if isinstance(o, Solution) and r1 < np.linalg.norm(o.x) < r2]
     # This is also the output order: zeros are kept in candidate order.  The
     # sort is stable, so seeds stay in grid order within one bin.
-    candidates.sort(key=lambda c: canonical_key(c[0], dedup_radius))
+    candidates.sort(key=lambda c: canonical_key(c.x, dedup_radius))
 
     zeros = ZeroList()
-    for alpha, residual, iterations in candidates:
-        if any(np.linalg.norm(alpha - z.alpha) < dedup_radius for z in zeros):
+    for c in candidates:
+        if any(np.linalg.norm(c.x - z.alpha) < dedup_radius for z in zeros):
             continue
-        jac = system.jacobian(alpha)
-        det = float(np.linalg.det(jac))
-        simple = abs(det) > det_threshold and residual <= newton_tol
-        zeros.append(ZeroResult(alpha, residual, jac, det, simple, iterations))
+        det = float(np.linalg.det(c.jacobian))
+        zeros.append(ZeroResult(c.x, c.residual, c.jacobian, det, abs(det) > det_threshold, c.steps))
     return zeros
 
 

@@ -32,8 +32,8 @@ steps only to its end time, and ``flow_map`` maps back the endpoint.  A
 flow can also record its accepted steps, whose dense output
 ``sample_states`` rebuilds in one batch.  So ``shoot_many`` shoots every
 (guess, eps) case at once, in one lockstep Newton, and samples each
-converged orbit from the flow that gave its solution, with no further
-integration.  A fault costs only its own case.
+converged orbit from the flow and column that Newton reports gave its
+solution, with no further integration.  A fault costs only its own case.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .expr import ExprDomainError
 from .model import compiled_forcing, slow_field, unperturbed_orbit
-from .newton import NewtonFailure, fault_record, solve_many
+from .newton import NewtonFailure, Solution, fault_record, solve_many
 
 
 class IntegrationError(RuntimeError):
@@ -425,13 +425,6 @@ _EPS_ZERO = (
 )
 
 
-def _steps_of(x, start, cols, owner, record):
-    """The ``(t, h, y)`` steps of the column of start ``start`` that is ``x`` bit for bit."""
-    col, t, h, y = record
-    (j,) = [j for j in np.flatnonzero(owner == start) if cols[:, j].tobytes() == x.tobytes()]
-    return t[col == j], h[col == j], y[:, col == j]
-
-
 def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     """Newton-solve the period-map fixed point of case i at ``eps[i]`` from ``guesses[:, i]``.
 
@@ -447,15 +440,14 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     with its central-difference stencil, so when it is taken its
     Jacobian (monodromy minus identity) is already there: a step costs one
     flow.  A Jacobian with condition above ``COND_LIMIT`` stops that case.
-    Each flow also records its accepted steps.  A case's solution is, bit
-    for bit, one column of the last flow that held it (the base column of
-    its trial's stencil, a halved trial, or the guess's stencil base), so
-    ``sample_states`` rebuilds the dense output of every converged orbit
-    from those records in one batch, integrating nothing.  It samples
-    ``n_samples`` equally spaced times over one period; ``n_samples = 0``
-    leaves ``samples`` empty, and a negative count is refused before any
-    flow.  The reported distance is measured
-    from the guess.  Each case ends bit for bit as ``shoot_periodic`` alone
+    Each flow also records its accepted steps, and each converged case's
+    ``source`` names the flow and column whose value is its solution bit
+    for bit, so ``sample_states`` rebuilds the dense output of every
+    converged orbit from its own steps in one batch, integrating nothing.
+    It samples ``n_samples`` equally spaced times over one period;
+    ``n_samples = 0`` leaves ``samples`` empty, and a negative count is
+    refused before any flow.  The reported distance is measured from the
+    guess.  Each case ends bit for bit as ``shoot_periodic`` alone
     would end it.
     """
     if n_samples < 0:
@@ -465,36 +457,35 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     period = spec.full_period
     outcomes = [ShootingError(_EPS_ZERO) if e == 0.0 else None for e in eps]
     cases = np.flatnonzero(eps != 0.0)
-    # Start -> (columns, owners, packed step record) of the last flow that held it.
-    flows = {}
+    flows = []  # the packed step record of each call of F, in call order
 
     def F(cols, owner, faults):
         steps = []
         ends = flow_map(spec, eps[cases[owner]], cols, period, steps, faults)
-        record = tuple(np.concatenate(a, axis=-1) for a in zip(*steps))
-        flows.update(dict.fromkeys(owner.tolist(), (cols, owner, record)))
+        flows.append(tuple(np.concatenate(a, axis=-1) for a in zip(*steps)))
         return ends - cols
 
     solved = solve_many(F, guesses[:, cases], tol, cond_limit=COND_LIMIT)
     records = {}  # case -> (t, h, y) of its solution's own steps
-    for start, (i, result) in enumerate(zip(cases, solved)):
+    for i, result in zip(cases, solved):
         outcomes[i] = result
         if isinstance(result, NewtonFailure):
             outcomes[i] = ShootingError(f"period-map Newton at eps={eps[i]:g}: {result}")
             outcomes[i].__cause__ = result
-        elif isinstance(result, tuple):
-            records[i] = _steps_of(result[0], start, *flows[start])
+        elif isinstance(result, Solution):
+            col, *steps = flows[result.source[0]]
+            records[i] = [a[..., col == result.source[1]] for a in steps]
     flows.clear()  # only the solutions' own steps are sampled
 
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
     idx = np.array(list(records), dtype=np.intp)
-    xs = np.array([outcomes[i][0] for i in idx]).reshape(-1, 4).T
+    xs = np.array([outcomes[i].x for i in idx]).reshape(-1, 4).T
     faults, samples = {}, np.empty((idx.size, 4, 0))
     if n_samples:
         steps = [(np.full(records[i][0].size, r), *records[i]) for r, i in enumerate(idx)]
         samples = np.moveaxis(sample_states(spec, eps[idx], xs, sample_taus, steps, faults), 1, 0)
     for r, (i, sampled) in enumerate(zip(idx, samples)):
-        x, residual, iterations = outcomes[i]
+        x, residual, iterations = outcomes[i][:3]
         if r in faults:
             outcomes[i] = faults[r]
             continue

@@ -15,13 +15,15 @@ of their own; a halved trial is one column.  Its ``F`` also gets the start
 index of each column, so each start may pose its own problem (shooting
 gives each its own eps).  A column ``F`` cannot evaluate is data, not an
 exception: ``F`` enters it in a dict of faults (``fault_record``), and the
-fault ends only the start that needs that column.  ``damped_newton`` is
-the one-start form.
+fault ends only the start that needs that column.  A converged start's
+``Solution`` carries its Jacobian and the call and column that gave it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,35 +35,36 @@ class NewtonFailure(RuntimeError):
     """Damped Newton gave up; the message says why."""
 
 
-def _stencils(x):
-    """Central-difference stencils at the rows of ``x``, and their steps h.
+def _steps(x):
+    """Central-difference steps h_j = 1e-6 max(1, |x_j|) at the rows of ``x``."""
+    return 1e-6 * np.maximum(1.0, np.abs(x))
 
-    Start i gets the ``(d, 2d + 1)`` columns x, x + h_j e_j, x - h_j e_j with
-    h_j = 1e-6 max(1, |x_j|).
-    """
+
+def _stencils(x):
+    """Start i gets the ``(d, 2d + 1)`` columns x, x + h_j e_j, x - h_j e_j at row i of ``x``."""
     d = x.shape[1]
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    h = _steps(x)
     cols = np.repeat(x[:, :, None], 2 * d + 1, axis=2)
     j = np.arange(d)
     cols[:, j, 1 + j] += h
     cols[:, j, 1 + d + j] -= h
-    return cols, h
+    return cols
 
 
-def _jacobians(values, h):
-    """Central-difference Jacobians from ``F`` on each stencil of ``_stencils``."""
-    d = h.shape[1]
-    return (values[:, :, 1 : d + 1] - values[:, :, d + 1 :]) / (2.0 * h[:, None, :])
+def _jacobians(values, x):
+    """Central-difference Jacobians from ``F`` on the stencils of the rows of ``x``."""
+    d = x.shape[1]
+    return (values[:, :, 1 : d + 1] - values[:, :, d + 1 :]) / (2.0 * _steps(x)[:, None, :])
 
 
-def linearize(F, x):
-    """``F(x)`` and its central-difference Jacobian from one call of ``F``.
+class Solution(NamedTuple):
+    """A converged start of ``solve_many``."""
 
-    The columns are x, x + h_i e_i, x - h_i e_i with h_i = 1e-6 max(1, |x_i|).
-    """
-    cols, h = _stencils(np.asarray(x, dtype=float)[None, :])
-    values = F(cols[0])
-    return values[:, 0], _jacobians(values[None], h)[0]
+    x: np.ndarray
+    residual: float  # ||F(x)||
+    steps: int
+    jacobian: np.ndarray  # central difference at x
+    source: tuple  # (call, column): the column of the call of ``F`` whose value is x's
 
 
 def _norms(rows):
@@ -99,10 +102,10 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     ``F(cols, owner, faults)`` maps a ``(d, m)`` batch of columns to their
     values; ``owner[c]`` is the index of the start column ``c`` belongs to,
     and each column ``F`` cannot evaluate goes into the dict ``faults``
-    (``fault_record``).  Returns one outcome per start: ``(x, ||F(x)||,
-    steps)``, or the exception that ended it -- a ``NewtonFailure``, or a
-    fault of its own columns; other starts go on either way.  What ``F``
-    raises propagates.
+    (``fault_record``).  Returns one outcome per start: a ``Solution``, or
+    the exception that ended it -- a ``NewtonFailure``, or a fault of its
+    own columns; other starts go on either way.  What ``F`` raises
+    propagates.
 
     All unfinished starts take step k together.  Each start's
     central-difference Jacobian comes from ``F`` on its stencil, and one
@@ -112,17 +115,19 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     residual drops, and trials outside ``||x|| <= bound`` are halved
     without being evaluated.  The full-step trials carry their stencils in
     their call.  An accepted one's stencil is the next step's, so such a
-    step makes one call of ``F``; a start, and a trial accepted after a
-    halving, have their stencils evaluated at the next step.  A trial ends
-    its start on the fault of its own column, and a stencil with its first
-    fault at the step that needs it (an accepted trial's is kept until
-    then), so a stencil changes no outcome.  A start fails on a non-finite
-    residual, a non-finite Jacobian, a condition number above
-    ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
-    determinant that underflows to 0), a step that no halving improves, or
-    no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
-    it would take alone, given an ``F`` whose columns do not depend on each
-    other and whose first fault among any columns is theirs alone.
+    step makes one call of ``F``.  A start, and a trial accepted after a
+    halving, have theirs evaluated at the next step, or in one call for all
+    that converge.  So a ``Solution`` has the Jacobian at its ``x``, and as
+    ``source`` the ``(call, column)`` of ``F`` (from 0) whose value is x's
+    bit for bit: its stencil's base, full-step trial or halved trial.  A
+    trial ends its start on the fault of its own column, and a stencil with
+    its first fault once its start needs it, to go on or to converge.  A
+    start fails on a non-finite residual, a non-finite Jacobian, a
+    condition number above ``cond_limit``, a singular Jacobian (an exact
+    zero pivot, or a determinant that underflows to 0), a step that no
+    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
+    start takes the steps it would take alone, given an ``F`` whose columns
+    do not depend on each other and whose first fault is theirs alone.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
@@ -130,10 +135,13 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     finished = np.zeros(n, dtype=bool)
     outcome = [None] * n
     # ``known[i]`` holds ``F`` on the stencil of ``x[i]`` where ``ready[i]``;
-    # ``blocked[i]`` is the first fault of the stencil that start i needs next.
+    # ``blocked[i]`` is the first fault of the stencil that start i needs next;
+    # ``source[i]`` is the (call, column) whose value is ``x[i]``'s.
     known = np.empty((n, d, 2 * d + 1))
     ready = np.zeros(n, dtype=bool)
     blocked = {}
+    source = np.zeros((n, 2), dtype=np.intp)
+    calls = itertools.count()
 
     def end(idx, result):
         """End each start of ``idx`` not yet finished with ``result(i)``."""
@@ -143,32 +151,45 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
         finished[idx] = True
 
     def call(idx, blocks):
-        """``F`` on the ``(m, d, w)`` blocks of starts ``idx``, and its faults by (block, column)."""
+        """``F`` on the ``(m, d, w)`` blocks of starts ``idx``, faults by (block, column), heads.
+
+        A block's head is the ``(call, column)`` of its first column.
+        """
         w, faults = blocks.shape[2], {}
         values = F(blocks.transpose(1, 0, 2).reshape(d, -1), np.repeat(idx, w), faults)
         faults = {divmod(c, w): fault for c, fault in faults.items()}
-        return values.reshape(d, -1, w).transpose(1, 0, 2), faults
+        heads = np.stack([np.full(idx.size, next(calls)), np.arange(idx.size) * w], axis=1)
+        return values.reshape(d, -1, w).transpose(1, 0, 2), faults, heads
+
+    def evaluate_stencils(idx):
+        """Evaluate the stencils of starts ``idx`` into ``known``; returns their bases' sources."""
+        known[idx], faults, heads = call(idx, _stencils(x[idx]))
+        ready[idx] = True
+        for (j, _), fault in faults.items():
+            blocked.setdefault(idx[j], fault)
+        return heads
 
     def settle(idx, steps):
-        end(idx[residual[idx] <= tol], lambda i: (x[i].copy(), float(residual[i]), steps))
+        """End the starts of ``idx`` within ``tol``: converged, or on their stencil's fault."""
+        idx = idx[(residual[idx] <= tol) & ~finished[idx]]
+        if (fresh := idx[~ready[idx]]).size:
+            evaluate_stencils(fresh)
+        jac = dict(zip(idx.tolist(), _jacobians(known[idx], x[idx])))
+        end(idx, lambda i: blocked[i] if i in blocked else Solution(
+            x[i].copy(), float(residual[i]), steps, jac[i], tuple(source[i].tolist())
+        ))
 
     live = np.arange(n)
     for k in range(MAX_STEPS):
         if not live.size:
             break
-        cols, h = _stencils(x[live])
-        values, need = known[live], ~ready[live]
-        ready[live] = False
-        if need.any():
-            idx = live[need]
-            values[need], faults = call(idx, cols[need])
-            for (j, _), fault in faults.items():
-                blocked.setdefault(idx[j], fault)
-        if blocked:
-            end(live[np.isin(live, list(blocked))], blocked.get)
-        g, jac = values[:, :, 0], _jacobians(values, h)
+        if (need := live[~ready[live]]).size:
+            source[need] = evaluate_stencils(need)
+        end(live[np.isin(live, list(blocked))], blocked.get)
+        g, jac = known[live, :, 0], _jacobians(known[live], x[live])
         residual[live] = _norms(g)
         settle(live, k)
+        ready[live] = False
         end(live[~np.isfinite(residual[live])], lambda i: NewtonFailure("non-finite residual"))
         end(live[~np.isfinite(jac).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
         go = ~finished[live]
@@ -190,13 +211,14 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
         for level in range(_HALVINGS):
             trial = x[search] + 0.5**level * step
             r = np.full(search.size, np.nan)
+            heads = np.zeros((search.size, 2), dtype=np.intp)
             inside = ~(_norms(trial) > bound)
             at = search[inside]
             faults = {}
             if at.size:
                 # The full-step trials carry their stencils.
-                blocks = _stencils(trial[inside])[0] if level == 0 else trial[inside, :, None]
-                values, faults = call(at, blocks)
+                blocks = _stencils(trial[inside]) if level == 0 else trial[inside, :, None]
+                values, faults, heads[inside] = call(at, blocks)
                 r[inside] = _norms(values[:, :, 0])
                 if level == 0:
                     known[at], ready[at] = values, True
@@ -210,6 +232,7 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
             ready[search[~lower]] = False  # a rejected trial's stencil is not x's
             x[search[lower]] = trial[lower]
             residual[search[lower]] = r[lower]
+            source[search[lower]] = heads[lower]
             stay = ~lower & ~finished[search]
             search, step = search[stay], step[stay]
         end(search, lambda i: NewtonFailure(
@@ -222,18 +245,3 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
         f"no convergence after {MAX_STEPS} steps: residual {residual[i]:.3e}"
     ))
     return outcome
-
-
-def damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
-    """Solve ``F(x) = 0`` from ``x``; returns ``(x, ||F(x)||, steps)``.
-
-    The one-start form of ``solve_many``, for an ``F(cols)`` that raises
-    its faults: ``F`` sees the stencil of 2d + 1 columns, then per step the
-    full-step trial with its stencil and one column per halved trial.
-    Raises the ``NewtonFailure`` that ended the start, or what ``F`` raised.
-    """
-    x = np.asarray(x, dtype=float)[:, None]
-    (result,) = solve_many(lambda cols, *_: F(cols), x, tol, bound, cond_limit)
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -14,8 +14,8 @@ composite Gauss-Legendre rule independent of the package's periodic
 trapezoid sweep.
 
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
-time; tests hold the lockstep ``pendavg.newton.solve_many`` to it start for
-start.
+time, on its own central difference (:func:`central_difference`); tests
+hold the lockstep ``pendavg.newton.solve_many`` to it start for start.
 
 :func:`pair_row_slow_field` is ``pendavg.model.slow_field`` written on
 ``(2, m)`` row pairs, one per mode plane; the package's ``(4, m)`` form is
@@ -44,7 +44,7 @@ from pendavg.model import (
     compiled_forcing,
     modal_orbit,
 )
-from pendavg.newton import MAX_STEPS, NewtonFailure, linearize
+from pendavg.newton import MAX_STEPS, NewtonFailure
 
 SQRT2 = math.sqrt(2.0)
 W1 = math.sqrt(2.0 - SQRT2)
@@ -335,17 +335,38 @@ def pendulum_problem(spec):
 # Scalar damped Newton
 # ---------------------------------------------------------------------------
 
+def central_difference(F, x):
+    """``F(x)`` and its central-difference Jacobian from one call of ``F``.
+
+    The columns are x, then x + h_i e_i for each i, then x - h_i e_i for
+    each i, with the step h_i = 1e-6 max(1, |x_i|) of the README.
+    """
+    d = x.size
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    cols = np.repeat(x[:, None], 2 * d + 1, axis=1)
+    for i in range(d):
+        cols[i, 1 + i] = x[i] + h[i]
+        cols[i, 1 + d + i] = x[i] - h[i]
+    values = F(cols)
+    jac = np.empty((values.shape[0], d))
+    for i in range(d):
+        jac[:, i] = (values[:, 1 + i] - values[:, 1 + d + i]) / (2.0 * h[i])
+    return values[:, 0], jac
+
+
 def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
-    """Damped Newton from one start; returns ``(x, ||F(x)||, steps)``.
+    """Damped Newton from one start; returns ``(x, ||F(x)||, steps, jacobian)``.
 
     Same rules and failure texts as ``pendavg.newton.solve_many``: nine
     halvings per step, trials outside ``||x|| <= bound`` skipped unevaluated,
     at most ``MAX_STEPS`` steps.  The full-step trial is linearized where it
     stands, and once accepted that linearization is the next step's; if it
     raises, the trial is evaluated alone.  A halved trial is one column.
+    The Jacobian returned is the one at the final x: linearized there if no
+    linearization of it is in hand, so a faulting stencil raises.
     """
     x = np.array(x, dtype=float)
-    g, jac = linearize(F, x)
+    g, jac = central_difference(F, x)
     r = float(np.linalg.norm(g))
     if not math.isfinite(r):
         raise NewtonFailure("non-finite residual")
@@ -370,7 +391,7 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
             lin = None
             if level == 0:
                 try:
-                    lin = linearize(F, x_try)
+                    lin = central_difference(F, x_try)
                 except Exception:
                     pass
             g_try = F(x_try[:, None])[:, 0] if lin is None else lin[0]
@@ -381,12 +402,12 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
         else:
             raise NewtonFailure(f"stalled at residual {r:.3e}: 9 halvings did not reduce it")
         steps += 1
-        if r > tol and steps < MAX_STEPS:
-            g, jac = linearize(F, x) if lin is None else lin
+        if r <= tol or steps < MAX_STEPS:
+            g, jac = central_difference(F, x) if lin is None else lin
             r = float(np.linalg.norm(g))
             if not math.isfinite(r):
                 raise NewtonFailure("non-finite residual")
-    return x, r, steps
+    return x, r, steps, jac
 
 
 # ---------------------------------------------------------------------------

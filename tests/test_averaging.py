@@ -27,10 +27,11 @@ from pendavg.averaging import (
     is_identically_zero,
     seed_grid,
 )
+from pendavg.config import PRESETS
 from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.expr import ExprDomainError
 from pendavg.model import PerturbationSpec
-from pendavg.newton import NewtonFailure, solve_many
+from pendavg.newton import NewtonFailure, fault_record, solve_many
 
 SQRT2 = math.sqrt(2.0)
 
@@ -355,13 +356,6 @@ class _NoisyCorollary1:
         g1 = x**2 + 3.0 * y**2 - oracles.CORO1_X0**2
         return np.stack([g1, (x - self._shift(y)) * y], axis=1)
 
-    def __call__(self, alpha):
-        return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
-
-    def jacobian(self, alpha):
-        x, y = np.asarray(alpha, dtype=float)
-        return np.array([[2.0 * x, 6.0 * y], [y, x - self._shift(y)]])
-
 
 def test_find_zeros_order_ignores_noise_on_axis_zeros():
     # The zero order must not depend on the sign or size of 1e-11 noise in
@@ -389,13 +383,6 @@ class _SquarePair:
         x, y = np.asarray(alphas, dtype=float).T
         return np.stack([x**2 - 1.0, y], axis=1)
 
-    def __call__(self, alpha):
-        return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
-
-    def jacobian(self, alpha):
-        x, _ = np.asarray(alpha, dtype=float)
-        return np.array([[2.0 * x, 0.0], [0.0, 1.0]])
-
 
 def test_find_zeros_keeps_the_first_seed_of_a_bin():
     # Seeds (0.9, 0) and then (1.5, 0) both reach (1, 0): the first stops
@@ -406,6 +393,29 @@ def test_find_zeros_keeps_the_first_seed_of_a_bin():
     assert zeros[0].iterations == 3
     assert 1e-10 < zeros[0].residual <= 1e-9
     assert zeros[0].alpha[0] == pytest.approx(1.0, abs=1e-9)
+
+
+class _FaultingSquarePair(_SquarePair):
+    """``_SquarePair`` whose points off the x-axis within 1e-3 of (1, 0) fault."""
+
+    def eval_many(self, alphas, faults=None):
+        values = super().eval_many(alphas)
+        x, y = np.asarray(alphas, dtype=float).T
+        record = fault_record(faults)
+        for i in np.flatnonzero((np.abs(x - 1.0) < 1e-3) & (y != 0.0)):
+            record[i] = ExprDomainError("integrand produced non-finite values")
+            values[i] = np.nan
+        return values
+
+
+def test_find_zeros_drops_a_seed_whose_stencil_at_its_zero_faults():
+    # The seeds on the positive x-axis converge to (1, 0) along the axis,
+    # where only their stencils at the zero fault: those seeds are dropped,
+    # and the search goes on to the zero (-1, 0).
+    zeros = find_zeros(_FaultingSquarePair(), r1=0.9, r2=1.5, grid=(2, 2), newton_tol=1e-9)
+    assert len(zeros) == 1
+    assert zeros[0].alpha == pytest.approx([-1.0, 0.0], abs=1e-9)
+    assert zeros[0].simple
 
 
 def test_find_zeros_corollary2():
@@ -634,12 +644,38 @@ def test_the_probe_is_one_call_whatever_faults(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("which, calls", [("corollary1", 16), ("corollary2", 49)])
+def test_a_preset_search_takes_each_jacobian_from_its_newton_run(monkeypatch, which, calls):
+    # The probe and the Newton rounds are every ``eval_many`` call: each
+    # kept zero's Jacobian is the stencil its seed's Newton run evaluated,
+    # bit for bit the Jacobian that ``AveragedSystem.jacobian`` evaluates.
+    config = PRESETS[which]
+    system = AveragedSystem(config.to_spec(), tol=config.quad_tol)
+    count = []
+    eval_many = AveragedSystem.eval_many
+    monkeypatch.setattr(AveragedSystem, "eval_many", lambda *a: count.append(1) or eval_many(*a))
+    zeros = find_zeros(
+        system,
+        config.r1,
+        config.r2,
+        (config.grid_radial, config.grid_angular),
+        config.newton_tol,
+        config.dedup_radius,
+        config.det_threshold,
+    )
+    assert len(count) == calls
+    assert zeros
+    for zero in zeros:
+        assert zero.jacobian.tobytes() == system.jacobian(zero.alpha).tobytes()
+        assert zero.det == float(np.linalg.det(zero.jacobian))
+
+
 def _outcome(result):
     """Comparable form of one seed's end: exact x bits, or the failure."""
     if isinstance(result, Exception):
         return type(result), str(result)
-    x, residual, steps = result
-    return x.tobytes(), residual, steps
+    x, residual, steps, jac = result[:4]
+    return x.tobytes(), residual, steps, jac.tobytes()
 
 
 def _scalar_outcome(F, seed, tol, bound):

@@ -29,7 +29,7 @@ from pendavg.model import (
     modal_amplitudes,
     unperturbed_orbit,
 )
-from pendavg.newton import damped_newton, solve_many
+from pendavg.newton import solve_many
 
 def _coro1():
     return oracles.make_spec("corollary1")
@@ -242,8 +242,10 @@ def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
         if j:
             assert (type(alone), str(alone)) == (type(outcomes[j]), str(outcomes[j]))
         else:
-            x, residual, steps = outcomes[0]
-            assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+            x, residual, steps, jac = outcomes[0][:4]
+            assert (x.tobytes(), residual, steps, jac.tobytes()) == (
+                alone.x.tobytes(), alone.residual, alone.steps, alone.jacobian.tobytes()
+            )
 
 
 @pytest.mark.parametrize("wraps", [False, True], ids=["plain", "functools-wraps"])
@@ -532,18 +534,20 @@ def test_shooting_newton_matches_the_scalar_loop():
     spec = _coro1()
     eps = 1e-3
     guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
-    runs = []
-    for solve in (damped_newton, oracles.scalar_damped_newton):
+
+    def run(solve):
         widths = []
 
-        def F(cols, widths=widths):
+        def F(cols, *_):
             widths.append(cols.shape[1])
             return flow_map(spec, eps, cols, spec.full_period) - cols
 
-        x, residual, steps = solve(F, guess, 1e-10, cond_limit=1e12)
-        runs.append((widths, x.tobytes(), residual, steps))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == [9, 9, 9] and runs[0][3] == 2
+        x, residual, steps, jac = solve(F)[:4]
+        return widths, x.tobytes(), residual, steps, jac.tobytes()
+
+    lockstep = run(lambda F: solve_many(F, guess[:, None], 1e-10, cond_limit=1e12)[0])
+    assert lockstep == run(lambda F: oracles.scalar_damped_newton(F, guess, 1e-10, cond_limit=1e12))
+    assert lockstep[0] == [9, 9, 9] and lockstep[3] == 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Damped Newton and its central-difference Jacobian on closed-form maps."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,14 +9,7 @@ import pytest
 import oracles
 from pendavg.averaging import AveragedSystem, seed_grid
 from pendavg.config import PRESETS
-from pendavg.newton import (
-    MAX_STEPS,
-    NewtonFailure,
-    damped_newton,
-    fault_record,
-    linearize,
-    solve_many,
-)
+from pendavg.newton import MAX_STEPS, NewtonFailure, fault_record, solve_many
 
 
 class _Recorded:
@@ -51,18 +45,42 @@ def _quadratic_jacobian(point):
     return np.array([[2.0 * x + 2.0 * y, 2.0 * x, -1.0], [-z, 6.0 * y, -x], [0.0, 0.0, 2.0 * z]])
 
 
-def test_linearize_is_one_call_and_matches_the_exact_jacobian():
+def _one(F, x, tol, **kwargs):
+    """``solve_many``'s outcome from the one start ``x``, for an ``F(cols)``."""
+    (outcome,) = solve_many(lambda cols, *_: F(cols), np.array(x, dtype=float)[:, None], tol, **kwargs)
+    return outcome
+
+
+def _key(outcome):
+    """``(x, residual, steps, jacobian)`` of a solution or of the oracle, arrays as bytes."""
+    x, residual, steps, jac = outcome[:4]
+    return x.tobytes(), residual, steps, jac.tobytes()
+
+
+def _same(a, b):
+    return _key(a) == _key(b)
+
+
+def _fails(outcome, match):
+    assert isinstance(outcome, NewtonFailure) and re.search(match, str(outcome)), outcome
+
+
+def test_a_settled_start_carries_its_stencil_jacobian_from_one_call():
+    # At tol = inf a start settles where it stands, on one call of its
+    # stencil; its Jacobian is the oracle's central difference, bit for bit.
     F = _Recorded(_quadratic)
     x = np.array([0.3, -2.5, 4.0])
-    value, jac = linearize(F, x)
+    outcome = _one(F, x, np.inf)
     assert F.widths() == [7]
     cols = F.batches[0]
     assert np.array_equal(cols[:, 0], x)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     assert np.diag(cols[:, 1:4]) - x == pytest.approx(h, rel=1e-9)
     assert x - np.diag(cols[:, 4:7]) == pytest.approx(h, rel=1e-9)
-    assert np.array_equal(value, _quadratic(x[:, None])[:, 0])
-    assert np.abs(jac - _quadratic_jacobian(x)).max() <= 1e-8
+    value, jac = oracles.central_difference(_quadratic, x)
+    assert _key(outcome) == (x.tobytes(), float(np.linalg.norm(value)), 0, jac.tobytes())
+    assert outcome.source == (0, 0)
+    assert np.abs(outcome.jacobian - _quadratic_jacobian(x)).max() <= 1e-8
 
 
 def _root_pair(cols):
@@ -78,17 +96,18 @@ def test_damped_newton_converges_and_counts_steps():
     while np.linalg.norm(_root_pair(x[:, None])[:, 0]) > tol:
         x = x - np.array([(x[0] ** 2 - 4.0) / (2.0 * x[0]), x[1] - 1.0])
         want += 1
-    root, residual, steps = damped_newton(_root_pair, [3.0, 0.0], tol)
-    assert steps == want > 0
-    assert residual <= tol
-    assert root == pytest.approx([2.0, 1.0], abs=1e-12)
+    outcome = _one(_root_pair, [3.0, 0.0], tol)
+    assert outcome.steps == want > 0
+    assert outcome.residual <= tol
+    assert outcome.x == pytest.approx([2.0, 1.0], abs=1e-12)
+    assert _same(outcome, oracles.scalar_damped_newton(_root_pair, [3.0, 0.0], tol))
 
 
 def test_damped_newton_at_a_root_takes_no_step():
     F = _Recorded(_root_pair)
-    root, residual, steps = damped_newton(F, [2.0, 1.0], 1e-12)
-    assert (steps, residual) == (0, 0.0)
-    assert np.array_equal(root, [2.0, 1.0])
+    outcome = _one(F, [2.0, 1.0], 1e-12)
+    assert (outcome.steps, outcome.residual, outcome.source) == (0, 0.0, (0, 0))
+    assert np.array_equal(outcome.x, [2.0, 1.0])
     assert F.widths() == [5]
 
 
@@ -96,23 +115,20 @@ def test_non_finite_jacobian():
     def F(cols):
         return np.where(cols > 1.0, np.inf, cols - 2.0)
 
-    with pytest.raises(NewtonFailure, match="non-finite"):
-        damped_newton(F, [1.0], 1e-12)
+    _fails(_one(F, [1.0], 1e-12), "non-finite")
 
 
 def test_singular_jacobian():
-    with pytest.raises(NewtonFailure, match="singular"):
-        damped_newton(lambda cols: np.ones_like(cols), [0.5, 0.5], 1e-12)
+    _fails(_one(lambda cols: np.ones_like(cols), [0.5, 0.5], 1e-12), "singular")
 
 
 def test_condition_above_the_limit():
     def F(cols):
         return np.stack([cols[0], 1e-6 * cols[1]])
 
-    with pytest.raises(NewtonFailure, match="condition"):
-        damped_newton(F, [1.0, 1.0], 1e-12, cond_limit=1e3)
+    _fails(_one(F, [1.0, 1.0], 1e-12, cond_limit=1e3), "condition")
     # Without the limit the same map is solved.
-    assert damped_newton(F, [1.0, 1.0], 1e-12)[1] <= 1e-12
+    assert _one(F, [1.0, 1.0], 1e-12).residual <= 1e-12
 
 
 def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
@@ -135,9 +151,8 @@ def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
     with pytest.raises(NewtonFailure, match="^singular Jacobian$"):
         oracles.scalar_damped_newton(F, starts[:, 1], 1e-12)
     for j, steps in ((0, 6), (2, 5)):
-        x, residual, taken = damped_newton(F, starts[:, j], 1e-12)
-        assert (outcomes[j][0].tobytes(), *outcomes[j][1:]) == (x.tobytes(), residual, taken)
-        assert taken == steps
+        assert _same(outcomes[j], _one(F, starts[:, j], 1e-12))
+        assert outcomes[j].steps == steps
 
 
 def test_each_start_fails_on_its_own_condition_number():
@@ -150,15 +165,14 @@ def test_each_start_fails_on_its_own_condition_number():
     for i, want in enumerate(["1.0e+06", "1.0e+05", "1.0e+04"]):
         assert isinstance(outcomes[i], NewtonFailure)
         assert str(outcomes[i]) == f"Jacobian condition {want} exceeds 2.0e+03"
-    assert outcomes[3][1] <= 1e-12
+    assert outcomes[3].residual <= 1e-12
 
 
 def test_stalled_line_search():
     # The linearization near 0 promises the root x = 1, but every trial,
     # 1 down to 1/256, is worse than the start: nine halvings, then failure.
     F = _Recorded(lambda cols: np.where(np.abs(cols) < 1e-3, cols - 1.0, 5.0))
-    with pytest.raises(NewtonFailure, match="stalled"):
-        damped_newton(F, [0.0], 1e-12)
+    _fails(_one(F, [0.0], 1e-12), "stalled")
     # The start's stencil, the full step with its stencil, then eight halvings.
     assert F.widths() == [3, 3] + [1] * 8
 
@@ -166,8 +180,7 @@ def test_stalled_line_search():
 def test_no_convergence_within_max_steps():
     # Newton on x^3 only shrinks x by 2/3 per step, so tol = 0 is never met.
     F = _Recorded(lambda cols: cols**3)
-    with pytest.raises(NewtonFailure, match=f"no convergence after {MAX_STEPS} steps"):
-        damped_newton(F, [1.0, 1.0], 0.0)
+    _fails(_one(F, [1.0, 1.0], 0.0), f"no convergence after {MAX_STEPS} steps")
     # Every full step is taken, so each step is one call: its trial with
     # the stencil that serves the next step.
     assert F.widths() == [5] * (MAX_STEPS + 1)
@@ -178,12 +191,41 @@ def test_trials_outside_the_bound_are_never_evaluated():
     # leaves it; only halved trials inside the ball may be evaluated.
     bound = 4.0
     F = _Recorded(lambda cols: np.stack([cols[0] - 10.0, cols[1]]))
-    with pytest.raises(NewtonFailure):
-        damped_newton(F, [0.0, 0.0], 1e-12, bound=bound)
+    assert isinstance(_one(F, [0.0, 0.0], 1e-12, bound=bound), NewtonFailure)
     trials = [cols[:, 0] for cols in F.batches if cols.shape[1] == 1]
     assert trials
     assert max(np.linalg.norm(t) for t in trials) <= bound
     assert trials[0] == pytest.approx([2.5, 0.0])
+
+
+# Newton on atan at tol 0.1: from +-1.5 the full step overshoots to about
+# -+1.69, where |atan| is larger, and its half, about -+0.097, converges;
+# from 0.5 the full step converges; 0.05 is within tol where it stands.
+_ATAN_STARTS = np.array([[1.5, -1.5, 0.5, 0.05]])
+_ATAN_TOL = 0.1
+
+
+def test_trials_converging_after_a_halving_share_one_stencil_call():
+    # The two halved trials get their stencils in one call, after which
+    # nothing is evaluated; their Jacobians are the oracle's, bit for bit.
+    # Each start names the call of ``F`` and the column there whose value
+    # is its x: +-1.5 their halved trials (call 2), 0.5 its full-step trial
+    # (block 2 of call 1) and 0.05 the base of its first stencil.
+    F = _Recorded(np.arctan)
+    outcomes = solve_many(lambda cols, *_: F(cols), _ATAN_STARTS, _ATAN_TOL)
+    assert F.widths() == [12, 9, 2, 6]
+    assert [o.steps for o in outcomes] == [1, 1, 1, 0]
+    for outcome, start in zip(outcomes, _ATAN_STARTS.T):
+        assert _same(outcome, oracles.scalar_damped_newton(np.arctan, start, _ATAN_TOL))
+    stencils = F.batches[3]
+    for outcome, block in zip(outcomes[:2], (stencils[:, :3], stencils[:, 3:])):
+        assert outcome.x.tobytes() == block[:, 0].tobytes()
+        _, jac = oracles.central_difference(np.arctan, outcome.x)
+        assert outcome.jacobian.tobytes() == jac.tobytes()
+    assert [o.source for o in outcomes] == [(2, 0), (2, 1), (1, 6), (0, 9)]
+    for outcome in outcomes:
+        call, column = outcome.source
+        assert F.batches[call][:, column].tobytes() == outcome.x.tobytes()
 
 
 class _Fault(ArithmeticError):
@@ -221,16 +263,14 @@ def test_a_fault_fails_only_its_own_start():
     outcomes = solve_many(F, starts, 1e-12)
     assert isinstance(outcomes[1], _Fault) and str(outcomes[1]) == "column [-1.]"
     for j in (0, 2):
-        x, residual, steps = outcomes[j]
-        alone = damped_newton(_root_two, starts[:, j], 1e-12)
-        assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
+        assert _same(outcomes[j], solve_many(_root_two, starts[:, j : j + 1], 1e-12)[0])
     clean = _Recorded(_root_two)
     solve_many(clean, starts[:, [0, 2]], 1e-12)
     assert len(F.batches) == len(clean.batches)
     with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
         solve_many(lambda cols, owner, faults: _root_two(cols), starts, 1e-12)
     with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
-        damped_newton(_root_two, starts[:, 1], 1e-12)
+        _one(_root_two, starts[:, 1], 1e-12)
 
 
 def _stencil_faults(F, trial):
@@ -250,34 +290,56 @@ def _stencil_faults(F, trial):
 def _first_full_step(F, start, tol):
     """The clean run's outcome, and its first full-step trial: the base of its second call."""
     clean = _Recorded(F)
-    outcome = damped_newton(clean, start, tol)
+    outcome = _one(clean, start, tol)
     assert clean.widths()[:2] == [2 * len(start) + 1] * 2
     return outcome, clean.batches[1][:, 0]
 
 
-def _same(a, b):
-    return (a[0].tobytes(), *a[1:]) == (b[0].tobytes(), *b[1:])
+def _stencil_fault(F, x):
+    """The fault that the oracle's central difference at ``x`` raises."""
+    with pytest.raises(_Fault) as alone:
+        oracles.central_difference(F, x)
+    return alone.value
 
 
-def test_a_faulting_stencil_of_a_converging_trial_changes_no_outcome():
+def test_a_converging_trial_ends_with_its_stencils_fault():
     # Newton on x - 2 from 1 lands within 1e-6 of the root at its first
-    # full step; only that trial's stencil faults.  The trial ends the
-    # start as it ends without the fault, and nothing is evaluated again.
+    # full step; only that trial's stencil faults.  The start ends with
+    # that stencil's fault, as the scalar loop does, and nothing is
+    # evaluated again.
     root = lambda cols: cols - 2.0  # noqa: E731
     clean, trial = _first_full_step(root, [1.0], 1e-6)
+    assert clean.steps == 1 and clean.residual > 0.0
     F = _Recorded(_stencil_faults(root, trial))
     outcomes = solve_many(F, np.array([[1.0, 1.0]]), 1e-6)
-    assert clean[2] == 1 and F.widths() == [6, 6]
-    assert all(_same(outcome, clean) for outcome in outcomes)
+    assert F.widths() == [6, 6]
+    fault = _stencil_fault(F, trial)
+    for outcome in outcomes:
+        assert isinstance(outcome, _Fault) and str(outcome) == str(fault)
+    with pytest.raises(_Fault, match=f"^{re.escape(str(fault))}$"):
+        oracles.scalar_damped_newton(F, [1.0], 1e-6)
     # At tol 1e-12 the trial is accepted short of convergence.  Its
     # stencil's fault, kept from that call, ends the start at the next
-    # step: the fault of that stencil alone, with no call to find it.
+    # step: the same fault, with no call to find it.
     F.batches.clear()
     (outcome,) = solve_many(F, np.array([[1.0]]), 1e-12)
     assert F.widths() == [3, 3]
-    with pytest.raises(_Fault) as alone:
-        linearize(F, trial)
-    assert isinstance(outcome, _Fault) and str(outcome) == str(alone.value)
+    assert isinstance(outcome, _Fault) and str(outcome) == str(fault)
+
+
+def test_a_converging_halved_trial_ends_with_its_stencils_fault():
+    # From 1.5, atan converges on its halved trial at tol 0.1 (the first
+    # start of _ATAN_STARTS).  Only that trial's stencil faults: the start
+    # ends with that fault, its batch-mate as it ends alone.
+    clean = _one(np.arctan, [1.5], _ATAN_TOL)
+    F = _Recorded(_stencil_faults(np.arctan, clean.x))
+    outcomes = solve_many(F, np.array([[1.5, 0.5]]), _ATAN_TOL)
+    assert F.widths() == [6, 6, 1, 3]
+    fault = _stencil_fault(F, clean.x)
+    assert isinstance(outcomes[0], _Fault) and str(outcomes[0]) == str(fault)
+    assert _same(outcomes[1], _one(np.arctan, [0.5], _ATAN_TOL))
+    with pytest.raises(_Fault, match=f"^{re.escape(str(fault))}$"):
+        oracles.scalar_damped_newton(F, [1.5], _ATAN_TOL)
 
 
 def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
@@ -293,15 +355,15 @@ def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
     starts = np.array([[1.5, 0.5, 1.5]])
     outcomes = solve_many(F, starts, 1e-12)
     for outcome, start in zip(outcomes, starts.T):
-        assert _same(outcome, damped_newton(np.arctan, start, 1e-12))
+        assert _same(outcome, _one(np.arctan, start, 1e-12))
 
 
 def test_a_nan_residual_fails_the_start():
     # NaN is not above tol, but it is no convergence either.
     F = lambda cols: np.where(cols > 0.5, np.nan, cols - 2.0)  # noqa: E731
-    for solve in (damped_newton, oracles.scalar_damped_newton):
-        with pytest.raises(NewtonFailure, match="non-finite residual"):
-            solve(F, [1.0], 1e-12)
+    _fails(_one(F, [1.0], 1e-12), "non-finite residual")
+    with pytest.raises(NewtonFailure, match="non-finite residual"):
+        oracles.scalar_damped_newton(F, [1.0], 1e-12)
 
 
 def test_each_start_may_pose_its_own_problem():
@@ -315,10 +377,9 @@ def test_each_start_may_pose_its_own_problem():
 
     outcomes = solve_many(F, np.ones((1, 3)), 1e-12)
     assert owners[0].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    for i, (x, residual, steps) in enumerate(outcomes):
-        alone = damped_newton(lambda cols, c=i + 2.0: cols**2 - c, [1.0], 1e-12)
-        assert (x.tobytes(), residual, steps) == (alone[0].tobytes(), *alone[1:])
-        assert x[0] == pytest.approx(np.sqrt(i + 2.0), rel=1e-12)
+    for i, outcome in enumerate(outcomes):
+        assert _same(outcome, _one(lambda cols, c=i + 2.0: cols**2 - c, [1.0], 1e-12))
+        assert outcome.x[0] == pytest.approx(np.sqrt(i + 2.0), rel=1e-12)
 
 
 def _preset_search(name):
@@ -353,17 +414,23 @@ def _root_outside_the_bound():
         lambda: _preset_search("corollary2"),
         _cubes,
         _root_outside_the_bound,
+        lambda: (np.arctan, _ATAN_STARTS, _ATAN_TOL, np.inf),
     ],
-    ids=["corollary1", "corollary2", "max-steps", "bound"],
+    ids=["corollary1", "corollary2", "max-steps", "bound", "halved"],
 )
 def test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop(case):
     # Same multiset of columns, bit for bit: none extra and none twice.
+    # Each start ends as it ends alone, and each source names a column
+    # whose value is its solution.
     F, starts, tol, bound = case()
     lockstep, scalar = _Recorded(F), _Recorded(F)
-    solve_many(lambda cols, owner, faults: lockstep(cols), starts, tol, bound=bound)
-    for start in starts.T:
+    outcomes = solve_many(lambda cols, owner, faults: lockstep(cols), starts, tol, bound=bound)
+    for outcome, start in zip(outcomes, starts.T):
         try:
-            oracles.scalar_damped_newton(scalar, start, tol, bound=bound)
-        except NewtonFailure:
-            pass
+            assert _same(outcome, oracles.scalar_damped_newton(scalar, start, tol, bound=bound))
+        except NewtonFailure as failure:
+            assert (type(outcome), str(outcome)) == (NewtonFailure, str(failure))
+            continue
+        call, column = outcome.source
+        assert lockstep.batches[call][:, column].tobytes() == outcome.x.tobytes()
     assert lockstep.columns() == scalar.columns()
