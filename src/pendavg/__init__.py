@@ -9,26 +9,19 @@ reproducible CSV/JSON pipelines.
 """
 
 from .constants import OMEGA1, OMEGA2, T1, T2
-from .expr import ExprDomainError, ExprSyntaxError, format_expr, parse
+from .expr import ExprDomainError, ExprSyntaxError, parse
 from .model import (
     Mode,
     PerturbationSpec,
     PeriodicityError,
-    PhysicalParams,
     Resonance,
-    fundamental_matrix,
-    inverse_modal_transform,
-    modal_transform,
-    reduce,
     unperturbed_orbit,
 )
 from .averaging import (
     AveragedSystem,
-    AveragedValues,
     QuadratureError,
     ZeroResult,
     antipodal_pairing,
-    averaged_pair,
     find_zeros,
 )
 from .continuation import (
@@ -49,24 +42,16 @@ __all__ = [
     "T2",
     "ExprDomainError",
     "ExprSyntaxError",
-    "format_expr",
     "parse",
     "Mode",
     "PerturbationSpec",
     "PeriodicityError",
-    "PhysicalParams",
     "Resonance",
-    "fundamental_matrix",
-    "inverse_modal_transform",
-    "modal_transform",
-    "reduce",
     "unperturbed_orbit",
     "AveragedSystem",
-    "AveragedValues",
     "QuadratureError",
     "ZeroResult",
     "antipodal_pairing",
-    "averaged_pair",
     "find_zeros",
     "IntegrationError",
     "PeriodicOrbit",

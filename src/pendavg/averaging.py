@@ -2,19 +2,17 @@
 
 For a forcing pair in p:q resonance with one pendulum mode, the persistence
 question reduces to a two-component function of the mode-plane amplitudes
-alpha = (a, b):
+alpha = (a, b), the period mean
 
-    raw(alpha)  = integral over [0, T] of sin/cos(omega tau) times the
-                  mode combination of the forcing evaluated along the
-                  closed-form unperturbed orbit through alpha;
-    mean(alpha) = (-raw[0], +raw[1]) / (2 T),    T = p * (mode period)
+    mean(alpha) = (-I[0], +I[1]) / (2 T),    T = p * (mode period),
 
-The ``mean`` pair is the canonical output (it is exactly the projected
-period average of M^-1(t) G1 along the orbit, the object whose simple
-zeros continue to periodic orbits); the ``raw`` pair differs only by the
-nonzero constant -/(+ 2 p T) per component, so both have the same zeros.
+of the integral I(alpha) over [0, T] of sin/cos(omega tau) times the mode
+combination of the forcing evaluated along the closed-form unperturbed
+orbit through alpha.  The mean is exactly the projected period average of
+M^-1(t) G1 along the orbit, the object whose simple zeros continue to
+periodic orbits.
 
-The raw pair is a periodic trapezoid sum, which converges geometrically on
+The integral is a periodic trapezoid sum, which converges geometrically on
 the smooth periodic integrand of a smooth forcing (``_integrate_points``).
 """
 
@@ -124,58 +122,12 @@ def _integrate_points(f, m, period, tol, faults=None):
 
 
 # ---------------------------------------------------------------------------
-# Mode-specialized bifurcation functions
+# The mean bifurcation pair
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AveragedValues:
-    """Raw integral pair and its period-mean counterpart at one alpha."""
-
-    raw: np.ndarray
-    averaged: np.ndarray
-    nodes: int
-
-
-def _batched_pair(spec, alphas, tol, faults=None):
-    """Evaluate the bifurcation pair at many alphas in one quadrature.
-
-    Returns (raw, averaged) arrays of shape (m, 2), the largest base node
-    count and the largest |integrand|, with ``faults`` as in
-    ``_integrate_points``.  A whole seed grid or Newton round costs one
-    trapezoid sweep, in which each point refines on its own criterion and
-    is summed on its own, so its value is bit for bit its single-point
-    value.  The integrand runs on chunks of at most ``CHUNK_FLOATS`` point
-    x node values.
-    """
-    alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
-    mode = spec.mode
-    w = mode.omega
-    sign = 1.0 if mode is Mode.MODE1 else -1.0
-    f1, f2 = compiled_forcing(spec)
-    period = spec.full_period
-
-    def integrand(points, taus):
-        chunk = alphas[points]
-        states = unperturbed_orbit(mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
-        combo = sign * SQRT2 * f1(taus[None, :], *states) + f2(taus[None, :], *states)
-        combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
-        return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
-
-    with np.errstate(all="ignore"):
-        raw, nodes, scale = _integrate_points(integrand, alphas.shape[0], period, tol, faults)
-    averaged = np.stack([-raw[:, 0], raw[:, 1]], axis=1) / (2.0 * period)
-    return raw, averaged, nodes, scale
-
-
-def averaged_pair(spec, alpha, tol=1e-11):
-    """Raw and mean bifurcation values at one point of the mode plane."""
-    raw, averaged, nodes, _ = _batched_pair(spec, np.asarray(alpha, dtype=float)[None, :], tol)
-    return AveragedValues(raw[0], averaged[0], nodes)
-
-
-@dataclass
 class AveragedSystem:
-    """Callable mean bifurcation pair with finite-difference Jacobian access.
+    """The mean bifurcation pair of ``spec``, evaluated in batches by ``eval_many``.
 
     ``eval_many(alphas, faults)`` returns NaN for a point that faults, with
     its entry in ``faults`` (``newton.fault_record``).  After each call,
@@ -192,9 +144,36 @@ class AveragedSystem:
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
 
     def eval_many(self, alphas, faults=None):
-        pair = _batched_pair(self.spec, alphas, self.tol, faults)
-        _, averaged, self.last_panels, self.last_scale = pair
-        return averaged
+        """The ``(m, 2)`` mean pair at the ``m`` rows of ``alphas``, in one quadrature.
+
+        A whole seed grid or Newton round costs one trapezoid sweep, in
+        which each point refines on its own criterion and is summed on its
+        own, so its value is bit for bit its single-point value.  The
+        integrand runs on chunks of at most ``CHUNK_FLOATS`` point x node
+        values.
+        """
+        alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
+        if not alphas.size:
+            self.last_panels, self.last_scale = 0, 0.0
+            return np.empty((0, 2))
+        mode = self.spec.mode
+        w = mode.omega
+        sign = 1.0 if mode is Mode.MODE1 else -1.0
+        f1, f2 = compiled_forcing(self.spec)
+        period = self.spec.full_period
+
+        def integrand(points, taus):
+            chunk = alphas[points]
+            states = unperturbed_orbit(mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
+            combo = sign * SQRT2 * f1(taus[None, :], *states) + f2(taus[None, :], *states)
+            combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
+            return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
+
+        with np.errstate(all="ignore"):
+            integral, self.last_panels, self.last_scale = _integrate_points(
+                integrand, alphas.shape[0], period, self.tol, faults
+            )
+        return np.stack([-integral[:, 0], integral[:, 1]], axis=1) / (2.0 * period)
 
     def jacobian(self, alpha):
         """The Jacobian ``solve_many`` carries for a start that settles at ``alpha``; raises its faults."""
@@ -239,8 +218,8 @@ def is_identically_zero(system, r1, r2):
     identically zero pair; Newton would then "converge" at every seed, so
     the search must be short-circuited.  Such a pair is the roundoff of a
     cancelling integral, so it is judged against ``ZERO_THRESHOLD`` times
-    the largest |integrand| (``system.last_scale``; 1 for a system without
-    it).  The probe points are evaluated in one call; a point that faults
+    the largest |integrand| (``system.last_scale``, which that call sets).
+    The probe points are evaluated in one call; a point that faults
     is not judged, and the first probe point's fault is raised only when
     every point faults.
     """
@@ -250,7 +229,7 @@ def is_identically_zero(system, r1, r2):
     if len(faults) == len(probes):
         raise faults[0]
     # A point that faults is NaN, which the max skips.
-    return float(np.nanmax(np.abs(pair))) <= ZERO_THRESHOLD * getattr(system, "last_scale", 1.0)
+    return float(np.nanmax(np.abs(pair))) <= ZERO_THRESHOLD * system.last_scale
 
 
 def canonical_key(alpha, radius):
@@ -275,14 +254,16 @@ def find_zeros(
 ):
     """Locate the zeros of the mean pair inside the open annulus.
 
-    ``newton.solve_many`` runs damped Newton from every polar grid seed in
-    lockstep, one ``eval_many`` call per round, confined to the ball
-    ``||alpha|| <= 10 max(r2, 1)``; each seed takes the steps it would take
-    alone.  A seed or probe point whose own evaluation faults (a domain
-    fault or the quadrature cap) leaves its batch with that fault, and is
-    dropped, as is a seed whose Newton run fails; that is not an error,
-    and the others go on; so is a seed whose stencil at its solution
-    faults.  Converged points are kept when they land strictly inside the
+    ``system`` is an ``AveragedSystem``, or anything with its
+    ``eval_many(alphas, faults)`` and the ``last_scale`` that each call
+    sets, which ``is_identically_zero`` reads.  ``newton.solve_many`` runs
+    damped Newton from every polar grid seed in lockstep, one ``eval_many``
+    call per round, confined to the ball ``||alpha|| <= 10 max(r2, 1)``;
+    each seed takes the steps it would take alone.  A seed or probe point
+    whose own evaluation faults (a domain fault or the quadrature cap)
+    leaves its batch with that fault, and is dropped, as is a seed whose
+    Newton run fails; that is not an error, and the others go on; so is a
+    seed whose stencil at its solution faults.  Converged points are kept when they land strictly inside the
     annulus, deduplicated, and labelled simple when |det| of the
     central-difference Jacobian exceeds ``det_threshold``: the Jacobian
     that Newton evaluated at the zero, at no further evaluation.  An

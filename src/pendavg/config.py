@@ -138,11 +138,6 @@ def read_config_file(path):
     return data
 
 
-def load_config(path):
-    """Read and validate a JSON config file; unknown keys are rejected loudly."""
-    return merge_config(ExperimentConfig(), read_config_file(path), source=str(path))
-
-
 def merge_config(base, overrides, source="overrides"):
     """Apply a dict of overrides to a config, validating names and types.
 

@@ -288,10 +288,6 @@ def parse(text):
 # Vectorized compilation
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3
-
-
 def _emit(node, literals):
     """Emit numpy source for a node; literal i is appended and named ``_num_<i>``."""
     if isinstance(node, Num):
@@ -343,51 +339,3 @@ def compile_expr(expr):
         namespace[f"_const_{name}"] = np.float64(value)
     exec(compile(source, "<expr>", "exec"), namespace)  # noqa: S102 - source built from a closed AST
     return namespace["_compiled"]
-
-
-# ---------------------------------------------------------------------------
-# Formatting
-# ---------------------------------------------------------------------------
-
-def _format_number(value):
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def _node_precedence(node):
-    if isinstance(node, BinOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
-        return _NEG_PRECEDENCE
-    return 9
-
-
-def format_expr(node):
-    """Render an Expr back to text; ``parse(format_expr(e))`` equals ``e``."""
-    if isinstance(node, Num):
-        return _format_number(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({format_expr(node.arg)})"
-    if isinstance(node, Neg):
-        inner = format_expr(node.operand)
-        if _node_precedence(node.operand) < _NEG_PRECEDENCE:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = format_expr(node.lhs)
-        right = format_expr(node.rhs)
-        # Binary operators parse left-associatively, so an equal-precedence
-        # right child needs parentheses to round-trip structurally.  '^'
-        # keeps its literal exponent bare.
-        if _node_precedence(node.lhs) < prec or (
-            node.op == "^" and _node_precedence(node.lhs) <= prec
-        ):
-            left = f"({left})"
-        if _node_precedence(node.rhs) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")

@@ -8,10 +8,6 @@ rates, in the rescaled time ``tau`` in which the equations of motion read
     th1'' = -2 th1 + th2 + eps * F1(tau, th1, th1', th2, th2')
     th2'' =  2 th1 - 2 th2 + eps * F2(tau, th1, th1', th2, th2')
 
-Physical time enters only through :func:`reduce`: for stems of length ``l``
-under gravity ``g`` the rescaling is ``tau = sqrt(g/l) * t`` and the mass
-drops out entirely.
-
 Modal coordinates ``(X, Y, Z, W)`` put the linear part into block-diagonal
 rotation form: the (X, Y) plane turns with the slow frequency ``OMEGA1`` and
 the (Z, W) plane with the fast frequency ``OMEGA2``.  The forward matrix and
@@ -37,29 +33,6 @@ from .expr import Expr, compile_expr, parse
 
 class PeriodicityError(ValueError):
     """Forcing text does not have the period its resonance claims."""
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Mass, stem length and gravity of the physical pendulum."""
-
-    m: float
-    l: float
-    g: float
-
-    def __post_init__(self):
-        if not (self.m > 0 and self.l > 0 and self.g > 0):
-            raise ValueError("mass, length and gravity must all be positive")
-
-
-def reduce(params: PhysicalParams):
-    """Collapse the physical parameters to ``a = g/l`` and the time rescale.
-
-    Trajectories of the physical system at time ``t`` correspond to
-    rescaled trajectories at ``tau = sqrt(a) * t``; the mass never enters.
-    """
-    a = params.g / params.l
-    return a, math.sqrt(a)
 
 
 class Mode(Enum):
@@ -151,22 +124,6 @@ def _verify_modal_matrices():
 
 
 _verify_modal_matrices()
-
-
-def modal_transform(state):
-    """Original coordinates -> modal coordinates."""
-    return MODAL_MATRIX @ np.asarray(state, dtype=float)
-
-
-def inverse_modal_transform(modal_state):
-    """Modal coordinates -> original coordinates."""
-    return INVERSE_MODAL_MATRIX @ np.asarray(modal_state, dtype=float)
-
-
-def modal_amplitudes(state):
-    """The two rotation invariants X^2 + Y^2 and Z^2 + W^2 of a state."""
-    X, Y, Z, W = modal_transform(state)
-    return X * X + Y * Y, Z * Z + W * W
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +234,9 @@ def slow_field(forcing, eps, x0):
     """The forced system in the standard form of the averaging theorem.
 
     With ``u = M y`` the modal state (``M`` is ``MODAL_MATRIX``) and ``Phi``
-    the :func:`fundamental_matrix`, the change ``u = Phi(tau) z`` leaves only
-    the forcing: ``z' = eps Phi(-tau) M (0, F1, 0, F2)``.  The slow deviation
+    the fundamental matrix of ``LINEAR_MODAL`` (rotations by ``omega_k tau``
+    in the two planes, the identity at 0), the change ``u = Phi(tau) z``
+    leaves only the forcing: ``z' = eps Phi(-tau) M (0, F1, 0, F2)``.  The slow deviation
     ``v = (z - z0) / eps`` from ``z0 = M x0`` starts at ``v(0) = 0`` and obeys
 
         v' = Phi(-tau) M (0, F1, 0, F2) = (-s1 gY, c1 gY, -s2 gW, c2 gW),
@@ -336,29 +294,6 @@ def slow_field(forcing, eps, x0):
 # Closed-form orbit families of the unperturbed system
 # ---------------------------------------------------------------------------
 
-def _plane_motion(mode, alpha, tau):
-    """Position and velocity in the resonant mode plane at ``tau``."""
-    a0 = np.asarray(alpha[0], dtype=float)
-    b0 = np.asarray(alpha[1], dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    c, s = np.cos(mode.omega * tau), np.sin(mode.omega * tau)
-    return a0 * c + b0 * s, b0 * c - a0 * s
-
-
-def modal_orbit(mode, alpha, tau):
-    """Unperturbed solution in modal coordinates from plane amplitudes.
-
-    Mode 1 fills the (X, Y) plane, mode 2 the (Z, W) plane; the other
-    plane stays identically zero.  ``tau`` may be a scalar or an array,
-    and the two amplitude components broadcast against it.
-    """
-    pos, vel = _plane_motion(mode, alpha, tau)
-    zero = np.zeros_like(pos)
-    if mode is Mode.MODE1:
-        return np.stack([pos, vel, zero, zero])
-    return np.stack([zero, zero, pos, vel])
-
-
 # (pos, vel, pos) / divisors = (th1, th1d, th2), and th2d = vel: the
 # reciprocals of the resonant plane's INVERSE_MODAL_MATRIX entries.  Written
 # out rather than derived from the matrix to keep orbit values bit for bit:
@@ -374,9 +309,10 @@ _ORBIT_DIVISORS = {
 def unperturbed_orbit(mode, alpha, tau):
     """Closed-form periodic solution in original coordinates.
 
-    The :func:`modal_orbit` through ``alpha`` mapped back to original
-    coordinates.  For mode 1 with alpha = (X0, Y0) this is the classic
-    quadruple
+    The modal orbit through ``alpha``, which turns in the (X, Y) plane for
+    mode 1 and the (Z, W) plane for mode 2 while the other plane stays at
+    zero, mapped back to original coordinates.  For mode 1 with
+    alpha = (X0, Y0) this is the classic quadruple
 
         th1  = (X0 cos w1 tau + Y0 sin w1 tau) / sqrt(4 - 2 sqrt 2)
         th1d = (Y0 cos w1 tau - X0 sin w1 tau) / sqrt 2
@@ -386,28 +322,10 @@ def unperturbed_orbit(mode, alpha, tau):
     and for mode 2 with alpha = (Z0, W0) the fast-mode analogue with the
     sign flip on th1.
     """
-    pos, vel = _plane_motion(mode, alpha, tau)
+    a0 = np.asarray(alpha[0], dtype=float)
+    b0 = np.asarray(alpha[1], dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    c, s = np.cos(mode.omega * tau), np.sin(mode.omega * tau)
+    pos, vel = a0 * c + b0 * s, b0 * c - a0 * s
     d_th1, d_th1d, d_th2 = _ORBIT_DIVISORS[mode]
     return np.stack([pos / d_th1, vel / d_th1d, pos / d_th2, vel])
-
-
-def fundamental_matrix(tau):
-    """Fundamental matrix of the linearized modal system, identity at 0.
-
-    Two rotation blocks with angles ``OMEGA1 * tau`` and ``OMEGA2 * tau``.
-    Scalar ``tau`` gives a ``(4, 4)`` matrix; an array of shape ``(m,)``
-    gives ``(m, 4, 4)``.
-    """
-    tau = np.asarray(tau, dtype=float)
-    c1, s1 = np.cos(OMEGA1 * tau), np.sin(OMEGA1 * tau)
-    c2, s2 = np.cos(OMEGA2 * tau), np.sin(OMEGA2 * tau)
-    out = np.zeros(tau.shape + (4, 4))
-    out[..., 0, 0] = c1
-    out[..., 0, 1] = s1
-    out[..., 1, 0] = -s1
-    out[..., 1, 1] = c1
-    out[..., 2, 2] = c2
-    out[..., 2, 3] = s2
-    out[..., 3, 2] = -s2
-    out[..., 3, 3] = c2
-    return out

@@ -1,9 +1,10 @@
-"""Closed-form oracles and pinned radicals shared by the test modules.
+"""Closed-form oracles, pinned radicals and test-only references.
 
 The two worked forcing examples admit fully explicit bifurcation pairs
 (polynomial-in-amplitude times fixed radical constants), derived
-independently of the package's quadrature path.  Tests compare the
-package's raw-convention quadrature against these formulas directly.
+independently of the package's quadrature path.  Tests compare the plain
+integral pair, :func:`raw_pair` (the package's mean pair times its
+``(-2T, 2T)`` factors), against these formulas directly.
 
 A generic averaging operator (:class:`AveragingProblem` +
 :func:`averaged_function`) computes the same mean value from an arbitrary
@@ -11,7 +12,9 @@ flow / fundamental-matrix / perturbation triple and audits the structural
 hypotheses numerically; tests use it to cross-check the package's
 mode-specialized path.  It integrates with :func:`integrate_adaptive`, a
 composite Gauss-Legendre rule independent of the package's periodic
-trapezoid sweep.
+trapezoid sweep.  Its pendulum instance (:func:`pendulum_problem`) is built
+on :func:`modal_orbit`, the unperturbed orbit in modal coordinates, and
+:func:`fundamental_matrix`, the rotation blocks of the linear modal system.
 
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
 time, on its own central difference (:func:`central_difference`); tests
@@ -25,6 +28,9 @@ held to it bit for bit.
 :func:`rk4` steps it with fixed-step classical RK4: a reference for the
 package's DOP853, which integrates the slow deviation of the standard form
 instead of the fast state.
+
+:func:`format_expr` renders a parsed forcing back to text, so the parser's
+round trip ``parse(format_expr(e)) == e`` can be tested.
 """
 
 import math
@@ -33,16 +39,15 @@ from typing import Callable
 
 import numpy as np
 
-from pendavg.averaging import CHUNK_FLOATS, QuadratureError
+from pendavg.averaging import CHUNK_FLOATS, AveragedSystem, QuadratureError
 from pendavg.constants import OMEGA1, OMEGA2
-from pendavg.expr import ExprDomainError
+from pendavg.expr import BinOp, Call, Const, ExprDomainError, Neg, Num, Var
 from pendavg.model import (
     INVERSE_MODAL_MATRIX,
     MODAL_MATRIX,
     Mode,
     PerturbationSpec,
     compiled_forcing,
-    modal_orbit,
 )
 from pendavg.newton import MAX_STEPS, NewtonFailure
 
@@ -102,12 +107,62 @@ def corollary2_raw(z0, w0):
     return g1, g2
 
 
+def raw_pair(spec, alpha, tol):
+    """The plain integral pair at ``alpha``: the mean pair times ``(-2T, 2T)``."""
+    mean = AveragedSystem(spec, tol).eval_many(np.reshape(alpha, (1, 2)))[0]
+    return mean * (2.0 * spec.full_period * np.array([-1.0, 1.0]))
+
+
 def make_spec(which):
     if which == "corollary1":
         return PerturbationSpec.from_strings(CORO1_F1, CORO1_F2, "mode1", 1, 1)
     if which == "corollary2":
         return PerturbationSpec.from_strings(CORO2_F1, CORO2_F2, "mode2", 1, 1)
     raise ValueError(which)
+
+
+# ---------------------------------------------------------------------------
+# Modal orbits and the fundamental matrix
+# ---------------------------------------------------------------------------
+
+def modal_orbit(mode, alpha, tau):
+    """Unperturbed solution in modal coordinates from plane amplitudes.
+
+    Mode 1 fills the (X, Y) plane, mode 2 the (Z, W) plane; the other
+    plane stays identically zero.  ``tau`` may be a scalar or an array,
+    and the two amplitude components broadcast against it.
+    """
+    a0 = np.asarray(alpha[0], dtype=float)
+    b0 = np.asarray(alpha[1], dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    c, s = np.cos(mode.omega * tau), np.sin(mode.omega * tau)
+    pos, vel = a0 * c + b0 * s, b0 * c - a0 * s
+    zero = np.zeros_like(pos)
+    if mode is Mode.MODE1:
+        return np.stack([pos, vel, zero, zero])
+    return np.stack([zero, zero, pos, vel])
+
+
+def fundamental_matrix(tau):
+    """Fundamental matrix of the linearized modal system, identity at 0.
+
+    Two rotation blocks with angles ``OMEGA1 * tau`` and ``OMEGA2 * tau``.
+    Scalar ``tau`` gives a ``(4, 4)`` matrix; an array of shape ``(m,)``
+    gives ``(m, 4, 4)``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    c1, s1 = np.cos(OMEGA1 * tau), np.sin(OMEGA1 * tau)
+    c2, s2 = np.cos(OMEGA2 * tau), np.sin(OMEGA2 * tau)
+    out = np.zeros(tau.shape + (4, 4))
+    out[..., 0, 0] = c1
+    out[..., 0, 1] = s1
+    out[..., 1, 0] = -s1
+    out[..., 1, 1] = c1
+    out[..., 2, 2] = c2
+    out[..., 2, 3] = s2
+    out[..., 3, 2] = -s2
+    out[..., 3, 3] = c2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +348,20 @@ def pendulum_problem(spec):
     """
     mode = spec.mode
     f1, f2 = compiled_forcing(spec)
-    other_omega = Mode.MODE2.omega if mode is Mode.MODE1 else Mode.MODE1.omega
+    # Mode 2's resonant (Z, W) plane comes first.
+    order = [0, 1, 2, 3] if mode is Mode.MODE1 else [2, 3, 0, 1]
 
     def beta(alpha):
         return np.zeros(2)
 
     def flow(alpha, taus):
-        states = modal_orbit(mode, alpha, taus)
-        if mode is Mode.MODE2:
-            states = states[[2, 3, 0, 1]]
-        return states
+        return modal_orbit(mode, alpha, taus)[order]
 
     def fundamental(taus):
-        taus = np.asarray(taus, dtype=float)
-        out = np.zeros(taus.shape + (4, 4))
-        for idx, w in ((0, mode.omega), (2, other_omega)):
-            c, s = np.cos(w * taus), np.sin(w * taus)
-            out[..., idx, idx] = c
-            out[..., idx, idx + 1] = s
-            out[..., idx + 1, idx] = -s
-            out[..., idx + 1, idx + 1] = c
-        return out
+        return fundamental_matrix(taus)[..., order, :][..., order]
 
     def perturbation(taus, states):
-        if mode is Mode.MODE2:
-            states = states[[2, 3, 0, 1]]
+        states = states[order]
         th1, th1d, th2, th2d = INVERSE_MODAL_MATRIX @ states
         v1 = np.broadcast_to(np.asarray(f1(taus, th1, th1d, th2, th2d), dtype=float), th1.shape)
         v2 = np.broadcast_to(np.asarray(f2(taus, th1, th1d, th2, th2d), dtype=float), th1.shape)
@@ -519,3 +563,55 @@ def rk4(spec, eps, x0, taus, step):
             t = t0 + (i + 1) * h
         out.append(y)
     return np.stack(out, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Expression formatting
+# ---------------------------------------------------------------------------
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG_PRECEDENCE = 3
+
+
+def _format_number(value):
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def _node_precedence(node):
+    if isinstance(node, BinOp):
+        return _PRECEDENCE[node.op]
+    if isinstance(node, Neg):
+        return _NEG_PRECEDENCE
+    return 9
+
+
+def format_expr(node):
+    """Render an Expr back to text; ``parse(format_expr(e))`` equals ``e``."""
+    if isinstance(node, Num):
+        return _format_number(node.value)
+    if isinstance(node, (Var, Const)):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.func}({format_expr(node.arg)})"
+    if isinstance(node, Neg):
+        inner = format_expr(node.operand)
+        if _node_precedence(node.operand) < _NEG_PRECEDENCE:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, BinOp):
+        prec = _PRECEDENCE[node.op]
+        left = format_expr(node.lhs)
+        right = format_expr(node.rhs)
+        # Binary operators parse left-associatively, so an equal-precedence
+        # right child needs parentheses to round-trip structurally.  '^'
+        # keeps its literal exponent bare.
+        if _node_precedence(node.lhs) < prec or (
+            node.op == "^" and _node_precedence(node.lhs) <= prec
+        ):
+            left = f"({left})"
+        if _node_precedence(node.rhs) <= prec:
+            right = f"({right})"
+        return f"{left} {node.op} {right}"
+    raise TypeError(f"not an expression node: {node!r}")

@@ -10,12 +10,8 @@ import time
 import numpy as np
 
 import oracles
-from pendavg.averaging import (
-    AveragedSystem,
-    antipodal_pairing,
-    averaged_pair,
-    find_zeros,
-)
+from oracles import fundamental_matrix
+from pendavg.averaging import AveragedSystem, antipodal_pairing, find_zeros
 from pendavg.config import PRESETS
 from pendavg.constants import T1
 from pendavg.continuation import flow_map, predicted_initial_state, verify_zero
@@ -25,7 +21,6 @@ from pendavg.model import (
     LINEAR_ORIGINAL,
     MODAL_MATRIX,
     Mode,
-    fundamental_matrix,
     unperturbed_orbit,
 )
 
@@ -93,14 +88,14 @@ def test_criterion_3_closed_form_oracles():
     axis1 = np.linspace(-3.0, 3.0, 20)
     for x0 in axis1:
         for y0 in axis1:
-            raw = averaged_pair(spec1, (x0, y0), 1e-11).raw
+            raw = oracles.raw_pair(spec1, (x0, y0), 1e-11)
             want = oracles.corollary1_raw(x0, y0)
             worst = max(worst, abs(raw[0] - want[0]), abs(raw[1] - want[1]))
     spec2 = oracles.make_spec("corollary2")
     axis2 = np.linspace(-30.0, 30.0, 20)
     for z0 in axis2:
         for w0 in axis2:
-            raw = averaged_pair(spec2, (z0, w0), 1e-11).raw
+            raw = oracles.raw_pair(spec2, (z0, w0), 1e-11)
             want = oracles.corollary2_raw(z0, w0)
             worst = max(worst, abs(raw[0] - want[0]), abs(raw[1] - want[1]))
     _verdict(3, "quadrature matches closed forms", worst <= 1e-10, f"worst gap {worst:.2e}")
@@ -215,8 +210,8 @@ def test_criterion_7_numerics_self_checks():
     for which in ("corollary1", "corollary2"):
         s = oracles.make_spec(which)
         for alpha in [(0.7, -0.4), (3.0, 5.0)]:
-            loose = averaged_pair(s, alpha, 1e-10).averaged
-            tight = averaged_pair(s, alpha, 1e-12).averaged
+            loose = AveragedSystem(s, 1e-10)(alpha)
+            tight = AveragedSystem(s, 1e-12)(alpha)
             tol_ok &= float(np.abs(loose - tight).max()) <= 1e-9
 
     ok = rk4_ok and dop853_ok and newton_ok and tol_ok

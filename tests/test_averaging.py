@@ -22,7 +22,6 @@ from pendavg.averaging import (
     QuadratureError,
     _integrate_points,
     antipodal_pairing,
-    averaged_pair,
     find_zeros,
     is_identically_zero,
     seed_grid,
@@ -102,7 +101,7 @@ def test_corollary1_matches_closed_form_on_grid():
     worst = 0.0
     for x0 in axis:
         for y0 in axis:
-            got = averaged_pair(spec, (x0, y0), 1e-11).raw
+            got = oracles.raw_pair(spec, (x0, y0), 1e-11)
             want = oracles.corollary1_raw(x0, y0)
             worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
     assert worst <= 1e-10
@@ -114,7 +113,7 @@ def test_corollary2_matches_closed_form_on_grid():
     worst = 0.0
     for z0 in axis:
         for w0 in axis:
-            got = averaged_pair(spec, (z0, w0), 1e-11).raw
+            got = oracles.raw_pair(spec, (z0, w0), 1e-11)
             want = oracles.corollary2_raw(z0, w0)
             worst = max(worst, abs(got[0] - want[0]), abs(got[1] - want[1]))
     assert worst <= 1e-10
@@ -122,33 +121,31 @@ def test_corollary2_matches_closed_form_on_grid():
 
 def test_corollary1_value_at_origin():
     spec = oracles.make_spec("corollary1")
-    values = averaged_pair(spec, (0.0, 0.0), 1e-12)
-    assert values.raw[0] == pytest.approx(math.pi / math.sqrt(2.0 - SQRT2), abs=1e-12)
-    assert values.raw[1] == pytest.approx(0.0, abs=1e-12)
+    raw = oracles.raw_pair(spec, (0.0, 0.0), 1e-12)
+    assert raw[0] == pytest.approx(math.pi / math.sqrt(2.0 - SQRT2), abs=1e-12)
+    assert raw[1] == pytest.approx(0.0, abs=1e-12)
     # period mean picks up the -omega1/(4 pi) factor: exactly -1/4 here
-    assert values.averaged[0] == pytest.approx(-0.25, abs=1e-13)
+    assert AveragedSystem(spec, 1e-12)((0.0, 0.0))[0] == pytest.approx(-0.25, abs=1e-13)
 
 
 def test_corollary1_zero_of_both_conventions():
     spec = oracles.make_spec("corollary1")
     for alpha in [(oracles.CORO1_X0, 0.0), (0.0, oracles.CORO1_Y0)]:
-        values = averaged_pair(spec, alpha, 1e-12)
-        assert np.abs(values.raw).max() <= 1e-9
-        assert np.abs(values.averaged).max() <= 1e-9
+        assert np.abs(oracles.raw_pair(spec, alpha, 1e-12)).max() <= 1e-9
+        assert np.abs(AveragedSystem(spec, 1e-12)(alpha)).max() <= 1e-9
 
 
 def test_corollary2_zero():
     spec = oracles.make_spec("corollary2")
-    values = averaged_pair(spec, (0.0, oracles.CORO2_W0), 1e-12)
-    assert np.abs(values.raw).max() <= 1e-9
-    assert np.abs(values.averaged).max() <= 1e-9
+    alpha = (0.0, oracles.CORO2_W0)
+    assert np.abs(oracles.raw_pair(spec, alpha, 1e-12)).max() <= 1e-9
+    assert np.abs(AveragedSystem(spec, 1e-12)(alpha)).max() <= 1e-9
 
 
 def test_zero_forcing_averages_to_zero():
     spec = PerturbationSpec.from_strings("0", "0", "mode1", 1, 1)
-    values = averaged_pair(spec, (1.0, 2.0), 1e-12)
-    assert np.all(values.raw == 0.0)
-    assert np.all(values.averaged == 0.0)
+    assert np.all(oracles.raw_pair(spec, (1.0, 2.0), 1e-12) == 0.0)
+    assert np.all(AveragedSystem(spec, 1e-12)((1.0, 2.0)) == 0.0)
 
 
 def test_prefactor_consistency():
@@ -157,10 +154,10 @@ def test_prefactor_consistency():
         spec = oracles.make_spec(which)
         factors = np.array([-omega / (4.0 * math.pi), omega / (4.0 * math.pi)])
         for alpha in [(0.5, -1.5), (2.0, 1.0), (-3.0, 0.25)]:
-            values = averaged_pair(spec, alpha, 1e-12)
-            expect = values.averaged / factors
-            mask = np.abs(values.raw) > 1e-12
-            assert np.allclose(values.raw[mask], expect[mask], rtol=1e-12, atol=0)
+            raw = oracles.raw_pair(spec, alpha, 1e-12)
+            expect = AveragedSystem(spec, 1e-12)(alpha) / factors
+            mask = np.abs(raw) > 1e-12
+            assert np.allclose(raw[mask], expect[mask], rtol=1e-12, atol=0)
 
 
 def test_linearity_in_the_forcing():
@@ -170,9 +167,9 @@ def test_linearity_in_the_forcing():
     spec_b = PerturbationSpec.from_strings("0", extra, "mode1", 1, 1)
     spec_ab = PerturbationSpec.from_strings("0", f"({base}) + ({extra})", "mode1", 1, 1)
     for alpha in [(0.3, 0.9), (-1.2, 0.4)]:
-        va = averaged_pair(spec_a, alpha, 1e-12).raw
-        vb = averaged_pair(spec_b, alpha, 1e-12).raw
-        vab = averaged_pair(spec_ab, alpha, 1e-12).raw
+        va = oracles.raw_pair(spec_a, alpha, 1e-12)
+        vb = oracles.raw_pair(spec_b, alpha, 1e-12)
+        vab = oracles.raw_pair(spec_ab, alpha, 1e-12)
         assert np.abs(vab - va - vb).max() <= 1e-11
 
 
@@ -180,8 +177,8 @@ def test_tolerance_monotonicity():
     for which in ("corollary1", "corollary2"):
         spec = oracles.make_spec(which)
         for alpha in [(0.7, -0.4), (3.0, 5.0)]:
-            loose = averaged_pair(spec, alpha, 1e-10).averaged
-            tight = averaged_pair(spec, alpha, 1e-12).averaged
+            loose = AveragedSystem(spec, 1e-10)(alpha)
+            tight = AveragedSystem(spec, 1e-12)(alpha)
             assert np.abs(loose - tight).max() <= 1e-9
 
 
@@ -274,7 +271,7 @@ def test_double_period_modulation_keeps_the_zero_set():
         "0", "(1 - th1^2) * sin(w1 * tau) * (1 + sin(w1 * tau / 2))", "mode1", 2, 1
     )
     for alpha in [(0.0, 0.0), (1.0, 2.0), (-2.0, 0.5)]:
-        got = averaged_pair(spec, alpha, 1e-12).raw
+        got = oracles.raw_pair(spec, alpha, 1e-12)
         want = 2.0 * np.array(oracles.corollary1_raw(*alpha))
         assert np.abs(got - want).max() <= 1e-11
     zeros = find_zeros(AveragedSystem(spec, tol=1e-11), r1=0.1, r2=10.0, grid=(12, 12))
@@ -345,6 +342,8 @@ class _NoisyCorollary1:
     first coordinate of the axis zeros.
     """
 
+    last_scale = 1.0
+
     def __init__(self, d_plus, d_minus):
         self.d_plus, self.d_minus = d_plus, d_minus
 
@@ -378,6 +377,8 @@ def test_find_zeros_order_ignores_noise_on_axis_zeros():
 
 class _SquarePair:
     """g = (x^2 - 1, y): one simple zero (1, 0), reached by plain Newton."""
+
+    last_scale = 1.0
 
     def eval_many(self, alphas, faults=None):
         x, y = np.asarray(alphas, dtype=float).T
@@ -625,6 +626,15 @@ def test_a_non_finite_point_leaves_its_batch_alone():
     assert system.last_scale == max(scales)
     with pytest.raises(ExprDomainError, match="non-finite"):
         system.eval_many(points)
+
+
+def test_an_empty_batch_is_an_empty_pair():
+    # As flow_map's (4, 0) is: no point, no integrand call, no fault.
+    system = AveragedSystem(oracles.make_spec("corollary1"), tol=1e-11)
+    faults = {}
+    assert system.eval_many(np.empty((0, 2)), faults).shape == (0, 2)
+    assert system.eval_many(np.empty((0, 2))).shape == (0, 2)
+    assert faults == {}
 
 
 def test_the_probe_is_one_call_whatever_faults(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from pendavg import averaging, cli, continuation, expr, model
 from pendavg.cli import DEGENERATE_MESSAGE, main
-from pendavg.config import PRESETS, ConfigError, ExperimentConfig, load_config, merge_config
+from pendavg.config import PRESETS, ConfigError, ExperimentConfig, merge_config, read_config_file
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
 from pendavg.expr import ExprDomainError
 from pendavg.model import Mode, unperturbed_orbit
@@ -364,7 +364,7 @@ def test_config_file_and_flag_override(capsys, tmp_path):
 def test_load_config_round_trip(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"f2": "sin(w1 * tau)", "p": 1, "q": 1, "r2": 7.5}))
-    cfg = load_config(str(cfg_path))
+    cfg = merge_config(ExperimentConfig(), read_config_file(cfg_path), str(cfg_path))
     assert cfg.f2 == "sin(w1 * tau)"
     assert cfg.r2 == 7.5
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import pendavg.continuation as continuation
-from pendavg.averaging import averaged_pair
+from pendavg.averaging import AveragedSystem
 from pendavg.constants import T1
 from pendavg.continuation import (
     IntegrationError,
@@ -22,11 +22,11 @@ from pendavg.continuation import (
 )
 from pendavg.expr import ExprDomainError
 from pendavg.model import (
+    INVERSE_MODAL_MATRIX,
+    MODAL_MATRIX,
     Mode,
     PerturbationSpec,
     compiled_forcing,
-    inverse_modal_transform,
-    modal_amplitudes,
     unperturbed_orbit,
 )
 from pendavg.newton import solve_many
@@ -113,11 +113,11 @@ def test_recorded_flow_samples_equal_a_pass_to_its_end():
 def test_modal_invariants_drift_over_ten_periods(tight):
     spec = _coro1()
     x0 = unperturbed_orbit(Mode.MODE1, (0.8, -0.5), 0.0)
-    i1_start, i2_start = modal_amplitudes(x0)
     end = flow_map(spec, 0.0, x0, 10.0 * T1)
-    i1_end, i2_end = modal_amplitudes(end)
-    assert abs(i1_end - i1_start) <= 1e-10
-    assert abs(i2_end - i2_start) <= 1e-10
+    # X^2 + Y^2 and Z^2 + W^2, the rotation invariants of the mode planes.
+    start_sq, end_sq = (MODAL_MATRIX @ x0) ** 2, (MODAL_MATRIX @ end) ** 2
+    for plane in (slice(0, 2), slice(2, 4)):
+        assert np.abs(end_sq[plane].sum(axis=0) - start_sq[plane].sum(axis=0)).max() <= 1e-10
 
 
 def test_rk4_global_error_is_fourth_order():
@@ -311,7 +311,7 @@ def test_slow_deviation_at_eps_zero_is_the_mean_pair(which):
     for alpha in [(1.3, -0.7), (3.0, 5.0)]:
         x0 = predicted_initial_state(spec.mode, alpha)[:, None]
         v = continuation._slow_deviation(forcing, np.zeros(1), x0, period)[..., None]
-        mean = averaged_pair(spec, alpha, 1e-13).averaged
+        mean = AveragedSystem(spec, 1e-13)(alpha)
         slow = v[rows, 0, -1] / period
         assert np.abs(slow - mean).max() <= 1e-9 * np.abs(mean).max()
 
@@ -441,7 +441,7 @@ def test_prediction_equals_modal_embedding(mode):
         else:
             embedded[2:] = alpha
         direct = predicted_initial_state(mode, alpha)
-        via_modal = inverse_modal_transform(embedded)
+        via_modal = INVERSE_MODAL_MATRIX @ embedded
         assert np.abs(direct - via_modal).max() <= 1e-12
 
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import format_expr
 from pendavg.expr import (
     COMPILE_CACHE_SIZE,
     BinOp,
@@ -16,7 +17,6 @@ from pendavg.expr import (
     Num,
     Var,
     compile_expr,
-    format_expr,
     parse,
 )
 

@@ -1,4 +1,4 @@
-"""Model layer: reduction, modal structure, orbit families, audits."""
+"""Model layer: modal structure, orbit families, audits."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import fundamental_matrix, modal_orbit
 from pendavg.constants import OMEGA1, OMEGA2, T1, T2
 from pendavg.model import (
     INVERSE_MODAL_MATRIX,
@@ -15,45 +16,13 @@ from pendavg.model import (
     Mode,
     PerturbationSpec,
     PeriodicityError,
-    PhysicalParams,
     Resonance,
     compiled_forcing,
-    fundamental_matrix,
-    inverse_modal_transform,
-    modal_amplitudes,
-    modal_orbit,
-    modal_transform,
-    reduce,
     slow_field,
     unperturbed_orbit,
 )
 
 SQRT2 = math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# Reduction
-# ---------------------------------------------------------------------------
-
-def test_reduce_unit_ratio():
-    a, scale = reduce(PhysicalParams(m=1.0, l=9.8, g=9.8))
-    assert a == 1.0 and scale == 1.0
-
-
-def test_reduce_arithmetic():
-    a, scale = reduce(PhysicalParams(m=2.0, l=1.0, g=9.8))
-    assert a == pytest.approx(9.8, abs=0)
-    assert scale == pytest.approx(math.sqrt(9.8), rel=1e-15)
-
-
-def test_reduce_ignores_mass():
-    outs = {reduce(PhysicalParams(m=m, l=2.0, g=9.8)) for m in (0.5, 1.0, 7.0)}
-    assert len(outs) == 1
-
-
-def test_physical_params_validated():
-    with pytest.raises(ValueError):
-        PhysicalParams(m=0.0, l=1.0, g=9.8)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +58,8 @@ def test_modal_round_trip_many_states():
     assert np.abs(back - states).max() <= 1e-12
 
 
-def test_modal_transform_of_origin():
-    assert np.all(modal_transform(np.zeros(4)) == 0.0)
-
-
 def test_inverse_modal_unit_vector_values():
-    th1, th1d, th2, th2d = inverse_modal_transform(np.array([1.0, 0.0, 0.0, 0.0]))
+    th1, th1d, th2, th2d = INVERSE_MODAL_MATRIX @ np.array([1.0, 0.0, 0.0, 0.0])
     assert th1 == pytest.approx(1.0 / math.sqrt(4.0 - 2.0 * SQRT2), abs=1e-15)
     assert th1d == 0.0
     assert th2 == pytest.approx(1.0 / math.sqrt(2.0 - SQRT2), abs=1e-15)
@@ -215,9 +180,11 @@ def test_orbit_satisfies_ode_to_second_order(mode):
 def test_modal_amplitudes_conserved_along_closed_form():
     taus = np.linspace(0.0, 3.0 * T1, 64)
     states = unperturbed_orbit(Mode.MODE1, (0.9, 0.2), taus)
-    amps = np.array([modal_amplitudes(states[:, j]) for j in range(taus.size)])
-    assert np.abs(amps[:, 0] - amps[0, 0]).max() <= 1e-12
-    assert np.abs(amps[:, 1]).max() <= 1e-25
+    # X^2 + Y^2 and Z^2 + W^2, the rotation invariants of the mode planes.
+    squares = (MODAL_MATRIX @ states) ** 2
+    slow, fast = squares[0] + squares[1], squares[2] + squares[3]
+    assert np.abs(slow - slow[0]).max() <= 1e-12
+    assert np.abs(fast).max() <= 1e-25
 
 
 # ---------------------------------------------------------------------------
