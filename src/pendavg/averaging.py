@@ -263,11 +263,11 @@ def find_zeros(
     whose own evaluation faults (a domain fault or the quadrature cap)
     leaves its batch with that fault, and is dropped, as is a seed whose
     Newton run fails; that is not an error, and the others go on; so is a
-    seed whose stencil at its solution faults.  Converged points are kept when they land strictly inside the
-    annulus, deduplicated, and labelled simple when |det| of the
-    central-difference Jacobian exceeds ``det_threshold``: the Jacobian
-    that Newton evaluated at the zero, at no further evaluation.  An
-    empty list is a valid outcome; its ``degenerate`` flag tells an
+    seed whose stencil at its solution faults.  Converged points are kept
+    when they land strictly inside the annulus, deduplicated, and labelled
+    simple when |det| of the central-difference Jacobian exceeds
+    ``det_threshold``: the Jacobian that Newton evaluated at the zero, at
+    no further evaluation.  An empty list is a valid outcome; its ``degenerate`` flag tells an
     identically zero pair from one with no zero in the annulus.
     Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
     grid order within one bin; of near-duplicates, the first in that order

@@ -436,10 +436,11 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep, and every case's columns
     share each integration, DOP853 on the slow deviation, of which
-    ``flow_map`` maps back only the endpoint.  Each full-step trial rides
-    with its central-difference stencil, so when it is taken its
+    ``flow_map`` maps back only the endpoint.  Every trial, full or halved,
+    rides with its central-difference stencil, so when it is taken its
     Jacobian (monodromy minus identity) is already there: a step costs one
-    flow.  A Jacobian with condition above ``COND_LIMIT`` stops that case.
+    flow per halving level it tries, and no column is integrated twice.
+    A Jacobian with condition above ``COND_LIMIT`` stops that case.
     Each flow also records its accepted steps, and each converged case's
     ``source`` names the flow and column whose value is its solution bit
     for bit, so ``sample_states`` rebuilds the dense output of every

@@ -7,13 +7,13 @@ columns to a ``(d, m)`` batch of values, so the base point and the whole
 stencil ride in one call.
 
 ``solve_many`` runs the loop from many starts in lockstep, and every start
-takes exactly the steps it would take alone.  Each full-step trial is
-evaluated with its own stencil, so an accepted one brings the next step's
-Jacobian along: a step whose full step is taken makes one call of ``F``.
-Only the starts, and trials accepted after a halving, need a stencil call
-of their own; a halved trial is one column.  Its ``F`` also gets the start
-index of each column, so each start may pose its own problem (shooting
-gives each its own eps).  A column ``F`` cannot evaluate is data, not an
+takes exactly the steps it would take alone.  Every trial, full or halved,
+is evaluated with its own stencil, so an accepted one brings the next
+step's Jacobian along and no column is evaluated twice: a step makes one
+call of ``F`` per halving level it tries, and only the starts need a
+stencil call of their own.  ``F`` also gets the start index of each
+column, so each start may pose its own problem (shooting gives each its
+own eps).  A column ``F`` cannot evaluate is data, not an
 exception: ``F`` enters it in a dict of faults (``fault_record``), and the
 fault ends only the start that needs that column.  A converged start's
 ``Solution`` carries its Jacobian and the call and column that gave it.
@@ -64,7 +64,7 @@ class Solution(NamedTuple):
     residual: float  # ||F(x)||
     steps: int
     jacobian: np.ndarray  # central difference at x
-    source: tuple  # (call, column): the column of the call of ``F`` whose value is x's
+    source: tuple  # (call, column) of ``F``: the base of the stencil that evaluated x
 
 
 def _norms(rows):
@@ -105,42 +105,33 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     (``fault_record``).  Returns one outcome per start: a ``Solution``, or
     the exception that ended it -- a ``NewtonFailure``, or a fault of its
     own columns; other starts go on either way.  What ``F`` raises
-    propagates.
+    propagates.  An empty batch of starts makes no call.
 
-    All unfinished starts take step k together.  Each start's
-    central-difference Jacobian comes from ``F`` on its stencil, and one
-    batched solve takes the Newton steps of the Jacobians that pass their
-    checks.  Then one call per halving level evaluates the trials still
-    open: a start's Newton step is halved up to nine times until the
-    residual drops, and trials outside ``||x|| <= bound`` are halved
-    without being evaluated.  The full-step trials carry their stencils in
-    their call.  An accepted one's stencil is the next step's, so such a
-    step makes one call of ``F``.  A start, and a trial accepted after a
-    halving, have theirs evaluated at the next step, or in one call for all
-    that converge.  So a ``Solution`` has the Jacobian at its ``x``, and as
-    ``source`` the ``(call, column)`` of ``F`` (from 0) whose value is x's
-    bit for bit: its stencil's base, full-step trial or halved trial.  A
-    trial ends its start on the fault of its own column, and a stencil with
-    its first fault once its start needs it, to go on or to converge.  A
-    start fails on a non-finite residual, a non-finite Jacobian, a
-    condition number above ``cond_limit``, a singular Jacobian (an exact
-    zero pivot, or a determinant that underflows to 0), a step that no
-    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
-    start takes the steps it would take alone, given an ``F`` whose columns
-    do not depend on each other and whose first fault is theirs alone.
+    One call evaluates the starts' central-difference stencils.  Then all
+    unfinished starts take step k together: one batched solve takes the
+    Newton steps of the Jacobians that pass their checks, and one call per
+    halving level evaluates the trials still open, each with its stencil.
+    A start's Newton step is halved up to nine times until the residual
+    drops, and trials outside ``||x|| <= bound`` are halved without being
+    evaluated.  An accepted trial's stencil is the next step's, so no
+    column is evaluated twice, and a ``Solution`` has the Jacobian at its
+    ``x`` and as ``source`` the ``(call, column)`` of ``F`` (from 0) of
+    that stencil's base, whose value is x's.  A trial ends its start on
+    the fault of its own column, and a stencil with its first fault once
+    its start needs it, to go on or to converge.  A start fails on a
+    non-finite residual, a non-finite Jacobian, a condition number above
+    ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
+    determinant that underflows to 0), a step that no halving improves, or
+    no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
+    it would take alone, given an ``F`` whose columns do not depend on each
+    other and whose first fault is theirs alone.
     """
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
-    residual = np.zeros(n)
     finished = np.zeros(n, dtype=bool)
     outcome = [None] * n
-    # ``known[i]`` holds ``F`` on the stencil of ``x[i]`` where ``ready[i]``;
-    # ``blocked[i]`` is the first fault of the stencil that start i needs next;
-    # ``source[i]`` is the (call, column) whose value is ``x[i]``'s.
-    known = np.empty((n, d, 2 * d + 1))
-    ready = np.zeros(n, dtype=bool)
-    blocked = {}
-    source = np.zeros((n, 2), dtype=np.intp)
+    if not n:
+        return outcome
     calls = itertools.count()
 
     def end(idx, result):
@@ -161,36 +152,30 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
         heads = np.stack([np.full(idx.size, next(calls)), np.arange(idx.size) * w], axis=1)
         return values.reshape(d, -1, w).transpose(1, 0, 2), faults, heads
 
-    def evaluate_stencils(idx):
-        """Evaluate the stencils of starts ``idx`` into ``known``; returns their bases' sources."""
-        known[idx], faults, heads = call(idx, _stencils(x[idx]))
-        ready[idx] = True
-        for (j, _), fault in faults.items():
-            blocked.setdefault(idx[j], fault)
-        return heads
-
     def settle(idx, steps):
         """End the starts of ``idx`` within ``tol``: converged, or on their stencil's fault."""
         idx = idx[(residual[idx] <= tol) & ~finished[idx]]
-        if (fresh := idx[~ready[idx]]).size:
-            evaluate_stencils(fresh)
         jac = dict(zip(idx.tolist(), _jacobians(known[idx], x[idx])))
         end(idx, lambda i: blocked[i] if i in blocked else Solution(
             x[i].copy(), float(residual[i]), steps, jac[i], tuple(source[i].tolist())
         ))
 
     live = np.arange(n)
+    # ``known[i]`` holds ``F`` on the stencil of ``x[i]``, ``source[i]`` the
+    # (call, column) of its base and ``blocked[i]`` its first fault, if any.
+    known, blocked = np.empty((n, d, 2 * d + 1)), {}
+    known[:], faults, source = call(live, _stencils(x))
+    for (i, _), fault in faults.items():
+        blocked.setdefault(i, fault)
+    residual = _norms(known[:, :, 0])
+    settle(live, 0)
     for k in range(MAX_STEPS):
+        live = live[~finished[live]]
         if not live.size:
             break
-        if (need := live[~ready[live]]).size:
-            source[need] = evaluate_stencils(need)
         end(live[np.isin(live, list(blocked))], blocked.get)
-        g, jac = known[live, :, 0], _jacobians(known[live], x[live])
-        residual[live] = _norms(g)
-        settle(live, k)
-        ready[live] = False
         end(live[~np.isfinite(residual[live])], lambda i: NewtonFailure("non-finite residual"))
+        g, jac = known[live, :, 0], _jacobians(known[live], x[live])
         end(live[~np.isfinite(jac).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
         go = ~finished[live]
         live, g, jac = live[go], g[go], jac[go]
@@ -210,37 +195,29 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
         search = live
         for level in range(_HALVINGS):
             trial = x[search] + 0.5**level * step
-            r = np.full(search.size, np.nan)
-            heads = np.zeros((search.size, 2), dtype=np.intp)
             inside = ~(_norms(trial) > bound)
-            at = search[inside]
-            faults = {}
-            if at.size:
-                # The full-step trials carry their stencils.
-                blocks = _stencils(trial[inside]) if level == 0 else trial[inside, :, None]
-                values, faults, heads[inside] = call(at, blocks)
-                r[inside] = _norms(values[:, :, 0])
-                if level == 0:
-                    known[at], ready[at] = values, True
-            # NaN -- a trial outside the bound or one that faulted -- is never lower.
-            lower = r < residual[search]
+            at, trial = search[inside], trial[inside]
+            if not at.size:
+                continue
+            values, faults, heads = call(at, _stencils(trial))
+            r = _norms(values[:, :, 0])
+            # NaN -- a trial whose own column faulted -- is never lower.
+            lower = r < residual[at]
             for (j, c), fault in faults.items():
                 if c == 0:  # the trial's own column
                     end(at[j : j + 1], lambda i: fault)
-                elif lower[inside][j]:
+                elif lower[j]:
                     blocked.setdefault(at[j], fault)
-            ready[search[~lower]] = False  # a rejected trial's stencil is not x's
-            x[search[lower]] = trial[lower]
-            residual[search[lower]] = r[lower]
-            source[search[lower]] = heads[lower]
-            stay = ~lower & ~finished[search]
+            took = at[lower]
+            x[took], residual[took] = trial[lower], r[lower]
+            known[took], source[took] = values[lower], heads[lower]
+            inside[inside] = lower  # now marks the trials taken
+            stay = ~inside & ~finished[search]
             search, step = search[stay], step[stay]
         end(search, lambda i: NewtonFailure(
             f"stalled at residual {residual[i]:.3e}: {_HALVINGS} halvings did not reduce it"
         ))
-        live = live[~finished[live]]
-        settle(live, k + 1)
-        live = live[~finished[live]]
+        settle(live[~finished[live]], k + 1)
     end(live, lambda i: NewtonFailure(
         f"no convergence after {MAX_STEPS} steps: residual {residual[i]:.3e}"
     ))

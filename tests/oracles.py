@@ -403,11 +403,11 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
 
     Same rules and failure texts as ``pendavg.newton.solve_many``: nine
     halvings per step, trials outside ``||x|| <= bound`` skipped unevaluated,
-    at most ``MAX_STEPS`` steps.  The full-step trial is linearized where it
-    stands, and once accepted that linearization is the next step's; if it
-    raises, the trial is evaluated alone.  A halved trial is one column.
-    The Jacobian returned is the one at the final x: linearized there if no
-    linearization of it is in hand, so a faulting stencil raises.
+    at most ``MAX_STEPS`` steps.  Every trial is linearized where it stands,
+    and once accepted that linearization is the next step's; if it raises,
+    the trial is evaluated alone.  The Jacobian returned is the one at the
+    final x: linearized there again if the trial's linearization raised, so
+    a faulting stencil raises.
     """
     x = np.array(x, dtype=float)
     g, jac = central_difference(F, x)
@@ -427,17 +427,15 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
         except np.linalg.LinAlgError:
             raise NewtonFailure("singular Jacobian") from None
         scale = 1.0
-        for level in range(9):
+        for _ in range(9):
             x_try = x + scale * step
             scale *= 0.5
             if np.linalg.norm(x_try) > bound:
                 continue
-            lin = None
-            if level == 0:
-                try:
-                    lin = central_difference(F, x_try)
-                except Exception:
-                    pass
+            try:
+                lin = central_difference(F, x_try)
+            except Exception:
+                lin = None
             g_try = F(x_try[:, None])[:, 0] if lin is None else lin[0]
             r_try = float(np.linalg.norm(g_try))
             if r_try < r:

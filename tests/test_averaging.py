@@ -654,7 +654,7 @@ def test_the_probe_is_one_call_whatever_faults(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("which, calls", [("corollary1", 16), ("corollary2", 49)])
+@pytest.mark.parametrize("which, calls", [("corollary1", 14), ("corollary2", 43)])
 def test_a_preset_search_takes_each_jacobian_from_its_newton_run(monkeypatch, which, calls):
     # The probe and the Newton rounds are every ``eval_many`` call: each
     # kept zero's Jacobian is the stencil its seed's Newton run evaluated,

@@ -247,12 +247,17 @@ def test_zeros_byte_identical_across_runs(capsys):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_empty_eps_is_averaging_only(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--preset", "corollary2", "--eps", "")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["runs"] == []
-    assert len(payload["zeros"]) == 1
+def test_verify_empty_eps_is_averaging_only(capsys, monkeypatch):
+    # With no cases to shoot, nothing is integrated.
+    flows = []
+    monkeypatch.setattr(continuation, "flow_map", lambda *args: flows.append(args))
+    for preset, zeros in (("corollary1", 4), ("corollary2", 1)):
+        code, out, _ = run_cli(capsys, "verify", "--preset", preset, "--eps", "")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["runs"] == []
+        assert len(payload["zeros"]) == zeros
+    assert flows == []
 
 
 def test_verify_corollary2_single_eps(capsys, tmp_path):

@@ -87,6 +87,12 @@ def _root_pair(cols):
     return np.stack([cols[0] ** 2 - 4.0, cols[1] - 1.0])
 
 
+def test_no_starts_make_no_call():
+    F = _Recorded(_root_pair)
+    assert solve_many(F, np.empty((2, 0)), 1e-12) == []
+    assert F.batches == []
+
+
 def test_damped_newton_converges_and_counts_steps():
     # Plain Newton with the exact Jacobian takes full steps here, and so
     # must the damped loop: same iterates, same step count.
@@ -173,8 +179,9 @@ def test_stalled_line_search():
     # 1 down to 1/256, is worse than the start: nine halvings, then failure.
     F = _Recorded(lambda cols: np.where(np.abs(cols) < 1e-3, cols - 1.0, 5.0))
     _fails(_one(F, [0.0], 1e-12), "stalled")
-    # The start's stencil, the full step with its stencil, then eight halvings.
-    assert F.widths() == [3, 3] + [1] * 8
+    # The start's stencil, then the full step and eight halvings, each
+    # trial with its stencil.
+    assert F.widths() == [3] * 10
 
 
 def test_no_convergence_within_max_steps():
@@ -188,11 +195,13 @@ def test_no_convergence_within_max_steps():
 
 def test_trials_outside_the_bound_are_never_evaluated():
     # The root (10, 0) lies outside the ball of radius 4, so every full step
-    # leaves it; only halved trials inside the ball may be evaluated.
+    # leaves it; only halved trials inside the ball may be evaluated.  Each
+    # call after the start's stencil is one trial with its stencil.
     bound = 4.0
     F = _Recorded(lambda cols: np.stack([cols[0] - 10.0, cols[1]]))
     assert isinstance(_one(F, [0.0, 0.0], 1e-12, bound=bound), NewtonFailure)
-    trials = [cols[:, 0] for cols in F.batches if cols.shape[1] == 1]
+    assert set(F.widths()) == {5}
+    trials = [cols[:, 0] for cols in F.batches[1:]]
     assert trials
     assert max(np.linalg.norm(t) for t in trials) <= bound
     assert trials[0] == pytest.approx([2.5, 0.0])
@@ -206,23 +215,26 @@ _ATAN_TOL = 0.1
 
 
 def test_trials_converging_after_a_halving_share_one_stencil_call():
-    # The two halved trials get their stencils in one call, after which
-    # nothing is evaluated; their Jacobians are the oracle's, bit for bit.
-    # Each start names the call of ``F`` and the column there whose value
-    # is its x: +-1.5 their halved trials (call 2), 0.5 its full-step trial
-    # (block 2 of call 1) and 0.05 the base of its first stencil.
+    # The two halved trials ride in one call with their stencils, after
+    # which nothing is evaluated, and no column is evaluated twice; their
+    # Jacobians are the oracle's, bit for bit.  Each start names the call
+    # of ``F`` and the column there whose value is its x, the base of the
+    # stencil that evaluated it: +-1.5 their halved trials (blocks 0 and 1
+    # of call 2), 0.5 its full-step trial (block 2 of call 1) and 0.05 its
+    # start (block 3 of call 0).
     F = _Recorded(np.arctan)
     outcomes = solve_many(lambda cols, *_: F(cols), _ATAN_STARTS, _ATAN_TOL)
-    assert F.widths() == [12, 9, 2, 6]
+    assert F.widths() == [12, 9, 6]
+    assert set(F.columns().values()) == {1}
     assert [o.steps for o in outcomes] == [1, 1, 1, 0]
     for outcome, start in zip(outcomes, _ATAN_STARTS.T):
         assert _same(outcome, oracles.scalar_damped_newton(np.arctan, start, _ATAN_TOL))
-    stencils = F.batches[3]
+    stencils = F.batches[2]
     for outcome, block in zip(outcomes[:2], (stencils[:, :3], stencils[:, 3:])):
         assert outcome.x.tobytes() == block[:, 0].tobytes()
         _, jac = oracles.central_difference(np.arctan, outcome.x)
         assert outcome.jacobian.tobytes() == jac.tobytes()
-    assert [o.source for o in outcomes] == [(2, 0), (2, 1), (1, 6), (0, 9)]
+    assert [o.source for o in outcomes] == [(2, 0), (2, 3), (1, 6), (0, 9)]
     for outcome in outcomes:
         call, column = outcome.source
         assert F.batches[call][:, column].tobytes() == outcome.x.tobytes()
@@ -334,7 +346,7 @@ def test_a_converging_halved_trial_ends_with_its_stencils_fault():
     clean = _one(np.arctan, [1.5], _ATAN_TOL)
     F = _Recorded(_stencil_faults(np.arctan, clean.x))
     outcomes = solve_many(F, np.array([[1.5, 0.5]]), _ATAN_TOL)
-    assert F.widths() == [6, 6, 1, 3]
+    assert F.widths() == [6, 6, 3]
     fault = _stencil_fault(F, clean.x)
     assert isinstance(outcomes[0], _Fault) and str(outcomes[0]) == str(fault)
     assert _same(outcomes[1], _one(np.arctan, [0.5], _ATAN_TOL))
@@ -351,7 +363,7 @@ def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
     F = _Recorded(_stencil_faults(np.arctan, trial))
     (outcome,) = solve_many(F, np.array([[1.5]]), 1e-12)
     assert _same(outcome, clean)
-    assert F.widths()[:3] == [3, 3, 1]
+    assert F.widths()[:3] == [3, 3, 3]
     starts = np.array([[1.5, 0.5, 1.5]])
     outcomes = solve_many(F, starts, 1e-12)
     for outcome, start in zip(outcomes, starts.T):
