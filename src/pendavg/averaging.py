@@ -13,7 +13,8 @@ M^-1(t) G1 along the orbit, the object whose simple zeros continue to
 periodic orbits.
 
 The integral is a periodic trapezoid sum, which converges geometrically on
-the smooth periodic integrand of a smooth forcing (``_integrate_points``).
+the smooth periodic integrand of a smooth forcing (``_integrate_points``);
+the integrand runs node-major and its sums points-major (``_node_sums``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .constants import SQRT2
 from .expr import ExprDomainError
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
-from .newton import Solution, fault_record, solve_many
+from .newton import Solution, _norms, fault_record, solve_many
 
 # Base-grid node counts of the first sweep level and of the last one allowed.
 FIRST_NODES = 8
@@ -53,7 +54,9 @@ def _node_sums(f, points, base, check):
     Also returns each point's largest |f|, which is not finite where one of
     its values is not.  Each integrand call takes a block of base nodes and
     the matching block of check nodes, within ``CHUNK_FLOATS`` point x node
-    values; each row adds its blocks in order.
+    values, node-major, so its ufuncs run along the points.  Each row adds
+    its blocks in order, each summed points-major in numpy's pairwise order
+    along the row: a point's sums keep their bits in any batch.
     """
     block = min(base.size, CHUNK_FLOATS // 2)
     rows = CHUNK_FLOATS // (2 * block)
@@ -63,9 +66,10 @@ def _node_sums(f, points, base, check):
         for lo in range(0, base.size, block):
             taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
             values = np.asarray(f(chunk, taus), dtype=float)
-            peak = np.abs(values).max(axis=(1, 2))
-            # Summed per row: a BLAS product's order would depend on the batch.
-            total = total + values.reshape(*values.shape[:2], 2, block).sum(axis=-1)
+            peak = np.abs(values).max(axis=(0, 1))
+            # A points-major copy: on a strided view numpy adds in another order.
+            rows_major = np.ascontiguousarray(values.transpose(2, 0, 1))
+            total = total + rows_major.reshape(*rows_major.shape[:2], 2, block).sum(axis=-1)
             np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
         if sums is None:
             sums = np.empty((points.size,) + total.shape[1:])
@@ -74,7 +78,7 @@ def _node_sums(f, points, base, check):
 
 
 def _integrate_points(f, m, period, tol, faults=None):
-    """Integrate ``f(points, taus) -> (len(points), k, len(taus))`` over a period.
+    """Integrate ``f(points, taus) -> (k, len(taus), len(points))`` over a period.
 
     Each of the m points gets the trapezoid rule on N = 8, 16, ...,
     ``MAX_NODES`` equispaced base nodes from 0; doubling adds the midpoints.
@@ -148,9 +152,7 @@ class AveragedSystem:
 
         A whole seed grid or Newton round costs one trapezoid sweep, in
         which each point refines on its own criterion and is summed on its
-        own, so its value is bit for bit its single-point value.  The
-        integrand runs on chunks of at most ``CHUNK_FLOATS`` point x node
-        values.
+        own, so its value is bit for bit its single-point value.
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
         if not alphas.size:
@@ -160,14 +162,15 @@ class AveragedSystem:
         w = mode.omega
         sign = 1.0 if mode is Mode.MODE1 else -1.0
         f1, f2 = compiled_forcing(self.spec)
+        amplitudes = alphas.T.copy()
         period = self.spec.full_period
 
         def integrand(points, taus):
-            chunk = alphas[points]
-            states = unperturbed_orbit(mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
-            combo = sign * SQRT2 * f1(taus[None, :], *states) + f2(taus[None, :], *states)
+            column = taus[:, None]
+            states = unperturbed_orbit(mode, amplitudes[:, points], column)
+            combo = sign * SQRT2 * f1(column, *states) + f2(column, *states)
             combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
-            return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
+            return np.stack([np.sin(w * column), np.cos(w * column)]) * combo
 
         with np.errstate(all="ignore"):
             integral, self.last_panels, self.last_scale = _integrate_points(
@@ -205,9 +208,10 @@ class ZeroList(list):
 
 def seed_grid(r1, r2, n_radial=24, n_angular=24):
     """Polar seed grid over the annulus r1 < ||alpha|| < r2."""
-    radii = np.linspace(r1, r2, n_radial)
     angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
-    return np.array([[r * math.cos(t), r * math.sin(t)] for r in radii for t in angles])
+    # math's cos/sin, not numpy's, whose SIMD loops may round otherwise.
+    trig = np.array([[math.cos(t), math.sin(t)] for t in angles.tolist()])
+    return (np.linspace(r1, r2, n_radial)[:, None, None] * trig).reshape(-1, 2)
 
 
 def is_identically_zero(system, r1, r2):
@@ -230,17 +234,6 @@ def is_identically_zero(system, r1, r2):
         raise faults[0]
     # A point that faults is NaN, which the max skips.
     return float(np.nanmax(np.abs(pair))) <= ZERO_THRESHOLD * system.last_scale
-
-
-def canonical_key(alpha, radius):
-    """Sort key for a zero: each coordinate rounded to a multiple of ``radius``.
-
-    Zeros closer than the dedup radius are merged, so this loses no real
-    distinction, while Newton noise far below ``radius`` (e.g. 1e-11 on a
-    zero that sits on an axis) cannot flip the order.  Only a coordinate
-    within noise of a half-bin boundary can still move between bins.
-    """
-    return tuple(int(v) for v in np.round(np.asarray(alpha, dtype=float) / radius))
 
 
 def find_zeros(
@@ -269,10 +262,10 @@ def find_zeros(
     ``det_threshold``: the Jacobian that Newton evaluated at the zero, at
     no further evaluation.  An empty list is a valid outcome; its ``degenerate`` flag tells an
     identically zero pair from one with no zero in the annulus.
-    Zeros come back in ``canonical_key`` order at ``dedup_radius``, seed
-    grid order within one bin; of near-duplicates, the first in that order
-    is kept.  Residuals of converged seeds are roundoff, so they pick no
-    winner: the first seed to converge into a bin reports that zero.
+    Zeros come back sorted on their coordinates rounded to multiples of
+    ``dedup_radius``, which Newton noise far below it (1e-11 on an axis
+    zero) cannot flip, and seed grid order within a bin.  Each zero kept
+    drops every later one within the radius: residuals pick no winner.
     """
     if r1 <= 0:
         raise ValueError("r1 must be positive: the origin is always excluded")
@@ -286,17 +279,19 @@ def find_zeros(
         newton_tol,
         bound=10.0 * max(r2, 1.0),
     )
-    candidates = [o for o in outcomes if isinstance(o, Solution) and r1 < np.linalg.norm(o.x) < r2]
-    # This is also the output order: zeros are kept in candidate order.  The
-    # sort is stable, so seeds stay in grid order within one bin.
-    candidates.sort(key=lambda c: canonical_key(c.x, dedup_radius))
-
+    solutions = [o for o in outcomes if isinstance(o, Solution)]
+    x = np.array([s.x for s in solutions]).reshape(-1, 2)
+    norm = _norms(x)
+    inside = np.flatnonzero((r1 < norm) & (norm < r2))
+    with np.errstate(over="ignore"):  # a subnormal radius gives bins of inf, which still sort
+        bins = np.round(x[inside] / dedup_radius)
+    rest = inside[np.lexsort((bins[:, 1], bins[:, 0]))]  # stable: grid order within a bin
     zeros = ZeroList()
-    for c in candidates:
-        if any(np.linalg.norm(c.x - z.alpha) < dedup_radius for z in zeros):
-            continue
+    while rest.size:
+        c, rest = solutions[rest[0]], rest[1:]
         det = float(np.linalg.det(c.jacobian))
         zeros.append(ZeroResult(c.x, c.residual, c.jacobian, det, abs(det) > det_threshold, c.steps))
+        rest = rest[~(_norms(x[rest] - c.x) < dedup_radius)]
     return zeros
 
 

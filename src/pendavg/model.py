@@ -328,4 +328,9 @@ def unperturbed_orbit(mode, alpha, tau):
     c, s = np.cos(mode.omega * tau), np.sin(mode.omega * tau)
     pos, vel = a0 * c + b0 * s, b0 * c - a0 * s
     d_th1, d_th1d, d_th2 = _ORBIT_DIVISORS[mode]
-    return np.stack([pos / d_th1, vel / d_th1d, pos / d_th2, vel])
+    out = np.empty((4,) + pos.shape)
+    np.divide(pos, d_th1, out=out[0, ...])
+    np.divide(vel, d_th1d, out=out[1, ...])
+    np.divide(pos, d_th2, out=out[2, ...])
+    out[3, ...] = vel
+    return out

@@ -16,6 +16,11 @@ trapezoid sweep.  Its pendulum instance (:func:`pendulum_problem`) is built
 on :func:`modal_orbit`, the unperturbed orbit in modal coordinates, and
 :func:`fundamental_matrix`, the rotation blocks of the linear modal system.
 
+:func:`points_major_eval_many` is ``AveragedSystem.eval_many`` on the
+points-major trapezoid sweep, an integrand row per point with
+:func:`points_major_node_sums` summing each block along its rows; tests hold
+the package's node-major sweep to it bit for bit.
+
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
 time, on its own central difference (:func:`central_difference`); tests
 hold the lockstep ``pendavg.newton.solve_many`` to it start for start.
@@ -39,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from pendavg import averaging
 from pendavg.averaging import CHUNK_FLOATS, AveragedSystem, QuadratureError
 from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.expr import BinOp, Call, Const, ExprDomainError, Neg, Num, Var
@@ -48,6 +54,7 @@ from pendavg.model import (
     Mode,
     PerturbationSpec,
     compiled_forcing,
+    unperturbed_orbit,
 )
 from pendavg.newton import MAX_STEPS, NewtonFailure
 
@@ -245,6 +252,66 @@ def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
         lambda points, taus: np.atleast_2d(f(taus))[None], 1, a, b, tol, max_panels
     )
     return QuadratureResult(value[0], int(panels[0]))
+
+
+# ---------------------------------------------------------------------------
+# The points-major trapezoid sweep
+# ---------------------------------------------------------------------------
+
+def points_major_node_sums(f, points, base, check):
+    """``pendavg.averaging._node_sums`` for an integrand of the points-major layout.
+
+    ``f(points, taus)`` returns ``(len(points), k, len(taus))``, and each
+    block is summed along that array's own contiguous last axis.
+    """
+    block = min(base.size, CHUNK_FLOATS // 2)
+    rows = CHUNK_FLOATS // (2 * block)
+    sums, sizes = None, np.zeros(points.size)
+    for start in range(0, points.size, rows):
+        chunk, total = points[start : start + rows], 0.0
+        for lo in range(0, base.size, block):
+            taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
+            values = np.asarray(f(chunk, taus), dtype=float)
+            peak = np.abs(values).max(axis=(1, 2))
+            total = total + values.reshape(*values.shape[:2], 2, block).sum(axis=-1)
+            np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
+        if sums is None:
+            sums = np.empty((points.size,) + total.shape[1:])
+        sums[start : start + rows] = total
+    return sums, sizes
+
+
+def points_major_eval_many(system, alphas, faults=None):
+    """``system.eval_many(alphas, faults)`` on the points-major sweep.
+
+    The integrand works on ``(len(points), len(taus))`` arrays, a row per
+    point, and :func:`points_major_node_sums` sums it.  Returns the mean
+    pair with the ``last_panels`` and ``last_scale`` the call would set.
+    """
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
+    spec = system.spec
+    w = spec.mode.omega
+    sign = 1.0 if spec.mode is Mode.MODE1 else -1.0
+    f1, f2 = compiled_forcing(spec)
+    period = spec.full_period
+
+    def integrand(points, taus):
+        chunk = alphas[points]
+        states = unperturbed_orbit(spec.mode, (chunk[:, 0:1], chunk[:, 1:2]), taus[None, :])
+        combo = sign * SQRT2 * f1(taus[None, :], *states) + f2(taus[None, :], *states)
+        combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
+        return np.stack([np.sin(w * taus), np.cos(w * taus)]) * combo[:, None, :]
+
+    saved = averaging._node_sums
+    averaging._node_sums = points_major_node_sums
+    try:
+        with np.errstate(all="ignore"):
+            integral, panels, scale = averaging._integrate_points(
+                integrand, alphas.shape[0], period, system.tol, faults
+            )
+    finally:
+        averaging._node_sums = saved
+    return np.stack([-integral[:, 0], integral[:, 1]], axis=1) / (2.0 * period), panels, scale
 
 
 # ---------------------------------------------------------------------------

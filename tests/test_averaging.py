@@ -30,7 +30,7 @@ from pendavg.config import PRESETS
 from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.expr import ExprDomainError
 from pendavg.model import PerturbationSpec
-from pendavg.newton import NewtonFailure, fault_record, solve_many
+from pendavg.newton import NewtonFailure, _stencils, fault_record, solve_many
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,7 +82,7 @@ def test_trapezoid_is_not_fooled_by_aliasing(p):
             continue
 
         def f(points, taus):
-            return (np.sin(k * w * taus) * np.sin(w * taus))[None, None, :]
+            return (np.sin(k * w * taus) * np.sin(w * taus))[None, :, None]
 
         value, nodes, _ = _integrate_points(f, 1, period, 1e-12)
         exact = period / 2.0 if k == 1 else 0.0
@@ -419,6 +419,37 @@ def test_find_zeros_drops_a_seed_whose_stencil_at_its_zero_faults():
     assert zeros[0].simple
 
 
+class _AxisCubic:
+    """g = ((a - z0)(a - z1)(a - z2), b): three simple zeros on the a-axis."""
+
+    last_scale = 1.0
+
+    def __init__(self, *roots):
+        self.roots = roots
+
+    def eval_many(self, alphas, faults=None):
+        a, b = np.asarray(alphas, dtype=float).T
+        z0, z1, z2 = self.roots
+        return np.stack([(a - z0) * (a - z1) * (a - z2), b], axis=1)
+
+
+def test_find_zeros_keeps_a_zero_beyond_the_radius_of_the_last_kept_one():
+    # Zeros 0.6 radius apart: the middle one is within the radius of the
+    # first and is dropped; the third is within the radius of the middle
+    # one only, so it is kept.  Seeds on the a-axis reach all three.
+    radius = 0.1
+    roots = (1.0, 1.06, 1.12)
+    zeros = find_zeros(_AxisCubic(*roots), r1=0.94, r2=1.18, grid=(5, 1), dedup_radius=radius)
+    assert [z.alpha[0] for z in zeros] == pytest.approx([1.0, 1.12], abs=1e-9)
+    assert all(z.simple for z in zeros)
+
+
+def test_find_zeros_drops_zeros_on_the_annulus_bounds():
+    # Seeds on r1 and r2 converge where they start, at ||x|| == r1 and r2.
+    zeros = find_zeros(_AxisCubic(1.0, 1.5, 2.0), r1=1.0, r2=2.0, grid=(3, 1))
+    assert [z.alpha.tolist() for z in zeros] == [[1.5, 0.0]]
+
+
 def test_find_zeros_corollary2():
     spec = oracles.make_spec("corollary2")
     system = AveragedSystem(spec, tol=1e-11)
@@ -553,7 +584,7 @@ def test_an_integrand_call_never_sees_more_than_a_chunk(monkeypatch):
 
     def kinked(points, taus):
         sizes.append(points.size * taus.size)
-        return np.abs(np.sin(taus) - 0.5)[None, None, :]
+        return np.abs(np.sin(taus) - 0.5)[None, :, None]
 
     monkeypatch.setattr(averaging, "MAX_NODES", 2 ** 15)
     with pytest.raises(QuadratureError):
@@ -733,3 +764,34 @@ def test_averaged_system_caches_panel_count():
     system = AveragedSystem(spec, tol=1e-11)
     system(np.array([1.0, 0.0]))
     assert system.last_panels >= 8
+
+
+@pytest.mark.parametrize(
+    "f1, f2, mode, p, r2, grid, max_nodes, tol",
+    [
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 1, 10.0, (24, 24), MAX_NODES, 1e-11),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 1, 40.0, (24, 24), MAX_NODES, 1e-11),
+        ("0", "(1 - th1^2) * sin(w1 * tau) * (1 + sin(w1 * tau / 2))", "mode1", 2,
+         10.0, (12, 12), MAX_NODES, 1e-11),
+        ("0", _SQRT_FORCING, "mode1", 1, 8.0, (6, 6), MAX_NODES, 1e-11),
+        # 50 points finish on 128 to 1024 base nodes and 30 are capped:
+        # numpy sums each block of more than 128 nodes pairwise in halves.
+        ("0", "abs(th2d) * sin(w1 * tau)", "mode1", 1, 10.0, (4, 4), 2 ** 10, 1e-6),
+    ],
+    ids=["corollary1", "corollary2", "p2", "sqrt-domain-faults", "kinked"],
+)
+def test_the_node_major_sweep_keeps_the_points_major_bits(
+    monkeypatch, f1, f2, mode, p, r2, grid, max_nodes, tol
+):
+    # Every column of the seed grid's Newton stencils is a point.
+    points = _stencils(seed_grid(0.1, r2, *grid)).transpose(0, 2, 1).reshape(-1, 2)
+    monkeypatch.setattr(averaging, "MAX_NODES", max_nodes)
+    system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, p, 1), tol=tol)
+    faults, want_faults = {}, {}
+    got = system.eval_many(points, faults)
+    want, panels, scale = oracles.points_major_eval_many(system, points, want_faults)
+    assert got.tobytes() == want.tobytes()
+    assert {k: (type(e), str(e)) for k, e in faults.items()} == {
+        k: (type(e), str(e)) for k, e in want_faults.items()
+    }
+    assert (system.last_panels, system.last_scale) == (panels, scale)

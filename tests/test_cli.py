@@ -228,6 +228,22 @@ def test_zeros_config_echo_reproduces_the_run(capsys, tmp_path):
     assert merge_config(ExperimentConfig(), json.loads(out)["config"]) == run_cfg
 
 
+def test_zeros_with_a_subnormal_dedup_radius_keeps_every_seeds_zero(capsys, tmp_path):
+    # alpha / 1e-310 overflows to inf, which must neither raise nor warn
+    # (the suite, like CI's console-script step, makes warnings errors).
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text('{"dedup_radius": 1e-310}')
+    code, out, _ = run_cli(capsys, "zeros", "--preset", "corollary1", "--config", str(cfg_path))
+    assert code == 0
+    # No two seeds stop on the same bits, so each of the 480 seeds that
+    # converge inside the annulus reports its own zero.
+    alphas = np.array([zero["alpha"] for zero in json.loads(out)["zeros"]])
+    assert len(alphas) == 480
+    assert len(np.unique(alphas, axis=0)) == 480
+    gaps = np.abs(alphas[:, None, :] - np.array(oracles.CORO1_ZEROS)[None]).max(axis=2)
+    assert gaps.min(axis=1).max() <= 1e-8
+
+
 def test_zeros_report_escapes_control_characters(capsys):
     # The expression tokenizer skips \v, \f and \x1c as whitespace, so the
     # run succeeds and the config echo must escape them to stay valid JSON.

@@ -147,6 +147,21 @@ def test_mode2_orbit_at_zero_phase():
 
 
 @pytest.mark.parametrize("mode", [Mode.MODE1, Mode.MODE2])
+def test_orbit_on_a_node_by_point_grid_is_each_points_orbit(mode):
+    # Amplitude rows against a column of taus give (4, taus, points), each
+    # entry bit for bit the scalar orbit of its point at its tau.
+    amplitudes = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 5))
+    taus = np.linspace(0.0, mode.period, 7)
+    grid = unperturbed_orbit(mode, amplitudes, taus[:, None])
+    assert grid.shape == (4, 7, 5)
+    for i, tau in enumerate(taus):
+        for j, alpha in enumerate(amplitudes.T):
+            single = unperturbed_orbit(mode, alpha, tau)
+            assert single.shape == (4,)
+            assert single.tobytes() == grid[:, i, j].tobytes()
+
+
+@pytest.mark.parametrize("mode", [Mode.MODE1, Mode.MODE2])
 def test_orbit_matches_modal_closed_form(mode):
     taus = np.linspace(0.0, mode.period, 17)
     orbit = unperturbed_orbit(mode, (0.7, -1.1), taus)
