@@ -299,23 +299,19 @@ def antipodal_pairing(zeros, radius=1e-6):
     """Group alpha with -alpha: both seed the same unperturbed orbit.
 
     Returns the classes as lists of 1 or 2 indices into ``zeros``, each
-    zero paired with the first later zero within ``radius`` of its
-    negation; the class count is the number of distinct predicted
-    periodic orbits.
+    zero paired with the first later unpaired zero within ``radius`` of its
+    negation, all measured in one ``_norms`` call (bit for bit
+    ``np.linalg.norm``); the class count is the number of distinct
+    predicted periodic orbits.
     """
+    alphas = np.array([z.alpha for z in zeros]).reshape(-1, 2)
+    paired = np.zeros(len(zeros), dtype=bool)
     classes = []
-    used = [False] * len(zeros)
-    for i, z in enumerate(zeros):
-        if used[i]:
+    for i in range(len(zeros)):
+        if paired[i]:
             continue
-        used[i] = True
-        group = [i]
-        for j in range(i + 1, len(zeros)):
-            if used[j]:
-                continue
-            if np.linalg.norm(zeros[j].alpha + z.alpha) < radius:
-                used[j] = True
-                group.append(j)
-                break
-        classes.append(group)
+        later = i + 1 + np.flatnonzero(~paired[i + 1 :])
+        near = later[_norms(alphas[later] + alphas[i]) < radius]
+        paired[near[:1]] = True
+        classes.append([i] + near[:1].tolist())
     return classes

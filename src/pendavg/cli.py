@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .continuation import (
     predicted_initial_state,
     shoot_many,
 )
-from .expr import ExprDomainError, ExprSyntaxError
+from .expr import VARIABLES, ExprDomainError, ExprSyntaxError
 from .model import Mode, PeriodicityError, unperturbed_orbit
 from .reporting import csv_lines, fmt_float, json_dumps, write_text
 
@@ -147,7 +147,14 @@ def _emit(args, filename, text):
 # Zero search shared by `zeros` and `verify`
 # ---------------------------------------------------------------------------
 
+def _record(record, *skip):
+    """A dataclass record's fields but ``skip`` as report values, arrays as lists."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record) if f.name not in skip)
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
+
+
 def _search(cfg):
+    """The spec, zeros and ``zeros`` report of the experiment ``cfg``."""
     spec = cfg.to_spec()
     zeros = find_zeros(
         AveragedSystem(spec, tol=cfg.quad_tol),
@@ -158,36 +165,17 @@ def _search(cfg):
         dedup_radius=cfg.dedup_radius,
         det_threshold=cfg.det_threshold,
     )
+    # Every config field, so a report can reproduce its run.
+    payload = {"config": _record(cfg), "zeros": [_record(z) for z in zeros]}
     if zeros.degenerate:
         log.info("averaged pair is identically zero on the probe grid")
-        return spec, zeros, []
-    classes = antipodal_pairing(zeros, radius=cfg.dedup_radius)
-    log.info("found %d zeros in %d orbit classes", len(zeros), len(classes))
-    return spec, zeros, classes
-
-
-def _zeros_payload(cfg, zeros, classes):
-    zero_records = [
-        {
-            "alpha": z.alpha.tolist(),
-            "residual": z.residual,
-            "jacobian": z.jacobian.tolist(),
-            "det": z.det,
-            "simple": z.simple,
-            "iterations": z.iterations,
-        }
-        for z in zeros
-    ]
-    payload = {
-        # Every field, so a report can reproduce its run.
-        "config": asdict(cfg),
-        "zeros": zero_records,
-        "orbit_classes": len(classes),
-        "classes": classes,
-    }
-    if zeros.degenerate:
         payload["message"] = DEGENERATE_MESSAGE
-    return payload
+        classes = []
+    else:
+        classes = antipodal_pairing(zeros, radius=cfg.dedup_radius)
+        log.info("found %d zeros in %d orbit classes", len(zeros), len(classes))
+    payload.update(orbit_classes=len(classes), classes=classes)
+    return spec, zeros, payload
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +212,15 @@ def cmd_average(args):
 
 def cmd_zeros(args):
     cfg = _config_from_args(args)
-    _, zeros, classes = _search(cfg)
-    payload = _zeros_payload(cfg, zeros, classes)
+    payload = _search(cfg)[2]
     _emit(args, "zeros.json", json_dumps(payload) + "\n")
     return 0
 
 
 def cmd_verify(args):
     cfg = _config_from_args(args)
-    spec, zeros, classes = _search(cfg)
-    payload = _zeros_payload(cfg, zeros, classes)
-    class_of = {zi: ci for ci, group in enumerate(classes) for zi in group}
+    spec, zeros, payload = _search(cfg)
+    class_of = {zi: ci for ci, group in enumerate(payload["classes"]) for zi in group}
 
     # Zeros are already in canonical order, so the zero index orders runs
     # (and trajectory file numbers) within each eps.
@@ -252,37 +238,25 @@ def cmd_verify(args):
     )
 
     runs = []
-    failures = 0
     for idx, ((eps, zi), orbit) in enumerate(zip(cases, outcomes)):
-        record = {
-            "zero_index": zi,
-            "alpha": zeros[zi].alpha.tolist(),
-            "epsilon": eps,
-        }
+        alpha = zeros[zi].alpha.tolist()
         if isinstance(orbit, Exception):
             log.warning("shooting failed for zero %d at eps=%g: %s", zi, eps, orbit)
-            record["converged"] = False
-            record["error"] = str(orbit)
-            failures += 1
-            runs.append(record)
+            runs.append(
+                {"zero_index": zi, "alpha": alpha, "epsilon": eps, "converged": False, "error": str(orbit)}
+            )
             continue
+        record = _record(orbit, "samples_tau", "samples")
         record.update(
-            {
-                "converged": True,
-                "period": orbit.period,
-                "initial_state": orbit.initial_state.tolist(),
-                "residual": orbit.residual,
-                "predicted_initial": orbit.predicted_initial.tolist(),
-                "distance_to_prediction": orbit.distance_to_prediction,
-                "distance_over_eps": orbit.distance_to_prediction / abs(eps),
-                "iterations": orbit.iterations,
-            }
+            zero_index=zi,
+            alpha=alpha,
+            converged=True,
+            distance_over_eps=orbit.distance_to_prediction / abs(eps),
         )
         if args.out:
-            name = f"trajectory_{idx:03d}.csv"
+            record["trajectory_file"] = name = f"trajectory_{idx:03d}.csv"
             rows = np.vstack([orbit.samples_tau, orbit.samples]).T
-            _write_out(args, name, csv_lines(["tau", "th1", "th1d", "th2", "th2d"], rows))
-            record["trajectory_file"] = name
+            _write_out(args, name, csv_lines(VARIABLES, rows))
         runs.append(record)
 
     payload["runs"] = runs
@@ -293,12 +267,12 @@ def cmd_verify(args):
         converged = {
             class_of[run["zero_index"]]
             for run in runs
-            if run["epsilon"] == eps and run.get("converged")
+            if run["epsilon"] == eps and run["converged"]
         }
         summary.append({"epsilon": eps, "verified_orbit_classes": len(converged)})
     payload["verified"] = summary
     _emit(args, "verify.json", json_dumps(payload) + "\n")
-    return 3 if failures else 0
+    return 0 if all(run["converged"] for run in runs) else 3
 
 
 def cmd_orbit(args):
@@ -312,7 +286,7 @@ def cmd_orbit(args):
     taus = np.arange(n) * (mode.period / n)
     states = unperturbed_orbit(mode, alpha, taus)
     rows = np.vstack([taus, states]).T
-    _emit(args, "orbit.csv", csv_lines(["tau", "th1", "th1d", "th2", "th2d"], rows))
+    _emit(args, "orbit.csv", csv_lines(VARIABLES, rows))
     return 0
 
 

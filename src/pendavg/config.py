@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .expr import ExprSyntaxError, parse
-from .model import PerturbationSpec, PeriodicityError
+from .model import PerturbationSpec
 
 
 class ConfigError(ValueError):
@@ -67,10 +67,7 @@ class ExperimentConfig:
 
     def to_spec(self):
         """The ``PerturbationSpec`` of this experiment."""
-        try:
-            return PerturbationSpec.from_strings(self.f1, self.f2, self.mode, self.p, self.q)
-        except (ExprSyntaxError, PeriodicityError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return PerturbationSpec.from_strings(self.f1, self.f2, self.mode, self.p, self.q)
 
 
 # The two worked examples shipped with the package: a slow-mode forcing on

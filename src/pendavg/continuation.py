@@ -344,10 +344,12 @@ def sample_states(spec, eps, x0, taus, steps=None, faults=None):
     dense output of the DOP853 step that contains it, rebuilt from a record
     of the accepted steps (``_dense_samples``), so a time costs no step.
     ``steps`` is such a record of a flow of these columns, as ``flow_map``
-    appends it; a time past the end of that flow is refused.  Without one,
-    one pass runs at its own steps up to the last time, which is its
-    endpoint, and records its own.  Each slow deviation is mapped back to
-    its state through ``model.slow_field``; tau = 0 gives x0 bit for bit.
+    appends it; a time past the end of that flow is refused, except in a
+    column entered in ``faults``, whose record stops where it faulted and
+    whose samples are NaN.  Without a record, one pass runs at its own
+    steps up to the last time, which is its endpoint, and records its own.
+    Each slow deviation is mapped back to its state through
+    ``model.slow_field``; tau = 0 gives x0 bit for bit.
     ``taus`` must be finite, non-negative and non-decreasing; repeated
     times are allowed.  No column depends on another.  Returns ``(4, n)``
     or ``(4, m, n)``.  A column that faults, in its pass or in the rebuild,
@@ -367,6 +369,7 @@ def sample_states(spec, eps, x0, taus, steps=None, faults=None):
             v[:, :, :cut] = _dense_samples(forcing, eps, x0, steps, taus[:cut], faults)[0]
         else:
             v, reach = _dense_samples(forcing, eps, x0, steps, taus, faults)
+            reach[list(faults)] = np.inf  # a faulted column's record ends early
             if (reach < (taus[-1] if n else 0.0)).any():
                 raise ValueError("times must not pass the end of the recorded flow")
         v[:, list(faults)] = np.nan

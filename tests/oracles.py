@@ -21,6 +21,9 @@ points-major trapezoid sweep, an integrand row per point with
 :func:`points_major_node_sums` summing each block along its rows; tests hold
 the package's node-major sweep to it bit for bit.
 
+:func:`pairwise_antipodal_pairing` is ``averaging.antipodal_pairing`` with
+one norm per pair of zeros; tests hold the package's batched pairing to it.
+
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
 time, on its own central difference (:func:`central_difference`); tests
 hold the lockstep ``pendavg.newton.solve_many`` to it start for start.
@@ -440,6 +443,26 @@ def pendulum_problem(spec):
         return np.stack([zero, g_fast, zero, g_slow])
 
     return AveragingProblem(4, 2, spec.full_period, beta, flow, fundamental, perturbation)
+
+
+def pairwise_antipodal_pairing(zeros, radius=1e-6):
+    """``averaging.antipodal_pairing`` as one ``np.linalg.norm`` per pair of zeros."""
+    classes = []
+    used = [False] * len(zeros)
+    for i, z in enumerate(zeros):
+        if used[i]:
+            continue
+        used[i] = True
+        group = [i]
+        for j in range(i + 1, len(zeros)):
+            if used[j]:
+                continue
+            if np.linalg.norm(zeros[j].alpha + z.alpha) < radius:
+                used[j] = True
+                group.append(j)
+                break
+        classes.append(group)
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,21 @@ def test_antipodal_pairing_edges():
     assert [len(c) for c in antipodal_pairing(zeros)] == [1]
 
 
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+def test_antipodal_pairing_keeps_the_pairwise_classes(which):
+    # A subnormal dedup radius keeps every converged seed's zero (480 on
+    # corollary1, each near one of four points), so at the default radius
+    # most zeros have many antipodal candidates and the first unpaired one
+    # must win; at the subnormal radius only exact negations pair.
+    config = PRESETS[which]
+    system = AveragedSystem(config.to_spec(), tol=config.quad_tol)
+    zeros = find_zeros(system, config.r1, config.r2, dedup_radius=1e-310)
+    for radius in (1e-310, 1e-6):
+        classes = antipodal_pairing(zeros, radius)
+        assert classes == oracles.pairwise_antipodal_pairing(zeros, radius)
+        assert all(type(index) is int for group in classes for index in group)
+
+
 @pytest.mark.parametrize("which, radius", [("corollary1", 10.0), ("corollary2", 40.0)])
 def test_eval_many_does_not_depend_on_batch_mates(which, radius):
     # Newton's one-point trials must agree with the base column of its

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -560,6 +561,27 @@ def test_a_faulting_case_fails_alone_and_exit_3(capsys):
             continuation.shoot_periodic(spec, 0.2, guess, n_samples=0)
         assert run["error"] == str(alone.value)
     assert all(run["residual"] <= 1e-10 for run in runs if run["converged"])
+
+
+def test_reports_write_the_library_records(capsys, tmp_path):
+    # A zeros entry is a ZeroResult, and a converged verify run is a
+    # PeriodicOrbit without its samples plus the CLI's own keys; a failed
+    # run has only what the case and its error say.
+    zero_keys = {field.name for field in fields(averaging.ZeroResult)}
+    orbit_keys = {field.name for field in fields(continuation.PeriodicOrbit)} - {"samples_tau", "samples"}
+    run_keys = orbit_keys | {"zero_index", "alpha", "converged", "distance_over_eps"}
+    code, out, _ = run_cli(capsys, "zeros", "--preset", "corollary2")
+    assert code == 0
+    assert [set(zero) for zero in json.loads(out)["zeros"]] == [zero_keys]
+    f2 = "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(4.686291501015239 + 0.3 - th2d^2)"
+    for out_dir, keys in ((None, run_keys), (tmp_path, run_keys | {"trajectory_file"})):
+        argv = ["verify", "--preset", "corollary1", "--f2", f2, "--eps", "0.2,1e-3"]
+        code, out, _ = run_cli(capsys, *argv, *(["--out", str(out_dir)] if out_dir else []))
+        assert code == 3
+        runs = json.loads(out)["runs"]
+        assert [set(run) for run in runs if run["converged"]] == [keys] * 6
+        failed = [set(run) for run in runs if not run["converged"]]
+        assert failed == [{"zero_index", "alpha", "epsilon", "converged", "error"}] * 2
 
 
 def test_log_level_env_var(capsys, monkeypatch):

@@ -223,6 +223,24 @@ def test_a_faulting_column_leaves_its_flow_alone(monkeypatch):
         assert _raised(lambda: run(slice(None))) == (type(faults[1]), str(faults[1]))
 
 
+def test_a_faulted_column_leaves_sampling_its_record_alone(monkeypatch):
+    # A faulted column's record stops where it faulted, so it does not reach
+    # the last time; it is sampled as NaN, and the clean column as its own
+    # pass to T1, which takes the same steps, samples it.  A time past the
+    # end of the clean column is still refused.
+    spec, starts, eps = _faulting_columns(monkeypatch)
+    steps, faults = [], {}
+    flow_map(spec, eps, starts, T1, steps, faults)
+    assert sorted(faults) == [1, 2]
+    taus = [0.0, 1.0, 2.0, T1 - 1e-3]
+    out = sample_states(spec, eps, starts, taus, steps, faults)
+    own = sample_states(spec, eps[0], starts[:, 0], taus + [T1])[:, :-1]
+    assert out[:, 0].tobytes() == own.tobytes()
+    assert np.isnan(out[:, 1:]).all()
+    with pytest.raises(ValueError, match="recorded flow"):
+        sample_states(spec, eps, starts, [0.0, 2.0 * T1], steps, faults)
+
+
 def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
     # Three starts share each period-map call, each at its own eps.  The
     # two that fault end with what they meet alone, and the third ends
