@@ -12,20 +12,26 @@ orbit through alpha.  The mean is exactly the projected period average of
 M^-1(t) G1 along the orbit, the object whose simple zeros continue to
 periodic orbits.
 
-The integral is a periodic trapezoid sum, which converges geometrically on
-the smooth periodic integrand of a smooth forcing (``_integrate_points``);
-the integrand runs node-major and its sums points-major (``_node_sums``).
+The integral is a periodic trapezoid sum (``_integrate_points``).  On N
+nodes it is exact for a trigonometric polynomial of degree below N
+(Trefethen and Weideman, SIAM Review 56, 2014), so when ``expr.harmonic_bound``
+bounds the integrand's degree, the sum stops at the first level above that
+bound and evaluates no check grid.  Any other integrand refines until it
+agrees with a shifted check grid, which converges geometrically on the
+smooth periodic integrand of a smooth forcing.  The integrand runs
+node-major and its sums points-major (``_node_sums``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import SQRT2
-from .expr import ExprDomainError
+from .expr import ExprDomainError, harmonic_bound
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
 from .newton import Solution, _norms, fault_record, solve_many
 
@@ -45,31 +51,54 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Periodic trapezoid rule with a shifted check grid
+# Periodic trapezoid rule, certified or with a shifted check grid
 # ---------------------------------------------------------------------------
 
-def _node_sums(f, points, base, check):
+def certified_nodes(spec):
+    """The first sweep level N at which the trapezoid sum of ``spec``'s integrand is exact, or None.
+
+    Along the resonant orbit every state has harmonic ``p`` of the full
+    period, and so does the ``sin/cos(omega tau)`` factor, so the integrand's
+    degree is at most the forcings' ``harmonic_bound`` plus ``p``.  The sum
+    on N nodes is exact once that degree is below N: every harmonic that
+    aliases onto the mean is a multiple of N.  None when either forcing has
+    no bound, or the degree needs more than ``MAX_NODES`` nodes.
+    """
+    p, period = spec.resonance.p, spec.full_period
+    bounds = [harmonic_bound(f, p, period) for f in (spec.f1, spec.f2)]
+    if None in bounds or max(bounds) + p >= MAX_NODES:
+        return None
+    n = FIRST_NODES
+    while n <= max(bounds) + p:
+        n *= 2
+    return n
+
+
+def _node_sums(f, points, base, check=None):
     """``(len(points), k, 2)`` sums of ``f`` over ``base`` and over ``check``.
 
-    Also returns each point's largest |f|, which is not finite where one of
-    its values is not.  Each integrand call takes a block of base nodes and
-    the matching block of check nodes, within ``CHUNK_FLOATS`` point x node
-    values, node-major, so its ufuncs run along the points.  Each row adds
-    its blocks in order, each summed points-major in numpy's pairwise order
-    along the row: a point's sums keep their bits in any batch.
+    Without ``check`` the sums are ``(len(points), k, 1)``, over ``base``
+    alone.  Also returns each point's largest |f|, which is not finite where
+    one of its values is not.  Each integrand call takes a block of base
+    nodes and the matching block of check nodes, within ``CHUNK_FLOATS``
+    point x node values, node-major, so its ufuncs run along the points.
+    Each row adds its blocks in order, each summed points-major in numpy's
+    pairwise order along the row: a point's sums keep their bits in any
+    batch, and its base sums with or without ``check``.
     """
+    grids = (base,) if check is None else (base, check)
     block = min(base.size, CHUNK_FLOATS // 2)
-    rows = CHUNK_FLOATS // (2 * block)
+    rows = CHUNK_FLOATS // (len(grids) * block)
     sums, sizes = None, np.zeros(points.size)
     for start in range(0, points.size, rows):
         chunk, total = points[start : start + rows], 0.0
         for lo in range(0, base.size, block):
-            taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
+            taus = np.concatenate([grid[lo : lo + block] for grid in grids])
             values = np.asarray(f(chunk, taus), dtype=float)
             peak = np.abs(values).max(axis=(0, 1))
             # A points-major copy: on a strided view numpy adds in another order.
             rows_major = np.ascontiguousarray(values.transpose(2, 0, 1))
-            total = total + rows_major.reshape(*rows_major.shape[:2], 2, block).sum(axis=-1)
+            total = total + rows_major.reshape(*rows_major.shape[:2], len(grids), block).sum(axis=-1)
             np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
         if sums is None:
             sums = np.empty((points.size,) + total.shape[1:])
@@ -77,26 +106,34 @@ def _node_sums(f, points, base, check):
     return sums, sizes
 
 
-def _integrate_points(f, m, period, tol, faults=None):
+def _integrate_points(f, m, period, tol, faults=None, nodes=None):
     """Integrate ``f(points, taus) -> (k, len(taus), len(points))`` over a period.
 
     Each of the m points gets the trapezoid rule on N = 8, 16, ...,
     ``MAX_NODES`` equispaced base nodes from 0; doubling adds the midpoints.
-    The error estimate is the gap to the same rule on a check grid shifted
-    by (sqrt 5 - 1) / 2 of the coarsest spacing.  Against 2N nodes instead,
-    a component aliasing onto both grids, such as sin((2N + 1) w tau)
-    sin(w tau), would go unseen; on the check grid it has another phase.
-    A point stops once the gap is at most ``tol``, or its roundoff floor;
-    it faults (NaN, entered in ``faults`` as ``newton.fault_record`` says)
-    at a level with a non-finite value, or open at ``MAX_NODES``.  Returns
-    the ``(m, k)`` values, the largest node count and the largest |f| of
-    the points that finished.  Each point refines and sums on its own.
+    With ``nodes`` (``certified_nodes``), at which the sum is exact, every
+    point sums the levels up to it and evaluates nothing else; ``tol`` does
+    not enter.  Without, the error estimate is the gap to the same rule on
+    a check grid shifted by (sqrt 5 - 1) / 2 of the coarsest spacing.
+    Against 2N nodes instead, a component aliasing onto both grids, such as
+    sin((2N + 1) w tau) sin(w tau), would go unseen; on the check grid it
+    has another phase.  A point stops once the gap is at most ``tol``, or
+    its roundoff floor; it faults (NaN, entered in ``faults`` as
+    ``newton.fault_record`` says) at a level with a non-finite value, or
+    open at ``MAX_NODES``.  Returns the ``(m, k)`` values, the largest node
+    count and the largest |f| of the points that finished, over the nodes
+    they evaluated.  Each point refines and sums on its own; a certified
+    sum keeps the bits of a checked sweep that stops at the same level.
     """
     n = FIRST_NODES
     shift = (math.sqrt(5.0) - 1.0) / 2.0 * period / n
+
+    def checks(grid):
+        return None if nodes else grid + shift
+
     base = np.arange(n) * (period / n)
     active = np.arange(m)
-    sums, size = _node_sums(f, active, base, base + shift)
+    sums, size = _node_sums(f, active, base, checks(base))
     value, scale = np.empty(sums.shape[:2]), 0.0
     faults = fault_record(faults)
     while True:
@@ -107,16 +144,19 @@ def _integrate_points(f, m, period, tol, faults=None):
             value[active[bad]] = np.nan
             active, sums, size = active[~bad], sums[~bad], size[~bad]
         h = period / n
-        done = np.abs(sums[..., 0] - sums[..., 1]).max(axis=1) * h <= np.maximum(
-            tol, 64.0 * np.finfo(float).eps * np.abs(sums[..., 0]).max(axis=1) * h
-        )
+        if nodes:
+            done = np.full(active.size, n >= nodes)
+        else:
+            done = np.abs(sums[..., 0] - sums[..., 1]).max(axis=1) * h <= np.maximum(
+                tol, 64.0 * np.finfo(float).eps * np.abs(sums[..., 0]).max(axis=1) * h
+            )
         value[active[done]] = sums[done, :, 0] * h
         scale = float(np.max(size, initial=scale, where=done))
         active, sums, size = active[~done], sums[~done], size[~done]
         if not active.size or 2 * n > MAX_NODES:
             break
         mids = (np.arange(n) + 0.5) * h
-        more, more_size = _node_sums(f, active, mids, mids + shift)
+        more, more_size = _node_sums(f, active, mids, checks(mids))
         sums, size = sums + more, np.maximum(size, more_size)
         n *= 2
     for p in active.tolist():
@@ -137,12 +177,17 @@ class AveragedSystem:
     its entry in ``faults`` (``newton.fault_record``).  After each call,
     ``last_panels`` holds the largest base-grid node count of the batch and
     ``last_scale`` the largest |integrand| of the points that finished.
+    The integrand's ``certified_nodes`` are found once, at construction.
     """
 
     spec: PerturbationSpec
     tol: float = 1e-11
     last_panels: int = field(default=0, compare=False)
     last_scale: float = field(default=0.0, compare=False)
+    _nodes: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._nodes = certified_nodes(self.spec)
 
     def __call__(self, alpha):
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
@@ -152,7 +197,8 @@ class AveragedSystem:
 
         A whole seed grid or Newton round costs one trapezoid sweep, in
         which each point refines on its own criterion and is summed on its
-        own, so its value is bit for bit its single-point value.
+        own, so its value is bit for bit its single-point value.  A
+        band-limited integrand is summed at its ``certified_nodes``.
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
         if not alphas.size:
@@ -174,7 +220,7 @@ class AveragedSystem:
 
         with np.errstate(all="ignore"):
             integral, self.last_panels, self.last_scale = _integrate_points(
-                integrand, alphas.shape[0], period, self.tol, faults
+                integrand, alphas.shape[0], period, self.tol, faults, self._nodes
             )
         return np.stack([-integral[:, 0], integral[:, 1]], axis=1) / (2.0 * period)
 
@@ -222,13 +268,18 @@ def is_identically_zero(system, r1, r2):
     identically zero pair; Newton would then "converge" at every seed, so
     the search must be short-circuited.  Such a pair is the roundoff of a
     cancelling integral, so it is judged against ``ZERO_THRESHOLD`` times
-    the largest |integrand| (``system.last_scale``, which that call sets).
-    The probe points are evaluated in one call; a point that faults
-    is not judged, and the first probe point's fault is raised only when
-    every point faults.
+    the largest |integrand| (``last_scale``, which that call sets).  The
+    probe keeps the check grid for a band-limited forcing too: its
+    integrand may vanish on every node of the certified grid, as
+    th1^2 sin(32 w1 tau) sin(w1 tau) does on 64, which leaves a scale of
+    roundoff.  The probe points are evaluated in one call; a point that
+    faults is not judged, and the first probe point's fault is raised only
+    when every point faults.
     """
     probes = seed_grid(r1, r2, *PROBE_GRID)
     faults = {}
+    system = copy.copy(system)  # the caller's system keeps its certified sweep
+    system._nodes = None
     pair = system.eval_many(probes, faults)
     if len(faults) == len(probes):
         raise faults[0]

@@ -336,7 +336,7 @@ def _setup(spec, eps, y0, times):
     return compiled_forcing(spec), eps, x0
 
 
-def sample_states(spec, eps, x0, taus, steps=None, faults=None):
+def sample_states(spec, eps, x0, taus, steps, faults=None):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
@@ -346,13 +346,11 @@ def sample_states(spec, eps, x0, taus, steps=None, faults=None):
     ``steps`` is such a record of a flow of these columns, as ``flow_map``
     appends it; a time past the end of that flow is refused, except in a
     column entered in ``faults``, whose record stops where it faulted and
-    whose samples are NaN.  Without a record, one pass runs at its own
-    steps up to the last time, which is its endpoint, and records its own.
-    Each slow deviation is mapped back to its state through
-    ``model.slow_field``; tau = 0 gives x0 bit for bit.
+    whose samples are NaN.  Each slow deviation is mapped back to its
+    state through ``model.slow_field``; tau = 0 gives x0 bit for bit.
     ``taus`` must be finite, non-negative and non-decreasing; repeated
     times are allowed.  No column depends on another.  Returns ``(4, n)``
-    or ``(4, m, n)``.  A column that faults, in its pass or in the rebuild,
+    or ``(4, m, n)``.  A column that faults, in its flow or in the rebuild,
     gets NaN samples and its entry in ``faults`` (``newton.fault_record``).
     """
     taus = np.array([float(t) for t in taus])
@@ -361,17 +359,10 @@ def sample_states(spec, eps, x0, taus, steps=None, faults=None):
     m, n = x0.shape[1], taus.size
     faults = fault_record(faults)
     with np.errstate(all="ignore"):
-        if steps is None:
-            steps, end = [], taus[-1] if n else 0.0
-            cut = np.searchsorted(taus, end)
-            v = np.empty((4, m, n))
-            v[:, :, cut:] = _slow_deviation(forcing, eps, x0, end, steps, faults)[:, :, None]
-            v[:, :, :cut] = _dense_samples(forcing, eps, x0, steps, taus[:cut], faults)[0]
-        else:
-            v, reach = _dense_samples(forcing, eps, x0, steps, taus, faults)
-            reach[list(faults)] = np.inf  # a faulted column's record ends early
-            if (reach < (taus[-1] if n else 0.0)).any():
-                raise ValueError("times must not pass the end of the recorded flow")
+        v, reach = _dense_samples(forcing, eps, x0, steps, taus, faults)
+        reach[list(faults)] = np.inf  # a faulted column's record ends early
+        if (reach < (taus[-1] if n else 0.0)).any():
+            raise ValueError("times must not pass the end of the recorded flow")
         v[:, list(faults)] = np.nan
         # One column per (start, time), so the map runs on (4, m * n).
         _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))

@@ -26,6 +26,8 @@ compiled once.  :func:`compile_expr` is the one evaluator: its functions are
 pure and reentrant, and return every domain fault (sqrt of a negative,
 ``1/0``, overflow, ...) as NaN or inf, never as an exception.  Callers
 evaluate inside ``np.errstate(all="ignore")`` and check finiteness.
+:func:`harmonic_bound` reads from the AST alone how many harmonics of a
+period a forcing can have along an orbit of one frequency.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ CONSTANTS = {
     "w2": OMEGA2,
 }
 
-FUNCTIONS = ("sin", "cos", "sqrt", "exp", "abs")
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "exp": np.exp, "abs": np.abs}
 
 
 class ExprSyntaxError(ValueError):
@@ -326,16 +328,108 @@ def compile_expr(expr):
     if isinstance(expr, Var):
         body = f"+{body}"  # a copy, so the result never aliases an argument
     source = f"def _compiled(tau, th1, th1d, th2, th2d):\n    return {body}"
-    namespace = {
-        "_fn_sin": np.sin,
-        "_fn_cos": np.cos,
-        "_fn_sqrt": np.sqrt,
-        "_fn_exp": np.exp,
-        "_fn_abs": np.abs,
-    }
+    namespace = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
     for i, value in enumerate(literals):
         namespace[f"_num_{i}"] = np.float64(value)
     for name, value in CONSTANTS.items():
         namespace[f"_const_{name}"] = np.float64(value)
     exec(compile(source, "<expr>", "exec"), namespace)  # noqa: S102 - source built from a closed AST
     return namespace["_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# Harmonic bound
+# ---------------------------------------------------------------------------
+
+_ZERO = np.float64(0.0)
+
+
+def _children(node):
+    if isinstance(node, BinOp):
+        return node.lhs, node.rhs
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _constant(node):
+    """True when ``node`` holds neither a state variable nor ``tau``."""
+    return not isinstance(node, Var) and all(_constant(c) for c in _children(node))
+
+
+def _tau_affine(node):
+    """``(a, b)`` with ``node = a * tau + b`` and no state in it, else None."""
+    if isinstance(node, Num):
+        return _ZERO, np.float64(node.value)
+    if isinstance(node, Const):
+        return _ZERO, np.float64(CONSTANTS[node.name])
+    if isinstance(node, Var):
+        return (np.float64(1.0), _ZERO) if node.name == "tau" else None
+    if isinstance(node, Neg):
+        inner = _tau_affine(node.operand)
+        return None if inner is None else (-inner[0], -inner[1])
+    if isinstance(node, Call):
+        inner = _tau_affine(node.arg)
+        return None if inner is None or inner[0] else (_ZERO, FUNCTIONS[node.func](inner[1]))
+    lhs, rhs = _tau_affine(node.lhs), _tau_affine(node.rhs)
+    if lhs is None or rhs is None:
+        return None
+    (la, lb), (ra, rb) = lhs, rhs
+    if node.op == "+":
+        return la + ra, lb + rb
+    if node.op == "-":
+        return la - ra, lb - rb
+    if node.op == "*" and not (la and ra):
+        return la * rb + ra * lb, lb * rb
+    if node.op == "/" and not ra:
+        return la / rb, lb / rb
+    if node.op == "^" and not la:
+        return _ZERO, lb**rb
+    return None
+
+
+def _harmonics(node, p, period):
+    if _constant(node):
+        return 0
+    if isinstance(node, Var):
+        return None if node.name == "tau" else p
+    if isinstance(node, Neg):
+        return _harmonics(node.operand, p, period)
+    if isinstance(node, Call):
+        affine = _tau_affine(node.arg) if node.func in ("sin", "cos") else None
+        if affine is None:
+            return None
+        h = abs(float(affine[0])) * period / (2.0 * math.pi)
+        if not math.isfinite(h) or abs(h - round(h)) > 64.0 * np.finfo(float).eps * max(h, 1.0):
+            return None
+        return round(h)
+    if node.op == "/":
+        return _harmonics(node.lhs, p, period) if _constant(node.rhs) else None
+    if node.op == "^":
+        n = node.rhs.value if isinstance(node.rhs, Num) else -1.0
+        base = _harmonics(node.lhs, p, period)
+        return None if base is None or n < 0 or not n.is_integer() else int(n) * base
+    lhs, rhs = _harmonics(node.lhs, p, period), _harmonics(node.rhs, p, period)
+    if lhs is None or rhs is None:
+        return None
+    return max(lhs, rhs) if node.op in "+-" else lhs + rhs
+
+
+def harmonic_bound(expr, p, period):
+    """The highest harmonic of ``expr`` along an orbit, in units of ``2 pi / period``; None if unbounded.
+
+    On an orbit whose states each oscillate with harmonic ``p``, ``expr``
+    is a trigonometric polynomial of ``tau`` of at most this degree.  A
+    number or constant has 0 and a state ``p``; ``+`` and ``-`` take the
+    max of their operands, ``*`` the sum, and ``^`` with a non-negative
+    integer literal ``n`` takes ``n`` times its base.  ``sin`` or ``cos``
+    of ``a * tau + b``, with ``a`` and ``b`` free of state and ``tau``, has
+    ``|a| * period / (2 pi)`` if that is an integer to roundoff.  Anything
+    else has no bound: ``sqrt``, ``exp`` or ``abs`` of a non-constant, a
+    state inside ``sin`` or ``cos``, a division by a non-constant, or
+    ``tau`` outside ``sin`` or ``cos``.
+    """
+    with np.errstate(all="ignore"):
+        return _harmonics(expr, p, period)

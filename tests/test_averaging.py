@@ -22,6 +22,7 @@ from pendavg.averaging import (
     QuadratureError,
     _integrate_points,
     antipodal_pairing,
+    certified_nodes,
     find_zeros,
     is_identically_zero,
     seed_grid,
@@ -742,6 +743,11 @@ def _scalar_outcome(F, seed, tol, bound):
 
 
 _SQRT_FORCING = "sqrt(9 - th1^2) * sin(w1 * tau) + (1 - th1^2) * sin(w1 * tau)"
+# pendbench family members of the presets, and corollary 1 with tau outside
+# a trig call.
+_FAMILY_MODE1 = "1.25 * ((1 - 0.75 * th1^2) * sin(w1 * tau + 2.5))"
+_FAMILY_MODE2 = "1.25 * (th2d + 0.75 * th1^2 * cos(w2 * tau + 2.5))"
+_CORO1_WITH_TAU = "(1 - th1^2) * sin(w1 * tau) + 0 * tau"
 
 
 @pytest.mark.parametrize(
@@ -782,26 +788,36 @@ def test_averaged_system_caches_panel_count():
 
 
 @pytest.mark.parametrize(
-    "f1, f2, mode, p, r2, grid, max_nodes, tol",
+    "f1, f2, mode, p, r2, grid, max_nodes, tol, nodes",
     [
-        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 1, 10.0, (24, 24), MAX_NODES, 1e-11),
-        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 1, 40.0, (24, 24), MAX_NODES, 1e-11),
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 1, 10.0, (24, 24), MAX_NODES, 1e-11, 8),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 1, 40.0, (24, 24), MAX_NODES, 1e-11, 8),
         ("0", "(1 - th1^2) * sin(w1 * tau) * (1 + sin(w1 * tau / 2))", "mode1", 2,
-         10.0, (12, 12), MAX_NODES, 1e-11),
-        ("0", _SQRT_FORCING, "mode1", 1, 8.0, (6, 6), MAX_NODES, 1e-11),
+         10.0, (12, 12), MAX_NODES, 1e-11, 16),
+        ("0", "th1^2 * sin(5 * w1 * tau)", "mode1", 1, 10.0, (12, 12), MAX_NODES, 1e-11, 16),
+        ("0", _SQRT_FORCING, "mode1", 1, 8.0, (6, 6), MAX_NODES, 1e-11, None),
         # 50 points finish on 128 to 1024 base nodes and 30 are capped:
         # numpy sums each block of more than 128 nodes pairwise in halves.
-        ("0", "abs(th2d) * sin(w1 * tau)", "mode1", 1, 10.0, (4, 4), 2 ** 10, 1e-6),
+        ("0", "abs(th2d) * sin(w1 * tau)", "mode1", 1, 10.0, (4, 4), 2 ** 10, 1e-6, None),
+        ("0", "sin(th1) * sin(w1 * tau)", "mode1", 1, 3.0, (4, 4), MAX_NODES, 1e-11, None),
+        ("0", "abs(2 + th1) * sin(w1 * tau)", "mode1", 1, 1.5, (4, 4), MAX_NODES, 1e-11, None),
+        ("0", "exp(th1) * cos(w1 * tau)", "mode1", 1, 3.0, (4, 4), MAX_NODES, 1e-11, None),
+        ("0", _CORO1_WITH_TAU, "mode1", 1, 10.0, (4, 4), MAX_NODES, 1e-11, None),
     ],
-    ids=["corollary1", "corollary2", "p2", "sqrt-domain-faults", "kinked"],
+    ids=["corollary1", "corollary2", "p2", "harmonic-at-8", "sqrt-domain-faults",
+         "kinked", "sin-of-state", "abs-of-state", "exp-of-state", "tau-outside-trig"],
 )
 def test_the_node_major_sweep_keeps_the_points_major_bits(
-    monkeypatch, f1, f2, mode, p, r2, grid, max_nodes, tol
+    monkeypatch, f1, f2, mode, p, r2, grid, max_nodes, tol, nodes
 ):
-    # Every column of the seed grid's Newton stencils is a point.
+    # Every column of the seed grid's Newton stencils is a point.  A
+    # band-limited integrand is summed at its certified level, without the
+    # check grid, and keeps the bits of the checked sweep, which stops there
+    # too; any other keeps that sweep.
     points = _stencils(seed_grid(0.1, r2, *grid)).transpose(0, 2, 1).reshape(-1, 2)
     monkeypatch.setattr(averaging, "MAX_NODES", max_nodes)
     system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, p, 1), tol=tol)
+    assert certified_nodes(system.spec) == nodes
     faults, want_faults = {}, {}
     got = system.eval_many(points, faults)
     want, panels, scale = oracles.points_major_eval_many(system, points, want_faults)
@@ -810,3 +826,74 @@ def test_the_node_major_sweep_keeps_the_points_major_bits(
         k: (type(e), str(e)) for k, e in want_faults.items()
     }
     assert (system.last_panels, system.last_scale) == (panels, scale)
+
+
+@pytest.mark.parametrize(
+    "f1, f2, mode, nodes_p1, nodes_p2",
+    [
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 8, 16),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 8, 16),
+        ("0", _FAMILY_MODE1, "mode1", 8, 16),
+        (_FAMILY_MODE2, "0", "mode2", 8, 16),
+        # Degree 1 + 2 + 5 = 8 aliases onto 8 nodes, so it needs 16.
+        ("0", "th1^2 * sin(5 * w1 * tau)", "mode1", 16, 32),
+        ("0", "th1^2 * sin(32 * w1 * tau)", "mode1", 64, 128),
+    ],
+)
+def test_certified_nodes_exceed_the_integrand_degree(f1, f2, mode, nodes_p1, nodes_p2):
+    for p, nodes in ((1, nodes_p1), (2, nodes_p2)):
+        assert certified_nodes(PerturbationSpec.from_strings(f1, f2, mode, p, 1)) == nodes
+
+
+@pytest.mark.parametrize("mode, p", [("mode1", 1), ("mode2", 1), ("mode1", 2), ("mode2", 2)])
+def test_family_members_keep_the_checked_sweeps_values(mode, p):
+    # A pendbench family member's certified sum keeps the bits of the
+    # checked sweep on the seed grid's stencils.  Its largest |integrand|
+    # is taken over the base nodes alone, so it is at most the checked one.
+    f1, f2 = ("0", _FAMILY_MODE1) if mode == "mode1" else (_FAMILY_MODE2, "0")
+    system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, p, 1), tol=1e-11)
+    points = _stencils(seed_grid(0.1, 10.0, 12, 12)).transpose(0, 2, 1).reshape(-1, 2)
+    got = system.eval_many(points)
+    want, panels, scale = oracles.points_major_eval_many(system, points)
+    assert got.tobytes() == want.tobytes()
+    assert system.last_panels == panels == 8 * p
+    assert 0.0 < system.last_scale <= scale
+
+
+def test_a_certified_sweep_evaluates_only_its_base_grids(monkeypatch):
+    # At 16 certified nodes each point costs the 8 base nodes and 8
+    # midpoints, and the sum is exact: th1^2 sin(5 w1 tau) has no component
+    # at w1, so the pair is roundoff of the scale.
+    spec = PerturbationSpec.from_strings("0", "th1^2 * sin(5 * w1 * tau)", "mode1", 1, 1)
+    system = AveragedSystem(spec, tol=1e-11)
+    nodes = []
+    orbit = averaging.unperturbed_orbit
+
+    def counted(mode, alpha, tau):
+        nodes.append(np.size(alpha[0]) * np.size(tau))
+        return orbit(mode, alpha, tau)
+
+    monkeypatch.setattr(averaging, "unperturbed_orbit", counted)
+    points = seed_grid(0.1, 10.0, 3, 4)
+    pair = system.eval_many(points)
+    assert sum(nodes) == 16 * len(points) and system.last_panels == 16
+    assert np.abs(pair).max() <= 1e-13 * system.last_scale
+
+
+def test_a_bounded_forcing_that_overflows_is_a_domain_fault():
+    # th1^8 overflows beyond |th1| ~ 3e38.  The certified sweep enters
+    # that point as an ExprDomainError, NaN, and its batch-mates keep their
+    # single-point bits.
+    spec = PerturbationSpec.from_strings("0", "th1^8 * sin(w1 * tau)", "mode1", 1, 1)
+    system = AveragedSystem(spec, tol=1e-11)
+    assert certified_nodes(spec) == 16
+    points = np.array([[1.0, 0.5], [1e40, 0.0], [0.3, -0.2]])
+    faults = {}
+    batch = system.eval_many(points, faults)
+    assert list(faults) == [1] and isinstance(faults[1], ExprDomainError)
+    assert str(faults[1]) == "integrand produced non-finite values"
+    assert np.isnan(batch[1]).all() and np.isfinite(batch[[0, 2]]).all()
+    for j in (0, 2):
+        assert system(points[j]).tobytes() == batch[j].tobytes()
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        system.eval_many(points)

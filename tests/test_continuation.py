@@ -35,6 +35,13 @@ def _coro1():
     return oracles.make_spec("corollary1")
 
 
+def _flow_samples(spec, eps, x0, taus, faults=None):
+    """``sample_states`` read from the record of a ``flow_map`` to the last time."""
+    steps = []
+    flow_map(spec, eps, x0, taus[-1], steps, faults)
+    return sample_states(spec, eps, x0, taus, steps, faults)
+
+
 # ---------------------------------------------------------------------------
 # Integrators
 # ---------------------------------------------------------------------------
@@ -50,24 +57,25 @@ def test_unforced_flow_matches_closed_form(tight):
     x0 = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0)
     taus = np.linspace(0.0, T1, 33)
     exact = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), taus)
-    assert np.abs(sample_states(spec, 0.0, x0, taus) - exact).max() <= 1e-9
+    assert np.abs(_flow_samples(spec, 0.0, x0, taus) - exact).max() <= 1e-9
     assert np.abs(oracles.rk4(spec, 0.0, x0, taus, T1 / 4096) - exact).max() <= 1e-9
 
 
 def test_zero_initial_state_stays_zero(tight):
     spec = _coro1()
-    states = sample_states(spec, 0.0, np.zeros(4), np.linspace(0.0, 5.0, 11))
+    states = _flow_samples(spec, 0.0, np.zeros(4), np.linspace(0.0, 5.0, 11))
     assert np.abs(states).max() == 0.0
 
 
 def test_forced_samples_match_separate_flows():
-    # One pass through all the sample times agrees with a fresh integration
-    # to each; tau = 0 and a repeated time return the state already reached.
+    # Samples read from one flow through all the sample times agree with a
+    # fresh integration to each; tau = 0 and a repeated time return the
+    # state already reached.
     spec = _coro1()
     eps = 1e-2
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     taus = [0.0, 0.0, 0.3, 1.7, 1.7, 4.0, T1]
-    states = sample_states(spec, eps, x0, taus)
+    states = _flow_samples(spec, eps, x0, taus)
     assert states.shape == (4, len(taus))
     assert np.all(states[:, 0] == x0) and np.all(states[:, 1] == x0)
     assert np.all(states[:, 3] == states[:, 4])
@@ -81,7 +89,7 @@ def test_forced_samples_match_separate_flows():
 def test_sample_states_rejects_unordered_times(taus):
     spec = _coro1()
     with pytest.raises(ValueError, match="non-decreasing"):
-        sample_states(spec, 1e-2, np.ones(4), taus)
+        sample_states(spec, 1e-2, np.ones(4), taus, [])
 
 
 def test_flow_map_rejects_an_infinite_period():
@@ -92,9 +100,10 @@ def test_flow_map_rejects_an_infinite_period():
 
 
 def test_recorded_flow_samples_equal_a_pass_to_its_end():
-    # Samples read from a flow_map record are bit for bit those of a pass
-    # of sample_states to the same end: both take the same steps from the
-    # same first step.  A time past the recorded end is refused.
+    # Samples read from a flow_map record are bit for bit those read, with
+    # one more time, from another flow to the same end: both take the same
+    # steps from the same first step.  A time past the recorded end is
+    # refused.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     states = x0[:, None] + np.random.default_rng(11).normal(scale=0.05, size=(4, 3))
@@ -104,7 +113,7 @@ def test_recorded_flow_samples_equal_a_pass_to_its_end():
     ends = flow_map(spec, eps, states, T1, steps)
     assert ends.tobytes() == flow_map(spec, eps, states, T1).tobytes()
     recorded = sample_states(spec, eps, states, taus, steps)
-    own_pass = sample_states(spec, eps, states, [*taus, T1])[..., :-1]
+    own_pass = _flow_samples(spec, eps, states, [*taus, T1])[..., :-1]
     assert recorded.tobytes() == own_pass.tobytes()
     with pytest.raises(ValueError, match="recorded flow"):
         sample_states(spec, eps, states, [0.0, 2.0 * T1], steps)
@@ -166,11 +175,11 @@ def test_every_column_is_its_own_run_bit_for_bit(monkeypatch):
     eps = np.array([1e-2, 0.0, 1e-3, 1e-4, 5e-3, 1e-2])
     taus = [0.0, 0.5, 0.5, 3.0, T1]
     ends = flow_map(spec, eps, states, T1)
-    samples = sample_states(spec, eps, states, taus)
+    samples = _flow_samples(spec, eps, states, taus)
     assert ends.shape == (4, 6) and samples.shape == (4, 6, len(taus))
     for j in range(6):
         assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
-        alone = sample_states(spec, eps[j], states[:, j], taus)
+        alone = _flow_samples(spec, eps[j], states[:, j], taus)
         assert samples[:, j].tobytes() == alone.tobytes()
     pick = [4, 1, 3]
     assert ends[:, pick].tobytes() == flow_map(spec, eps[pick], states[:, pick], T1).tobytes()
@@ -203,15 +212,16 @@ def _raised(call):
 
 
 def test_a_faulting_column_leaves_its_flow_alone(monkeypatch):
-    # In a flow, and in a sampling pass, each faulting column is entered
-    # with what it raises alone, in the order met: the overflow at the
-    # first stage, then the step budget.  It comes back NaN, and the clean
-    # column keeps its bits.  Without a dict the call raises the first entry.
+    # In a flow, and in samples read from its record, each faulting column
+    # is entered with what it raises alone, in the order met: the overflow
+    # at the first stage, then the step budget.  It comes back NaN, and the
+    # clean column keeps its bits.  Without a dict the call raises the
+    # first entry.
     spec, starts, eps = _faulting_columns(monkeypatch)
     taus = [0.0, 1.0, T1]
     for run in (
         lambda j, *f: flow_map(spec, eps[j], starts[:, j], T1, None, *f),
-        lambda j, *f: sample_states(spec, eps[j], starts[:, j], taus, None, *f),
+        lambda j, *f: _flow_samples(spec, eps[j], starts[:, j], taus, *f),
     ):
         faults = {}
         out = run(slice(None), faults)
@@ -226,7 +236,7 @@ def test_a_faulting_column_leaves_its_flow_alone(monkeypatch):
 def test_a_faulted_column_leaves_sampling_its_record_alone(monkeypatch):
     # A faulted column's record stops where it faulted, so it does not reach
     # the last time; it is sampled as NaN, and the clean column as its own
-    # pass to T1, which takes the same steps, samples it.  A time past the
+    # flow to T1, which takes the same steps, samples it.  A time past the
     # end of the clean column is still refused.
     spec, starts, eps = _faulting_columns(monkeypatch)
     steps, faults = [], {}
@@ -234,7 +244,7 @@ def test_a_faulted_column_leaves_sampling_its_record_alone(monkeypatch):
     assert sorted(faults) == [1, 2]
     taus = [0.0, 1.0, 2.0, T1 - 1e-3]
     out = sample_states(spec, eps, starts, taus, steps, faults)
-    own = sample_states(spec, eps[0], starts[:, 0], taus + [T1])[:, :-1]
+    own = _flow_samples(spec, eps[0], starts[:, 0], taus + [T1])[:, :-1]
     assert out[:, 0].tobytes() == own.tobytes()
     assert np.isnan(out[:, 1:]).all()
     with pytest.raises(ValueError, match="recorded flow"):
@@ -421,12 +431,12 @@ def test_dense_output_is_seventh_order_and_ends_on_the_step():
 )
 def test_interpolated_samples_match_a_tight_pass(monkeypatch, which, alpha, eps):
     # The 256 orbit samples come from the dense output of natural steps;
-    # a pass at tolerance 1e-13 from the same start agrees to 1e-10.
+    # a flow at tolerance 1e-13 from the same start agrees to 1e-10.
     spec = oracles.make_spec(which)
     orbit = shoot_periodic(spec, eps, predicted_initial_state(spec.mode, alpha))
     assert orbit.samples.shape == (4, 256)
     monkeypatch.setattr(continuation, "DOP853_TOL", 1e-13)
-    tight = sample_states(spec, eps, orbit.initial_state, orbit.samples_tau)
+    tight = _flow_samples(spec, eps, orbit.initial_state, orbit.samples_tau)
     assert np.abs(orbit.samples - tight).max() <= 1e-10
 
 
@@ -589,14 +599,14 @@ def test_batched_ladder_equals_shooting_each_eps_alone(which, alpha):
 def test_orbit_samples_come_from_the_flow_that_converged():
     # A case that ends after a line-search trial, and one restarted from
     # its solution, which settles at the base of its first stencil: each
-    # orbit is sampled from that flow, bit for bit a pass to the period's end.
+    # orbit is sampled from that flow, bit for bit a flow to the period's end.
     spec = _coro1()
     eps = 1e-2
     orbit = shoot_periodic(spec, eps, predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0)))
     again = shoot_periodic(spec, eps, orbit.initial_state)
     assert orbit.iterations > 0 and again.iterations == 0
     for o in (orbit, again):
-        own_pass = sample_states(spec, eps, o.initial_state, [*o.samples_tau, o.period])
+        own_pass = _flow_samples(spec, eps, o.initial_state, [*o.samples_tau, o.period])
         assert o.samples.tobytes() == own_pass[:, :-1].tobytes()
 
 

@@ -17,8 +17,10 @@ from pendavg.expr import (
     Num,
     Var,
     compile_expr,
+    harmonic_bound,
     parse,
 )
+from pendavg.constants import T1, T2
 
 # (tau, th1, th1d, th2, th2d)
 ENV = (0.7, 0.3, -0.2, 1.1, 0.4)
@@ -274,3 +276,52 @@ def test_a_repeated_forcing_hits_the_parse_cache():
     hits = parse.cache_info().hits
     assert parse("(1 - th1^2) * sin(w1 * tau) + 0.5") is first
     assert parse.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "text, p, period, bound",
+    [
+        ("0", 1, T1, 0),
+        ("1/0", 1, T1, 0),
+        ("th1", 1, T1, 1),
+        ("-th2d / sqrt(2)", 2, 2 * T1, 2),
+        ("th1^0", 1, T1, 0),
+        ("(th1 + th2) * (th1d - th2d)", 1, T2, 2),
+        ("(1 - th1^2) * sin(w1 * tau)", 1, T1, 3),
+        ("(1 - th1^2) * sin(w1 * tau)", 2, 2 * T1, 6),
+        ("th2d + th1^2 * cos(w2 * tau)", 1, T2, 3),
+        ("1.25 * ((1 - 0.75 * th1^2) * sin(w1 * tau + 2.5))", 1, T1, 3),
+        ("1.25 * ((1 - 0.75 * th1^2) * sin(w1 * tau + 2.5))", 2, 2 * T1, 6),
+        ("sin(w1 * tau / 2)", 2, 2 * T1, 1),
+        ("cos(w1 * (tau + 1)) * sin(-w1 * tau)", 1, T1, 2),
+        ("sin(w2 * tau)^3", 1, T2, 3),
+        ("th1^2 * sin(5 * w1 * tau)", 1, T1, 7),
+    ],
+)
+def test_harmonic_bound_of_a_band_limited_forcing(text, p, period, bound):
+    assert harmonic_bound(parse(text), p, period) == bound
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sin(th1)",
+        "sqrt(1 + th1^2)",
+        "abs(th2d)",
+        "exp(th1) * sin(w1 * tau)",
+        "tau",
+        "0 * tau",
+        "th1 / th2",
+        "th1 / cos(w1 * tau)",
+        "th1^-1",
+        "th1^0.5",
+        "sin(pi * tau)",
+        "sin(tau * tau)",
+        "cos(tau / tau)",
+    ],
+)
+def test_harmonic_bound_is_none_beyond_the_rules(text):
+    # A state inside a trig call, sqrt, abs or exp of a non-constant, tau
+    # outside a trig call, division by a non-constant, a negative or
+    # fractional power, and a non-integer or non-affine frequency.
+    assert harmonic_bound(parse(text), 1, T1) is None
