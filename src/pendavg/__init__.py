@@ -14,7 +14,6 @@ from .model import (
     Mode,
     PerturbationSpec,
     PeriodicityError,
-    Resonance,
     unperturbed_orbit,
 )
 from .averaging import (
@@ -46,7 +45,6 @@ __all__ = [
     "Mode",
     "PerturbationSpec",
     "PeriodicityError",
-    "Resonance",
     "unperturbed_orbit",
     "AveragedSystem",
     "QuadratureError",

@@ -64,7 +64,7 @@ def certified_nodes(spec):
     aliases onto the mean is a multiple of N.  None when either forcing has
     no bound, or the degree needs more than ``MAX_NODES`` nodes.
     """
-    p, period = spec.resonance.p, spec.full_period
+    p, period = spec.p, spec.full_period
     bounds = [harmonic_bound(f, p, period) for f in (spec.f1, spec.f2)]
     if None in bounds or max(bounds) + p >= MAX_NODES:
         return None

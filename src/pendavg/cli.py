@@ -59,7 +59,7 @@ def _add_experiment_flags(sub):
     sub.add_argument("--config", metavar="PATH", help="JSON config file")
     sub.add_argument("--f1", metavar="EXPR", help="forcing on th1'' (expression text)")
     sub.add_argument("--f2", metavar="EXPR", help="forcing on th2'' (expression text)")
-    sub.add_argument("--mode", choices=["mode1", "mode2"], help="resonant mode")
+    sub.add_argument("--mode", choices=[m.value for m in Mode], help="resonant mode")
     sub.add_argument("--p", type=int, help="resonance numerator")
     sub.add_argument("--q", type=int, help="resonance denominator")
     sub.add_argument("--r1", type=float, help="inner annulus radius")
@@ -324,7 +324,7 @@ def build_parser():
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("orbit", help="sample a closed-form unperturbed orbit (CSV)")
-    sub.add_argument("--mode", choices=["mode1", "mode2"])
+    sub.add_argument("--mode", choices=[m.value for m in Mode])
     sub.add_argument("--alpha", metavar="A,B", help="mode-plane amplitudes")
     sub.add_argument("--samples", type=int, default=256, help="rows over one period")
     sub.add_argument("--out", metavar="DIR", help="also write orbit.csv here")

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .expr import ExprSyntaxError, parse
-from .model import PerturbationSpec
+from .model import Mode, PerturbationSpec
 
 
 class ConfigError(ValueError):
@@ -20,7 +20,7 @@ class ExperimentConfig:
 
     f1: str = "0"
     f2: str = "0"
-    mode: str = "mode1"
+    mode: str = Mode.MODE1.value
     p: int = 1
     q: int = 1
     r1: float = 1e-2
@@ -41,7 +41,7 @@ class ExperimentConfig:
                 parse(text)  # cached, so to_spec parses it no more
             except ExprSyntaxError as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-        if self.mode not in ("mode1", "mode2"):
+        if self.mode not in {m.value for m in Mode}:
             raise ConfigError(f"mode must be 'mode1' or 'mode2', got {self.mode!r}")
         if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
             raise ConfigError(f"resonance p:q must be coprime positive integers, got {self.p}:{self.q}")

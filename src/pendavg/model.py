@@ -50,20 +50,6 @@ class Mode(Enum):
         return T1 if self is Mode.MODE1 else T2
 
 
-@dataclass(frozen=True)
-class Resonance:
-    """p:q resonance between the forcing and the unperturbed orbit period."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("resonance integers must be positive")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"resonance {self.p}:{self.q} must be coprime")
-
-
 # ---------------------------------------------------------------------------
 # Linear structure
 # ---------------------------------------------------------------------------
@@ -140,35 +126,39 @@ _AUDIT_SEED = 74520261
 class PerturbationSpec:
     """One experiment: the forcing pair, the resonant mode, and p:q.
 
-    Construction audits numerically that both forcing expressions really
-    are ``p * period / q``-periodic in ``tau``; a violation is a hard
+    ``p`` and ``q`` must be coprime positive integers.  Construction then
+    audits numerically that both forcing expressions really are
+    ``p * period / q``-periodic in ``tau``; a violation is a hard
     configuration error (PeriodicityError).
     """
 
     f1: Expr
     f2: Expr
     mode: Mode
-    resonance: Resonance
+    p: int
+    q: int
 
     def __post_init__(self):
+        if self.p < 1 or self.q < 1:
+            raise ValueError("resonance integers must be positive")
+        if math.gcd(self.p, self.q) != 1:
+            raise ValueError(f"resonance {self.p}:{self.q} must be coprime")
         audit_periodicity(self)
 
     @classmethod
     def from_strings(cls, f1, f2, mode, p, q):
-        """Build from forcing texts."""
-        if isinstance(mode, str):
-            mode = Mode(mode)
-        return cls(parse(f1), parse(f2), mode, Resonance(p, q))
+        """Build from forcing texts; ``mode`` is a ``Mode`` or its value."""
+        return cls(parse(f1), parse(f2), Mode(mode), p, q)
 
     @property
     def forcing_period(self):
         """Claimed period of F1, F2 in tau: p * T_mode / q."""
-        return self.resonance.p * self.mode.period / self.resonance.q
+        return self.p * self.mode.period / self.q
 
     @property
     def full_period(self):
         """Common period of forcing and resonant orbit: p * T_mode."""
-        return self.resonance.p * self.mode.period
+        return self.p * self.mode.period
 
 
 def compiled_forcing(spec):
@@ -199,7 +189,7 @@ def audit_periodicity(spec):
         gap = float(np.abs(shifted - base).max())
         if gap > _AUDIT_TOL:
             raise PeriodicityError(
-                f"{k} is not {spec.resonance.p}*T/{spec.resonance.q}-periodic: "
+                f"{k} is not {spec.p}*T/{spec.q}-periodic: "
                 f"max |F(tau+pT/q) - F(tau)| = {gap:.3e} > {_AUDIT_TOL:.0e}"
             )
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 MAX_STEPS = 25
+# Trial levels per step, named "halvings" in the stall message: full, then 8.
 _HALVINGS = 9
 
 
@@ -111,8 +112,8 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     unfinished starts take step k together: one batched solve takes the
     Newton steps of the Jacobians that pass their checks, and one call per
     halving level evaluates the trials still open, each with its stencil.
-    A start's Newton step is halved up to nine times until the residual
-    drops, and trials outside ``||x|| <= bound`` are halved without being
+    A start tries the full Newton step, then up to eight halvings, until the
+    residual drops; trials outside ``||x|| <= bound`` are halved without being
     evaluated.  An accepted trial's stencil is the next step's, so no
     column is evaluated twice, and a ``Solution`` has the Jacobian at its
     ``x`` and as ``source`` the ``(call, column)`` of ``F`` (from 0) of

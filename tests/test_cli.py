@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -516,12 +517,24 @@ def test_quadrature_cap_is_exit_3(capsys):
 
 
 def test_merge_config_rejects_bad_types():
-    with pytest.raises(ConfigError):
-        merge_config(ExperimentConfig(), {"p": "one"})
-    with pytest.raises(ConfigError):
-        merge_config(ExperimentConfig(), {"epsilons": "nope"})
-    with pytest.raises(ConfigError):
-        merge_config(ExperimentConfig(), {"r1": -1.0})
+    # One case per rule of _coerce and ExperimentConfig.validate, each with
+    # the message that names what to fix.
+    cases = [
+        ({"f1": 1}, "f1 must be a string, got int"),
+        ({"p": "one"}, "p must be an integer, got 'one'"),
+        ({"p": 2.5}, "p must be an integer, got 2.5"),
+        ({"grid_radial": True}, "grid_radial must be an integer, got True"),
+        ({"r2": True}, "r2 must be a number, got True"),
+        ({"r2": "big"}, "r2 must be a number, got 'big'"),
+        ({"epsilons": "nope"}, "epsilons must be a list of numbers, got 'nope'"),
+        ({"epsilons": [1e-3, False]}, "epsilons entries must be numbers, got False"),
+        ({"mode": "mode3"}, "mode must be 'mode1' or 'mode2', got 'mode3'"),
+        ({"p": 2, "q": 4}, "resonance p:q must be coprime positive integers, got 2:4"),
+        ({"r1": -1.0}, "annulus needs finite 0 < r1 < r2, got r1=-1.0, r2=50.0"),
+    ]
+    for overrides, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            merge_config(ExperimentConfig(), overrides)
 
 
 def test_shooting_failure_recorded_and_exit_3(capsys, monkeypatch):

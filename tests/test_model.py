@@ -16,7 +16,6 @@ from pendavg.model import (
     Mode,
     PerturbationSpec,
     PeriodicityError,
-    Resonance,
     compiled_forcing,
     slow_field,
     unperturbed_orbit,
@@ -39,12 +38,12 @@ def test_mode_frequencies_and_periods():
 
 
 def test_resonance_coprime_required():
-    Resonance(1, 1)
-    Resonance(3, 2)
-    with pytest.raises(ValueError):
-        Resonance(2, 4)
-    with pytest.raises(ValueError):
-        Resonance(0, 1)
+    PerturbationSpec.from_strings("0", "0", "mode1", 1, 1)
+    PerturbationSpec.from_strings("0", "0", "mode1", 3, 2)
+    with pytest.raises(ValueError, match="coprime"):
+        PerturbationSpec.from_strings("0", "0", "mode1", 2, 4)
+    with pytest.raises(ValueError, match="positive"):
+        PerturbationSpec.from_strings("0", "0", "mode1", 0, 1)
 
 
 # ---------------------------------------------------------------------------
