@@ -24,6 +24,9 @@ DOP853 is the eighth-order Runge-Kutta pair of Prince and Dormand with the
 8(5,3) error estimate and a seventh-order dense output, as given by Hairer,
 Norsett and Wanner.  It is the one integrator; its tolerance and step
 budget are the module constants ``DOP853_TOL`` and ``DOP853_MAX_STEPS``.
+A flow may ask a looser tolerance: shooting integrates its guesses'
+stencils at ``DOP853_ROUGH_TOL``, since those values only aim the first
+Newton step, and every trial at ``DOP853_TOL``.
 
 The integrator steps a ``(4, m)`` batch of columns, each on its own clock
 and at its own eps, so its result is bit for bit the one it gets alone; a
@@ -33,7 +36,8 @@ flow can also record its accepted steps, whose dense output
 ``sample_states`` rebuilds in one batch.  So ``shoot_many`` shoots every
 (guess, eps) case at once, in one lockstep Newton, and samples each
 converged orbit from the flow and column that Newton reports gave its
-solution, with no further integration.  A fault costs only its own case.
+solution, a flow at ``DOP853_TOL``, with no further integration.  A fault
+costs only its own case.
 """
 
 from __future__ import annotations
@@ -56,7 +60,10 @@ class ShootingError(RuntimeError):
 
 
 # DOP853's tolerance on the slow deviation, and its step attempts per column.
+# Shooting's first flow, which evaluates the guesses and their stencils, runs
+# at the rough tolerance: their residuals are O(eps), far above its error.
 DOP853_TOL = 1e-9
+DOP853_ROUGH_TOL = 1e-7
 DOP853_MAX_STEPS = 2_000_000
 # Condition number of a displacement Jacobian above which shooting stops.
 COND_LIMIT = 1e12
@@ -197,17 +204,19 @@ def _interpolate(y, coeffs, theta, at=...):
     return y[:, at] + theta * out
 
 
-def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None):
+def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
     """The ``(4, m)`` slow deviations ``v`` of ``model.slow_field`` at ``end``.
 
     Adaptive DOP853 from ``v = 0`` at tau = 0, for the ``(4, m)`` starts
     ``x0`` at the ``(m,)`` values ``eps``; ``forcing`` is the ``(F1, F2)``
     pair.  Each column keeps its own clock: its own time, step size,
-    accept/reject decision and step count.  It scales each component's
-    error by ``DOP853_TOL + DOP853_TOL * max(|v|, |v_new|)`` and accepts,
+    accept/reject decision and step count.  ``tol`` is a scalar or one
+    value per column, finite and positive (else ``ValueError``),
+    ``DOP853_TOL`` if None.  A column scales each
+    component's error by ``tol + tol * max(|v|, |v_new|)`` and accepts,
     rejects and resizes its step on the 8(5,3) error norm of its four
-    scaled errors, so an error of ``DOP853_TOL`` in ``v`` is one of
-    ``eps * DOP853_TOL`` in the state.  A column cuts its last step to
+    scaled errors, so an error of ``tol`` in ``v`` is one of
+    ``eps * tol`` in the state.  A column cuts its last step to
     land on ``end`` exactly and then leaves the batch.
     ``DOP853_MAX_STEPS`` bounds each column's step attempts.
 
@@ -222,8 +231,13 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None):
     all ``_dense_samples`` needs to rebuild their dense output, so the
     loop itself evaluates only the 12 stages of each step.
     """
-    tol, max_steps = DOP853_TOL, DOP853_MAX_STEPS
+    max_steps = DOP853_MAX_STEPS
     m = x0.shape[1]
+    tol = np.broadcast_to(np.asarray(DOP853_TOL if tol is None else tol, dtype=float), (m,))
+    # A tolerance of 0 or NaN would fault every column as if its forcing
+    # had, and the error test squares away a negative one's sign.
+    if not (tol > 0.0).all() or not np.isfinite(tol).all():
+        raise ValueError("tol must be finite and positive")
     if not m or end == 0.0:
         return np.zeros_like(x0)
     out = np.full_like(x0, np.nan)
@@ -241,7 +255,7 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None):
     for _ in range(max_steps):
         if gone:
             keep = ~leave
-            col, t, h, eps = (a[keep] for a in (col, t, h, eps))
+            col, t, h, eps, tol = (a[keep] for a in (col, t, h, eps, tol))
             y, x0, k = y[:, keep], x0[:, keep], k[:, :, keep]
             if not col.size:
                 break
@@ -370,20 +384,21 @@ def sample_states(spec, eps, x0, taus, steps, faults=None):
     return out.reshape(shape)
 
 
-def flow_map(spec, eps, states0, period, steps=None, faults=None):
+def flow_map(spec, eps, states0, period, steps=None, faults=None, tol=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
-    ``eps`` is a scalar or one value per column.  DOP853 steps each
-    column's slow deviation on its own clock, so its endpoint is bit for
-    bit the one it gets alone; only the endpoint is mapped back to a state.
-    ``steps``, if given, is a list that gets the record of the accepted
+    ``eps`` is a scalar or one value per column, and so is ``tol``,
+    DOP853's finite, positive tolerance on the slow deviation
+    (``DOP853_TOL`` if None).  DOP853 steps each column's slow deviation
+    on its own clock, so its endpoint is bit for bit the one it gets alone;
+    only the endpoint is mapped back to a state.  ``steps``, if given, is a list that gets the record of the accepted
     steps, from which ``sample_states`` reads this flow's states.  A column
     that faults ends NaN, with its entry in ``faults`` (``fault_record``).
     """
     period = float(period)
     forcing, eps, x0 = _setup(spec, eps, states0, (period,))
     with np.errstate(all="ignore"):
-        v = _slow_deviation(forcing, eps, x0, period, steps, faults)
+        v = _slow_deviation(forcing, eps, x0, period, steps, faults, tol)
         _, state = slow_field(forcing, eps, x0)
         out = state(np.full(eps.shape, period), v)
     return out.reshape(np.shape(states0))
@@ -430,10 +445,15 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep, and every case's columns
     share each integration, DOP853 on the slow deviation, of which
-    ``flow_map`` maps back only the endpoint.  Every trial, full or halved,
-    rides with its central-difference stencil, so when it is taken its
-    Jacobian (monodromy minus identity) is already there: a step costs one
-    flow per halving level it tries, and no column is integrated twice.
+    ``flow_map`` maps back only the endpoint.  The first flow, of the
+    guesses and their central-difference stencils, runs at
+    ``DOP853_ROUGH_TOL``: it only aims the first step, and a guess within
+    ``DOP853_ROUGH_TOL / DOP853_TOL`` times ``tol`` on it is integrated
+    again at ``DOP853_TOL`` before it may settle (``newton.solve_many``'s
+    ``rough``).  Every trial, full or halved, flows at ``DOP853_TOL`` with
+    its stencil, so when it is taken its Jacobian (monodromy minus
+    identity) is already there: a step costs one flow per halving level it
+    tries, and no column is integrated twice.
     A Jacobian with condition above ``COND_LIMIT`` stops that case.
     Each flow also records its accepted steps, and each converged case's
     ``source`` names the flow and column whose value is its solution bit
@@ -452,15 +472,23 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     period = spec.full_period
     outcomes = [ShootingError(_EPS_ZERO) if e == 0.0 else None for e in eps]
     cases = np.flatnonzero(eps != 0.0)
-    flows = []  # the packed step record of each call of F, in call order
+    flows = []  # the packed step record of each flow, in call order
 
-    def F(cols, owner, faults):
-        steps = []
-        ends = flow_map(spec, eps[cases[owner]], cols, period, steps, faults)
-        flows.append(tuple(np.concatenate(a, axis=-1) for a in zip(*steps)))
-        return ends - cols
+    def flow(accuracy):
+        """The displacement ``F`` of ``solve_many``, integrated at DOP853 tolerance ``accuracy``."""
 
-    solved = solve_many(F, guesses[:, cases], tol, cond_limit=COND_LIMIT)
+        def F(cols, owner, faults):
+            steps = []
+            ends = flow_map(spec, eps[cases[owner]], cols, period, steps, faults, accuracy)
+            flows.append(tuple(np.concatenate(a, axis=-1) for a in zip(*steps)))
+            return ends - cols
+
+        return F
+
+    rough = (flow(DOP853_ROUGH_TOL), DOP853_ROUGH_TOL / DOP853_TOL)
+    solved = solve_many(
+        flow(DOP853_TOL), guesses[:, cases], tol, cond_limit=COND_LIMIT, rough=rough
+    )
     records = {}  # case -> (t, h, y) of its solution's own steps
     for i, result in zip(cases, solved):
         outcomes[i] = result

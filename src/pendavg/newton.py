@@ -11,12 +11,15 @@ takes exactly the steps it would take alone.  Every trial, full or halved,
 is evaluated with its own stencil, so an accepted one brings the next
 step's Jacobian along and no column is evaluated twice: a step makes one
 call of ``F`` per halving level it tries, and only the starts need a
-stencil call of their own.  ``F`` also gets the start index of each
-column, so each start may pose its own problem (shooting gives each its
-own eps).  A column ``F`` cannot evaluate is data, not an
-exception: ``F`` enters it in a dict of faults (``fault_record``), and the
-fault ends only the start that needs that column.  A converged start's
-``Solution`` carries its Jacobian and the call and column that gave it.
+stencil call of their own.  That call may be rough: an evaluator given
+in ``F``'s place for it alone, whose values only aim the first step, as
+in inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982).  ``F`` also gets the start index of each column, so each start may
+pose its own problem (shooting gives each its own eps).  A column ``F``
+cannot evaluate is data, not an exception: ``F`` enters it in a dict of
+faults (``fault_record``), and the fault ends only the start that needs
+that column.  A converged start's ``Solution`` carries its Jacobian and
+the call and column that gave it.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def fault_record(faults):
     return _Raising() if faults is None else faults
 
 
-def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
+def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
     """Damped Newton on ``F(x) = 0`` from each column of ``starts``, in lockstep.
 
     ``F(cols, owner, faults)`` maps a ``(d, m)`` batch of columns to their
@@ -108,7 +111,15 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     own columns; other starts go on either way.  What ``F`` raises
     propagates.  An empty batch of starts makes no call.
 
-    One call evaluates the starts' central-difference stencils.  Then all
+    One call evaluates the starts' central-difference stencils.  With
+    ``rough = (G, slack)``, ``G`` makes that call in ``F``'s place, as
+    ``F`` does, and its values settle no start: a start whose rough
+    residual is within ``slack * tol`` (``slack >= 1``; a NaN is not
+    within) is evaluated again by ``F``, in one call, before it settles or
+    steps, and a fault of ``G`` ends its start as one of ``F`` would.  The
+    rest take their first step from rough values; every trial is
+    evaluated by ``F``, so every ``source`` names a call of ``F``.
+    Without ``rough`` the calls are those of ``F`` alone.  Then all
     unfinished starts take step k together: one batched solve takes the
     Newton steps of the Jacobians that pass their checks, and one call per
     halving level evaluates the trials still open, each with its stencil.
@@ -127,6 +138,8 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
     it would take alone, given an ``F`` whose columns do not depend on each
     other and whose first fault is theirs alone.
     """
+    if rough is not None and not rough[1] >= 1.0:
+        raise ValueError(f"rough slack must be at least 1, got {rough[1]}")
     x = np.array(starts, dtype=float).T.copy()
     n, d = x.shape
     finished = np.zeros(n, dtype=bool)
@@ -142,13 +155,13 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
             outcome[i] = result(i)
         finished[idx] = True
 
-    def call(idx, blocks):
-        """``F`` on the ``(m, d, w)`` blocks of starts ``idx``, faults by (block, column), heads.
+    def call(idx, blocks, G=F):
+        """``G`` on the ``(m, d, w)`` blocks of starts ``idx``, faults by (block, column), heads.
 
         A block's head is the ``(call, column)`` of its first column.
         """
         w, faults = blocks.shape[2], {}
-        values = F(blocks.transpose(1, 0, 2).reshape(d, -1), np.repeat(idx, w), faults)
+        values = G(blocks.transpose(1, 0, 2).reshape(d, -1), np.repeat(idx, w), faults)
         faults = {divmod(c, w): fault for c, fault in faults.items()}
         heads = np.stack([np.full(idx.size, next(calls)), np.arange(idx.size) * w], axis=1)
         return values.reshape(d, -1, w).transpose(1, 0, 2), faults, heads
@@ -161,14 +174,26 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf):
             x[i].copy(), float(residual[i]), steps, jac[i], tuple(source[i].tolist())
         ))
 
+    def evaluate(idx, G=F):
+        """``G`` on the stencils of starts ``idx``, entered as their ``known`` and the rest."""
+        known[idx], faults, source[idx] = call(idx, _stencils(x[idx]), G)
+        for (j, _), fault in faults.items():
+            blocked.setdefault(idx[j], fault)
+        residual[idx] = _norms(known[idx, :, 0])
+
     live = np.arange(n)
     # ``known[i]`` holds ``F`` on the stencil of ``x[i]``, ``source[i]`` the
     # (call, column) of its base and ``blocked[i]`` its first fault, if any.
     known, blocked = np.empty((n, d, 2 * d + 1)), {}
-    known[:], faults, source = call(live, _stencils(x))
-    for (i, _), fault in faults.items():
-        blocked.setdefault(i, fault)
-    residual = _norms(known[:, :, 0])
+    source, residual = np.empty((n, 2), dtype=int), np.empty(n)
+    evaluate(live, F if rough is None else rough[0])
+    if rough is not None:
+        # Rough values settle no start: one within ``slack * tol`` is
+        # evaluated again by ``F`` first.  A NaN is not near, and a start
+        # with a rough fault ends on it.
+        near = live[(residual <= rough[1] * tol) & ~np.isin(live, list(blocked))]
+        if near.size:
+            evaluate(near)
     settle(live, 0)
     for k in range(MAX_STEPS):
         live = live[~finished[live]]

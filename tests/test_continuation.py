@@ -99,6 +99,28 @@ def test_flow_map_rejects_an_infinite_period():
         flow_map(spec, 1e-2, np.ones(4), float("inf"))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, [1e-9, 0.0]])
+def test_flow_map_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
+    # 0 and NaN would fault every column as non-finite, and a negative
+    # tolerance would pass as its absolute value.  Refused before any step.
+    spec = _coro1()
+    monkeypatch.setattr(continuation, "_dop853_step", None)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        flow_map(spec, 1e-2, np.ones((4, 2)), T1, tol=tol)
+
+
+def test_a_tolerance_per_column_flows_each_column_at_its_own():
+    # Each column of a batch with one tolerance per column ends bit for bit
+    # as it ends alone at that tolerance.
+    spec = _coro1()
+    tols, states = np.array([1e-9, 1e-7, 1e-5]), np.ones((4, 3))
+    ends = flow_map(spec, 1e-2, states, T1, tol=tols)
+    for j, tol in enumerate(tols):
+        assert ends[:, j].tobytes() == flow_map(spec, 1e-2, states[:, j], T1, tol=tol).tobytes()
+    assert ends[:, 0].tobytes() == flow_map(spec, 1e-2, states[:, 0], T1).tobytes()
+    assert np.unique(ends.T, axis=0).shape[0] == 3
+
+
 def test_recorded_flow_samples_equal_a_pass_to_its_end():
     # Samples read from a flow_map record are bit for bit those read, with
     # one more time, from another flow to the same end: both take the same
@@ -608,6 +630,37 @@ def test_orbit_samples_come_from_the_flow_that_converged():
     for o in (orbit, again):
         own_pass = _flow_samples(spec, eps, o.initial_state, [*o.samples_tau, o.period])
         assert o.samples.tobytes() == own_pass[:, :-1].tobytes()
+
+
+_PRESET_ZEROS = {"corollary1": oracles.CORO1_ZEROS, "corollary2": [(0.0, oracles.CORO2_W0)]}
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+def test_only_the_guesses_flow_is_rough(monkeypatch, which):
+    # Every zero of the preset on the 4-eps ladder, shot as `verify` shoots
+    # them: the guesses' stencils flow at DOP853_ROUGH_TOL, both full steps
+    # at DOP853_TOL.  Each converged orbit is within the shooting tolerance
+    # of a fixed point of a flow at tolerance 1e-12.
+    spec = oracles.make_spec(which)
+    ladder, shoot_tol = (1e-2, 5e-3, 2.5e-3, 1e-3), 1e-10
+    cases = [(eps, alpha) for alpha in _PRESET_ZEROS[which] for eps in ladder]
+    eps = np.array([e for e, _ in cases])
+    guesses = np.stack([predicted_initial_state(spec.mode, a) for _, a in cases], axis=1)
+    flow, tols = continuation.flow_map, []
+
+    def recorded(*args):
+        tols.append(args[6])
+        return flow(*args)
+
+    monkeypatch.setattr(continuation, "flow_map", recorded)
+    orbits = shoot_many(spec, eps, guesses, tol=shoot_tol, n_samples=0)
+    assert tols == [continuation.DOP853_ROUGH_TOL, continuation.DOP853_TOL, continuation.DOP853_TOL]
+    assert continuation.DOP853_ROUGH_TOL > continuation.DOP853_TOL
+    monkeypatch.setattr(continuation, "flow_map", flow)
+    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-12)
+    x = np.stack([orbit.initial_state for orbit in orbits], axis=1)
+    residual = np.linalg.norm(flow_map(spec, eps, x, spec.full_period) - x, axis=0)
+    assert (residual <= shoot_tol).all(), residual
 
 
 def test_shoot_many_refuses_negative_n_samples_before_any_flow(monkeypatch):

@@ -446,3 +446,103 @@ def test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop(case):
         call, column = outcome.source
         assert lockstep.batches[call][:, column].tobytes() == outcome.x.tobytes()
     assert lockstep.columns() == scalar.columns()
+
+
+# Rough values of ``_root_pair``: off by half the nearness margin
+# ``_SLACK * tol`` on the first row.
+_SLACK, _ROUGH_TOL = 100.0, 1e-12
+
+
+def _rough_root_pair(cols, *_):
+    values = _root_pair(cols)
+    values[0] += 0.5 * _SLACK * _ROUGH_TOL
+    return values
+
+
+def _rough_run(starts, rough_F=_rough_root_pair):
+    """``solve_many`` on ``_root_pair``, ``rough_F`` making the starts' call: outcomes, every batch."""
+    F, rough = _Recorded(lambda cols, *_: _root_pair(cols)), _Recorded(rough_F)
+    rough.batches = F.batches  # one record of both, in call order
+    outcomes = solve_many(F, np.array(starts, dtype=float).T, _ROUGH_TOL, rough=(rough, _SLACK))
+    return outcomes, F.batches
+
+
+def test_rough_values_settle_no_start():
+    # The rough call is call 0.  The roots are near on rough values and the
+    # others are not; the latter take their first step from rough values,
+    # and every solution comes from a call of ``F``.
+    starts = [(2.0, 1.0), (3.0, 0.0), (-2.0, 1.0), (-1.5, 2.0)]
+    outcomes, batches = _rough_run(starts)
+    assert [cols.shape[1] for cols in batches[:2]] == [20, 10]
+    for outcome, start in zip(outcomes, starts):
+        assert outcome.source[0] > 0
+        assert batches[outcome.source[0]][:, outcome.source[1]].tobytes() == outcome.x.tobytes()
+        assert np.abs(outcome.x - (np.sign(start[0]) * 2.0, 1.0)).max() <= 1e-12
+
+
+def test_a_start_near_tol_on_rough_values_settles_as_without_them():
+    # A root is evaluated again by F in the call after the rough one, and
+    # settles at step 0 bit for bit as without rough values.  A NaN rough
+    # residual is not near: that start fails and is not evaluated again.
+    def nan_beyond_four(cols, *_):
+        values = _rough_root_pair(cols)
+        values[:, (cols[0] > 4.0)] = np.nan
+        return values
+
+    starts = [(2.0, 1.0), (5.0, 0.0), (-2.0, 1.0)]
+    outcomes, batches = _rough_run(starts, nan_beyond_four)
+    roots = np.concatenate([batches[0][:, :5], batches[0][:, 10:]], axis=1)
+    assert batches[1].tobytes() == roots.tobytes()
+    _fails(outcomes[1], "non-finite residual")
+    for j in (0, 2):
+        alone = _one(_root_pair, starts[j], _ROUGH_TOL)
+        assert _same(outcomes[j], alone) and outcomes[j].steps == 0
+        assert outcomes[j].source == (1, 5 * (j // 2))
+
+
+def test_a_fault_of_the_rough_call_ends_only_its_own_start():
+    # The stencil of the root at -2 faults on rough values: that start
+    # ends with the fault, near as its residual is, and is not evaluated
+    # again.  Its round-mates end as they end without it.
+    faulty = _stencil_faults(_rough_root_pair, np.array([-2.0, 1.0]))
+    starts = [(2.0, 1.0), (-2.0, 1.0), (3.0, 0.0)]
+    outcomes, batches = _rough_run(starts, faulty)
+    assert isinstance(outcomes[1], _Fault)
+    assert np.linalg.norm(_rough_root_pair(batches[0][:, 5:6])) <= _SLACK * _ROUGH_TOL
+    assert batches[1].tobytes() == batches[0][:, :5].tobytes()
+    others, _ = _rough_run([starts[0], starts[2]], faulty)
+    for j, other in zip((0, 2), others):
+        assert _same(outcomes[j], other)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _preset_search("corollary1"),
+        lambda: _preset_search("corollary2"),
+        _root_outside_the_bound,
+    ],
+    ids=["corollary1", "corollary2", "bound"],
+)
+def test_an_exact_rough_evaluator_changes_no_call_and_no_outcome(case):
+    # With no start within tol, a rough evaluator equal to F only takes the
+    # place of the starts' call: the same batches bit for bit, in the same
+    # order, and the same outcomes, sources included.  (The plain run is
+    # the scalar loop's, by test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop.)
+    F, starts, tol, bound = case()
+    assert (np.linalg.norm(F(starts), axis=0) > tol).all()
+    plain, exact = _Recorded(F), _Recorded(F)
+    G = lambda cols, *_: exact(cols)  # noqa: E731
+    a = solve_many(lambda cols, *_: plain(cols), starts, tol, bound=bound)
+    b = solve_many(G, starts, tol, bound=bound, rough=(G, 1.0))
+    assert [cols.tobytes() for cols in plain.batches] == [cols.tobytes() for cols in exact.batches]
+    for x, y in zip(a, b):
+        if isinstance(x, NewtonFailure):
+            assert (type(y), str(y)) == (NewtonFailure, str(x))
+        else:
+            assert _same(x, y) and x.source == y.source
+
+
+def test_rough_slack_below_one_is_refused():
+    with pytest.raises(ValueError, match="slack"):
+        solve_many(_root_pair, np.ones((2, 1)), 1e-12, rough=(_root_pair, 0.5))
