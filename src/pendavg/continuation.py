@@ -20,6 +20,9 @@ slow deviation ``v = (z - z0) / eps`` of the variation-of-constants state
 applied in closed form, so ``v`` stays O(1), its field does not scale with
 eps, and the step count does not depend on eps; one tolerance on ``v``
 bounds the O(eps) displacement to the same relative accuracy at every eps.
+A step knows all its stage times ``t + c_i h`` before it starts, so it
+hands them to the field at once and the rotation ``Phi(-tau)`` is
+evaluated once per step, not once per stage.
 DOP853 is the eighth-order Runge-Kutta pair of Prince and Dormand with the
 8(5,3) error estimate and a seventh-order dense output, as given by Hairer,
 Norsett and Wanner.  It is the one integrator; its tolerance and step
@@ -136,6 +139,9 @@ _TABLE = """
 """
 _ROWS = [tuple(map(float, row.split())) for row in _TABLE.split(";")[:-1]]
 _C, _A, _E3, _E5, _D = _ROWS[0], tuple(_ROWS[1:16]), _ROWS[16], _ROWS[17], tuple(_ROWS[18:])
+# The nodes as a (16, 1) column: stage times t + _C_COLS[first:last + 1] * h
+# for a (m,) clock t and step h make the same products and sums as t + _C[i] * h.
+_C_COLS = np.array(_C)[:, None]
 # Stage weights as (i, 1, 1) columns against the first i stages of a
 # (16, 4, m) stack.  A row is summed over that leading axis, which adds the
 # stages in order for every column alike.
@@ -159,32 +165,43 @@ def _check_finite(values, tau, col, faults):
     return bad
 
 
-def _stages(rhs, t, y, h, k, first, last):
-    """Fill stages ``first`` to ``last`` of the ``(s, 4, m)`` stage stack ``k`` in place."""
+def _stages(field, t, y, h, k, first, last):
+    """Fill stages ``first`` to ``last`` of the ``(s, 4, m)`` stage stack ``k`` in place.
+
+    ``field`` takes all their times ``t + c_i h`` at once, as one
+    ``(last - first + 1, m)`` array, and returns ``(rhs, state)`` (as
+    ``model.slow_field``'s ``at`` does); stage ``i`` is then
+    ``rhs(i - first, y_i)``.  Stage 0 is evaluated at ``y``.  Returns the
+    last stage's state.
+    """
+    rhs = field(t + _C_COLS[first : last + 1] * h)[0]
     for i in range(first, last + 1):
-        k[i] = rhs(t + _C[i] * h, y + h * (_A_COLS[i - 1] * k[:i]).sum(axis=0))
+        yi = y + h * (_A_COLS[i - 1] * k[:i]).sum(axis=0) if i else y
+        k[i] = rhs(i - first, yi)
+    return yi
 
 
-def _dop853_step(rhs, t, y, h, k):
+def _dop853_step(field, t, y, h, k, first=1):
     """One DOP853 step of every column from ``(t, y)`` by ``h``.
 
-    ``k[0]`` holds ``rhs(t, y)``; stages 1-12 are written into ``k``, the
-    last being ``rhs(t + h, y_new)``, the next step's first stage.  Returns
-    ``y_new`` and the two error estimates divided by h, of orders 5 and 3.
+    ``k[0]`` holds the field at ``(t, y)``, unless ``first`` is 0: then the
+    step evaluates it too, with the others.  Stages ``first`` to 12 share
+    one call of ``field`` (``_stages``), so the rotation of a step is
+    evaluated once; the last stage is at ``(t + h, y_new)``, the next
+    step's first stage.  Returns ``y_new`` and the two error estimates
+    divided by h, of orders 5 and 3.
     """
-    _stages(rhs, t, y, h, k, 1, 11)
-    y_new = y + h * (_A_COLS[11] * k[:12]).sum(axis=0)
-    k[12] = rhs(t + h, y_new)
+    y_new = _stages(field, t, y, h, k, first, 12)
     return y_new, (_E5_COLS * k[:12]).sum(axis=0), (_E3_COLS * k[:12]).sum(axis=0)
 
 
-def _dense_output(rhs, t, y, h, k, y_new):
+def _dense_output(field, t, y, h, k, y_new):
     """The ``(7, 4, m)`` interpolant coefficients of the step just made.
 
-    Stages 13-15 are written into ``k``.  ``_interpolate`` reads the
-    seventh-order dense output from them.
+    Stages 13-15 are written into ``k``, from one call of ``field``.
+    ``_interpolate`` reads the seventh-order dense output from them.
     """
-    _stages(rhs, t, y, h, k, 13, 15)
+    _stages(field, t, y, h, k, 13, 15)
     dy = y_new - y
     hk0 = h * k[0]
     coeffs = [dy, hk0 - dy, 2.0 * dy - (h * k[12] + hk0)]
@@ -245,9 +262,9 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
     t = np.zeros(m)
     h = np.full(m, min(end / 100.0, 0.1))
     y = np.zeros_like(x0)
-    rhs = slow_field(forcing, eps, x0)[0]
+    field = slow_field(forcing, eps, x0)
     k = np.empty((13, 4, m))  # the step's stages; the dense ones are rebuilt from ``steps``
-    k[0] = rhs(t, y)
+    _stages(field, t, y, h, k, 0, 0)
     faults = fault_record(faults)
     gone = (leave := _check_finite(k[0], t, col, faults)) is not None
     # Each column still stepping makes one attempt per pass, so the pass count is its
@@ -259,7 +276,7 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
             y, x0, k = y[:, keep], x0[:, keep], k[:, :, keep]
             if not col.size:
                 break
-            rhs = slow_field(forcing, eps, x0)[0]
+            field = slow_field(forcing, eps, x0)
         last = t + h >= end
         h = np.where(last, end - t, h)
         # A step below half a unit in the last place of t cannot advance
@@ -267,7 +284,7 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
         if gone := (leave := t + h == t).any():
             for c, tc in zip(col[leave].tolist(), t[leave].tolist()):
                 faults[c] = IntegrationError(f"dop853 step underflow near tau={tc:.6g}")
-        y_new, err5, err3 = _dop853_step(rhs, t, y, h, k)
+        y_new, err5, err3 = _dop853_step(field, t, y, h, k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err5, err3 = (err5 / scale) ** 2, (err3 / scale) ** 2
         err5 = err5[0] + err5[1] + err5[2] + err5[3]
@@ -300,9 +317,9 @@ def _dense_samples(forcing, eps, x0, steps, taus, faults):
     ``steps`` is a record that ``_slow_deviation`` appended to for the
     ``(m,)`` eps and ``(4, m)`` starts ``x0``.  The dense output of a step
     depends only on its ``(t, y, h)``, so every recorded step of every
-    column is rebuilt in one batch, 16 calls of ``rhs`` on all of them:
-    ``k[0] = rhs(t, y)``, the FSAL stage the pass carried into that step,
-    then its 12 stages and the 3 dense ones.  Each column comes out bit for
+    column is rebuilt in one batch, 16 stages on all of them from two
+    rotations: stage 0, the FSAL stage the pass carried into that step,
+    with its 12 stages, then the 3 dense ones.  Each column comes out bit for
     bit as the pass would have made it.  A column with a non-finite step
     is entered in ``faults`` at its first such step in record order, the
     one the pass met first.  A time is read from the last step of its
@@ -315,10 +332,9 @@ def _dense_samples(forcing, eps, x0, steps, taus, faults):
     if not (steps and n):
         return v, reach
     col, t, h, y = (np.concatenate(a, axis=-1) for a in zip(*steps))
-    rhs = slow_field(forcing, eps[col], x0[:, col])[0]
+    field = slow_field(forcing, eps[col], x0[:, col])
     k = np.empty((16,) + y.shape)
-    k[0] = rhs(t, y)
-    coeffs = _dense_output(rhs, t, y, h, k, _dop853_step(rhs, t, y, h, k)[0])
+    coeffs = _dense_output(field, t, y, h, k, _dop853_step(field, t, y, h, k, 0)[0])
     _check_finite(coeffs, t, col, faults)
     # Each column's steps in time order.  A step's times run up to the start
     # of its column's next step; the last step's run to the last time.
@@ -379,8 +395,8 @@ def sample_states(spec, eps, x0, taus, steps, faults=None):
             raise ValueError("times must not pass the end of the recorded flow")
         v[:, list(faults)] = np.nan
         # One column per (start, time), so the map runs on (4, m * n).
-        _, state = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
-        out = state(np.tile(taus, m), v.reshape(4, -1)).reshape(v.shape)
+        at = slow_field(forcing, np.repeat(eps, n), np.repeat(x0, n, axis=1))
+        out = at(np.tile(taus, m)[None])[1](0, v.reshape(4, -1)).reshape(v.shape)
     return out.reshape(shape)
 
 
@@ -399,8 +415,7 @@ def flow_map(spec, eps, states0, period, steps=None, faults=None, tol=None):
     forcing, eps, x0 = _setup(spec, eps, states0, (period,))
     with np.errstate(all="ignore"):
         v = _slow_deviation(forcing, eps, x0, period, steps, faults, tol)
-        _, state = slow_field(forcing, eps, x0)
-        out = state(np.full(eps.shape, period), v)
+        out = slow_field(forcing, eps, x0)(np.full((1,) + eps.shape, period))[1](0, v)
     return out.reshape(np.shape(states0))
 
 

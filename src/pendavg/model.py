@@ -204,20 +204,45 @@ def audit_periodicity(spec):
 # _PAIR[1][r], which are gathered with ``take`` and weighted by (4, 1)
 # coefficient columns; row r's partner in its plane is _PARTNER[r].  So
 # every row is written out, as a coefficient column times a gathered row.
-_PLANE_OMEGAS = np.array([[OMEGA1], [OMEGA1], [OMEGA2], [OMEGA2]])
+_PLANE_OMEGAS = np.array([OMEGA1, OMEGA2])[:, None, None]
 _PARTNER = np.array([1, 0, 3, 2], dtype=np.intp)
 # Phi(tau) turns (X, Y) by c X + s Y, c Y - s X with s = sin(omega tau);
 # slow_field takes sin(-omega tau), so the partner's sign is - for X and Z.
-_PARTNER_SIGN = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+_PARTNER_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None]
 _PAIR = (np.array([0, 1, 0, 1], dtype=np.intp), np.array([2, 3, 2, 3], dtype=np.intp))
 _M_COLS = tuple(MODAL_MATRIX[np.arange(4), p, None] for p in _PAIR)
 _MINV_COLS = tuple(INVERSE_MODAL_MATRIX[np.arange(4), p, None] for p in _PAIR)
 # (gY, gY, gW, gW): the velocity rows of M (0, F1, 0, F2), one per row of v.
 _G_COLS = tuple(MODAL_MATRIX[(1, 1, 3, 3), j, None] for j in (1, 3))
-# v' = (-s1 gY, c1 gY, -s2 gW, c2 gW) takes sin(-omega tau) in rows X, Z and
-# cos in rows Y, W: rows 5, 1, 7, 3 of the (8, m) stack of cosines and
-# partner-signed sines that ``trig`` makes (its sines 5 and 7 keep sign +).
-_FIELD_TRIG = np.array([5, 1, 7, 3], dtype=np.intp)
+# ``_rotation`` takes cos and sin of -omega tau once per plane, as the rows
+# (c1, c2, s1, s2), and one ``take`` of these makes three blocks of four
+# rows: each row's cosine, each row's sine (signed by its partner's sign
+# after the take), and the field's rows.  v' = (-s1 gY, c1 gY, -s2 gW,
+# c2 gW) takes sin(-omega tau) in rows X, Z and cos in rows Y, W: rows 2,
+# 0, 3, 1 of (c1, c2, s1, s2).
+_ROTATION_ROWS = np.array([0, 0, 1, 1, 2, 2, 3, 3, 2, 0, 3, 1], dtype=np.intp)
+
+
+def _rotation(taus):
+    """Phi(-tau) at the ``(s, m)`` times ``taus``: ``(cos, sin, field)``, each ``(s, 4, m)``.
+
+    Row ``i`` of each holds, for time row ``i``, the cosine of each row of
+    ``v``, its partner-signed sine, and the factor of each row of ``v'``,
+    as a contiguous ``(4, m)`` block (a strided operand costs numpy about
+    twice the time at these widths).  Both rows of a plane turn by the
+    same angle, so each plane's cos and sin is taken once, and each value
+    is bit for bit the one a row alone gets.  They are taken on contiguous
+    arrays, since numpy's vectorized and strided loops for cos and sin may
+    round differently.
+    """
+    angle = _PLANE_OMEGAS * -taus
+    cs = np.empty((2,) + angle.shape)
+    np.cos(angle, out=cs[0])
+    np.sin(angle, out=cs[1])
+    rows = cs.reshape((4,) + taus.shape).take(_ROTATION_ROWS, axis=0)
+    rows[4:8] *= _PARTNER_SIGN
+    rows = np.ascontiguousarray(rows.reshape((3, 4) + taus.shape).transpose(2, 0, 1, 3))
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
 def slow_field(forcing, eps, x0):
@@ -239,45 +264,45 @@ def slow_field(forcing, eps, x0):
     ``v`` over the period ``p T`` are ``p T`` times the mean bifurcation pair.
 
     ``eps`` is ``(m,)`` and ``x0`` ``(4, m)``, one value or state per column.
-    Returns ``(rhs, state)``, both of ``(tau, v)`` with ``(m,)`` times and a
-    ``(4, m)`` deviation: ``rhs`` gives ``v'`` and ``state`` the state.
-    Every row is written out rather than taken as a matrix product, so no
-    summation order enters and no column depends on the rest of the batch.
-    ``continuation``'s DOP853 steps ``rhs``, rebuilt whenever columns leave.
+    Returns ``at``: ``at(taus)``, for ``(s, m)`` times (a DOP853 step's
+    stage times, say), evaluates the rotation ``Phi(-tau)`` at all of them
+    in one batch and returns ``(rhs, state)``, both of ``(i, v)`` with a
+    ``(4, m)`` deviation at time row ``i``: ``rhs`` gives ``v'`` and
+    ``state`` the state.  So each of them does only the work that depends
+    on ``v``.  Every row is written out rather than taken as a matrix
+    product, so no summation order enters and no column depends on the
+    rest of the batch.  ``continuation``'s DOP853 calls ``at`` once per
+    step, with the step's stage times, and builds a new ``slow_field``
+    whenever columns leave.
     """
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     z0 = _M_COLS[0] * x0.take(_PAIR[0], axis=0) + _M_COLS[1] * x0.take(_PAIR[1], axis=0)
 
-    def trig(tau):
-        # cos and the partner-signed sin of -omega tau, row by row.
-        angle = _PLANE_OMEGAS * -tau
-        cs = np.empty((2,) + angle.shape)
-        np.cos(angle, out=cs[0])
-        np.sin(angle, out=cs[1])
-        cs[1] *= _PARTNER_SIGN
-        return cs
-
-    def moved(cs, v):
+    def moved(c, s, v):
         # x0 + M^-1 [Phi(tau) q - z0] with q = z0 + eps v.
         q = z0 + eps * v
-        d = (cs[0] * q + cs[1] * q.take(_PARTNER, axis=0)) - z0
+        d = (c * q + s * q.take(_PARTNER, axis=0)) - z0
         return x0 + (
             _MINV_COLS[0] * d.take(_PAIR[0], axis=0) + _MINV_COLS[1] * d.take(_PAIR[1], axis=0)
         )
 
-    def state(tau, v):
-        return moved(trig(tau), v)
+    def at(taus):
+        cos, sin, field = _rotation(taus)
 
-    def rhs(tau, v):
-        cs = trig(tau)
-        th1, th1d, th2, th2d = moved(cs, v)
-        F1, F2 = f1(tau, th1, th1d, th2, th2d), f2(tau, th1, th1d, th2, th2d)
-        g = _G_COLS[0] * F1 + _G_COLS[1] * F2
-        return cs.reshape(8, -1).take(_FIELD_TRIG, axis=0) * g
+        def state(i, v):
+            return moved(cos[i], sin[i], v)
 
-    return rhs, state
+        def rhs(i, v):
+            tau = taus[i]
+            th1, th1d, th2, th2d = moved(cos[i], sin[i], v)
+            F1, F2 = f1(tau, th1, th1d, th2, th2d), f2(tau, th1, th1d, th2, th2d)
+            return field[i] * (_G_COLS[0] * F1 + _G_COLS[1] * F2)
+
+        return rhs, state
+
+    return at
 
 
 # ---------------------------------------------------------------------------

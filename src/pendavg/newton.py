@@ -136,8 +136,13 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
     determinant that underflows to 0), a step that no halving improves, or
     no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
     it would take alone, given an ``F`` whose columns do not depend on each
-    other and whose first fault is theirs alone.
+    other and whose first fault is theirs alone.  ``tol`` must be
+    non-negative (``inf`` settles every start where it stands); a NaN or
+    negative one, which no residual could meet, raises ``ValueError``
+    before any call.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     if rough is not None and not rough[1] >= 1.0:
         raise ValueError(f"rough slack must be at least 1, got {rough[1]}")
     x = np.array(starts, dtype=float).T.copy()

@@ -1,5 +1,6 @@
 """Integrators, predictions, and period-map shooting."""
 
+import collections
 import functools
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+import pendavg.cli as cli
 import pendavg.continuation as continuation
+import pendavg.model as model
 from pendavg.averaging import AveragedSystem
 from pendavg.constants import T1
 from pendavg.continuation import (
@@ -27,6 +30,7 @@ from pendavg.model import (
     Mode,
     PerturbationSpec,
     compiled_forcing,
+    slow_field,
     unperturbed_orbit,
 )
 from pendavg.newton import solve_many
@@ -397,10 +401,14 @@ def test_dop853_tableau_is_consistent():
         assert len(e) == 12 and abs(math.fsum(e)) <= 1e-15 * math.fsum(map(abs, e))
 
 
-def _smooth_field(t, y):
-    # Rows 0-1: y' = y^2, so y(t) = y0 / (1 - y0 t); rows 2-3: y' = cos(t) y,
-    # so y(t) = y0 exp(sin t).
-    return np.concatenate([y[:2] ** 2, np.cos(t) * y[2:]])
+def _smooth_field(taus):
+    # The integrator's field interface at the (s, m) stage times taus, with
+    # no state map.  Rows 0-1: y' = y^2, so y(t) = y0 / (1 - y0 t); rows
+    # 2-3: y' = cos(t) y, so y(t) = y0 exp(sin t).
+    def rhs(i, y):
+        return np.concatenate([y[:2] ** 2, np.cos(taus[i]) * y[2:]])
+
+    return rhs, None
 
 
 def _smooth_exact(y0, t):
@@ -412,9 +420,33 @@ def _one_step(h):
     y0 = np.array([[0.5], [0.3], [1.0], [-0.3]])
     t, h = np.zeros(1), np.full(1, h)
     k = np.empty((16, 4, 1))
-    k[0] = _smooth_field(t, y0)
-    y1 = continuation._dop853_step(_smooth_field, t, y0, h, k)[0]
+    y1 = continuation._dop853_step(_smooth_field, t, y0, h, k, 0)[0]
     return y0, y1, continuation._dense_output(_smooth_field, t, y0, h, k, y1)
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+@pytest.mark.parametrize("m", [1, 4, 36])
+def test_a_step_from_one_rotation_equals_the_stage_by_stage_reference(which, m):
+    # A DOP853 step, its first stage included, and its dense output, driven
+    # by slow_field's one rotation per call, equal bit for bit the same
+    # step on the pair-row field (tests/oracles.py), which turns each
+    # stage's planes on their own.
+    forcing = compiled_forcing(oracles.make_spec(which))
+    rng = np.random.default_rng(m)
+    eps, x0 = rng.uniform(-0.1, 0.1, m), rng.normal(0.0, 3.0, (4, m))
+    t, h, y = rng.uniform(0.0, 40.0, m), rng.uniform(0.05, 0.5, m), rng.normal(0.0, 1.0, (4, m))
+    rhs_ref, state_ref = oracles.pair_row_slow_field(forcing, eps, x0)
+
+    def stage_by_stage(taus):
+        return (lambda i, v: rhs_ref(taus[i], v)), (lambda i, v: state_ref(taus[i], v))
+
+    ends = []
+    for field in (slow_field(forcing, eps, x0), stage_by_stage):
+        k = np.empty((16, 4, m))
+        y_new, err5, err3 = continuation._dop853_step(field, t, y, h, k, 0)
+        coeffs = continuation._dense_output(field, t, y, h, k, y_new)
+        ends.append([a.tobytes() for a in (y_new, err5, err3, coeffs, k)])
+    assert ends[0] == ends[1]
 
 
 def test_dop853_local_error_is_ninth_order():
@@ -703,6 +735,104 @@ def test_sampling_integrates_nothing(monkeypatch):
         orbits = shoot_many(spec, [1e-2, 1e-3], guesses, n_samples=n_samples)
         assert all(orbit.samples.shape == (4, n_samples) for orbit in orbits)
     assert counts[0] == counts[1] and counts[0][1] > counts[0][0] > 0
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Counts of what flows and rebuilds evaluate: passes, forcing pairs, rotations.
+
+    ``steps`` counts ``_dop853_step`` calls, ``forcing`` the forcing-pair
+    calls (of F1, as ``pendbench`` counts right-hand sides) and
+    ``rotations`` the evaluations of the rotation ``Phi(-tau)``, each of
+    which takes one ``cos`` call in ``pendavg.model``.  Only calls made
+    inside ``_slow_deviation`` or ``_dense_samples`` count.
+    """
+    counts, inside = collections.Counter(), []
+
+    def within(fn):
+        def wrapped(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += bool(inside)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    class Numpy:
+        cos = staticmethod(counted("rotations", np.cos))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(model, "np", Numpy())
+    for name in ("_slow_deviation", "_dense_samples"):
+        monkeypatch.setattr(continuation, name, within(getattr(continuation, name)))
+    monkeypatch.setattr(continuation, "_dop853_step", counted("steps", continuation._dop853_step))
+    compiled = continuation.compiled_forcing
+
+    def forcing(spec):
+        f1, f2 = compiled(spec)
+        return counted("forcing", f1), f2
+
+    monkeypatch.setattr(continuation, "compiled_forcing", forcing)
+    return counts
+
+
+def test_a_pass_evaluates_the_rotation_once(tally):
+    # A lockstep pass takes its step's 12 stages from one rotation at all
+    # their times (one per stage, 12 per pass, before); a flow's first
+    # stage takes one more.
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    states = x0[:, None] + np.random.default_rng(5).normal(scale=0.05, size=(4, 3))
+    flow_map(spec, [1e-2, 1e-3, -1e-2], states, T1)
+    assert tally["steps"] > 0
+    assert tally["forcing"] == 12 * tally["steps"] + 1
+    assert tally["rotations"] == tally["steps"] + 1
+
+
+def test_a_rebuild_evaluates_the_rotation_at_most_three_times(tally):
+    # The 16-stage rebuild of every recorded step takes stages 0-12 from
+    # one rotation and the three dense stages from another (16, before).
+    spec = _coro1()
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    eps, steps = [1e-2, 1e-3], []
+    flow_map(spec, eps, np.repeat(x0[:, None], 2, axis=1), T1, steps)
+    tally.clear()
+    sample_states(spec, eps, np.repeat(x0[:, None], 2, axis=1), np.linspace(0.0, T1, 9), steps)
+    assert tally["forcing"] == 16
+    assert tally["rotations"] <= 3
+
+
+@pytest.mark.parametrize("which, passes", [("corollary1", 95), ("corollary2", 105)])
+def test_a_preset_verify_makes_its_passes_with_a_rotation_each(tally, capsys, which, passes):
+    # Three Newton flows in lockstep passes; each pass evaluates 12
+    # forcing pairs and one rotation, and each flow's first stage one more.
+    assert cli.main(["verify", "--preset", which]) == 0
+    assert '"verified"' in capsys.readouterr().out
+    assert tally["steps"] == passes
+    assert tally["forcing"] == 12 * passes + 3
+    assert tally["rotations"] == passes + 3
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_shoot_many_refuses_a_nan_or_negative_tol_before_any_flow(monkeypatch, tol):
+    # Such a tolerance would integrate every flow and then stall each case.
+    spec = _coro1()
+    guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    flow, calls = continuation.flow_map, []
+    monkeypatch.setattr(continuation, "flow_map", lambda *args: calls.append(1) or flow(*args))
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        shoot_many(spec, [1e-2], guess, tol=tol)
+    assert not calls
 
 
 def test_shoot_many_fails_cases_one_by_one(monkeypatch):

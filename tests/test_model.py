@@ -16,6 +16,7 @@ from pendavg.model import (
     Mode,
     PerturbationSpec,
     PeriodicityError,
+    _rotation,
     compiled_forcing,
     slow_field,
     unperturbed_orbit,
@@ -107,17 +108,40 @@ def test_vector_field_batches():
 @pytest.mark.parametrize("which", ["corollary1", "corollary2"])
 @pytest.mark.parametrize("m", [1, 4, 36])
 def test_slow_field_rows_equal_the_pair_row_form_bit_for_bit(which, m):
+    # Each time row of a batch of times, evaluated from the batch's one
+    # rotation, equals the pair-row form at that row's times alone.
     forcing = compiled_forcing(oracles.make_spec(which))
     rng = np.random.default_rng(m)
-    for _ in range(10):
+    for s in range(1, 11):
         eps = rng.uniform(-0.1, 0.1, m)
         x0 = rng.normal(0.0, 3.0, (4, m))
-        tau, v = rng.uniform(0.0, 40.0, m), rng.normal(0.0, 5.0, (4, m))
-        rhs, state = slow_field(forcing, eps, x0)
+        taus = rng.uniform(0.0, 40.0, (s, m))
+        rhs, state = slow_field(forcing, eps, x0)(taus)
         rhs_ref, state_ref = oracles.pair_row_slow_field(forcing, eps, x0)
-        assert rhs(tau, v).tobytes() == rhs_ref(tau, v).tobytes()
-        assert state(tau, v).tobytes() == state_ref(tau, v).tobytes()
-        assert state(0, 0).tobytes() == x0.tobytes()
+        for i, tau in enumerate(taus):
+            v = rng.normal(0.0, 5.0, (4, m))
+            assert rhs(i, v).tobytes() == rhs_ref(tau, v).tobytes()
+            assert state(i, v).tobytes() == state_ref(tau, v).tobytes()
+        assert slow_field(forcing, eps, x0)(np.zeros((1, m)))[1](0, 0).tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("scale", [40.0, 1e4, 1e9])
+@pytest.mark.parametrize("m", [1, 4, 36])
+def test_a_batch_of_times_is_rotated_as_its_rows_are_alone(m, scale):
+    # The (s, m) rotation of a DOP853 step's stage times equals the
+    # rotation of each row alone, and each plane's cos and sin of
+    # -omega tau, taken row by row, bit for bit, out to large tau where
+    # the argument reduction works hardest.
+    rng = np.random.default_rng(int(m * scale))
+    taus = rng.uniform(0.0, scale, (13, m))
+    batch = np.stack(_rotation(taus), axis=1)
+    assert batch.shape == (13, 3, 4, m)
+    for i, tau in enumerate(taus):
+        assert batch[i].tobytes() == np.stack(_rotation(taus[i : i + 1]), axis=1)[0].tobytes()
+        c1, c2 = (np.cos(w * -tau) for w in (OMEGA1, OMEGA2))
+        s1, s2 = (np.sin(w * -tau) for w in (OMEGA1, OMEGA2))
+        want = [[c1, c1, c2, c2], [-s1, s1, -s2, s2], [s1, c1, s2, c2]]
+        assert batch[i].tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

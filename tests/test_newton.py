@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pendavg.averaging import AveragedSystem, seed_grid
+from pendavg.averaging import AveragedSystem, find_zeros, seed_grid
 from pendavg.config import PRESETS
 from pendavg.newton import MAX_STEPS, NewtonFailure, fault_record, solve_many
 
@@ -546,3 +546,23 @@ def test_an_exact_rough_evaluator_changes_no_call_and_no_outcome(case):
 def test_rough_slack_below_one_is_refused():
     with pytest.raises(ValueError, match="slack"):
         solve_many(_root_pair, np.ones((2, 1)), 1e-12, rough=(_root_pair, 0.5))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300])
+def test_a_nan_or_negative_tol_is_refused_before_any_call(tol):
+    # No residual is within such a tolerance, so every start would run to a
+    # stall.  inf stays allowed: a start settles where it stands.
+    F = _Recorded(_root_pair)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        _one(F, [1.0, 1.0], tol)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        _one(F, [1.0, 1.0], tol, rough=(lambda cols, *_: F(cols), 100.0))
+    assert not F.batches
+    assert _one(F, [1.0, 1.0], np.inf).steps == 0
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_find_zeros_refuses_a_nan_or_negative_newton_tol(tol):
+    system = AveragedSystem(oracles.make_spec("corollary1"))
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        find_zeros(system, r1=0.1, r2=10.0, newton_tol=tol)
