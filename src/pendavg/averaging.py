@@ -20,6 +20,12 @@ bound and evaluates no check grid.  Any other integrand refines until it
 agrees with a shifted check grid, which converges geometrically on the
 smooth periodic integrand of a smooth forcing.  The integrand runs
 node-major and its sums points-major (``_node_sums``).
+
+The orbit is linear in alpha, so the Jacobian of the mean is the period
+mean of sin/cos(omega tau) times the forcing combination's partials
+(``expr.diff``) times the orbit's tangents, node-only arrays: four more
+components of the same sweep, which ``find_zeros`` reads in place of
+finite differences.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import SQRT2
-from .expr import ExprDomainError, harmonic_bound
+from .expr import VARIABLES, BinOp, ExprDomainError, Num, compile_expr, diff, harmonic_bound
 from .model import Mode, PerturbationSpec, compiled_forcing, unperturbed_orbit
 from .newton import Solution, _norms, fault_record, solve_many
 
@@ -44,6 +50,9 @@ CHUNK_FLOATS = 2 ** 14
 # largest |integrand| at or below which the pair counts as degenerate.
 PROBE_GRID = (8, 8)
 ZERO_THRESHOLD = 1e-13
+# The amplitudes e_1 and e_2 as ``unperturbed_orbit``'s alpha: the orbit is
+# linear in alpha, so the orbits through them are its tangents.
+_UNIT = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class QuadratureError(RuntimeError):
@@ -54,18 +63,40 @@ class QuadratureError(RuntimeError):
 # Periodic trapezoid rule, certified or with a shifted check grid
 # ---------------------------------------------------------------------------
 
+def _combination(mode):
+    """The weight of F1 in the forcing combination ``c F1 + F2`` that ``mode``'s mean pair averages."""
+    return (1.0 if mode is Mode.MODE1 else -1.0) * SQRT2
+
+
+def _combination_partials(spec):
+    """``(r, d)``: the partial ``d`` of ``c F1 + F2`` in state row ``r``, where it is not 0.
+
+    The rows are ``(th1, th1d, th2, th2d)``, and ``d`` is simplified
+    (``expr.diff``): a state the forcings do not read has no partial.
+    """
+    combination = BinOp("+", BinOp("*", Num(_combination(spec.mode)), spec.f1), spec.f2)
+    partials = [(r, diff(combination, name)) for r, name in enumerate(VARIABLES[1:])]
+    return [(r, d) for r, d in partials if d != Num(0.0)]
+
+
 def certified_nodes(spec):
     """The first sweep level N at which the trapezoid sum of ``spec``'s integrand is exact, or None.
 
     Along the resonant orbit every state has harmonic ``p`` of the full
     period, and so does the ``sin/cos(omega tau)`` factor, so the integrand's
-    degree is at most the forcings' ``harmonic_bound`` plus ``p``.  The sum
-    on N nodes is exact once that degree is below N: every harmonic that
-    aliases onto the mean is a multiple of N.  None when either forcing has
-    no bound, or the degree needs more than ``MAX_NODES`` nodes.
+    degree is at most the forcings' ``harmonic_bound`` plus ``p``.  Each
+    Jacobian component is a partial of the combination
+    (``_combination_partials``) times a state's tangent along alpha, of
+    harmonic ``p``, times that factor.  The sum on N nodes is exact once
+    every degree is below N: every harmonic that aliases onto the mean is
+    a multiple of N.  None when a forcing or a partial has no bound, or a
+    degree needs more than ``MAX_NODES`` nodes.
     """
     p, period = spec.p, spec.full_period
     bounds = [harmonic_bound(f, p, period) for f in (spec.f1, spec.f2)]
+    for _, d in _combination_partials(spec):
+        bound = harmonic_bound(d, p, period)
+        bounds.append(None if bound is None else bound + p)
     if None in bounds or max(bounds) + p >= MAX_NODES:
         return None
     n = FIRST_NODES
@@ -74,12 +105,13 @@ def certified_nodes(spec):
     return n
 
 
-def _node_sums(f, points, base, check=None):
+def _node_sums(f, points, base, check=None, judged=None):
     """``(len(points), k, 2)`` sums of ``f`` over ``base`` and over ``check``.
 
     Without ``check`` the sums are ``(len(points), k, 1)``, over ``base``
-    alone.  Also returns each point's largest |f|, which is not finite where
-    one of its values is not.  Each integrand call takes a block of base
+    alone.  Also returns each point's largest |f| over its first ``judged``
+    components (all without), which is not finite where one of their values
+    is not.  Each integrand call takes a block of base
     nodes and the matching block of check nodes, within ``CHUNK_FLOATS``
     point x node values, node-major, so its ufuncs run along the points.
     Each row adds its blocks in order, each summed points-major in numpy's
@@ -95,7 +127,7 @@ def _node_sums(f, points, base, check=None):
         for lo in range(0, base.size, block):
             taus = np.concatenate([grid[lo : lo + block] for grid in grids])
             values = np.asarray(f(chunk, taus), dtype=float)
-            peak = np.abs(values).max(axis=(0, 1))
+            peak = np.abs(values[:judged]).max(axis=(0, 1))
             # A points-major copy: on a strided view numpy adds in another order.
             rows_major = np.ascontiguousarray(values.transpose(2, 0, 1))
             total = total + rows_major.reshape(*rows_major.shape[:2], len(grids), block).sum(axis=-1)
@@ -106,7 +138,7 @@ def _node_sums(f, points, base, check=None):
     return sums, sizes
 
 
-def _integrate_points(f, m, period, tol, faults=None, nodes=None):
+def _integrate_points(f, m, period, tol, faults=None, nodes=None, judged=None):
     """Integrate ``f(points, taus) -> (k, len(taus), len(points))`` over a period.
 
     Each of the m points gets the trapezoid rule on N = 8, 16, ...,
@@ -120,10 +152,14 @@ def _integrate_points(f, m, period, tol, faults=None, nodes=None):
     has another phase.  A point stops once the gap is at most ``tol``, or
     its roundoff floor; it faults (NaN, entered in ``faults`` as
     ``newton.fault_record`` says) at a level with a non-finite value, or
-    open at ``MAX_NODES``.  Returns the ``(m, k)`` values, the largest node
-    count and the largest |f| of the points that finished, over the nodes
-    they evaluated.  Each point refines and sums on its own; a certified
-    sum keeps the bits of a checked sweep that stops at the same level.
+    open at ``MAX_NODES``.  With ``judged``, only the first ``judged``
+    components decide where a point stops or faults, and the rest are
+    summed along at those levels, so the judged ones keep the bits they
+    have without the rest.  Returns the ``(m, k)`` values, the largest node
+    count and the largest judged |f| of the points that finished, over the
+    nodes they evaluated.  Each point refines and sums on its own; a
+    certified sum keeps the bits of a checked sweep that stops at the same
+    level.
     """
     n = FIRST_NODES
     shift = (math.sqrt(5.0) - 1.0) / 2.0 * period / n
@@ -133,7 +169,7 @@ def _integrate_points(f, m, period, tol, faults=None, nodes=None):
 
     base = np.arange(n) * (period / n)
     active = np.arange(m)
-    sums, size = _node_sums(f, active, base, checks(base))
+    sums, size = _node_sums(f, active, base, checks(base), judged)
     value, scale = np.empty(sums.shape[:2]), 0.0
     faults = fault_record(faults)
     while True:
@@ -147,8 +183,9 @@ def _integrate_points(f, m, period, tol, faults=None, nodes=None):
         if nodes:
             done = np.full(active.size, n >= nodes)
         else:
-            done = np.abs(sums[..., 0] - sums[..., 1]).max(axis=1) * h <= np.maximum(
-                tol, 64.0 * np.finfo(float).eps * np.abs(sums[..., 0]).max(axis=1) * h
+            gap = np.abs(sums[:, :judged, 0] - sums[:, :judged, 1]).max(axis=1)
+            done = gap * h <= np.maximum(
+                tol, 64.0 * np.finfo(float).eps * np.abs(sums[:, :judged, 0]).max(axis=1) * h
             )
         value[active[done]] = sums[done, :, 0] * h
         scale = float(np.max(size, initial=scale, where=done))
@@ -156,7 +193,7 @@ def _integrate_points(f, m, period, tol, faults=None, nodes=None):
         if not active.size or 2 * n > MAX_NODES:
             break
         mids = (np.arange(n) + 0.5) * h
-        more, more_size = _node_sums(f, active, mids, checks(mids))
+        more, more_size = _node_sums(f, active, mids, checks(mids), judged)
         sums, size = sums + more, np.maximum(size, more_size)
         n *= 2
     for p in active.tolist():
@@ -177,7 +214,8 @@ class AveragedSystem:
     its entry in ``faults`` (``newton.fault_record``).  After each call,
     ``last_panels`` holds the largest base-grid node count of the batch and
     ``last_scale`` the largest |integrand| of the points that finished.
-    The integrand's ``certified_nodes`` are found once, at construction.
+    The integrand's ``certified_nodes`` and the combination's compiled
+    partials are found once, at construction.
     """
 
     spec: PerturbationSpec
@@ -185,49 +223,68 @@ class AveragedSystem:
     last_panels: int = field(default=0, compare=False)
     last_scale: float = field(default=0.0, compare=False)
     _nodes: int | None = field(init=False, repr=False, compare=False)
+    _partials: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._nodes = certified_nodes(self.spec)
+        self._partials = [(r, compile_expr(d)) for r, d in _combination_partials(self.spec)]
 
     def __call__(self, alpha):
         return self.eval_many(np.asarray(alpha, dtype=float)[None, :])[0]
 
-    def eval_many(self, alphas, faults=None):
+    def eval_many(self, alphas, faults=None, jacobian=False):
         """The ``(m, 2)`` mean pair at the ``m`` rows of ``alphas``, in one quadrature.
 
         A whole seed grid or Newton round costs one trapezoid sweep, in
         which each point refines on its own criterion and is summed on its
         own, so its value is bit for bit its single-point value.  A
-        band-limited integrand is summed at its ``certified_nodes``.
+        band-limited integrand is summed at its ``certified_nodes``.  With
+        ``jacobian``, returns ``(values, jacobians)``, the ``(m, 2, 2)``
+        Jacobians in alpha summed in the same sweep: the values decide
+        where each point stops and whether it faults, so they keep their
+        bits, as do ``last_panels`` and ``last_scale``.
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
         if not alphas.size:
             self.last_panels, self.last_scale = 0, 0.0
-            return np.empty((0, 2))
+            return (np.empty((0, 2)), np.empty((0, 2, 2))) if jacobian else np.empty((0, 2))
         mode = self.spec.mode
         w = mode.omega
-        sign = 1.0 if mode is Mode.MODE1 else -1.0
+        c = _combination(mode)
         f1, f2 = compiled_forcing(self.spec)
         amplitudes = alphas.T.copy()
         period = self.spec.full_period
+        partials = self._partials
 
         def integrand(points, taus):
             column = taus[:, None]
             states = unperturbed_orbit(mode, amplitudes[:, points], column)
-            combo = sign * SQRT2 * f1(column, *states) + f2(column, *states)
+            combo = c * f1(column, *states) + f2(column, *states)
             combo = np.broadcast_to(np.asarray(combo, dtype=float), states[0].shape)
-            return np.stack([np.sin(w * column), np.cos(w * column)]) * combo
+            trig = np.stack([np.sin(w * column), np.cos(w * column)])
+            if not jacobian:
+                return trig * combo
+            # d combo / d alpha_j = sum_r partial_r * d state_r / d alpha_j,
+            # where the tangent d state / d alpha_j is the orbit through e_j.
+            tangents = unperturbed_orbit(mode, _UNIT, column).transpose(0, 2, 1)[..., None]
+            slopes = sum(d(column, *states) * tangents[r] for r, d in partials)
+            out = np.empty((6,) + combo.shape)
+            np.multiply(trig, combo, out=out[:2])
+            out[2:].reshape(2, 2, *combo.shape)[...] = trig[:, None] * slopes
+            return out
 
         with np.errstate(all="ignore"):
             integral, self.last_panels, self.last_scale = _integrate_points(
-                integrand, alphas.shape[0], period, self.tol, faults, self._nodes
+                integrand, alphas.shape[0], period, self.tol, faults, self._nodes, judged=2
             )
-        return np.stack([-integral[:, 0], integral[:, 1]], axis=1) / (2.0 * period)
+        values = np.stack([-integral[:, 0], integral[:, 1]], axis=1) / (2.0 * period)
+        if not jacobian:
+            return values
+        return values, np.stack([-integral[:, 2:4], integral[:, 4:6]], axis=1) / (2.0 * period)
 
     def jacobian(self, alpha):
-        """The Jacobian ``solve_many`` carries for a start that settles at ``alpha``; raises its faults."""
-        alpha = np.asarray(alpha, dtype=float)[:, None]
-        return solve_many(lambda cols, *_: self.eval_many(cols.T).T, alpha, math.inf)[0].jacobian
+        """The exact Jacobian of the mean pair at ``alpha``, from one sweep; raises its faults."""
+        return self.eval_many(np.asarray(alpha, dtype=float)[None, :], jacobian=True)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +356,18 @@ def find_zeros(
     """Locate the zeros of the mean pair inside the open annulus.
 
     ``system`` is an ``AveragedSystem``, or anything with its
-    ``eval_many(alphas, faults)`` and the ``last_scale`` that each call
-    sets, which ``is_identically_zero`` reads.  ``newton.solve_many`` runs
-    damped Newton from every polar grid seed in lockstep, one ``eval_many``
-    call per round, confined to the ball ``||alpha|| <= 10 max(r2, 1)``;
+    ``eval_many(alphas, faults)``, its ``eval_many(alphas, faults,
+    jacobian=True)`` that returns ``(values, jacobians)``, and the
+    ``last_scale`` that each call sets, which ``is_identically_zero``
+    reads.  ``newton.solve_many`` runs damped Newton from every polar grid
+    seed in lockstep, one ``eval_many`` call with Jacobians per round, one
+    point per seed, confined to the ball ``||alpha|| <= 10 max(r2, 1)``;
     each seed takes the steps it would take alone.  A seed or probe point
     whose own evaluation faults (a domain fault or the quadrature cap)
     leaves its batch with that fault, and is dropped, as is a seed whose
-    Newton run fails; that is not an error, and the others go on; so is a
-    seed whose stencil at its solution faults.  Converged points are kept
-    when they land strictly inside the annulus, deduplicated, and labelled
-    simple when |det| of the central-difference Jacobian exceeds
+    Newton run fails; that is not an error, and the others go on.
+    Converged points are kept when they land strictly inside the annulus,
+    deduplicated, and labelled simple when |det| of the Jacobian exceeds
     ``det_threshold``: the Jacobian that Newton evaluated at the zero, at
     no further evaluation.  An empty list is a valid outcome; its ``degenerate`` flag tells an
     identically zero pair from one with no zero in the annulus.
@@ -324,8 +382,13 @@ def find_zeros(
         raise ValueError("require r1 < r2")
     if is_identically_zero(system, r1, r2):
         return ZeroList(degenerate=True)
+
+    def F(cols, _, faults):
+        values, jacobians = system.eval_many(cols.T, faults, jacobian=True)
+        return values.T, jacobians
+
     outcomes = solve_many(
-        lambda cols, _, faults: system.eval_many(cols.T, faults).T,
+        F,
         seed_grid(r1, r2, *grid).T,
         newton_tol,
         bound=10.0 * max(r2, 1.0),

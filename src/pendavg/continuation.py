@@ -51,7 +51,7 @@ import numpy as np
 
 from .expr import ExprDomainError
 from .model import compiled_forcing, slow_field, unperturbed_orbit
-from .newton import NewtonFailure, Solution, fault_record, solve_many
+from .newton import NewtonFailure, Solution, central, fault_record, solve_many
 
 
 class IntegrationError(RuntimeError):
@@ -458,10 +458,11 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     one of its own columns left a flow.  Other cases go on either way.
 
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
-    flow(x) - x = 0 for every case in lockstep, and every case's columns
-    share each integration, DOP853 on the slow deviation, of which
-    ``flow_map`` maps back only the endpoint.  The first flow, of the
-    guesses and their central-difference stencils, runs at
+    flow(x) - x = 0 for every case in lockstep, on central-difference
+    Jacobians (``newton.central``), and every case's columns share each
+    integration, DOP853 on the slow deviation, of which ``flow_map`` maps
+    back only the endpoint.  The first flow, of the guesses and their
+    stencils, runs at
     ``DOP853_ROUGH_TOL``: it only aims the first step, and a guess within
     ``DOP853_ROUGH_TOL / DOP853_TOL`` times ``tol`` on it is integrated
     again at ``DOP853_TOL`` before it may settle (``newton.solve_many``'s
@@ -500,9 +501,9 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
 
         return F
 
-    rough = (flow(DOP853_ROUGH_TOL), DOP853_ROUGH_TOL / DOP853_TOL)
+    rough = (central(flow(DOP853_ROUGH_TOL)), DOP853_ROUGH_TOL / DOP853_TOL)
     solved = solve_many(
-        flow(DOP853_TOL), guesses[:, cases], tol, cond_limit=COND_LIMIT, rough=rough
+        central(flow(DOP853_TOL)), guesses[:, cases], tol, cond_limit=COND_LIMIT, rough=rough
     )
     records = {}  # case -> (t, h, y) of its solution's own steps
     for i, result in zip(cases, solved):

@@ -20,12 +20,15 @@ pendulum mode frequencies exactly instead of going through truncated
 decimals.  Exponents are restricted to numeric literals: integer exponents
 are real for any nonzero base, real exponents only for positive bases.
 
-Expressions are immutable after parsing, and :func:`parse` and
-:func:`compile_expr` are cached, so each forcing text of a run is parsed and
-compiled once.  :func:`compile_expr` is the one evaluator: its functions are
-pure and reentrant, and return every domain fault (sqrt of a negative,
-``1/0``, overflow, ...) as NaN or inf, never as an exception.  Callers
-evaluate inside ``np.errstate(all="ignore")`` and check finiteness.
+Expressions are immutable after parsing, and :func:`parse`,
+:func:`compile_expr` and :func:`diff` are cached, so each forcing text of a
+run is parsed, differentiated and compiled once.  :func:`compile_expr` is
+the one evaluator: its functions are pure and reentrant, and return every
+domain fault (sqrt of a negative, ``1/0``, overflow, ...) as NaN or inf,
+never as an exception.  Callers evaluate inside ``np.errstate(all="ignore")``
+and check finiteness.  :func:`diff` differentiates an expression in one
+variable, as an expression of the same nodes that ``compile_expr`` compiles
+(plus ``sign``, the derivative of ``abs``, which forcing text cannot name).
 :func:`harmonic_bound` reads from the AST alone how many harmonics of a
 period a forcing can have along an orbit of one frequency.
 """
@@ -49,6 +52,10 @@ CONSTANTS = {
 }
 
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "exp": np.exp, "abs": np.abs}
+# What a ``Call`` may name: the functions above, and the derivative of
+# ``abs``, which only ``diff`` writes.  ``np.sign`` is 0 at 0, never NaN
+# on a number.
+_KERNELS = {**FUNCTIONS, "sign": np.sign}
 
 
 class ExprSyntaxError(ValueError):
@@ -328,13 +335,125 @@ def compile_expr(expr):
     if isinstance(expr, Var):
         body = f"+{body}"  # a copy, so the result never aliases an argument
     source = f"def _compiled(tau, th1, th1d, th2, th2d):\n    return {body}"
-    namespace = {f"_fn_{name}": fn for name, fn in FUNCTIONS.items()}
+    namespace = {f"_fn_{name}": fn for name, fn in _KERNELS.items()}
     for i, value in enumerate(literals):
         namespace[f"_num_{i}"] = np.float64(value)
     for name, value in CONSTANTS.items():
         namespace[f"_const_{name}"] = np.float64(value)
     exec(compile(source, "<expr>", "exec"), namespace)  # noqa: S102 - source built from a closed AST
     return namespace["_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# Derivatives
+# ---------------------------------------------------------------------------
+
+def _is(node, value):
+    return isinstance(node, Num) and node.value == value
+
+
+def _fold(op, a, b):
+    """``a op b`` on two literals, as ``compile_expr`` would evaluate it (NaN or inf on a fault)."""
+    x, y = np.float64(a.value), np.float64(b.value)
+    with np.errstate(all="ignore"):
+        return Num(float({"+": x + y, "-": x - y, "*": x * y, "/": x / y}[op]))
+
+
+def _neg(a):
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _add(a, b):
+    if _is(a, 0.0):
+        return b
+    if _is(b, 0.0):
+        return a
+    return _fold("+", a, b) if isinstance(a, Num) and isinstance(b, Num) else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return _neg(b)
+    return _fold("-", a, b) if isinstance(a, Num) and isinstance(b, Num) else BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Num(0.0)
+    if _is(a, 1.0):
+        return b
+    if _is(b, 1.0):
+        return a
+    return _fold("*", a, b) if isinstance(a, Num) and isinstance(b, Num) else BinOp("*", a, b)
+
+
+def _div(a, b):
+    if _is(a, 0.0):
+        return Num(0.0)
+    if _is(b, 1.0):
+        return a
+    return _fold("/", a, b) if isinstance(a, Num) and isinstance(b, Num) else BinOp("/", a, b)
+
+
+def _pow(base, n):
+    if n == 0.0:
+        return Num(1.0)
+    return base if n == 1.0 else BinOp("^", base, Num(n))
+
+
+def _literal(node):
+    """The value of a ``^`` exponent: a number, negated any number of times."""
+    return -_literal(node.operand) if isinstance(node, Neg) else node.value
+
+
+# d/du of f(u), for each function f, in terms of the call f(u) itself.
+_OUTER = {
+    "sin": lambda call: Call("cos", call.arg),
+    "cos": lambda call: _neg(Call("sin", call.arg)),
+    "sqrt": lambda call: _div(Num(0.5), call),
+    "exp": lambda call: call,
+    "abs": lambda call: Call("sign", call.arg),
+}
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def diff(expr, var):
+    """The partial derivative of ``expr`` in the variable named ``var``, simplified.
+
+    The chain, product and quotient rules, with ``u^n -> n u^(n-1) u'`` for
+    the literal ``n`` and ``abs(u) -> sign(u) u'``, where ``sign`` is 0 at
+    0.  Each rule simplifies as it builds: a term with a 0 factor is 0, a 1
+    factor or 0 term drops, and ``+ - * /`` on two numbers is folded.  So
+    the partial in a variable ``expr`` does not read is ``Num(0.0)``.  The
+    result compiles with ``compile_expr``; where ``expr`` is finite, so is
+    its partial, barring overflow, except at a 0 of a ``sqrt`` or of a base
+    with exponent below 1.  Cached per ``(expr, var)``.
+    """
+    if isinstance(expr, (Num, Const)):
+        return Num(0.0)
+    if isinstance(expr, Var):
+        return Num(1.0 if expr.name == var else 0.0)
+    if isinstance(expr, Neg):
+        return _neg(diff(expr.operand, var))
+    if isinstance(expr, Call):
+        inner = diff(expr.arg, var)
+        return Num(0.0) if _is(inner, 0.0) else _mul(_OUTER[expr.func](expr), inner)
+    u, v = expr.lhs, expr.rhs
+    if expr.op == "^":
+        n = _literal(v)
+        return _mul(_mul(Num(n), _pow(u, n - 1.0)), diff(u, var))
+    du, dv = diff(u, var), diff(v, var)
+    if expr.op == "+":
+        return _add(du, dv)
+    if expr.op == "-":
+        return _sub(du, dv)
+    if expr.op == "*":
+        return _add(_mul(du, v), _mul(u, dv))
+    return _sub(_div(du, v), _div(_mul(u, dv), _pow(v, 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +491,7 @@ def _tau_affine(node):
         return None if inner is None else (-inner[0], -inner[1])
     if isinstance(node, Call):
         inner = _tau_affine(node.arg)
-        return None if inner is None or inner[0] else (_ZERO, FUNCTIONS[node.func](inner[1]))
+        return None if inner is None or inner[0] else (_ZERO, _KERNELS[node.func](inner[1]))
     lhs, rhs = _tau_affine(node.lhs), _tau_affine(node.rhs)
     if lhs is None or rhs is None:
         return None
@@ -427,9 +546,9 @@ def harmonic_bound(expr, p, period):
     integer literal ``n`` takes ``n`` times its base.  ``sin`` or ``cos``
     of ``a * tau + b``, with ``a`` and ``b`` free of state and ``tau``, has
     ``|a| * period / (2 pi)`` if that is an integer to roundoff.  Anything
-    else has no bound: ``sqrt``, ``exp`` or ``abs`` of a non-constant, a
-    state inside ``sin`` or ``cos``, a division by a non-constant, or
-    ``tau`` outside ``sin`` or ``cos``.
+    else has no bound: ``sqrt``, ``exp``, ``abs`` or ``diff``'s ``sign`` of
+    a non-constant, a state inside ``sin`` or ``cos``, a division by a
+    non-constant, or ``tau`` outside ``sin`` or ``cos``.
     """
     with np.errstate(all="ignore"):
         return _harmonics(expr, p, period)

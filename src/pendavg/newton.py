@@ -2,24 +2,25 @@
 
 Both problems -- zeros of the mean bifurcation pair in the mode plane and
 fixed points of the period map in state space -- are solved here with one
-loop and one central-difference Jacobian.  ``F`` maps a ``(d, m)`` batch of
-columns to a ``(d, m)`` batch of values, so the base point and the whole
-stencil ride in one call.
+loop.  ``F`` maps a ``(d, m)`` batch of columns to their ``(d, m)`` values
+and ``(m, d, d)`` Jacobians.  The mean pair has exact ones from its own
+quadrature; a map of values alone gets central-difference ones from
+``central``, which evaluates each column with its stencil in one call.
 
 ``solve_many`` runs the loop from many starts in lockstep, and every start
 takes exactly the steps it would take alone.  Every trial, full or halved,
-is evaluated with its own stencil, so an accepted one brings the next
-step's Jacobian along and no column is evaluated twice: a step makes one
-call of ``F`` per halving level it tries, and only the starts need a
-stencil call of their own.  That call may be rough: an evaluator given
-in ``F``'s place for it alone, whose values only aim the first step, as
-in inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-1982).  ``F`` also gets the start index of each column, so each start may
-pose its own problem (shooting gives each its own eps).  A column ``F``
-cannot evaluate is data, not an exception: ``F`` enters it in a dict of
-faults (``fault_record``), and the fault ends only the start that needs
-that column.  A converged start's ``Solution`` carries its Jacobian and
-the call and column that gave it.
+is evaluated with its Jacobian, so an accepted one brings the next step's
+Jacobian along and no column is evaluated twice: a step makes one call of
+``F`` per halving level it tries, and the starts one call of their own.
+That call may be rough: an evaluator given in ``F``'s place for it alone,
+whose values only aim the first step, as in inexact Newton (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  ``F`` also gets the
+start index of each column, so each start may pose its own problem
+(shooting gives each its own eps).  A column ``F`` cannot evaluate is data,
+not an exception: ``F`` enters it in a dict of faults (``fault_record``),
+and the fault ends only the start that needs that column.  A converged
+start's ``Solution`` carries its Jacobian and the call and column that gave
+it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class Solution(NamedTuple):
     x: np.ndarray
     residual: float  # ||F(x)||
     steps: int
-    jacobian: np.ndarray  # central difference at x
-    source: tuple  # (call, column) of ``F``: the base of the stencil that evaluated x
+    jacobian: np.ndarray  # F's Jacobian at x
+    source: tuple  # (call, column) of ``F`` whose value is x's
 
 
 def _norms(rows):
@@ -100,46 +101,84 @@ def fault_record(faults):
     return _Raising() if faults is None else faults
 
 
+def central(F):
+    """A map of values, ``F(cols, owner, faults)``, as ``solve_many`` takes it: with Jacobians.
+
+    The map it returns evaluates, in one call of ``F``, the stencil of each
+    of its ``(d, m)`` columns: x, x + h_j e_j and x - h_j e_j with
+    h_j = 1e-6 max(1, |x_j|).  Column i's stencil is the ``2d + 1`` columns
+    from ``i (2d + 1)`` on, with column i's owner.  It returns the stencils'
+    base values, their central-difference Jacobians, and the column of each
+    base in ``F``'s call, which a ``Solution`` names as its ``source``.  A
+    fault of a stencil's base is its column's, which comes back NaN.  A
+    fault of another stencil column leaves the value as it is: it is the
+    Jacobian's alone, and ``solve_many`` ends a start with it only once the
+    start takes that column.  A column with both gets its base's fault.
+    Without a ``faults`` dict, ``F`` raises its first fault as it meets it.
+    """
+
+    def linearized(cols, owner, faults):
+        x = cols.T
+        m, d = x.shape
+        w = 2 * d + 1
+        met = None if faults is None else {}
+        values = F(_stencils(x).transpose(1, 0, 2).reshape(d, -1), np.repeat(owner, w), met)
+        values = values.reshape(d, m, w).transpose(1, 0, 2)
+        base = values[:, :, 0].T.copy()
+        for c, fault in (met or {}).items():
+            i, k = divmod(c, w)
+            if k:
+                faults.setdefault(i, fault)
+            else:
+                faults[i] = fault
+                base[:, i] = np.nan
+        return base, _jacobians(values, x), np.arange(m) * w
+
+    return linearized
+
+
 def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
     """Damped Newton on ``F(x) = 0`` from each column of ``starts``, in lockstep.
 
     ``F(cols, owner, faults)`` maps a ``(d, m)`` batch of columns to their
-    values; ``owner[c]`` is the index of the start column ``c`` belongs to,
-    and each column ``F`` cannot evaluate goes into the dict ``faults``
-    (``fault_record``).  Returns one outcome per start: a ``Solution``, or
+    ``(d, m)`` values and ``(m, d, d)`` Jacobians; ``owner[c]`` is the index
+    of the start column ``c`` belongs to, and each column ``F`` cannot
+    evaluate goes into the dict ``faults`` (``fault_record``).  ``F`` may
+    return a third array, the column in its own numbering of each value
+    (``central`` does).  Returns one outcome per start: a ``Solution``, or
     the exception that ended it -- a ``NewtonFailure``, or a fault of its
     own columns; other starts go on either way.  What ``F`` raises
     propagates.  An empty batch of starts makes no call.
 
-    One call evaluates the starts' central-difference stencils.  With
-    ``rough = (G, slack)``, ``G`` makes that call in ``F``'s place, as
-    ``F`` does, and its values settle no start: a start whose rough
-    residual is within ``slack * tol`` (``slack >= 1``; a NaN is not
-    within) is evaluated again by ``F``, in one call, before it settles or
-    steps, and a fault of ``G`` ends its start as one of ``F`` would.  The
-    rest take their first step from rough values; every trial is
-    evaluated by ``F``, so every ``source`` names a call of ``F``.
-    Without ``rough`` the calls are those of ``F`` alone.  Then all
-    unfinished starts take step k together: one batched solve takes the
-    Newton steps of the Jacobians that pass their checks, and one call per
-    halving level evaluates the trials still open, each with its stencil.
-    A start tries the full Newton step, then up to eight halvings, until the
-    residual drops; trials outside ``||x|| <= bound`` are halved without being
-    evaluated.  An accepted trial's stencil is the next step's, so no
+    One call evaluates the starts.  With ``rough = (G, slack)``, ``G``
+    makes that call in ``F``'s place, as ``F`` does, and its values settle
+    no start: a start whose rough residual is within ``slack * tol``
+    (``slack >= 1``; a NaN is not within) is evaluated again by ``F``, in
+    one call, before it settles or steps, and a fault of ``G`` ends its
+    start as one of ``F`` would.  The rest take their first step from rough
+    values; every trial is evaluated by ``F``, so every ``source`` names a
+    call of ``F``.  Without ``rough`` the calls are those of ``F`` alone.
+    Then all unfinished starts take step k together: one batched solve
+    takes the Newton steps of the Jacobians that pass their checks, and one
+    call per halving level evaluates the trials still open.  A start tries
+    the full Newton step, then up to eight halvings, until the residual
+    drops; trials outside ``||x|| <= bound`` are halved without being
+    evaluated.  An accepted trial's Jacobian is the next step's, so no
     column is evaluated twice, and a ``Solution`` has the Jacobian at its
-    ``x`` and as ``source`` the ``(call, column)`` of ``F`` (from 0) of
-    that stencil's base, whose value is x's.  A trial ends its start on
-    the fault of its own column, and a stencil with its first fault once
-    its start needs it, to go on or to converge.  A start fails on a
-    non-finite residual, a non-finite Jacobian, a condition number above
-    ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
-    determinant that underflows to 0), a step that no halving improves, or
-    no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
-    it would take alone, given an ``F`` whose columns do not depend on each
-    other and whose first fault is theirs alone.  ``tol`` must be
-    non-negative (``inf`` settles every start where it stands); a NaN or
-    negative one, which no residual could meet, raises ``ValueError``
-    before any call.
+    ``x`` and as ``source`` the ``(call, column)`` of ``F`` (calls from 0,
+    ``G``'s counted) whose value is x's.  A fault of a column whose value
+    comes back finite is its Jacobian's alone: it ends its start once the
+    start needs that Jacobian, to go on or to converge, and a rejected
+    trial's is never read.  Any other fault ends its start at once.  A
+    start fails on a non-finite residual, a non-finite Jacobian, a
+    condition number above ``cond_limit``, a singular Jacobian (an exact
+    zero pivot, or a determinant that underflows to 0), a step that no
+    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
+    start takes the steps it would take alone, given an ``F`` whose columns
+    do not depend on each other and whose faults are theirs alone.  ``tol``
+    must be non-negative (``inf`` settles every start where it stands); a
+    NaN or negative one, which no residual could meet, raises
+    ``ValueError`` before any call.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
@@ -160,36 +199,32 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
             outcome[i] = result(i)
         finished[idx] = True
 
-    def call(idx, blocks, G=F):
-        """``G`` on the ``(m, d, w)`` blocks of starts ``idx``, faults by (block, column), heads.
-
-        A block's head is the ``(call, column)`` of its first column.
-        """
-        w, faults = blocks.shape[2], {}
-        values = G(blocks.transpose(1, 0, 2).reshape(d, -1), np.repeat(idx, w), faults)
-        faults = {divmod(c, w): fault for c, fault in faults.items()}
-        heads = np.stack([np.full(idx.size, next(calls)), np.arange(idx.size) * w], axis=1)
-        return values.reshape(d, -1, w).transpose(1, 0, 2), faults, heads
+    def call(idx, points, G=F):
+        """``G`` at the ``(m, d)`` points of starts ``idx``: values, Jacobians, faults by row, sources."""
+        faults = {}
+        values, jacobians, *columns = G(points.T, idx, faults)
+        columns = columns[0] if columns else np.arange(idx.size)
+        sources = np.stack([np.full(idx.size, next(calls)), columns], axis=1)
+        return values.T, jacobians, faults, sources
 
     def settle(idx, steps):
-        """End the starts of ``idx`` within ``tol``: converged, or on their stencil's fault."""
+        """End the starts of ``idx`` within ``tol``: converged, or on their Jacobian's fault."""
         idx = idx[(residual[idx] <= tol) & ~finished[idx]]
-        jac = dict(zip(idx.tolist(), _jacobians(known[idx], x[idx])))
         end(idx, lambda i: blocked[i] if i in blocked else Solution(
-            x[i].copy(), float(residual[i]), steps, jac[i], tuple(source[i].tolist())
+            x[i].copy(), float(residual[i]), steps, jac[i].copy(), tuple(source[i].tolist())
         ))
 
     def evaluate(idx, G=F):
-        """``G`` on the stencils of starts ``idx``, entered as their ``known`` and the rest."""
-        known[idx], faults, source[idx] = call(idx, _stencils(x[idx]), G)
-        for (j, _), fault in faults.items():
+        """``G`` at the starts ``idx``, entered as their values, Jacobians and the rest."""
+        value[idx], jac[idx], faults, source[idx] = call(idx, x[idx], G)
+        for j, fault in faults.items():
             blocked.setdefault(idx[j], fault)
-        residual[idx] = _norms(known[idx, :, 0])
+        residual[idx] = _norms(value[idx])
 
     live = np.arange(n)
-    # ``known[i]`` holds ``F`` on the stencil of ``x[i]``, ``source[i]`` the
-    # (call, column) of its base and ``blocked[i]`` its first fault, if any.
-    known, blocked = np.empty((n, d, 2 * d + 1)), {}
+    # ``value[i]`` and ``jac[i]`` hold ``F`` at ``x[i]``, ``source[i]`` the
+    # (call, column) that evaluated it and ``blocked[i]`` its fault, if any.
+    value, jac, blocked = np.empty((n, d)), np.empty((n, d, d)), {}
     source, residual = np.empty((n, 2), dtype=int), np.empty(n)
     evaluate(live, F if rough is None else rough[0])
     if rough is not None:
@@ -206,22 +241,20 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
             break
         end(live[np.isin(live, list(blocked))], blocked.get)
         end(live[~np.isfinite(residual[live])], lambda i: NewtonFailure("non-finite residual"))
-        g, jac = known[live, :, 0], _jacobians(known[live], x[live])
-        end(live[~np.isfinite(jac).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
-        go = ~finished[live]
-        live, g, jac = live[go], g[go], jac[go]
+        end(live[~np.isfinite(jac[live]).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
+        live = live[~finished[live]]
         # Without a limit, skip the SVD behind ``cond``.
         if cond_limit < math.inf:
             cond = np.zeros(n)
-            cond[live] = np.linalg.cond(jac)
+            cond[live] = np.linalg.cond(jac[live])
             end(live[cond[live] > cond_limit], lambda i: NewtonFailure(
                 f"Jacobian condition {cond[i]:.1e} exceeds {cond_limit:.1e}"
             ))
+            live = live[~finished[live]]
         # ``det`` is 0 at an exact zero pivot of the LU that ``solve`` raises on.
-        end(live[np.linalg.det(jac) == 0.0], lambda i: NewtonFailure("singular Jacobian"))
-        go = ~finished[live]
-        live, g, jac = live[go], g[go], jac[go]
-        step = np.linalg.solve(jac, -g[:, :, None])[:, :, 0]
+        end(live[np.linalg.det(jac[live]) == 0.0], lambda i: NewtonFailure("singular Jacobian"))
+        live = live[~finished[live]]
+        step = np.linalg.solve(jac[live], -value[live][:, :, None])[:, :, 0]
 
         search = live
         for level in range(_HALVINGS):
@@ -230,18 +263,18 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
             at, trial = search[inside], trial[inside]
             if not at.size:
                 continue
-            values, faults, heads = call(at, _stencils(trial))
-            r = _norms(values[:, :, 0])
-            # NaN -- a trial whose own column faulted -- is never lower.
+            values, jacobians, faults, heads = call(at, trial)
+            r = _norms(values)
+            # NaN -- a trial whose own value faulted -- is never lower.
             lower = r < residual[at]
-            for (j, c), fault in faults.items():
-                if c == 0:  # the trial's own column
+            for j, fault in faults.items():
+                if not np.isfinite(values[j]).all():
                     end(at[j : j + 1], lambda i: fault)
                 elif lower[j]:
                     blocked.setdefault(at[j], fault)
             took = at[lower]
             x[took], residual[took] = trial[lower], r[lower]
-            known[took], source[took] = values[lower], heads[lower]
+            value[took], jac[took], source[took] = values[lower], jacobians[lower], heads[lower]
             inside[inside] = lower  # now marks the trials taken
             stay = ~inside & ~finished[search]
             search, step = search[stay], step[stay]

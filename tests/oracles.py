@@ -25,8 +25,10 @@ the package's node-major sweep to it bit for bit.
 one norm per pair of zeros; tests hold the package's batched pairing to it.
 
 :func:`scalar_damped_newton` is damped Newton from one start, one step at a
-time, on its own central difference (:func:`central_difference`); tests
-hold the lockstep ``pendavg.newton.solve_many`` to it start for start.
+time, on the linearization it is given: its own central difference
+(:func:`central_difference`) unless a test passes another, such as the
+exact Jacobian of the mean pair; tests hold the lockstep
+``pendavg.newton.solve_many`` to it start for start.
 
 :func:`pair_row_slow_field` is ``pendavg.model.slow_field`` written on
 ``(2, m)`` row pairs, one per mode plane; the package's ``(4, m)`` form is
@@ -115,6 +117,29 @@ def corollary2_raw(z0, w0):
         / (8.0 * root)
     )
     return g1, g2
+
+
+def corollary1_raw_jacobian(x0, y0):
+    """``corollary1_raw`` differentiated by hand: ``(..., 2, 2)``, rows (g1, g2), columns (x0, y0)."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    c = (2.0 - SQRT2) ** 1.5
+    k = -math.pi / (4.0 * c)
+    return np.stack([np.stack([k * x0, 3.0 * k * y0], -1), np.stack([k * y0, k * x0], -1)], -2)
+
+
+def corollary2_raw_jacobian(z0, w0):
+    """``corollary2_raw`` differentiated by hand: ``(..., 2, 2)``, rows (g1, g2), columns (z0, w0)."""
+    z0 = np.asarray(z0, dtype=float)
+    w0 = np.asarray(w0, dtype=float)
+    coeff = math.sqrt((10.0 - 7.0 * SQRT2) * (2.0 + SQRT2))
+    root = math.sqrt(2.0 * (2.0 + SQRT2))
+    g1 = np.stack([-math.pi * (coeff * w0 - 8.0) / (4.0 * root), -math.pi * coeff * z0 / (4.0 * root)], -1)
+    g2 = np.stack([
+        math.pi * (6.0 * SQRT2 - 12.0) * z0 / (8.0 * root),
+        math.pi * (2.0 * SQRT2 * w0 - 4.0 * w0 - 16.0) / (8.0 * root),
+    ], -1)
+    return np.stack([g1, g2], -2)
 
 
 def raw_pair(spec, alpha, tol):
@@ -261,11 +286,12 @@ def integrate_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
 # The points-major trapezoid sweep
 # ---------------------------------------------------------------------------
 
-def points_major_node_sums(f, points, base, check):
+def points_major_node_sums(f, points, base, check, judged=None):
     """``pendavg.averaging._node_sums`` for an integrand of the points-major layout.
 
     ``f(points, taus)`` returns ``(len(points), k, len(taus))``, and each
-    block is summed along that array's own contiguous last axis.
+    block is summed along that array's own contiguous last axis.  The
+    largest |f| is taken over the first ``judged`` components (all without).
     """
     block = min(base.size, CHUNK_FLOATS // 2)
     rows = CHUNK_FLOATS // (2 * block)
@@ -275,7 +301,7 @@ def points_major_node_sums(f, points, base, check):
         for lo in range(0, base.size, block):
             taus = np.concatenate([base[lo : lo + block], check[lo : lo + block]])
             values = np.asarray(f(chunk, taus), dtype=float)
-            peak = np.abs(values).max(axis=(1, 2))
+            peak = np.abs(values[:, :judged]).max(axis=(1, 2))
             total = total + values.reshape(*values.shape[:2], 2, block).sum(axis=-1)
             np.maximum(sizes[start : start + rows], peak, out=sizes[start : start + rows])
         if sums is None:
@@ -488,19 +514,22 @@ def central_difference(F, x):
     return values[:, 0], jac
 
 
-def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
+def scalar_damped_newton(
+    F, x, tol, bound=math.inf, cond_limit=math.inf, linearize=central_difference
+):
     """Damped Newton from one start; returns ``(x, ||F(x)||, steps, jacobian)``.
 
     Same rules and failure texts as ``pendavg.newton.solve_many``: nine
     halvings per step, trials outside ``||x|| <= bound`` skipped unevaluated,
     at most ``MAX_STEPS`` steps.  Every trial is linearized where it stands,
-    and once accepted that linearization is the next step's; if it raises,
-    the trial is evaluated alone.  The Jacobian returned is the one at the
-    final x: linearized there again if the trial's linearization raised, so
-    a faulting stencil raises.
+    ``linearize(F, x) -> (F(x), Jacobian)``, and once accepted that
+    linearization is the next step's; if it raises, the trial is evaluated
+    alone.  The Jacobian returned is the one at the final x: linearized
+    there again if the trial's linearization raised, so a faulting stencil
+    raises.
     """
     x = np.array(x, dtype=float)
-    g, jac = central_difference(F, x)
+    g, jac = linearize(F, x)
     r = float(np.linalg.norm(g))
     if not math.isfinite(r):
         raise NewtonFailure("non-finite residual")
@@ -523,7 +552,7 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
             if np.linalg.norm(x_try) > bound:
                 continue
             try:
-                lin = central_difference(F, x_try)
+                lin = linearize(F, x_try)
             except Exception:
                 lin = None
             g_try = F(x_try[:, None])[:, 0] if lin is None else lin[0]
@@ -535,7 +564,7 @@ def scalar_damped_newton(F, x, tol, bound=math.inf, cond_limit=math.inf):
             raise NewtonFailure(f"stalled at residual {r:.3e}: 9 halvings did not reduce it")
         steps += 1
         if r <= tol or steps < MAX_STEPS:
-            g, jac = central_difference(F, x) if lin is None else lin
+            g, jac = linearize(F, x) if lin is None else lin
             r = float(np.linalg.norm(g))
             if not math.isfinite(r):
                 raise NewtonFailure("non-finite residual")

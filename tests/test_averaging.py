@@ -31,7 +31,7 @@ from pendavg.config import PRESETS
 from pendavg.constants import OMEGA1, OMEGA2
 from pendavg.expr import ExprDomainError
 from pendavg.model import PerturbationSpec
-from pendavg.newton import NewtonFailure, _stencils, fault_record, solve_many
+from pendavg.newton import NewtonFailure, _stencils, central, fault_record, solve_many
 
 SQRT2 = math.sqrt(2.0)
 
@@ -334,7 +334,21 @@ def test_find_zeros_corollary1():
     assert sorted(len(c) for c in classes) == [2, 2]
 
 
-class _NoisyCorollary1:
+class _ValuesOnly:
+    """A duck-typed system whose ``pair`` gives values alone: its Jacobians are ``newton.central``'s."""
+
+    last_scale = 1.0
+
+    def eval_many(self, alphas, faults=None, jacobian=False):
+        if not jacobian:
+            return self.pair(alphas, faults)
+        alphas = np.asarray(alphas, dtype=float).reshape(-1, 2)
+        F = central(lambda cols, owner, faults: self.pair(cols.T, faults).T)
+        values, jacobians, _ = F(alphas.T, np.arange(len(alphas)), faults)
+        return values.T, jacobians
+
+
+class _NoisyCorollary1(_ValuesOnly):
     """Polynomial pair with corollary-1 zeros, the axis zeros moved off x=0.
 
     g1 = x^2 + 3 y^2 - X0^2 and g2 = (x - d(y)) y, with d = d_plus above
@@ -343,15 +357,13 @@ class _NoisyCorollary1:
     first coordinate of the axis zeros.
     """
 
-    last_scale = 1.0
-
     def __init__(self, d_plus, d_minus):
         self.d_plus, self.d_minus = d_plus, d_minus
 
     def _shift(self, y):
         return np.where(y > 0, self.d_plus, self.d_minus)
 
-    def eval_many(self, alphas, faults=None):
+    def pair(self, alphas, faults=None):
         x, y = np.asarray(alphas, dtype=float).T
         g1 = x**2 + 3.0 * y**2 - oracles.CORO1_X0**2
         return np.stack([g1, (x - self._shift(y)) * y], axis=1)
@@ -376,12 +388,10 @@ def test_find_zeros_order_ignores_noise_on_axis_zeros():
         assert antipodal_pairing(zeros) == [[0, 3], [1, 2]]
 
 
-class _SquarePair:
+class _SquarePair(_ValuesOnly):
     """g = (x^2 - 1, y): one simple zero (1, 0), reached by plain Newton."""
 
-    last_scale = 1.0
-
-    def eval_many(self, alphas, faults=None):
+    def pair(self, alphas, faults=None):
         x, y = np.asarray(alphas, dtype=float).T
         return np.stack([x**2 - 1.0, y], axis=1)
 
@@ -400,8 +410,8 @@ def test_find_zeros_keeps_the_first_seed_of_a_bin():
 class _FaultingSquarePair(_SquarePair):
     """``_SquarePair`` whose points off the x-axis within 1e-3 of (1, 0) fault."""
 
-    def eval_many(self, alphas, faults=None):
-        values = super().eval_many(alphas)
+    def pair(self, alphas, faults=None):
+        values = super().pair(alphas)
         x, y = np.asarray(alphas, dtype=float).T
         record = fault_record(faults)
         for i in np.flatnonzero((np.abs(x - 1.0) < 1e-3) & (y != 0.0)):
@@ -420,15 +430,13 @@ def test_find_zeros_drops_a_seed_whose_stencil_at_its_zero_faults():
     assert zeros[0].simple
 
 
-class _AxisCubic:
+class _AxisCubic(_ValuesOnly):
     """g = ((a - z0)(a - z1)(a - z2), b): three simple zeros on the a-axis."""
-
-    last_scale = 1.0
 
     def __init__(self, *roots):
         self.roots = roots
 
-    def eval_many(self, alphas, faults=None):
+    def pair(self, alphas, faults=None):
         a, b = np.asarray(alphas, dtype=float).T
         z0, z1, z2 = self.roots
         return np.stack([(a - z0) * (a - z1) * (a - z2), b], axis=1)
@@ -681,6 +689,8 @@ def test_an_empty_batch_is_an_empty_pair():
     faults = {}
     assert system.eval_many(np.empty((0, 2)), faults).shape == (0, 2)
     assert system.eval_many(np.empty((0, 2))).shape == (0, 2)
+    values, jacobians = system.eval_many(np.empty((0, 2)), faults, jacobian=True)
+    assert values.shape == (0, 2) and jacobians.shape == (0, 2, 2)
     assert faults == {}
 
 
@@ -704,13 +714,15 @@ def test_the_probe_is_one_call_whatever_faults(monkeypatch):
 @pytest.mark.parametrize("which, calls", [("corollary1", 14), ("corollary2", 43)])
 def test_a_preset_search_takes_each_jacobian_from_its_newton_run(monkeypatch, which, calls):
     # The probe and the Newton rounds are every ``eval_many`` call: each
-    # kept zero's Jacobian is the stencil its seed's Newton run evaluated,
-    # bit for bit the Jacobian that ``AveragedSystem.jacobian`` evaluates.
+    # kept zero's Jacobian is the one its seed's Newton run evaluated, bit
+    # for bit the Jacobian that ``AveragedSystem.jacobian`` evaluates.
     config = PRESETS[which]
     system = AveragedSystem(config.to_spec(), tol=config.quad_tol)
     count = []
     eval_many = AveragedSystem.eval_many
-    monkeypatch.setattr(AveragedSystem, "eval_many", lambda *a: count.append(1) or eval_many(*a))
+    monkeypatch.setattr(
+        AveragedSystem, "eval_many", lambda *a, **k: count.append(1) or eval_many(*a, **k)
+    )
     zeros = find_zeros(
         system,
         config.r1,
@@ -727,6 +739,28 @@ def test_a_preset_search_takes_each_jacobian_from_its_newton_run(monkeypatch, wh
         assert zero.det == float(np.linalg.det(zero.jacobian))
 
 
+@pytest.mark.parametrize(
+    "which, hand",
+    [("corollary1", oracles.corollary1_raw_jacobian), ("corollary2", oracles.corollary2_raw_jacobian)],
+)
+def test_preset_jacobians_are_the_closed_forms_differentiated_by_hand(which, hand):
+    # The mean pair is the raw pair times (-1, 1) / (2T), row by row.  On
+    # the seed grid and at the zeros the swept Jacobians meet the hand
+    # derivatives to roundoff; central differences at step 1e-6 missed them
+    # by up to 6e-9 on the grids and 2e-11 at the zeros.
+    config = PRESETS[which]
+    spec = config.to_spec()
+    system = AveragedSystem(spec, tol=config.quad_tol)
+    zeros = oracles.CORO1_ZEROS if which == "corollary1" else [(0.0, oracles.CORO2_W0)]
+    seeds = seed_grid(config.r1, config.r2, config.grid_radial, config.grid_angular)
+    points = np.concatenate([seeds, np.array(zeros)])
+    _, jacobians = system.eval_many(points, jacobian=True)
+    want = np.array([[-1.0], [1.0]]) / (2.0 * spec.full_period) * hand(points[:, 0], points[:, 1])
+    assert np.abs(jacobians - want).max() <= 1e-13
+    for point, jacobian in zip(points[-len(zeros) :], jacobians[-len(zeros) :]):
+        assert system.jacobian(point).tobytes() == jacobian.tobytes()
+
+
 def _outcome(result):
     """Comparable form of one seed's end: exact x bits, or the failure."""
     if isinstance(result, Exception):
@@ -735,9 +769,9 @@ def _outcome(result):
     return x.tobytes(), residual, steps, jac.tobytes()
 
 
-def _scalar_outcome(F, seed, tol, bound):
+def _scalar_outcome(F, seed, tol, bound, linearize):
     try:
-        return oracles.scalar_damped_newton(F, seed, tol, bound=bound)
+        return oracles.scalar_damped_newton(F, seed, tol, bound=bound, linearize=linearize)
     except (NewtonFailure, ExprDomainError, QuadratureError) as exc:
         return exc
 
@@ -764,20 +798,58 @@ _CORO1_WITH_TAU = "(1 - th1^2) * sin(w1 * tau) + 0 * tau"
     ids=["corollary1", "corollary2", "sqrt-domain-faults"],
 )
 def test_lockstep_newton_matches_the_scalar_loop_seed_for_seed(f1, f2, mode, r1, r2, grid, counts):
+    # Both take the exact Jacobians of the sweep, as ``find_zeros`` does.
     system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, 1, 1), tol=1e-11)
 
     def F(cols):
         return system.eval_many(cols.T).T
 
+    def exact(F, x):
+        values, jacobians = system.eval_many(x[None, :], jacobian=True)
+        return values[0], jacobians[0]
+
+    def linearized(cols, _, faults):
+        values, jacobians = system.eval_many(cols.T, faults, jacobian=True)
+        return values.T, jacobians
+
     seeds = seed_grid(r1, r2, *grid)
     bound = 10.0 * max(r2, 1.0)
-    lockstep = solve_many(
-        lambda cols, _, faults: system.eval_many(cols.T, faults).T, seeds.T, 1e-11, bound=bound
-    )
-    scalar = [_scalar_outcome(F, seed, 1e-11, bound) for seed in seeds]
+    lockstep = solve_many(linearized, seeds.T, 1e-11, bound=bound)
+    scalar = [_scalar_outcome(F, seed, 1e-11, bound, exact) for seed in seeds]
     assert [_outcome(r) for r in lockstep] == [_outcome(r) for r in scalar]
     kinds = [type(r) for r in scalar]
     assert {kind: kinds.count(kind) for kind in set(kinds)} == counts
+
+
+@pytest.mark.parametrize(
+    "f1, f2, mode, r2, grid",
+    [
+        (oracles.CORO1_F1, oracles.CORO1_F2, "mode1", 10.0, (24, 24)),
+        (oracles.CORO2_F1, oracles.CORO2_F2, "mode2", 40.0, (24, 24)),
+        ("0", _SQRT_FORCING, "mode1", 8.0, (12, 12)),
+    ],
+    ids=["corollary1", "corollary2", "sqrt-domain-faults"],
+)
+def test_values_keep_their_bits_with_the_jacobian(f1, f2, mode, r2, grid):
+    # The values alone decide where each point stops and whether it faults,
+    # so the Jacobian components summed along move no value bit, no fault,
+    # and neither ``last_panels`` nor ``last_scale``.  The sqrt forcing takes
+    # the checked sweep, and most of its points fault.
+    system = AveragedSystem(PerturbationSpec.from_strings(f1, f2, mode, 1, 1), tol=1e-11)
+    points = seed_grid(0.1, r2, *grid)
+    faults, faults_too = {}, {}
+    values = system.eval_many(points, faults)
+    alone = (system.last_panels, system.last_scale)
+    values_too, jacobians = system.eval_many(points, faults_too, jacobian=True)
+    assert values_too.tobytes() == values.tobytes()
+    assert (system.last_panels, system.last_scale) == alone
+    assert {k: (type(e), str(e)) for k, e in faults_too.items()} == {
+        k: (type(e), str(e)) for k, e in faults.items()
+    }
+    assert jacobians.shape == (len(points), 2, 2)
+    bad = np.zeros(len(points), dtype=bool)
+    bad[list(faults)] = True
+    assert np.isnan(jacobians[bad]).all() and np.isfinite(jacobians[~bad]).all()
 
 
 def test_averaged_system_caches_panel_count():

@@ -33,7 +33,7 @@ from pendavg.model import (
     slow_field,
     unperturbed_orbit,
 )
-from pendavg.newton import solve_many
+from pendavg.newton import central, solve_many
 
 def _coro1():
     return oracles.make_spec("corollary1")
@@ -286,12 +286,12 @@ def test_a_faulting_column_fails_only_its_own_start(monkeypatch):
     def F(cols, owner, faults):
         return flow_map(spec, eps[owner], cols, T1, None, faults) - cols
 
-    outcomes = solve_many(F, starts, 1e-10)
+    outcomes = solve_many(central(F), starts, 1e-10)
     assert isinstance(outcomes[1], ExprDomainError)
     assert isinstance(outcomes[2], IntegrationError)
     for j in range(3):
         alone = solve_many(
-            lambda cols, owner, faults: F(cols, owner + j, faults), starts[:, j : j + 1], 1e-10
+            central(lambda cols, owner, faults: F(cols, owner + j, faults)), starts[:, j : j + 1], 1e-10
         )[0]
         if j:
             assert (type(alone), str(alone)) == (type(outcomes[j]), str(outcomes[j]))
@@ -627,7 +627,7 @@ def test_shooting_newton_matches_the_scalar_loop():
         x, residual, steps, jac = solve(F)[:4]
         return widths, x.tobytes(), residual, steps, jac.tobytes()
 
-    lockstep = run(lambda F: solve_many(F, guess[:, None], 1e-10, cond_limit=1e12)[0])
+    lockstep = run(lambda F: solve_many(central(F), guess[:, None], 1e-10, cond_limit=1e12)[0])
     assert lockstep == run(lambda F: oracles.scalar_damped_newton(F, guess, 1e-10, cond_limit=1e12))
     assert lockstep[0] == [9, 9, 9] and lockstep[3] == 2
 

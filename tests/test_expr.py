@@ -16,7 +16,9 @@ from pendavg.expr import (
     Neg,
     Num,
     Var,
+    VARIABLES,
     compile_expr,
+    diff,
     harmonic_bound,
     parse,
 )
@@ -325,3 +327,133 @@ def test_harmonic_bound_is_none_beyond_the_rules(text):
     # outside a trig call, division by a non-constant, a negative or
     # fractional power, and a non-integer or non-affine frequency.
     assert harmonic_bound(parse(text), 1, T1) is None
+
+
+# ---------------------------------------------------------------------------
+# Derivatives
+# ---------------------------------------------------------------------------
+
+def _full_random_expr(rng, depth):
+    # The whole closed grammar, sqrt and negative and fractional exponents
+    # included; literals stay away from 0 so few trees are constant.
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(
+            [
+                Num(round(rng.uniform(0.5, 3.0), 3)),
+                Var(rng.choice(VARIABLES)),
+                Const(rng.choice(["pi", "w1", "w2"])),
+            ]
+        )
+    kind = rng.random()
+    if kind < 0.1:
+        return Neg(_full_random_expr(rng, depth - 1))
+    if kind < 0.35:
+        func = rng.choice(["sin", "cos", "sqrt", "exp", "abs"])
+        return Call(func, _full_random_expr(rng, depth - 1))
+    if kind < 0.5:
+        exponent = rng.choice([0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.5])
+        return BinOp("^", _full_random_expr(rng, depth - 1), Num(exponent))
+    op = rng.choice(["+", "-", "*", "/"])
+    return BinOp(op, _full_random_expr(rng, depth - 1), _full_random_expr(rng, depth - 1))
+
+
+def _names(node):
+    if isinstance(node, Var):
+        return {node.name}
+    children = {Neg: ("operand",), Call: ("arg",), BinOp: ("lhs", "rhs")}.get(type(node), ())
+    return set().union(*(_names(getattr(node, c)) for c in children))
+
+
+def _central_difference(f, points, i, h):
+    up, down = points.copy(), points.copy()
+    up[i] += h
+    down[i] -= h
+    return (f(*up) - f(*down)) / (up[i] - down[i])
+
+
+def test_diff_matches_central_differences_on_random_trees():
+    # At every point where the tree is smooth on the scale of both steps
+    # (their differences agree), the compiled partial meets the finer one.
+    # A partial in a variable the tree does not read is the literal 0.
+    rng = random.Random(2027)
+    points = np.random.default_rng(5).uniform(-1.5, 1.5, size=(5, 64))
+    compared = zeros = 0
+    for _ in range(400):
+        e = _full_random_expr(rng, 4)
+        f = compile_expr(e)
+        for i, name in enumerate(VARIABLES):
+            d = diff(e, name)
+            if name not in _names(e):
+                assert d == Num(0.0)
+                zeros += 1
+                continue
+            with np.errstate(all="ignore"):
+                got = np.broadcast_to(compile_expr(d)(*points), points.shape[1:])
+                value = np.broadcast_to(f(*points), points.shape[1:])
+                coarse = _central_difference(f, points, i, 1e-3)
+                fine = _central_difference(f, points, i, 1e-4)
+            smooth = (
+                np.isfinite(value)
+                & np.isfinite(coarse)
+                & np.isfinite(fine)
+                & (np.abs(coarse - fine) <= 1e-5 * (1.0 + np.abs(fine)))
+            )
+            gap = np.abs(got[smooth] - fine[smooth])
+            assert (gap <= 1e-6 * (1.0 + np.abs(fine[smooth]) + np.abs(value[smooth]))).all(), e
+            compared += int(smooth.sum())
+    assert compared > 15_000 and zeros > 100
+
+
+@pytest.mark.parametrize(
+    "text, var, want",
+    [
+        ("abs(th1)", "th1", lambda th1, th2: np.sign(th1)),
+        ("abs(th1 - th2)", "th2", lambda th1, th2: -np.sign(th1 - th2)),
+        ("sqrt(th1^2 + 1)", "th1", lambda th1, th2: th1 / np.sqrt(th1**2 + 1.0)),
+        ("sqrt(th1)", "th1", lambda th1, th2: 0.5 / np.sqrt(th1)),
+        ("th1^-2", "th1", lambda th1, th2: -2.0 * th1**-3.0),
+        ("th1^(-0.5)", "th1", lambda th1, th2: -0.5 * th1**-1.5),
+        ("th1^1.5", "th1", lambda th1, th2: 1.5 * th1**0.5),
+        ("th1 / th2", "th1", lambda th1, th2: 1.0 / th2),
+        ("th1 / th2", "th2", lambda th1, th2: -th1 / th2**2),
+        ("(1 + th1) / (2 - th1)", "th1", lambda th1, th2: 3.0 / (2.0 - th1) ** 2),
+        ("exp(th1 * th2)", "th1", lambda th1, th2: th2 * np.exp(th1 * th2)),
+        ("sin(th1)^3", "th1", lambda th1, th2: 3.0 * np.sin(th1) ** 2 * np.cos(th1)),
+        ("-cos(th2) * th1", "th2", lambda th1, th2: np.sin(th2) * th1),
+    ],
+)
+def test_diff_by_hand(text, var, want):
+    th1 = np.array([0.25, 0.5, 1.25, 3.0])
+    th2 = np.array([0.75, -1.5, 0.5, -2.0])
+    got = compile_expr(diff(parse(text), var))(0.0, th1, 0.0, th2, 0.0)
+    assert got == pytest.approx(want(th1, th2), rel=1e-14, abs=1e-300)
+
+
+def test_the_partial_of_abs_is_zero_at_zero():
+    d = compile_expr(diff(parse("abs(th1 - 1) * th2"), "th1"))
+    with np.errstate(invalid="ignore"):
+        got = d(0.0, np.array([1.0, 3.0, -1.0, 1.0]), 0.0, np.array([2.0, 2.0, 2.0, np.inf]), 0.0)
+    assert got[:3].tolist() == [0.0, 2.0, -2.0]
+    # sign(0) * inf is NaN: the value's own fault, not the partial's.
+    assert np.isnan(got[3])
+
+
+def test_diff_simplifies_unread_and_cancelled_terms():
+    corollary1 = parse("(1 - th1^2) * sin(w1 * tau)")
+    assert diff(corollary1, "th2d") == Num(0.0)
+    assert diff(corollary1, "th1") == BinOp(
+        "*",
+        Neg(BinOp("*", Num(2.0), Var("th1"))),
+        Call("sin", BinOp("*", Const("w1"), Var("tau"))),
+    )
+    assert diff(parse("0 * sqrt(9 - th1^2)"), "th1") == Num(0.0)
+    assert diff(parse("th2d + th1^2 * cos(w2 * tau)"), "th2d") == Num(1.0)
+    assert diff(parse("th1^0"), "th1") == Num(0.0)
+    assert diff(parse("th1^3"), "th1") == BinOp("*", Num(3.0), BinOp("^", Var("th1"), Num(2.0)))
+    assert diff(parse("th1^-1"), "th1") == BinOp("*", Num(-1.0), BinOp("^", Var("th1"), Num(-2.0)))
+
+
+def test_forcing_text_cannot_name_the_derivative_of_abs():
+    # ``sign`` is what ``diff`` writes for abs', not part of the grammar.
+    with pytest.raises(ExprSyntaxError, match="unknown identifier 'sign'"):
+        parse("sign(th1)")

@@ -285,6 +285,24 @@ def test_spec_audits_periodicity():
         PerturbationSpec.from_strings("0", "sin(tau)", "mode1", 1, 1)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e8])
+def test_the_periodicity_verdict_does_not_depend_on_the_forcings_scale(c):
+    # The forcing is T1-periodic and not 3 T1 / 2-periodic, at every scale.
+    # Against an absolute 1e-9, 1e8 times it was refused for its roundoff
+    # (gap 5.9e-7) and 1e-12 times it passed as 3:2 (gap 5.9e-12).
+    f2 = f"{c!r} * (1 - th1^2) * sin(w1 * tau)"
+    PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
+    with pytest.raises(PeriodicityError, match=r"^F2 is not 3\*T/2-periodic"):
+        PerturbationSpec.from_strings("0", f2, "mode1", 3, 2)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e8])
+def test_a_harmonic_that_vanishes_on_a_grid_from_zero_is_judged_at_its_scale(c):
+    # th1^2 sin(32 w1 tau) is roundoff at every point of a 32-point grid
+    # from 0 over T1, and so would be the scale its gap is judged against.
+    PerturbationSpec.from_strings("0", f"{c!r} * th1^2 * sin(32 * w1 * tau)", "mode1", 1, 1)
+
+
 def test_spec_audit_catches_wrong_mode():
     with pytest.raises(PeriodicityError):
         PerturbationSpec.from_strings("0", "sin(w1 * tau)", "mode2", 1, 1)

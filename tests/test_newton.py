@@ -9,7 +9,7 @@ import pytest
 import oracles
 from pendavg.averaging import AveragedSystem, find_zeros, seed_grid
 from pendavg.config import PRESETS
-from pendavg.newton import MAX_STEPS, NewtonFailure, fault_record, solve_many
+from pendavg.newton import MAX_STEPS, NewtonFailure, central, fault_record, solve_many
 
 
 class _Recorded:
@@ -47,7 +47,8 @@ def _quadratic_jacobian(point):
 
 def _one(F, x, tol, **kwargs):
     """``solve_many``'s outcome from the one start ``x``, for an ``F(cols)``."""
-    (outcome,) = solve_many(lambda cols, *_: F(cols), np.array(x, dtype=float)[:, None], tol, **kwargs)
+    start = np.array(x, dtype=float)[:, None]
+    (outcome,) = solve_many(central(lambda cols, *_: F(cols)), start, tol, **kwargs)
     return outcome
 
 
@@ -87,9 +88,36 @@ def _root_pair(cols):
     return np.stack([cols[0] ** 2 - 4.0, cols[1] - 1.0])
 
 
+def _root_pair_linearized(cols, owner=None, faults=None):
+    """``_root_pair`` with its exact Jacobians, as ``solve_many`` takes a map."""
+    jacobians = np.zeros((cols.shape[1], 2, 2))
+    jacobians[:, 0, 0] = 2.0 * cols[0]
+    jacobians[:, 1, 1] = 1.0
+    return _root_pair(cols), jacobians
+
+
+def test_a_map_with_its_own_jacobians_is_one_column_per_start():
+    # Each call holds one column per open start or trial, each start ends
+    # as the scalar loop ends on the same linearization, and its source is
+    # the column whose value is its x.
+    def exact(F, x):
+        values, jacobians = _root_pair_linearized(x[:, None])
+        return values[:, 0], jacobians[0]
+
+    F = _Recorded(_root_pair_linearized)
+    starts = np.array([[3.0, -1.5, 0.5], [0.0, 2.0, -4.0]])
+    outcomes = solve_many(F, starts, 1e-12)
+    assert F.widths()[0] == 3 and max(F.widths()) == 3
+    for outcome, start in zip(outcomes, starts.T):
+        assert _same(outcome, oracles.scalar_damped_newton(_root_pair, start, 1e-12, linearize=exact))
+        call, column = outcome.source
+        assert F.batches[call][:, column].tobytes() == outcome.x.tobytes()
+        assert outcome.jacobian.tobytes() == exact(_root_pair, outcome.x)[1].tobytes()
+
+
 def test_no_starts_make_no_call():
     F = _Recorded(_root_pair)
-    assert solve_many(F, np.empty((2, 0)), 1e-12) == []
+    assert solve_many(central(F), np.empty((2, 0)), 1e-12) == []
     assert F.batches == []
 
 
@@ -150,7 +178,7 @@ def test_a_singular_start_in_a_batch_fails_alone(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     F = lambda cols, *_: cols**2 - 1.0  # noqa: E731
     starts = np.array([[2.0, 0.0, 0.5], [3.0, 0.5, 0.7]])
-    outcomes = solve_many(F, starts, 1e-12)
+    outcomes = solve_many(central(F), starts, 1e-12)
     assert len(solves) == 6
     assert isinstance(outcomes[1], NewtonFailure)
     assert str(outcomes[1]) == "singular Jacobian"
@@ -167,7 +195,7 @@ def test_each_start_fails_on_its_own_condition_number():
     def F(cols, owner, faults):
         return np.stack([cols[0], 10.0 ** (owner - 6.0) * cols[1]])
 
-    outcomes = solve_many(F, np.ones((2, 4)), 1e-12, cond_limit=2e3)
+    outcomes = solve_many(central(F), np.ones((2, 4)), 1e-12, cond_limit=2e3)
     for i, want in enumerate(["1.0e+06", "1.0e+05", "1.0e+04"]):
         assert isinstance(outcomes[i], NewtonFailure)
         assert str(outcomes[i]) == f"Jacobian condition {want} exceeds 2.0e+03"
@@ -223,7 +251,7 @@ def test_trials_converging_after_a_halving_share_one_stencil_call():
     # of call 2), 0.5 its full-step trial (block 2 of call 1) and 0.05 its
     # start (block 3 of call 0).
     F = _Recorded(np.arctan)
-    outcomes = solve_many(lambda cols, *_: F(cols), _ATAN_STARTS, _ATAN_TOL)
+    outcomes = solve_many(central(lambda cols, *_: F(cols)), _ATAN_STARTS, _ATAN_TOL)
     assert F.widths() == [12, 9, 6]
     assert set(F.columns().values()) == {1}
     assert [o.steps for o in outcomes] == [1, 1, 1, 0]
@@ -272,15 +300,15 @@ def test_a_fault_fails_only_its_own_start():
     # end alone, and no call is made again.  An ``F`` that raises propagates.
     starts = np.array([[3.0, -1.0, 0.5]])
     F = _Recorded(_root_two)
-    outcomes = solve_many(F, starts, 1e-12)
+    outcomes = solve_many(central(F), starts, 1e-12)
     assert isinstance(outcomes[1], _Fault) and str(outcomes[1]) == "column [-1.]"
     for j in (0, 2):
-        assert _same(outcomes[j], solve_many(_root_two, starts[:, j : j + 1], 1e-12)[0])
+        assert _same(outcomes[j], solve_many(central(_root_two), starts[:, j : j + 1], 1e-12)[0])
     clean = _Recorded(_root_two)
-    solve_many(clean, starts[:, [0, 2]], 1e-12)
+    solve_many(central(clean), starts[:, [0, 2]], 1e-12)
     assert len(F.batches) == len(clean.batches)
     with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
-        solve_many(lambda cols, owner, faults: _root_two(cols), starts, 1e-12)
+        solve_many(central(lambda cols, owner, faults: _root_two(cols)), starts, 1e-12)
     with pytest.raises(_Fault, match=r"^column \[-1\.\]$"):
         _one(_root_two, starts[:, 1], 1e-12)
 
@@ -323,7 +351,7 @@ def test_a_converging_trial_ends_with_its_stencils_fault():
     clean, trial = _first_full_step(root, [1.0], 1e-6)
     assert clean.steps == 1 and clean.residual > 0.0
     F = _Recorded(_stencil_faults(root, trial))
-    outcomes = solve_many(F, np.array([[1.0, 1.0]]), 1e-6)
+    outcomes = solve_many(central(F), np.array([[1.0, 1.0]]), 1e-6)
     assert F.widths() == [6, 6]
     fault = _stencil_fault(F, trial)
     for outcome in outcomes:
@@ -334,7 +362,7 @@ def test_a_converging_trial_ends_with_its_stencils_fault():
     # stencil's fault, kept from that call, ends the start at the next
     # step: the same fault, with no call to find it.
     F.batches.clear()
-    (outcome,) = solve_many(F, np.array([[1.0]]), 1e-12)
+    (outcome,) = solve_many(central(F), np.array([[1.0]]), 1e-12)
     assert F.widths() == [3, 3]
     assert isinstance(outcome, _Fault) and str(outcome) == str(fault)
 
@@ -345,7 +373,7 @@ def test_a_converging_halved_trial_ends_with_its_stencils_fault():
     # ends with that fault, its batch-mate as it ends alone.
     clean = _one(np.arctan, [1.5], _ATAN_TOL)
     F = _Recorded(_stencil_faults(np.arctan, clean.x))
-    outcomes = solve_many(F, np.array([[1.5, 0.5]]), _ATAN_TOL)
+    outcomes = solve_many(central(F), np.array([[1.5, 0.5]]), _ATAN_TOL)
     assert F.widths() == [6, 6, 3]
     fault = _stencil_fault(F, clean.x)
     assert isinstance(outcomes[0], _Fault) and str(outcomes[0]) == str(fault)
@@ -361,11 +389,11 @@ def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
     clean, trial = _first_full_step(np.arctan, [1.5], 1e-12)
     assert abs(np.arctan(trial[0])) > abs(np.arctan(1.5))
     F = _Recorded(_stencil_faults(np.arctan, trial))
-    (outcome,) = solve_many(F, np.array([[1.5]]), 1e-12)
+    (outcome,) = solve_many(central(F), np.array([[1.5]]), 1e-12)
     assert _same(outcome, clean)
     assert F.widths()[:3] == [3, 3, 3]
     starts = np.array([[1.5, 0.5, 1.5]])
-    outcomes = solve_many(F, starts, 1e-12)
+    outcomes = solve_many(central(F), starts, 1e-12)
     for outcome, start in zip(outcomes, starts.T):
         assert _same(outcome, _one(np.arctan, start, 1e-12))
 
@@ -387,7 +415,7 @@ def test_each_start_may_pose_its_own_problem():
         owners.append(owner.copy())
         return cols**2 - (owner + 2.0)
 
-    outcomes = solve_many(F, np.ones((1, 3)), 1e-12)
+    outcomes = solve_many(central(F), np.ones((1, 3)), 1e-12)
     assert owners[0].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     for i, outcome in enumerate(outcomes):
         assert _same(outcome, _one(lambda cols, c=i + 2.0: cols**2 - c, [1.0], 1e-12))
@@ -436,7 +464,7 @@ def test_lockstep_evaluates_exactly_the_columns_of_the_scalar_loop(case):
     # whose value is its solution.
     F, starts, tol, bound = case()
     lockstep, scalar = _Recorded(F), _Recorded(F)
-    outcomes = solve_many(lambda cols, owner, faults: lockstep(cols), starts, tol, bound=bound)
+    outcomes = solve_many(central(lambda cols, owner, faults: lockstep(cols)), starts, tol, bound=bound)
     for outcome, start in zip(outcomes, starts.T):
         try:
             assert _same(outcome, oracles.scalar_damped_newton(scalar, start, tol, bound=bound))
@@ -463,7 +491,9 @@ def _rough_run(starts, rough_F=_rough_root_pair):
     """``solve_many`` on ``_root_pair``, ``rough_F`` making the starts' call: outcomes, every batch."""
     F, rough = _Recorded(lambda cols, *_: _root_pair(cols)), _Recorded(rough_F)
     rough.batches = F.batches  # one record of both, in call order
-    outcomes = solve_many(F, np.array(starts, dtype=float).T, _ROUGH_TOL, rough=(rough, _SLACK))
+    outcomes = solve_many(
+        central(F), np.array(starts, dtype=float).T, _ROUGH_TOL, rough=(central(rough), _SLACK)
+    )
     return outcomes, F.batches
 
 
@@ -533,8 +563,8 @@ def test_an_exact_rough_evaluator_changes_no_call_and_no_outcome(case):
     assert (np.linalg.norm(F(starts), axis=0) > tol).all()
     plain, exact = _Recorded(F), _Recorded(F)
     G = lambda cols, *_: exact(cols)  # noqa: E731
-    a = solve_many(lambda cols, *_: plain(cols), starts, tol, bound=bound)
-    b = solve_many(G, starts, tol, bound=bound, rough=(G, 1.0))
+    a = solve_many(central(lambda cols, *_: plain(cols)), starts, tol, bound=bound)
+    b = solve_many(central(G), starts, tol, bound=bound, rough=(central(G), 1.0))
     assert [cols.tobytes() for cols in plain.batches] == [cols.tobytes() for cols in exact.batches]
     for x, y in zip(a, b):
         if isinstance(x, NewtonFailure):
@@ -545,7 +575,7 @@ def test_an_exact_rough_evaluator_changes_no_call_and_no_outcome(case):
 
 def test_rough_slack_below_one_is_refused():
     with pytest.raises(ValueError, match="slack"):
-        solve_many(_root_pair, np.ones((2, 1)), 1e-12, rough=(_root_pair, 0.5))
+        solve_many(central(_root_pair), np.ones((2, 1)), 1e-12, rough=(central(_root_pair), 0.5))
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300])
@@ -556,7 +586,7 @@ def test_a_nan_or_negative_tol_is_refused_before_any_call(tol):
     with pytest.raises(ValueError, match="tol must be non-negative"):
         _one(F, [1.0, 1.0], tol)
     with pytest.raises(ValueError, match="tol must be non-negative"):
-        _one(F, [1.0, 1.0], tol, rough=(lambda cols, *_: F(cols), 100.0))
+        _one(F, [1.0, 1.0], tol, rough=(central(lambda cols, *_: F(cols)), 100.0))
     assert not F.batches
     assert _one(F, [1.0, 1.0], np.inf).steps == 0
 
