@@ -12,12 +12,13 @@ orbit    sample a closed-form unperturbed orbit (CSV)
 Experiments come from ``--preset``, a JSON ``--config`` file, and/or
 direct flags; later sources override earlier ones.  Exit codes: 0 on
 success (an empty zero list is a success), 2 for configuration errors,
-3 for numerical failures.  Set PENDAVG_LOG=debug|info|... for logging.
+3 for numerical failures.  PENDAVG_LOG=debug|info|... sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -130,12 +131,18 @@ def _parse_grid(text):
     return out
 
 
+def _make_out_dir(out_dir):
+    """Create ``--out`` before the command computes anything."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {out_dir!r}: {exc.strerror}") from exc
+
+
 def _write_out(args, filename, text):
     """Write ``text`` to ``filename`` under ``--out``, if it is given."""
-    out_dir = getattr(args, "out", None)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        write_text(os.path.join(out_dir, filename), text)
+    if args.out:
+        write_text(os.path.join(args.out, filename), text)
 
 
 def _emit(args, filename, text):
@@ -294,6 +301,17 @@ def cmd_orbit(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is then."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pendavg",
@@ -334,16 +352,14 @@ def build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("PENDAVG_LOG", "warning").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-        force=True,
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Only the ``pendavg`` logger: an in-process caller's root logger is its own.
+    level = logging.getLevelName(os.environ.get("PENDAVG_LOG", "warning").upper())
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    log.addHandler(_HANDLER)  # once: a handler already there is not added again
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _make_out_dir(args.out)
         return args.func(args)
     except (ConfigError, ExprSyntaxError, PeriodicityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

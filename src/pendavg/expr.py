@@ -29,8 +29,8 @@ never as an exception.  Callers evaluate inside ``np.errstate(all="ignore")``
 and check finiteness.  :func:`diff` differentiates an expression in one
 variable, as an expression of the same nodes that ``compile_expr`` compiles
 (plus ``sign``, the derivative of ``abs``, which forcing text cannot name).
-:func:`harmonic_bound` reads from the AST alone how many harmonics of a
-period a forcing can have along an orbit of one frequency.
+:func:`harmonic_bound` reads from the AST and its ``tau`` partials how
+many harmonics a forcing can have along an orbit of one frequency.
 """
 
 from __future__ import annotations
@@ -460,53 +460,15 @@ def diff(expr, var):
 # Harmonic bound
 # ---------------------------------------------------------------------------
 
-_ZERO = np.float64(0.0)
-
-
-def _children(node):
-    if isinstance(node, BinOp):
-        return node.lhs, node.rhs
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Call):
-        return (node.arg,)
-    return ()
-
-
-def _constant(node):
-    """True when ``node`` holds neither a state variable nor ``tau``."""
-    return not isinstance(node, Var) and all(_constant(c) for c in _children(node))
-
-
-def _tau_affine(node):
-    """``(a, b)`` with ``node = a * tau + b`` and no state in it, else None."""
-    if isinstance(node, Num):
-        return _ZERO, np.float64(node.value)
-    if isinstance(node, Const):
-        return _ZERO, np.float64(CONSTANTS[node.name])
+def _constant(node, free=frozenset()):
+    """True when ``node`` reads no variable but those named in ``free``."""
     if isinstance(node, Var):
-        return (np.float64(1.0), _ZERO) if node.name == "tau" else None
-    if isinstance(node, Neg):
-        inner = _tau_affine(node.operand)
-        return None if inner is None else (-inner[0], -inner[1])
-    if isinstance(node, Call):
-        inner = _tau_affine(node.arg)
-        return None if inner is None or inner[0] else (_ZERO, _KERNELS[node.func](inner[1]))
-    lhs, rhs = _tau_affine(node.lhs), _tau_affine(node.rhs)
-    if lhs is None or rhs is None:
-        return None
-    (la, lb), (ra, rb) = lhs, rhs
-    if node.op == "+":
-        return la + ra, lb + rb
-    if node.op == "-":
-        return la - ra, lb - rb
-    if node.op == "*" and not (la and ra):
-        return la * rb + ra * lb, lb * rb
-    if node.op == "/" and not ra:
-        return la / rb, lb / rb
-    if node.op == "^" and not la:
-        return _ZERO, lb**rb
-    return None
+        return node.name in free
+    if isinstance(node, BinOp):
+        return _constant(node.lhs, free) and _constant(node.rhs, free)
+    if isinstance(node, (Neg, Call)):
+        return _constant(node.operand if isinstance(node, Neg) else node.arg, free)
+    return True
 
 
 def _harmonics(node, p, period):
@@ -517,10 +479,12 @@ def _harmonics(node, p, period):
     if isinstance(node, Neg):
         return _harmonics(node.operand, p, period)
     if isinstance(node, Call):
-        affine = _tau_affine(node.arg) if node.func in ("sin", "cos") else None
-        if affine is None:
+        if node.func not in ("sin", "cos") or not _constant(node.arg, {"tau"}):
             return None
-        h = abs(float(affine[0])) * period / (2.0 * math.pi)
+        rate = diff(node.arg, "tau")
+        if not _constant(rate):
+            return None
+        h = abs(float(compile_expr(rate)(0.0, 0.0, 0.0, 0.0, 0.0))) * period / (2.0 * math.pi)
         if not math.isfinite(h) or abs(h - round(h)) > 64.0 * np.finfo(float).eps * max(h, 1.0):
             return None
         return round(h)
@@ -544,11 +508,12 @@ def harmonic_bound(expr, p, period):
     number or constant has 0 and a state ``p``; ``+`` and ``-`` take the
     max of their operands, ``*`` the sum, and ``^`` with a non-negative
     integer literal ``n`` takes ``n`` times its base.  ``sin`` or ``cos``
-    of ``a * tau + b``, with ``a`` and ``b`` free of state and ``tau``, has
-    ``|a| * period / (2 pi)`` if that is an integer to roundoff.  Anything
-    else has no bound: ``sqrt``, ``exp``, ``abs`` or ``diff``'s ``sign`` of
-    a non-constant, a state inside ``sin`` or ``cos``, a division by a
-    non-constant, or ``tau`` outside ``sin`` or ``cos``.
+    of an argument that names no state and whose ``diff`` in ``tau`` is a
+    constant ``a`` has ``|a| * period / (2 pi)`` if that is an integer to
+    roundoff.  Anything else has no bound: ``sqrt``, ``exp``, ``abs`` or
+    ``diff``'s ``sign`` of a non-constant, a state inside ``sin`` or
+    ``cos``, a division by a non-constant, or ``tau`` outside ``sin`` or
+    ``cos``.
     """
     with np.errstate(all="ignore"):
         return _harmonics(expr, p, period)

@@ -166,19 +166,18 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
     evaluated.  An accepted trial's Jacobian is the next step's, so no
     column is evaluated twice, and a ``Solution`` has the Jacobian at its
     ``x`` and as ``source`` the ``(call, column)`` of ``F`` (calls from 0,
-    ``G``'s counted) whose value is x's.  A fault of a column whose value
-    comes back finite is its Jacobian's alone: it ends its start once the
-    start needs that Jacobian, to go on or to converge, and a rejected
-    trial's is never read.  Any other fault ends its start at once.  A
-    start fails on a non-finite residual, a non-finite Jacobian, a
-    condition number above ``cond_limit``, a singular Jacobian (an exact
-    zero pivot, or a determinant that underflows to 0), a step that no
-    halving improves, or no convergence within ``MAX_STEPS`` steps.  Every
-    start takes the steps it would take alone, given an ``F`` whose columns
-    do not depend on each other and whose faults are theirs alone.  ``tol``
-    must be non-negative (``inf`` settles every start where it stands); a
-    NaN or negative one, which no residual could meet, raises
-    ``ValueError`` before any call.
+    ``G``'s counted) whose value is x's.  A fault ends its start where it
+    is met: at the starts' evaluation, or at a trial the start takes or
+    whose value comes back non-finite; a rejected trial's fault with a
+    finite value is its Jacobian's alone, and never read.  A start fails on
+    a non-finite residual, a non-finite Jacobian, a condition number above
+    ``cond_limit``, a singular Jacobian (an exact zero pivot, or a
+    determinant that underflows to 0), a step that no halving improves, or
+    no convergence within ``MAX_STEPS`` steps.  Every start takes the steps
+    it would take alone, given an ``F`` whose columns do not depend on each
+    other and whose faults are theirs alone.  ``tol`` must be non-negative
+    (``inf`` settles every start where it stands); a NaN or negative one,
+    which no residual could meet, raises ``ValueError`` before any call.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
@@ -208,9 +207,8 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
         return values.T, jacobians, faults, sources
 
     def settle(idx, steps):
-        """End the starts of ``idx`` within ``tol``: converged, or on their Jacobian's fault."""
-        idx = idx[(residual[idx] <= tol) & ~finished[idx]]
-        end(idx, lambda i: blocked[i] if i in blocked else Solution(
+        """End the starts of ``idx`` within ``tol`` as converged."""
+        end(idx[residual[idx] <= tol], lambda i: Solution(
             x[i].copy(), float(residual[i]), steps, jac[i].copy(), tuple(source[i].tolist())
         ))
 
@@ -218,20 +216,19 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
         """``G`` at the starts ``idx``, entered as their values, Jacobians and the rest."""
         value[idx], jac[idx], faults, source[idx] = call(idx, x[idx], G)
         for j, fault in faults.items():
-            blocked.setdefault(idx[j], fault)
+            end(idx[j : j + 1], lambda i: fault)
         residual[idx] = _norms(value[idx])
 
     live = np.arange(n)
-    # ``value[i]`` and ``jac[i]`` hold ``F`` at ``x[i]``, ``source[i]`` the
-    # (call, column) that evaluated it and ``blocked[i]`` its fault, if any.
-    value, jac, blocked = np.empty((n, d)), np.empty((n, d, d)), {}
+    # ``value[i]``, ``jac[i]``: ``F`` at ``x[i]``; ``source[i]``: the (call, column) of it.
+    value, jac = np.empty((n, d)), np.empty((n, d, d))
     source, residual = np.empty((n, 2), dtype=int), np.empty(n)
     evaluate(live, F if rough is None else rough[0])
     if rough is not None:
         # Rough values settle no start: one within ``slack * tol`` is
         # evaluated again by ``F`` first.  A NaN is not near, and a start
-        # with a rough fault ends on it.
-        near = live[(residual <= rough[1] * tol) & ~np.isin(live, list(blocked))]
+        # with a rough fault has ended on it.
+        near = live[(residual <= rough[1] * tol) & ~finished]
         if near.size:
             evaluate(near)
     settle(live, 0)
@@ -239,7 +236,6 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
         live = live[~finished[live]]
         if not live.size:
             break
-        end(live[np.isin(live, list(blocked))], blocked.get)
         end(live[~np.isfinite(residual[live])], lambda i: NewtonFailure("non-finite residual"))
         end(live[~np.isfinite(jac[live]).all(axis=(1, 2))], lambda i: NewtonFailure("non-finite Jacobian"))
         live = live[~finished[live]]
@@ -268,10 +264,8 @@ def solve_many(F, starts, tol, bound=math.inf, cond_limit=math.inf, rough=None):
             # NaN -- a trial whose own value faulted -- is never lower.
             lower = r < residual[at]
             for j, fault in faults.items():
-                if not np.isfinite(values[j]).all():
+                if lower[j] or not np.isfinite(values[j]).all():
                     end(at[j : j + 1], lambda i: fault)
-                elif lower[j]:
-                    blocked.setdefault(at[j], fault)
             took = at[lower]
             x[took], residual[took] = trial[lower], r[lower]
             value[took], jac[took], source[took] = values[lower], jacobians[lower], heads[lower]

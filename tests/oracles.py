@@ -524,9 +524,9 @@ def scalar_damped_newton(
     at most ``MAX_STEPS`` steps.  Every trial is linearized where it stands,
     ``linearize(F, x) -> (F(x), Jacobian)``, and once accepted that
     linearization is the next step's; if it raises, the trial is evaluated
-    alone.  The Jacobian returned is the one at the final x: linearized
-    there again if the trial's linearization raised, so a faulting stencil
-    raises.
+    alone.  The Jacobian returned is the one at the final x.  An accepted
+    trial is linearized again if its linearization raised, so a faulting
+    stencil of a taken trial raises, even on the last step.
     """
     x = np.array(x, dtype=float)
     g, jac = linearize(F, x)
@@ -563,11 +563,10 @@ def scalar_damped_newton(
         else:
             raise NewtonFailure(f"stalled at residual {r:.3e}: 9 halvings did not reduce it")
         steps += 1
-        if r <= tol or steps < MAX_STEPS:
-            g, jac = linearize(F, x) if lin is None else lin
-            r = float(np.linalg.norm(g))
-            if not math.isfinite(r):
-                raise NewtonFailure("non-finite residual")
+        g, jac = linearize(F, x) if lin is None else lin
+        r = float(np.linalg.norm(g))
+        if not math.isfinite(r):
+            raise NewtonFailure("non-finite residual")
     return x, r, steps, jac
 
 

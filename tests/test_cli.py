@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config plumbing, exit codes, determinism."""
 
 import json
+import logging
 import math
 import re
 from dataclasses import fields
@@ -602,6 +603,69 @@ def test_log_level_env_var(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "zeros", "--preset", "corollary2")
     assert code == 0
     assert "found 1 zeros in 1 orbit classes" in err
+
+
+@pytest.mark.parametrize(
+    "name, level",
+    [
+        ("debug", logging.DEBUG),
+        ("Info", logging.INFO),
+        ("warn", logging.WARNING),
+        ("error", logging.ERROR),
+        ("basic_format", logging.WARNING),
+        ("Logger", logging.WARNING),
+        ("loud", logging.WARNING),
+        ("", logging.WARNING),
+    ],
+)
+def test_log_level_names_are_logging_level_names_alone(capsys, monkeypatch, name, level):
+    # Any other name, an upper-case attribute of ``logging`` among them,
+    # leaves the level at WARNING.
+    monkeypatch.setenv("PENDAVG_LOG", name)
+    code, out, _ = run_cli(capsys, "freqs")
+    assert code == 0 and out.startswith("omega1 = ")
+    assert logging.getLogger("pendavg").getEffectiveLevel() == level
+
+
+def test_main_leaves_the_root_logger_as_it_is(capsys, monkeypatch, tmp_path):
+    # An in-process caller keeps its root handlers, open, and its root
+    # level; pendavg's records reach them too.
+    root = logging.getLogger()
+    handler = logging.FileHandler(tmp_path / "caller.log")
+    root.addHandler(handler)
+    handlers, level = list(root.handlers), root.level
+    try:
+        monkeypatch.setenv("PENDAVG_LOG", "info")
+        code, _, err = run_cli(capsys, "zeros", "--preset", "corollary2")
+        assert code == 0 and "found 1 zeros in 1 orbit classes" in err
+        assert root.handlers == handlers and root.level == level
+        assert handler.stream is not None and not handler.stream.closed
+    finally:
+        root.removeHandler(handler)
+        handler.close()
+    assert "found 1 zeros in 1 orbit classes" in (tmp_path / "caller.log").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["average", "--preset", "corollary1", "--point", "0,0"],
+        ["zeros", "--preset", "corollary1"],
+        ["verify", "--preset", "corollary1"],
+        ["orbit", "--mode", "mode1", "--alpha", "1,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_out_dir_that_cannot_be_made_fails_before_any_work(capsys, tmp_path, argv):
+    # Under a regular file, or the file itself: exit 2, nothing on stdout,
+    # and nothing written.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out_dir in (blocker / "sub", blocker):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot create --out directory {str(out_dir)!r}: ")
+    assert blocker.read_text() == "kept\n" and list(tmp_path.iterdir()) == [blocker]
 
 
 def test_console_entry_point():

@@ -298,6 +298,7 @@ def test_a_repeated_forcing_hits_the_parse_cache():
         ("cos(w1 * (tau + 1)) * sin(-w1 * tau)", 1, T1, 2),
         ("sin(w2 * tau)^3", 1, T2, 3),
         ("th1^2 * sin(5 * w1 * tau)", 1, T1, 7),
+        ("sin(w1 * tau^1)", 1, T1, 1),
     ],
 )
 def test_harmonic_bound_of_a_band_limited_forcing(text, p, period, bound):
@@ -320,6 +321,7 @@ def test_harmonic_bound_of_a_band_limited_forcing(text, p, period, bound):
         "sin(pi * tau)",
         "sin(tau * tau)",
         "cos(tau / tau)",
+        "sin(w1 * tau + 0 * th1)",
     ],
 )
 def test_harmonic_bound_is_none_beyond_the_rules(text):
@@ -327,6 +329,54 @@ def test_harmonic_bound_is_none_beyond_the_rules(text):
     # outside a trig call, division by a non-constant, a negative or
     # fractional power, and a non-integer or non-affine frequency.
     assert harmonic_bound(parse(text), 1, T1) is None
+
+
+# Factors of a rate: each a number or a constant expression, all of them
+# powers of 2 times 1 or 3, so that every rate is exact enough to land on
+# an integer harmonic to roundoff when it is one.
+_FACTORS = ("1", "2", "3", "0.5", "cos(0)", "sqrt(4)", "2^2", "abs(-3)", "exp(0)", "(1/4)")
+_OFFSETS = ("pi", "w2", "sin(1)", "sqrt(2)", "exp(0.5)", "-1.5")
+
+
+def _random_tau_affine(rng, depth):
+    """Text of a random ``a * tau + b`` from the grammar, with no state in it."""
+    if depth == 0 or rng.random() < 0.25:
+        return "tau" if rng.random() < 0.5 else rng.choice(_OFFSETS)
+    u = _random_tau_affine(rng, depth - 1)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return f"-({u})"
+    if kind == 1:
+        return f"({u}) {rng.choice('+-')} ({_random_tau_affine(rng, depth - 1)})"
+    if kind == 2:
+        return f"{rng.choice(_FACTORS)} * ({u})"
+    if kind == 3:
+        return f"({u}) * {rng.choice(_FACTORS)}"
+    if kind == 4:
+        return f"({u}) / {rng.choice(_FACTORS)}"
+    return f"({u})^1"
+
+
+def test_harmonic_bound_of_a_random_tau_affine_argument_is_its_measured_rate():
+    # The rate of each argument, measured by a central difference of its
+    # compiled function, is the harmonic the bound gives, or, when it is
+    # no integer, the bound is None.
+    rng = random.Random(31)
+    bounds = []
+    for _ in range(400):
+        frequency, period = rng.choice((("w1", T1), ("w1", 2 * T1), ("w2", T2)))
+        scale = rng.choice(("1", "0.5", "0.75"))
+        arg = parse(f"{frequency} * {scale} * ({_random_tau_affine(rng, 4)})")
+        f = compile_expr(arg)
+        h = 1e-3
+        rate = (f(0.7 + h, *ENV[1:]) - f(0.7 - h, *ENV[1:])) / (2.0 * h)
+        harmonic = abs(rate) * period / (2.0 * math.pi)
+        integral = abs(harmonic - round(harmonic)) < 1e-6
+        bound = harmonic_bound(Call(rng.choice(("sin", "cos")), arg), 1, period)
+        assert bound == (round(harmonic) if integral else None), format_expr(arg)
+        bounds.append(bound)
+    # Each kind of verdict comes often: None, 0 and a higher harmonic.
+    assert min(bounds.count(None), bounds.count(0), sum(map(bool, bounds))) > 50
 
 
 # ---------------------------------------------------------------------------

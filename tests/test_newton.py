@@ -382,6 +382,24 @@ def test_a_converging_halved_trial_ends_with_its_stencils_fault():
         oracles.scalar_damped_newton(F, [1.5], _ATAN_TOL)
 
 
+def test_a_trial_taken_on_the_last_step_ends_with_its_stencils_fault():
+    # Newton on x^3 from 1000 takes every full step and never meets tol 0.
+    # Only the stencil of the trial taken on step MAX_STEPS faults: the
+    # start ends with that fault where it is met, not with "no
+    # convergence", as the scalar loop does.
+    cube = lambda cols: cols**3  # noqa: E731
+    clean = _Recorded(cube)
+    _fails(_one(clean, [1000.0], 0.0), f"no convergence after {MAX_STEPS} steps")
+    last = clean.batches[-1][:, 0]
+    F = _Recorded(_stencil_faults(cube, last))
+    (outcome,) = solve_many(central(F), np.array([[1000.0]]), 0.0)
+    assert F.widths() == clean.widths()
+    fault = _stencil_fault(F, last)
+    assert isinstance(outcome, _Fault) and str(outcome) == str(fault)
+    with pytest.raises(_Fault, match=f"^{re.escape(str(fault))}$"):
+        oracles.scalar_damped_newton(F, [1000.0], 0.0)
+
+
 def test_a_faulting_stencil_of_a_rejected_trial_changes_no_outcome():
     # Newton on atan from 1.5 overshoots to about -1.69, where |atan| is
     # larger: that full step is rejected and its half taken.  Only the
