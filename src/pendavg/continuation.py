@@ -14,42 +14,60 @@ At ``eps = 0`` the period map is the identity on the whole resonant mode
 plane and the displacement Jacobian is singular there, so shooting is
 rejected; conditioning degrades like 1/eps as eps shrinks.
 
-DOP853 integrates the paper's standard form (``model.slow_field``): the
+A flow integrates the paper's standard form (``model.slow_field``): the
 slow deviation ``v = (z - z0) / eps`` of the variation-of-constants state
 ``z = Phi(-tau) M y`` from its start.  The linear oscillation ``Phi`` is
-applied in closed form, so ``v`` stays O(1), its field does not scale with
-eps, and the step count does not depend on eps; one tolerance on ``v``
-bounds the O(eps) displacement to the same relative accuracy at every eps.
-A step knows all its stage times ``t + c_i h`` before it starts, so it
-hands them to the field at once and the rotation ``Phi(-tau)`` is
-evaluated once per step, not once per stage.
+applied in closed form, so ``v`` stays O(1) and its field does not scale
+with eps; one tolerance on ``v`` bounds the O(eps) displacement to the
+same relative accuracy at every eps.
+
+The field reads ``v`` only through ``eps v``, so the Picard map ``v ->
+int G(s, v(s)) ds`` contracts fast, and a flow is a Chebyshev-Picard
+iteration (``_picard_deviation``): ``PICARD_SEGMENTS`` segments per period
+of the resonant mode, each carrying ``v`` at N + 1 = 25 Chebyshev-Lobatto
+nodes, taken one after another.  A sweep evaluates the field at every
+node of every column in one call and integrates the node values with one
+matrix product; a segment takes about three sweeps.  A column settles on a
+segment when its estimated iteration error and its series tail are below
+its tolerance.  A column that the iteration cannot serve -- its update is
+not finite or does not shrink, it does not settle within
+``PICARD_MAX_SWEEPS`` sweeps, its tail does not decay, or a kink of the
+forcing (``expr.kinks``) falls between two nodes -- is integrated instead
+by DOP853 from tau = 0, and only DOP853 declares a flow fault, with the
+type and message it has always had.
+
 DOP853 is the eighth-order Runge-Kutta pair of Prince and Dormand with the
 8(5,3) error estimate and a seventh-order dense output, as given by Hairer,
-Norsett and Wanner.  It is the one integrator; its tolerance and step
-budget are the module constants ``DOP853_TOL`` and ``DOP853_MAX_STEPS``.
-A flow may ask a looser tolerance: shooting integrates its guesses'
-stencils at ``DOP853_ROUGH_TOL``, since those values only aim the first
-Newton step, and every trial at ``DOP853_TOL``.
+Norsett and Wanner; its step count does not depend on eps.  A step knows
+all its stage times ``t + c_i h`` before it starts, so it hands them to the
+field at once and the rotation ``Phi(-tau)`` is evaluated once per step.
+Its tolerance and step budget are the module constants ``DOP853_TOL`` and
+``DOP853_MAX_STEPS``; the Picard iteration takes the same tolerance.  A
+flow may ask a looser tolerance: shooting flows its guesses' stencils at
+``DOP853_ROUGH_TOL``, since those values only aim the first Newton step,
+and every trial at ``DOP853_TOL``.
 
-The integrator steps a ``(4, m)`` batch of columns, each on its own clock
-and at its own eps, so its result is bit for bit the one it gets alone; a
-column that faults leaves with its reason, as a finished one leaves.  It
-steps only to its end time, and ``flow_map`` maps back the endpoint.  A
-flow can also record its accepted steps, whose dense output
-``sample_states`` rebuilds in one batch.  So ``shoot_many`` shoots every
-(guess, eps) case at once, in one lockstep Newton, and samples each
-converged orbit from the flow and column that Newton reports gave its
-solution, a flow at ``DOP853_TOL``, with no further integration.  A fault
-costs only its own case.
+A flow takes a ``(4, m)`` batch of columns, each at its own eps and
+tolerance, and each column's result is bit for bit the one it gets alone:
+the iteration decides per column, and DOP853 steps each on its own clock.
+A column that faults leaves with its reason, as a finished one leaves.
+``flow_map`` maps back the endpoint, and can record each column's segment
+nodes or, for a fallback column, its accepted steps, from which
+``sample_states`` reads any time by barycentric interpolation or dense
+output.  So ``shoot_many`` shoots every (guess, eps) case at once, in one
+lockstep Newton, and samples each converged orbit from the flow and column
+that Newton reports gave its solution, a flow at ``DOP853_TOL``, with no
+further integration.  A fault costs only its own case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprDomainError
+from .expr import ExprDomainError, compile_expr, kinks
 from .model import compiled_forcing, slow_field, unperturbed_orbit
 from .newton import NewtonFailure, Solution, central, fault_record, solve_many
 
@@ -70,6 +88,10 @@ DOP853_ROUGH_TOL = 1e-7
 DOP853_MAX_STEPS = 2_000_000
 # Condition number of a displacement Jacobian above which shooting stops.
 COND_LIMIT = 1e12
+# Chebyshev-Picard segments per period of the resonant mode, and the sweeps
+# a column may make on one segment before it falls back to DOP853.
+PICARD_SEGMENTS = 4
+PICARD_MAX_SWEEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +272,7 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
     """
     max_steps = DOP853_MAX_STEPS
     m = x0.shape[1]
-    tol = np.broadcast_to(np.asarray(DOP853_TOL if tol is None else tol, dtype=float), (m,))
-    # A tolerance of 0 or NaN would fault every column as if its forcing
-    # had, and the error test squares away a negative one's sign.
-    if not (tol > 0.0).all() or not np.isfinite(tol).all():
-        raise ValueError("tol must be finite and positive")
+    tol = _tolerances(tol, m)
     if not m or end == 0.0:
         return np.zeros_like(x0)
     out = np.full_like(x0, np.nan)
@@ -311,33 +329,212 @@ def _slow_deviation(forcing, eps, x0, end, steps=None, faults=None, tol=None):
     return out
 
 
-def _dense_samples(forcing, eps, x0, steps, taus, faults):
-    """The ``(4, m, n)`` slow deviations at the sorted ``(n,)`` times ``taus``, from a record.
+# ---------------------------------------------------------------------------
+# Chebyshev-Picard iteration (Clenshaw & Norton, Comput. J. 6 (1963); Bai &
+# Junkins, J. Astronaut. Sci. 58 (2011)).  The period is cut into segments,
+# each carrying the values of v at N + 1 Chebyshev-Lobatto nodes.  On a
+# segment [t0, t0 + h] a sweep replaces them by v(t0) + (h / 2) Q G, where
+# G holds the field at every node and Q integrates the interpolant of its
+# node values from the segment's start (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013).  The field reads v only through
+# eps v, so a sweep contracts by about eps L h.
+# ---------------------------------------------------------------------------
 
-    ``steps`` is a record that ``_slow_deviation`` appended to for the
-    ``(m,)`` eps and ``(4, m)`` starts ``x0``.  The dense output of a step
-    depends only on its ``(t, y, h)``, so every recorded step of every
-    column is rebuilt in one batch, 16 stages on all of them from two
-    rotations: stage 0, the FSAL stage the pass carried into that step,
-    with its 12 stages, then the 3 dense ones.  Each column comes out bit for
-    bit as the pass would have made it.  A column with a non-finite step
-    is entered in ``faults`` at its first such step in record order, the
-    one the pass met first.  A time is read from the last step of its
-    column that starts at or before it.  Also returns each column's reach,
-    ``t + h`` of its last step, past which a time would be extrapolated (0
-    when there are no steps or no times).
+_N = 24  # a segment's polynomial degree: N + 1 nodes
+# A column settles once its estimated iteration error is this fraction of
+# its tolerance: the error of a segment's start carries into the next.
+_SETTLE = 0.1
+# Barycentric samples per batch: a 4-eps ladder's 1,024 samples at once
+# held some 2.3 MB of temporaries.
+_SAMPLE_CHUNK = 128
+
+
+def _lobatto_tables(n):
+    """Nodes, integration matrix, tail rows and barycentric weights of ``n + 1`` Lobatto points.
+
+    The nodes ``x_j = -cos(pi j / n)`` ascend from -1 to 1, both exact.
+    Row ``j`` of the integration matrix maps node values to the integral
+    of their interpolant from -1 to ``x_j``; row 0 is exactly 0.  The tail
+    rows map node values to the interpolant's Chebyshev coefficients of
+    degrees ``n - 1`` and ``n``.  Everything is built from cosines of the
+    Lobatto angles ``theta_j = pi (n - j) / n``, where ``x_j = cos(theta_j)``.
     """
-    m, n = x0.shape[1], taus.size
-    v, reach = np.zeros((4, m, n)), np.zeros(m)
-    if not (steps and n):
-        return v, reach
-    col, t, h, y = (np.concatenate(a, axis=-1) for a in zip(*steps))
-    field = slow_field(forcing, eps[col], x0[:, col])
-    k = np.empty((16,) + y.shape)
-    coeffs = _dense_output(field, t, y, h, k, _dop853_step(field, t, y, h, k, 0)[0])
-    _check_finite(coeffs, t, col, faults)
-    # Each column's steps in time order.  A step's times run up to the start
-    # of its column's next step; the last step's run to the last time.
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (2 * j - n) / (2 * n))
+    theta = np.pi * (n - j) / n
+    cosines = np.cos(np.outer(theta, np.arange(n + 2)))  # T_k(x_j) = cos(k theta_j)
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    to_coeffs = (2.0 / n) * cosines[:, : n + 1].T * half * half[:, None]
+    # The integral of T_k from -1 to x_j; T_k(-1) = (-1)^k.
+    k = np.arange(2, n + 1)
+    at_start = (-1.0) ** np.arange(n + 2)
+    of_t = np.empty((n + 1, n + 1))
+    of_t[:, 0] = x + 1.0
+    of_t[:, 1] = (cosines[:, 2] - 1.0) / 4.0
+    of_t[:, 2:] = (cosines[:, k + 1] - at_start[k + 1]) / (2 * (k + 1)) - (
+        cosines[:, k - 1] - at_start[k - 1]
+    ) / (2 * (k - 1))
+    integral = (of_t[:, :, None] * to_coeffs[None]).sum(axis=1)
+    integral[0] = 0.0
+    weights = half * (-1.0) ** j
+    return x, integral, to_coeffs[n - 1 :], weights
+
+
+_X, _INTEGRAL, _TAIL, _WEIGHTS = _lobatto_tables(_N)
+
+
+def _tolerances(tol, m):
+    """``tol`` (a scalar, one per column, or None for ``DOP853_TOL``) as ``(m,)``, checked."""
+    tol = np.broadcast_to(np.asarray(DOP853_TOL if tol is None else tol, dtype=float), (m,))
+    # A tolerance of 0 or NaN would fault every column as if its forcing
+    # had, and the error test squares away a negative one's sign.
+    if not (tol > 0.0).all() or not np.isfinite(tol).all():
+        raise ValueError("tol must be finite and positive")
+    return tol
+
+
+def _picard_deviation(forcing, kink_args, eps, x0, bounds, tol):
+    """Chebyshev-Picard slow deviations of ``model.slow_field`` on the segments ``bounds``.
+
+    ``bounds`` are the segment ends from 0 to the end time; ``eps``,
+    ``x0`` and ``tol`` are as for ``_slow_deviation``, and ``kink_args``
+    are the compiled kink arguments of the forcing (``expr.kinks``).  The
+    segments are taken one after another.  On each, every column starts
+    from its value at the segment's start at every node and sweeps, all
+    its nodes in one field call of ``(4, m (N + 1))`` repeated columns.  A
+    sweep's update ``u`` is the largest change over a column's nodes and
+    rows, and ``theta = u / u_prev`` its contraction, so ``u theta / (1 -
+    theta)`` estimates the error left in the new values (Hairer & Wanner,
+    Solving ODEs II, IV.8).  A column settles when that estimate is at
+    most ``_SETTLE`` times ``tol * max(1, |v|)`` and its two highest
+    Chebyshev coefficients at most ``tol * max(1, |v|)``; it then leaves
+    the segment.  A column leaves the iteration for good when its update
+    is not finite or does not shrink, when it has not settled within
+    ``PICARD_MAX_SWEEPS`` sweeps, or when it settles with a series that
+    keeps its tail or with a kink argument that changes sign between two
+    nodes, where no node value can show the kink.  No column depends on
+    another.
+
+    Returns the ``(4, m)`` deviations at the end, the ``(segments, N + 1,
+    4, m)`` node values and the mask of the columns that settled on every
+    segment; the others' values are left as they are.
+    """
+    m = x0.shape[1]
+    v = np.zeros_like(x0)
+    nodes = np.zeros((bounds.size - 1, _N + 1, 4, m))
+    settled = np.ones(m, dtype=bool)
+    for s, (t0, t1) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        cols = np.flatnonzero(settled)
+        a = cols.size
+        if not a:
+            break
+
+        def by_rows(values):
+            """``(N + 1, 4 a)`` node values as the field's ``(4, (N + 1) a)`` columns."""
+            return values.reshape(_N + 1, 4, a).transpose(1, 0, 2).reshape(4, -1)
+
+        half = 0.5 * (t1 - t0)
+        # One column per (node, column), node-major, as the node values are.
+        taus = np.repeat(t0 + half * (_X + 1.0), a)[None]
+        rhs, state = slow_field(forcing, np.tile(eps[cols], _N + 1), np.tile(x0[:, cols], _N + 1))(taus)
+        start = v[:, cols].reshape(1, -1)
+        values = np.repeat(start, _N + 1, axis=0)  # node j, row r, column c at (j, r a + c)
+        scale_tol, last = tol[cols], np.full(a, np.nan)
+        sweeping = np.ones(a, dtype=bool)
+        for sweep in range(PICARD_MAX_SWEEPS):
+            field = rhs(0, by_rows(values)).reshape(4, _N + 1, a)
+            # einsum adds the nodes in order down a C-contiguous operand whatever its width.
+            field = np.ascontiguousarray(field.transpose(1, 0, 2)).reshape(_N + 1, -1)
+            new = start + half * np.einsum("jl,lk->jk", _INTEGRAL, field)
+            update = np.abs(new - values).reshape(_N + 1, 4, a).max(axis=(0, 1))
+            scale = scale_tol * np.maximum(1.0, np.abs(new).reshape(_N + 1, 4, a).max(axis=(0, 1)))
+            values = new
+            done = sweeping & ((update == 0.0) | (update * update <= _SETTLE * scale * (last - update)))
+            out = sweeping & ~(np.isfinite(update) & ~(update >= last))
+            last = update
+            if done.any():
+                tail = np.abs(np.einsum("tl,lk->tk", _TAIL, new)).reshape(2, 4, a).max(axis=(0, 1))
+                out |= done & ~(tail <= scale)
+                if kink_args:
+                    at_nodes = state(0, by_rows(new))
+                    for kink in kink_args:
+                        arg = np.broadcast_to(kink(taus, *at_nodes), taus.shape).reshape(_N + 1, a)
+                        out |= done & (arg[:-1] * arg[1:] < 0.0).any(axis=0)
+                done &= ~out
+                nodes[s][..., cols[done]] = new.reshape(_N + 1, 4, a)[..., done]
+                v[:, cols[done]] = new[-1].reshape(4, a)[:, done]
+            if sweep == PICARD_MAX_SWEEPS - 1:
+                out |= sweeping & ~done
+            settled[cols[out]] = False
+            sweeping &= ~(done | out)
+            if not sweeping.any():
+                break
+    return v, nodes, settled
+
+
+def _lobatto_samples(nodes, x, at):
+    """Segment values at points ``x`` of [-1, 1], by the barycentric formula on their nodes.
+
+    ``nodes`` are ``(N + 1, 4, k)`` node values and ``at`` picks the
+    segment of each point.  A point on a node gets that node's value bit
+    for bit.  The nodes are added in order for every point alike: the
+    weights' own sum rides along as a fifth row, so einsum never reduces
+    along the contiguous axis.  Points go ``_SAMPLE_CHUNK`` at a time, which
+    bounds the temporaries.
+    """
+    out = np.empty((4, at.size))
+    for lo in range(0, at.size, _SAMPLE_CHUNK):
+        part = slice(lo, lo + _SAMPLE_CHUNK)
+        diff = x[part] - _X[:, None]
+        hit = diff == 0.0
+        weight = np.where(hit.any(axis=0), hit, _WEIGHTS[:, None] / np.where(hit, 1.0, diff))
+        values = np.ones((_N + 1, 5, diff.shape[1]))
+        values[:, :4] = nodes[:, :, at[part]]
+        total = np.einsum("jp,jrp->rp", weight, values)
+        out[:, part] = total[:4] / total[4]
+    return out
+
+
+def _deviation(forcing, kink_args, eps, x0, bounds, steps, faults, tol):
+    """The ``(4, m)`` slow deviations at ``bounds[-1]``: Chebyshev-Picard, DOP853 where it fails.
+
+    Every column is iterated on the segments ``bounds``
+    (``_picard_deviation``).  The columns that did not settle on every
+    segment are integrated by ``_slow_deviation`` from tau = 0 in one
+    batch, each bit for bit as alone; only DOP853 enters faults.
+    ``steps``, if given, gets one entry ``(col, t, h, nodes)`` for the
+    segments of the settled columns, and the DOP853 steps of the rest.
+    """
+    v, nodes, settled = _picard_deviation(forcing, kink_args, eps, x0, bounds, tol)
+    if steps is not None and settled.any():
+        cols = np.flatnonzero(settled)
+        segments = bounds.size - 1
+        steps.append((
+            np.tile(cols, segments),
+            np.repeat(bounds[:-1], cols.size),
+            np.repeat(np.diff(bounds), cols.size),
+            nodes[..., cols].transpose(1, 2, 0, 3).reshape(_N + 1, 4, -1),
+        ))
+    if (back := np.flatnonzero(~settled)).size:
+        met, own = None if faults is None else {}, None if steps is None else []
+        v[:, back] = _slow_deviation(forcing, eps[back], x0[:, back], bounds[-1], own, met, tol[back])
+        for c, fault in (met or {}).items():
+            faults.setdefault(int(back[c]), fault)
+        if own:
+            steps.extend((back[col], t, h, y) for col, t, h, y in own)
+    return v
+
+
+def _locate(col, t, h, taus, reach):
+    """The record entry and time index of every (column, time) pair read from a record.
+
+    ``col``, ``t`` and ``h`` give each entry's output column, start and
+    length, each column's entries in time order.  A time is read from the
+    last entry of its column that starts at or before it: an entry's times
+    run up to the start of its column's next entry, the last entry's to the
+    last time.  Sets ``reach`` of each column to ``t + h`` of its last entry.
+    """
+    n = taus.size
     order = np.argsort(col, kind="stable")
     last = np.append(col[order[1:]] != col[order[:-1]], True)
     reach[col[order[last]]] = t[order[last]] + h[order[last]]
@@ -345,9 +542,57 @@ def _dense_samples(forcing, eps, x0, steps, taus, faults):
     count = np.where(last, n, np.append(lo[1:], n)) - lo
     i = np.repeat(np.arange(order.size), count)
     j = lo[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
-    step = order[i]
-    theta = (taus[j] - t[step]) / h[step]
-    v[:, col[step], j] = _interpolate(y, coeffs, theta, step)
+    return order[i], j
+
+
+def _dense_samples(forcing, eps, x0, col, t, h, y, at, theta, faults):
+    """The DOP853 dense output of the recorded steps ``at`` at their fractions ``theta``.
+
+    ``col``, ``t``, ``h`` and the ``(4, k)`` start states ``y`` are the
+    steps that ``_slow_deviation`` recorded for the ``(m,)`` eps and
+    ``(4, m)`` starts ``x0``.  The dense output of a step depends only on
+    its ``(t, y, h)``, so every step is rebuilt in one batch, 16 stages on
+    all of them from two rotations: stage 0, the FSAL stage the pass
+    carried into that step, with its 12 stages, then the 3 dense ones.
+    Each column comes out bit for bit as the pass would have made it.  A
+    column with a non-finite step is entered in ``faults`` at its first
+    such step in record order, the one the pass met first.
+    """
+    field = slow_field(forcing, eps[col], x0[:, col])
+    k = np.empty((16,) + y.shape)
+    coeffs = _dense_output(field, t, y, h, k, _dop853_step(field, t, y, h, k, 0)[0])
+    _check_finite(coeffs, t, col, faults)
+    return _interpolate(y, coeffs, theta, at)
+
+
+def _recorded_samples(forcing, eps, x0, steps, taus, faults):
+    """The ``(4, m, n)`` slow deviations at the sorted ``(n,)`` times ``taus``, from a record.
+
+    ``steps`` is a record that ``flow_map`` appended to for the ``(m,)``
+    eps and ``(4, m)`` starts ``x0``: entries ``(col, t, h, y)`` of
+    DOP853 steps, whose ``y`` is their ``(4, k)`` start states, and of
+    Chebyshev-Picard segments, whose ``y`` is their ``(N + 1, 4, k)`` node
+    values.  A column's entries are all of one kind.  A step's time is
+    read from its dense output (``_dense_samples``), a segment's by
+    barycentric interpolation on its nodes (``_lobatto_samples``), which
+    evaluates no field.  Also returns each column's reach, the end of its
+    last entry, past which a time would be extrapolated (0 when there are
+    no entries or no times).
+    """
+    m, n = x0.shape[1], taus.size
+    v, reach = np.zeros((4, m, n)), np.zeros(m)
+    for ndim in (2, 3):
+        kind = [entry for entry in steps if entry[3].ndim == ndim]
+        if not (kind and n):
+            continue
+        col, t, h, y = (np.concatenate(a, axis=-1) for a in zip(*kind))
+        at, j = _locate(col, t, h, taus, reach)
+        if ndim == 2:
+            v[:, col[at], j] = _dense_samples(
+                forcing, eps, x0, col, t, h, y, at, (taus[j] - t[at]) / h[at], faults
+            )
+        else:
+            v[:, col[at], j] = _lobatto_samples(y, 2.0 * (taus[j] - t[at]) / h[at] - 1.0, at)
     return v, reach
 
 
@@ -370,18 +615,21 @@ def sample_states(spec, eps, x0, taus, steps, faults=None):
     """States at the times ``taus`` of the solution with x0 at tau = 0.
 
     ``x0`` is a ``(4,)`` state or a ``(4, m)`` batch, and ``eps`` a scalar
-    or one value per column.  Every sample is read from the seventh-order
-    dense output of the DOP853 step that contains it, rebuilt from a record
-    of the accepted steps (``_dense_samples``), so a time costs no step.
-    ``steps`` is such a record of a flow of these columns, as ``flow_map``
-    appends it; a time past the end of that flow is refused, except in a
-    column entered in ``faults``, whose record stops where it faulted and
-    whose samples are NaN.  Each slow deviation is mapped back to its
-    state through ``model.slow_field``; tau = 0 gives x0 bit for bit.
-    ``taus`` must be finite, non-negative and non-decreasing; repeated
-    times are allowed.  No column depends on another.  Returns ``(4, n)``
-    or ``(4, m, n)``.  A column that faults, in its flow or in the rebuild,
-    gets NaN samples and its entry in ``faults`` (``newton.fault_record``).
+    or one value per column.  ``steps`` is the record of a flow of these
+    columns, as ``flow_map`` appends it, and every sample is read from it
+    (``_recorded_samples``): a column that the Chebyshev-Picard iteration
+    served by barycentric interpolation on the nodes of the segment that
+    contains the time, which evaluates no field; a DOP853 fallback column
+    from the seventh-order dense output of its step that contains it,
+    rebuilt from its step record.  So a time costs no step and no sweep.
+    A time past the end of that flow is refused, except in a column
+    entered in ``faults``, whose record stops where it faulted and whose
+    samples are NaN.  Each slow deviation is mapped back to its state
+    through ``model.slow_field``; tau = 0 gives x0 bit for bit.  ``taus``
+    must be finite, non-negative and non-decreasing; repeated times are
+    allowed.  No column depends on another.  Returns ``(4, n)`` or ``(4,
+    m, n)``.  A column that faults, in its flow or in the rebuild, gets
+    NaN samples and its entry in ``faults`` (``newton.fault_record``).
     """
     taus = np.array([float(t) for t in taus])
     shape = np.shape(x0) + taus.shape
@@ -389,7 +637,7 @@ def sample_states(spec, eps, x0, taus, steps, faults=None):
     m, n = x0.shape[1], taus.size
     faults = fault_record(faults)
     with np.errstate(all="ignore"):
-        v, reach = _dense_samples(forcing, eps, x0, steps, taus, faults)
+        v, reach = _recorded_samples(forcing, eps, x0, steps, taus, faults)
         reach[list(faults)] = np.inf  # a faulted column's record ends early
         if (reach < (taus[-1] if n else 0.0)).any():
             raise ValueError("times must not pass the end of the recorded flow")
@@ -403,18 +651,30 @@ def sample_states(spec, eps, x0, taus, steps, faults=None):
 def flow_map(spec, eps, states0, period, steps=None, faults=None, tol=None):
     """Endpoint of the flow after one period for a (4,) or (4, m) batch.
 
-    ``eps`` is a scalar or one value per column, and so is ``tol``,
-    DOP853's finite, positive tolerance on the slow deviation
-    (``DOP853_TOL`` if None).  DOP853 steps each column's slow deviation
-    on its own clock, so its endpoint is bit for bit the one it gets alone;
-    only the endpoint is mapped back to a state.  ``steps``, if given, is a list that gets the record of the accepted
-    steps, from which ``sample_states`` reads this flow's states.  A column
-    that faults ends NaN, with its entry in ``faults`` (``fault_record``).
+    ``eps`` is a scalar or one value per column, and so is ``tol``, the
+    finite, positive tolerance on the slow deviation (``DOP853_TOL`` if
+    None).  Each column's slow deviation is iterated by Chebyshev-Picard
+    on ``PICARD_SEGMENTS`` segments per period of ``spec.mode`` (at least
+    one); a column that fails the iteration's own tests is stepped by
+    DOP853 from tau = 0 instead (``_deviation``).  Each column's endpoint
+    is bit for bit the one it gets alone; only the endpoint is mapped back
+    to a state.  ``steps``, if given, is a list that gets the record of
+    the settled columns' segment nodes and the fallback columns' accepted
+    steps, from which ``sample_states`` reads this flow's states.  A
+    column that faults, in DOP853, ends NaN, with its entry in ``faults``
+    (``fault_record``).
     """
     period = float(period)
     forcing, eps, x0 = _setup(spec, eps, states0, (period,))
+    tol = _tolerances(tol, x0.shape[1])
+    if period == 0.0:
+        return x0.reshape(np.shape(states0)).copy()
+    # p mode periods make 4 p segments, whichever way the ratio rounds.
+    segments = max(1, math.ceil(PICARD_SEGMENTS * period / spec.mode.period - 1e-9))
+    bounds = period * (np.arange(segments + 1) / segments)
     with np.errstate(all="ignore"):
-        v = _slow_deviation(forcing, eps, x0, period, steps, faults, tol)
+        kink_args = tuple(compile_expr(arg) for f in (spec.f1, spec.f2) for arg in kinks(f))
+        v = _deviation(forcing, kink_args, eps, x0, bounds, steps, faults, tol)
         out = slow_field(forcing, eps, x0)(np.full((1,) + eps.shape, period))[1](0, v)
     return out.reshape(np.shape(states0))
 
@@ -460,9 +720,9 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     The period is ``spec.full_period``.  One ``newton.solve_many`` solves
     flow(x) - x = 0 for every case in lockstep, on central-difference
     Jacobians (``newton.central``), and every case's columns share each
-    integration, DOP853 on the slow deviation, of which ``flow_map`` maps
-    back only the endpoint.  The first flow, of the guesses and their
-    stencils, runs at
+    flow (``flow_map``: Chebyshev-Picard on the slow deviation, DOP853 for
+    a column it cannot serve), of which only the endpoint is mapped back.
+    The first flow, of the guesses and their stencils, runs at
     ``DOP853_ROUGH_TOL``: it only aims the first step, and a guess within
     ``DOP853_ROUGH_TOL / DOP853_TOL`` times ``tol`` on it is integrated
     again at ``DOP853_TOL`` before it may settle (``newton.solve_many``'s
@@ -471,11 +731,11 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     identity) is already there: a step costs one flow per halving level it
     tries, and no column is integrated twice.
     A Jacobian with condition above ``COND_LIMIT`` stops that case.
-    Each flow also records its accepted steps, and each converged case's
-    ``source`` names the flow and column whose value is its solution bit
-    for bit, so ``sample_states`` rebuilds the dense output of every
-    converged orbit from its own steps in one batch, integrating nothing.
-    It samples ``n_samples`` equally spaced times over one period;
+    Each flow also records its columns' segment nodes (or a fallback
+    column's steps), and each converged case's ``source`` names the flow
+    and column whose value is its solution bit for bit, so
+    ``sample_states`` reads every converged orbit from its own record in
+    one batch, integrating nothing.  It samples ``n_samples`` equally spaced times over one period;
     ``n_samples = 0`` leaves ``samples`` empty, and a negative count is
     refused before any flow.  The reported distance is measured from the
     guess.  Each case ends bit for bit as ``shoot_periodic`` alone
@@ -488,15 +748,15 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     period = spec.full_period
     outcomes = [ShootingError(_EPS_ZERO) if e == 0.0 else None for e in eps]
     cases = np.flatnonzero(eps != 0.0)
-    flows = []  # the packed step record of each flow, in call order
+    flows = []  # the record of each flow, in call order
 
     def flow(accuracy):
-        """The displacement ``F`` of ``solve_many``, integrated at DOP853 tolerance ``accuracy``."""
+        """The displacement ``F`` of ``solve_many``, integrated at tolerance ``accuracy``."""
 
         def F(cols, owner, faults):
             steps = []
             ends = flow_map(spec, eps[cases[owner]], cols, period, steps, faults, accuracy)
-            flows.append(tuple(np.concatenate(a, axis=-1) for a in zip(*steps)))
+            flows.append(steps)
             return ends - cols
 
         return F
@@ -505,23 +765,23 @@ def shoot_many(spec, eps, guesses, tol=1e-10, n_samples=256):
     solved = solve_many(
         central(flow(DOP853_TOL)), guesses[:, cases], tol, cond_limit=COND_LIMIT, rough=rough
     )
-    records = {}  # case -> (t, h, y) of its solution's own steps
+    records = {}  # case -> the (t, h, y) entries of its solution's own column
     for i, result in zip(cases, solved):
         outcomes[i] = result
         if isinstance(result, NewtonFailure):
             outcomes[i] = ShootingError(f"period-map Newton at eps={eps[i]:g}: {result}")
             outcomes[i].__cause__ = result
         elif isinstance(result, Solution):
-            col, *steps = flows[result.source[0]]
-            records[i] = [a[..., col == result.source[1]] for a in steps]
-    flows.clear()  # only the solutions' own steps are sampled
+            call, c = result.source
+            records[i] = [[a[..., col == c] for a in entry] for col, *entry in flows[call] if (col == c).any()]
+    flows.clear()  # only the solutions' own columns are sampled
 
     sample_taus = np.linspace(0.0, period, n_samples, endpoint=False)
     idx = np.array(list(records), dtype=np.intp)
     xs = np.array([outcomes[i].x for i in idx]).reshape(-1, 4).T
     faults, samples = {}, np.empty((idx.size, 4, 0))
     if n_samples:
-        steps = [(np.full(records[i][0].size, r), *records[i]) for r, i in enumerate(idx)]
+        steps = [(np.full(t.size, r), t, *rest) for r, i in enumerate(idx) for t, *rest in records[i]]
         samples = np.moveaxis(sample_states(spec, eps[idx], xs, sample_taus, steps, faults), 1, 0)
     for r, (i, sampled) in enumerate(zip(idx, samples)):
         x, residual, iterations = outcomes[i][:3]

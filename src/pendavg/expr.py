@@ -30,7 +30,8 @@ and check finiteness.  :func:`diff` differentiates an expression in one
 variable, as an expression of the same nodes that ``compile_expr`` compiles
 (plus ``sign``, the derivative of ``abs``, which forcing text cannot name).
 :func:`harmonic_bound` reads from the AST and its ``tau`` partials how
-many harmonics a forcing can have along an orbit of one frequency.
+many harmonics a forcing can have along an orbit of one frequency, and
+:func:`kinks` where it may stop being smooth.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def _fold(op, a, b):
     """``a op b`` on two literals, as ``compile_expr`` would evaluate it (NaN or inf on a fault)."""
     x, y = np.float64(a.value), np.float64(b.value)
     with np.errstate(all="ignore"):
-        return Num(float({"+": x + y, "-": x - y, "*": x * y, "/": x / y}[op]))
+        return Num(float({"+": x + y, "-": x - y, "*": x * y, "/": x / y, "^": x**y}[op]))
 
 
 def _neg(a):
@@ -456,9 +457,60 @@ def diff(expr, var):
     return _sub(_div(du, v), _div(_mul(u, dv), _pow(v, 2.0)))
 
 
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def kinks(expr):
+    """The arguments at whose zeros ``expr`` may lose smoothness while it stays finite.
+
+    The argument of each ``abs`` or ``sqrt`` and the base of each ``^``
+    with a non-integer exponent, in the order met, each once; an argument
+    that reads no variable is left out.  Away from their zeros the
+    compiled ``expr`` is analytic wherever it is finite.  Cached per
+    ``expr``.
+    """
+    found = []
+
+    def walk(node):
+        if isinstance(node, Neg):
+            walk(node.operand)
+        elif isinstance(node, Call):
+            if node.func in ("abs", "sqrt") and not _constant(node.arg):
+                found.append(node.arg)
+            walk(node.arg)
+        elif isinstance(node, BinOp):
+            if node.op == "^" and not float(_literal(node.rhs)).is_integer() and not _constant(node.lhs):
+                found.append(node.lhs)
+            walk(node.lhs)
+            walk(node.rhs)
+
+    walk(expr)
+    return tuple(dict.fromkeys(found))
+
+
 # ---------------------------------------------------------------------------
 # Harmonic bound
 # ---------------------------------------------------------------------------
+
+_SIMPLIFY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
+
+def _simplified(node):
+    """``node`` rebuilt bottom-up by ``diff``'s simplifying rules, with ``^`` of two numbers folded.
+
+    ``diff`` simplifies only what it builds and copies the untouched
+    subtrees of its input as they are, so a partial can keep a factor such
+    as ``tau * 0`` or ``0^0.5`` that reads a variable for nothing.
+    """
+    if isinstance(node, Neg):
+        return _neg(_simplified(node.operand))
+    if isinstance(node, Call):
+        return Call(node.func, _simplified(node.arg))
+    if not isinstance(node, BinOp):
+        return node
+    lhs, rhs = _simplified(node.lhs), _simplified(node.rhs)
+    if node.op != "^":
+        return _SIMPLIFY[node.op](lhs, rhs)
+    return _fold("^", lhs, rhs) if isinstance(lhs, Num) else _pow(lhs, rhs.value)
+
 
 def _constant(node, free=frozenset()):
     """True when ``node`` reads no variable but those named in ``free``."""
@@ -481,7 +533,7 @@ def _harmonics(node, p, period):
     if isinstance(node, Call):
         if node.func not in ("sin", "cos") or not _constant(node.arg, {"tau"}):
             return None
-        rate = diff(node.arg, "tau")
+        rate = _simplified(diff(node.arg, "tau"))
         if not _constant(rate):
             return None
         h = abs(float(compile_expr(rate)(0.0, 0.0, 0.0, 0.0, 0.0))) * period / (2.0 * math.pi)

@@ -279,9 +279,10 @@ def slow_field(forcing, eps, x0):
     ``state`` the state.  So each of them does only the work that depends
     on ``v``.  Every row is written out rather than taken as a matrix
     product, so no summation order enters and no column depends on the
-    rest of the batch.  ``continuation``'s DOP853 calls ``at`` once per
-    step, with the step's stage times, and builds a new ``slow_field``
-    whenever columns leave.
+    rest of the batch.  ``continuation``'s Chebyshev-Picard iteration
+    calls ``at`` once per segment, on one time row that repeats each
+    column at every node, and its DOP853 fallback once per step, with the
+    step's stage times; each builds a new ``slow_field`` for new columns.
     """
     f1, f2 = forcing
     eps = np.asarray(eps, dtype=float)

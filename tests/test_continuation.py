@@ -46,6 +46,21 @@ def _flow_samples(spec, eps, x0, taus, faults=None):
     return sample_states(spec, eps, x0, taus, steps, faults)
 
 
+def _dop853_flow(spec, eps, x0, taus, tol=1e-12):
+    """DOP853 alone at ``tol`` from ``x0``: the endpoint at ``taus[-1]`` and the states at ``taus``.
+
+    The reference flow: ``_slow_deviation``, the fallback of ``flow_map``,
+    mapped back as ``flow_map`` maps its endpoint, and sampled from its
+    own step record.
+    """
+    forcing, eps_, x = continuation._setup(spec, eps, x0, taus)
+    steps = []
+    with np.errstate(all="ignore"):
+        v = continuation._slow_deviation(forcing, eps_, x, taus[-1], steps, tol=tol)
+    end = slow_field(forcing, eps_, x)(np.full((1,) + eps_.shape, taus[-1]))[1](0, v)
+    return end.reshape(np.shape(x0)), sample_states(spec, eps, x0, taus, steps)
+
+
 # ---------------------------------------------------------------------------
 # Integrators
 # ---------------------------------------------------------------------------
@@ -172,8 +187,9 @@ def test_dop853_step_budget(monkeypatch):
     spec = _coro1()
     monkeypatch.setattr(continuation, "DOP853_TOL", 1e-13)
     monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 10)
+    x0 = unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0)[:, None]
     with pytest.raises(IntegrationError):
-        flow_map(spec, 0.0, unperturbed_orbit(Mode.MODE1, (1.0, 0.0), 0.0), T1)
+        continuation._slow_deviation(compiled_forcing(spec), np.zeros(1), x0, T1)
 
 
 def test_forcing_blowup_reported_mid_flight(tight):
@@ -188,8 +204,9 @@ def test_a_stalled_step_fails_at_once(monkeypatch):
     # there instead of spinning through the step budget.
     spec = PerturbationSpec.from_strings("0", "th2d^2", "mode1", 1, 1)
     monkeypatch.setattr(continuation, "DOP853_MAX_STEPS", 20000)
+    x0 = np.array([[0.0], [0.0], [0.0], [3.0]])
     with pytest.raises(IntegrationError, match="underflow"):
-        flow_map(spec, 1.0, np.array([0.0, 0.0, 0.0, 3.0]), T1)
+        continuation._slow_deviation(compiled_forcing(spec), np.ones(1), x0, T1)
 
 
 def test_every_column_is_its_own_run_bit_for_bit(monkeypatch):
@@ -327,8 +344,9 @@ def test_wrapped_forcing_is_called_as_is(monkeypatch, wraps):
 
 
 def test_step_count_does_not_depend_on_eps(monkeypatch):
-    # DOP853 steps the slow deviation, whose field does not scale with eps, so
-    # a period costs the same forcing calls at every eps, eps = 0 included.
+    # DOP853, the fallback flow, steps the slow deviation, whose field does
+    # not scale with eps, so a period costs the same forcing calls at every
+    # eps, eps = 0 included.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     calls = []
@@ -347,7 +365,7 @@ def test_step_count_does_not_depend_on_eps(monkeypatch):
     counts = []
     for eps in (1e-2, 1e-4, 1e-6, 0.0):
         calls.clear()
-        flow_map(spec, eps, x0, spec.full_period)
+        continuation._slow_deviation(continuation.compiled_forcing(spec), np.array([eps]), x0[:, None], T1)
         counts.append(len(calls))
     assert counts[0] > 0 and counts == [counts[0]] * 4
 
@@ -483,15 +501,166 @@ def test_dense_output_is_seventh_order_and_ends_on_the_step():
     "which, alpha",
     [("corollary1", (oracles.CORO1_X0, 0.0)), ("corollary2", (0.0, oracles.CORO2_W0))],
 )
-def test_interpolated_samples_match_a_tight_pass(monkeypatch, which, alpha, eps):
-    # The 256 orbit samples come from the dense output of natural steps;
-    # a flow at tolerance 1e-13 from the same start agrees to 1e-10.
+def test_interpolated_samples_match_a_tight_pass(which, alpha, eps):
+    # The 256 orbit samples are interpolated on the Chebyshev-Picard nodes;
+    # a DOP853 flow at tolerance 1e-13 from the same start agrees to 1e-10.
     spec = oracles.make_spec(which)
     orbit = shoot_periodic(spec, eps, predicted_initial_state(spec.mode, alpha))
     assert orbit.samples.shape == (4, 256)
-    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-13)
-    tight = _flow_samples(spec, eps, orbit.initial_state, orbit.samples_tau)
+    tight = _dop853_flow(spec, eps, orbit.initial_state, orbit.samples_tau, tol=1e-13)[1]
     assert np.abs(orbit.samples - tight).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev-Picard flow
+# ---------------------------------------------------------------------------
+
+def test_lobatto_tables_integrate_and_interpolate_polynomials_exactly():
+    # The integration matrix integrates every polynomial of degree <= N
+    # from -1 to each node, the tail rows read the coefficients of T_(N-1)
+    # and T_N, and the barycentric formula reproduces such a polynomial
+    # anywhere and a node value bit for bit.
+    x, integral, tail = continuation._X, continuation._INTEGRAL, continuation._TAIL
+    n = x.size - 1
+    assert x[0] == -1.0 and x[-1] == 1.0 and (np.diff(x) > 0.0).all()
+    assert not integral[0].any()
+    for k in range(n + 1):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.abs(integral @ x**k - exact).max() <= 1e-14, k
+    chebyshev = np.cos(np.outer(np.arange(n + 1), np.arccos(x)))
+    assert np.abs(tail @ chebyshev.T - np.eye(n + 1)[n - 1 :]).max() <= 1e-14
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=(n + 1, 4, 3))
+    nodes = np.einsum("kj,krc->jrc", chebyshev, coeffs)
+    points = np.concatenate([rng.uniform(-1.0, 1.0, 40), x[[0, 5, n]]])
+    at = rng.integers(0, 3, points.size)
+    got = continuation._lobatto_samples(nodes, points, at)
+    want = np.einsum("kp,krp->rp", np.cos(np.outer(np.arange(n + 1), np.arccos(points))), coeffs[:, :, at])
+    assert np.abs(got - want).max() <= 1e-13
+    for p, j in zip(range(40, 43), (0, 5, n)):
+        assert got[:, p].tobytes() == nodes[j, :, at[p]].tobytes()
+
+
+def _picard_settled(monkeypatch):
+    """A list that gets each flow's mask of the columns the Chebyshev-Picard iteration settled."""
+    picard, masks = continuation._picard_deviation, []
+
+    def spy(*args):
+        out = picard(*args)
+        masks.append(out[2])
+        return out
+
+    monkeypatch.setattr(continuation, "_picard_deviation", spy)
+    return masks
+
+
+@pytest.mark.parametrize("m", [1, 4, 36])
+def test_every_picard_column_is_its_own_run_bit_for_bit(monkeypatch, m):
+    # Columns at their own eps, eps = 0 among them, and one at eps = 3,
+    # whose iteration does not contract, so it falls back to DOP853: each
+    # ends, and is sampled, bit for bit as it is alone, and the fallback
+    # column as DOP853 alone.
+    spec = _coro1()
+    rng = np.random.default_rng(m)
+    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    states = x0[:, None] + rng.normal(scale=0.05, size=(4, m))
+    eps = rng.choice([1e-2, 5e-3, 1e-3, -1e-3, 1e-4], size=m)
+    eps[0], eps[-1], states[:, -1] = 0.0, 3.0, x0 + 0.05
+    taus = [0.0, 0.3, 2.5, 2.5, T1 / 2, T1]
+    settled = _picard_settled(monkeypatch)
+    ends = flow_map(spec, eps, states, T1)
+    samples = _flow_samples(spec, eps, states, taus)
+    assert settled[0].tolist() == (eps != 3.0).tolist()
+    for j in range(m):
+        assert ends[:, j].tobytes() == flow_map(spec, eps[j], states[:, j], T1).tobytes()
+        alone = _flow_samples(spec, eps[j], states[:, j], taus)
+        assert samples[:, j].tobytes() == alone.tobytes()
+    dop853 = _dop853_flow(spec, eps[-1], states[:, -1], taus, tol=continuation.DOP853_TOL)
+    assert ends[:, -1].tobytes() == dop853[0].tobytes()
+    assert samples[:, -1].tobytes() == dop853[1].tobytes()
+
+
+_LADDER = (1e-2, 5e-3, 2.5e-3, 1e-3)
+
+
+@pytest.mark.parametrize("which, p", [("corollary1", 1), ("corollary2", 1), ("corollary1", 2)])
+def test_picard_flow_meets_a_tight_dop853_flow(monkeypatch, which, p):
+    # From the prediction of every zero of the preset, on the 4-eps ladder
+    # and at p = 2, every column settles on the Picard nodes, and its end
+    # and 256 samples over the period are within 1e-11 of a DOP853 flow at
+    # tolerance 1e-12.
+    preset = oracles.make_spec(which)
+    spec = PerturbationSpec(preset.f1, preset.f2, preset.mode, p, 1)
+    cases = [(eps, alpha) for alpha in _PRESET_ZEROS[which] for eps in _LADDER]
+    eps = np.array([e for e, _ in cases])
+    x = np.stack([predicted_initial_state(spec.mode, a) for _, a in cases], axis=1)
+    period = spec.full_period
+    taus = [*np.linspace(0.0, period, 256, endpoint=False), period]
+    settled = _picard_settled(monkeypatch)
+    ends, samples = flow_map(spec, eps, x, period), _flow_samples(spec, eps, x, taus)
+    assert all(mask.all() for mask in settled)
+    reference = _dop853_flow(spec, eps, x, taus, tol=1e-12)
+    assert np.abs(ends - reference[0]).max() <= 1e-11
+    assert np.abs(samples - reference[1]).max() <= 1e-11
+
+
+@pytest.mark.parametrize("term", ["abs(th2d) * sin(w1 * tau)", "th1^2 * sin(32 * w1 * tau)"])
+def test_a_column_the_nodes_cannot_resolve_meets_the_reference_or_falls_back(monkeypatch, term):
+    # A kink along the orbit, or a harmonic far above what a segment's
+    # nodes resolve: a column that settles anyway is within 1e-11 of a
+    # DOP853 flow at 1e-12, and one that falls back ends bit for bit as
+    # DOP853 alone.
+    spec = PerturbationSpec.from_strings("0", f"(1 - th1^2) * sin(w1 * tau) + {term}", "mode1", 1, 1)
+    alphas = [(oracles.CORO1_X0, 0.0), (1.0, 0.3), (3.0, -2.0)]
+    cases = [(eps, alpha) for alpha in alphas for eps in (1e-2, 1e-3)]
+    eps = np.array([e for e, _ in cases])
+    x = np.stack([predicted_initial_state(Mode.MODE1, a) for _, a in cases], axis=1)
+    settled = _picard_settled(monkeypatch)
+    ends = flow_map(spec, eps, x, T1)
+    reference = _dop853_flow(spec, eps, x, [T1], tol=1e-12)[0]
+    for j, picard in enumerate(settled[0]):
+        if picard:
+            assert np.abs(ends[:, j] - reference[:, j]).max() <= 1e-11
+        else:
+            alone = _dop853_flow(spec, eps[j], x[:, j], [T1], tol=continuation.DOP853_TOL)[0]
+            assert ends[:, j].tobytes() == alone.tobytes()
+    if "32" in term:
+        assert not settled[0].any()
+
+
+@pytest.mark.parametrize(
+    "f2, start, eps",
+    [
+        # exp(th2) overflows at th2 = 710, so the first sweep is not finite.
+        ("(1 - th1^2) * sin(w1 * tau) + exp(th2)", (0.0, 0.0, 710.0, 0.0), 1e-3),
+        # NaN where th2d^2 > X0^2 + 0.3, which the flow at eps 0.2 passes.
+        (
+            "(1 - th1^2) * sin(w1 * tau) + 0 * sqrt(4.686291501015239 + 0.3 - th2d^2)",
+            tuple(predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))),
+            0.2,
+        ),
+    ],
+    ids=["overflow", "mid-flight"],
+)
+def test_a_column_that_leaves_the_iteration_faults_as_dop853_alone(monkeypatch, f2, start, eps):
+    # The column falls back, and DOP853 alone decides its fault: the type
+    # and message it has always had.  A clean column beside it keeps its
+    # bits; without a dict the flow raises the fault.
+    spec = PerturbationSpec.from_strings("0", f2, "mode1", 1, 1)
+    clean = predicted_initial_state(Mode.MODE1, (1.0, 0.0))
+    starts = np.stack([clean, np.array(start)], axis=1)
+    settled = _picard_settled(monkeypatch)
+    faults = {}
+    out = flow_map(spec, [1e-3, eps], starts, T1, None, faults)
+    assert settled[0].tolist() == [True, False]
+    assert list(faults) == [1] and np.isnan(out[:, 1]).all()
+    assert out[:, 0].tobytes() == flow_map(spec, 1e-3, clean, T1).tobytes()
+    forcing = compiled_forcing(spec)
+    with pytest.raises(ExprDomainError) as alone, np.errstate(all="ignore"):
+        continuation._slow_deviation(forcing, np.array([eps]), starts[:, 1:], T1)
+    assert (type(faults[1]), str(faults[1])) == (ExprDomainError, str(alone.value))
+    with pytest.raises(ExprDomainError, match=str(alone.value)):
+        flow_map(spec, [1e-3, eps], starts, T1)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +841,7 @@ def test_only_the_guesses_flow_is_rough(monkeypatch, which):
     # Every zero of the preset on the 4-eps ladder, shot as `verify` shoots
     # them: the guesses' stencils flow at DOP853_ROUGH_TOL, both full steps
     # at DOP853_TOL.  Each converged orbit is within the shooting tolerance
-    # of a fixed point of a flow at tolerance 1e-12.
+    # of a fixed point of a DOP853 flow at tolerance 1e-12.
     spec = oracles.make_spec(which)
     ladder, shoot_tol = (1e-2, 5e-3, 2.5e-3, 1e-3), 1e-10
     cases = [(eps, alpha) for alpha in _PRESET_ZEROS[which] for eps in ladder]
@@ -688,10 +857,27 @@ def test_only_the_guesses_flow_is_rough(monkeypatch, which):
     orbits = shoot_many(spec, eps, guesses, tol=shoot_tol, n_samples=0)
     assert tols == [continuation.DOP853_ROUGH_TOL, continuation.DOP853_TOL, continuation.DOP853_TOL]
     assert continuation.DOP853_ROUGH_TOL > continuation.DOP853_TOL
-    monkeypatch.setattr(continuation, "flow_map", flow)
-    monkeypatch.setattr(continuation, "DOP853_TOL", 1e-12)
     x = np.stack([orbit.initial_state for orbit in orbits], axis=1)
-    residual = np.linalg.norm(flow_map(spec, eps, x, spec.full_period) - x, axis=0)
+    end = _dop853_flow(spec, eps, x, [spec.full_period], tol=1e-12)[0]
+    residual = np.linalg.norm(end - x, axis=0)
+    assert (residual <= shoot_tol).all(), residual
+
+
+@pytest.mark.parametrize("which", ["corollary1", "corollary2"])
+def test_converged_orbits_at_p2_are_fixed_points_of_a_tight_dop853_flow(which):
+    # As above, at p = 2: every zero of the preset on the 4-eps ladder,
+    # shot over two periods of its mode, is within the shooting tolerance
+    # of a fixed point of a DOP853 flow at tolerance 1e-12.
+    preset = oracles.make_spec(which)
+    spec = PerturbationSpec(preset.f1, preset.f2, preset.mode, 2, 1)
+    shoot_tol = 1e-10
+    cases = [(eps, alpha) for alpha in _PRESET_ZEROS[which] for eps in _LADDER]
+    eps = np.array([e for e, _ in cases])
+    guesses = np.stack([predicted_initial_state(spec.mode, a) for _, a in cases], axis=1)
+    orbits = shoot_many(spec, eps, guesses, tol=shoot_tol, n_samples=0)
+    x = np.stack([orbit.initial_state for orbit in orbits], axis=1)
+    end = _dop853_flow(spec, eps, x, [spec.full_period], tol=1e-12)[0]
+    residual = np.linalg.norm(end - x, axis=0)
     assert (residual <= shoot_tol).all(), residual
 
 
@@ -707,28 +893,27 @@ def test_shoot_many_refuses_negative_n_samples_before_any_flow(monkeypatch):
 
 
 def test_sampling_integrates_nothing(monkeypatch):
-    # The orbits are sampled from the steps their Newton flows recorded:
-    # with 256 samples the solve makes the same integrations and the same
-    # DOP853 passes as with none.
+    # The orbits are interpolated on the nodes their Newton flows recorded:
+    # 256 samples cost no forcing call beyond 0 samples, and no flow.
     spec = _coro1()
     guess = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
-    deviation, step = continuation._slow_deviation, continuation._dop853_step
-    inside, counts = [], []
+    compiled, flow, counts = continuation.compiled_forcing, continuation.flow_map, []
 
-    def counted_deviation(*args):
+    def counted(spec):
+        f1, f2 = compiled(spec)
+
+        def f(*args):
+            counts[-1][1] += 1
+            return f1(*args)
+
+        return f, f2
+
+    def flows(*args):
         counts[-1][0] += 1
-        inside.append(True)
-        try:
-            return deviation(*args)
-        finally:
-            inside.pop()
+        return flow(*args)
 
-    def counted_step(*args):
-        counts[-1][1] += len(inside)
-        return step(*args)
-
-    monkeypatch.setattr(continuation, "_slow_deviation", counted_deviation)
-    monkeypatch.setattr(continuation, "_dop853_step", counted_step)
+    monkeypatch.setattr(continuation, "compiled_forcing", counted)
+    monkeypatch.setattr(continuation, "flow_map", flows)
     for n_samples in (256, 0):
         counts.append([0, 0])
         guesses = np.repeat(guess[:, None], 2, axis=1)
@@ -745,7 +930,8 @@ def tally(monkeypatch):
     calls (of F1, as ``pendbench`` counts right-hand sides) and
     ``rotations`` the evaluations of the rotation ``Phi(-tau)``, each of
     which takes one ``cos`` call in ``pendavg.model``.  Only calls made
-    inside ``_slow_deviation`` or ``_dense_samples`` count.
+    inside ``_slow_deviation``, ``_dense_samples`` or
+    ``_picard_deviation`` count.
     """
     counts, inside = collections.Counter(), []
 
@@ -773,7 +959,7 @@ def tally(monkeypatch):
             return getattr(np, name)
 
     monkeypatch.setattr(model, "np", Numpy())
-    for name in ("_slow_deviation", "_dense_samples"):
+    for name in ("_slow_deviation", "_dense_samples", "_picard_deviation"):
         monkeypatch.setattr(continuation, name, within(getattr(continuation, name)))
     monkeypatch.setattr(continuation, "_dop853_step", counted("steps", continuation._dop853_step))
     compiled = continuation.compiled_forcing
@@ -787,40 +973,43 @@ def tally(monkeypatch):
 
 
 def test_a_pass_evaluates_the_rotation_once(tally):
-    # A lockstep pass takes its step's 12 stages from one rotation at all
-    # their times (one per stage, 12 per pass, before); a flow's first
-    # stage takes one more.
+    # A lockstep DOP853 pass takes its step's 12 stages from one rotation
+    # at all their times (one per stage, 12 per pass, before); a flow's
+    # first stage takes one more.
     spec = _coro1()
     x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
     states = x0[:, None] + np.random.default_rng(5).normal(scale=0.05, size=(4, 3))
-    flow_map(spec, [1e-2, 1e-3, -1e-2], states, T1)
+    forcing = continuation.compiled_forcing(spec)
+    continuation._slow_deviation(forcing, np.array([1e-2, 1e-3, -1e-2]), states, T1)
     assert tally["steps"] > 0
     assert tally["forcing"] == 12 * tally["steps"] + 1
     assert tally["rotations"] == tally["steps"] + 1
 
 
 def test_a_rebuild_evaluates_the_rotation_at_most_three_times(tally):
-    # The 16-stage rebuild of every recorded step takes stages 0-12 from
-    # one rotation and the three dense stages from another (16, before).
+    # The 16-stage rebuild of every recorded DOP853 step takes stages 0-12
+    # from one rotation and the three dense stages from another (16,
+    # before).
     spec = _coro1()
-    x0 = predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))
+    x0 = np.repeat(predicted_initial_state(Mode.MODE1, (oracles.CORO1_X0, 0.0))[:, None], 2, axis=1)
     eps, steps = [1e-2, 1e-3], []
-    flow_map(spec, eps, np.repeat(x0[:, None], 2, axis=1), T1, steps)
+    continuation._slow_deviation(continuation.compiled_forcing(spec), np.array(eps), x0, T1, steps)
     tally.clear()
-    sample_states(spec, eps, np.repeat(x0[:, None], 2, axis=1), np.linspace(0.0, T1, 9), steps)
+    sample_states(spec, eps, x0, np.linspace(0.0, T1, 9), steps)
     assert tally["forcing"] == 16
     assert tally["rotations"] <= 3
 
 
-@pytest.mark.parametrize("which, passes", [("corollary1", 95), ("corollary2", 105)])
-def test_a_preset_verify_makes_its_passes_with_a_rotation_each(tally, capsys, which, passes):
-    # Three Newton flows in lockstep passes; each pass evaluates 12
-    # forcing pairs and one rotation, and each flow's first stage one more.
+@pytest.mark.parametrize("which, sweeps", [("corollary1", 36), ("corollary2", 48)])
+def test_a_preset_verify_sweeps_with_one_forcing_call_each(tally, capsys, which, sweeps):
+    # Three Newton flows of four Chebyshev-Picard segments each, and no
+    # DOP853 step: each sweep evaluates one forcing pair on all its nodes,
+    # and each segment one rotation.
     assert cli.main(["verify", "--preset", which]) == 0
     assert '"verified"' in capsys.readouterr().out
-    assert tally["steps"] == passes
-    assert tally["forcing"] == 12 * passes + 3
-    assert tally["rotations"] == passes + 3
+    assert tally["steps"] == 0
+    assert tally["forcing"] == sweeps
+    assert tally["rotations"] == 3 * continuation.PICARD_SEGMENTS
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])

@@ -20,6 +20,7 @@ from pendavg.expr import (
     compile_expr,
     diff,
     harmonic_bound,
+    kinks,
     parse,
 )
 from pendavg.constants import T1, T2
@@ -299,6 +300,9 @@ def test_a_repeated_forcing_hits_the_parse_cache():
         ("sin(w2 * tau)^3", 1, T2, 3),
         ("th1^2 * sin(5 * w1 * tau)", 1, T1, 7),
         ("sin(w1 * tau^1)", 1, T1, 1),
+        # A tau-reading product with an exact zero factor in a trig call.
+        ("sin(sin((pi * tau * (tau * 0))^3))", 1, T1, 0),
+        ("w2 + sin((0^0.5 * -tau)^3)", 1, T2, 0),
     ],
 )
 def test_harmonic_bound_of_a_band_limited_forcing(text, p, period, bound):
@@ -329,6 +333,23 @@ def test_harmonic_bound_is_none_beyond_the_rules(text):
     # outside a trig call, division by a non-constant, a negative or
     # fractional power, and a non-integer or non-affine frequency.
     assert harmonic_bound(parse(text), 1, T1) is None
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("(1 - th1^2) * sin(w1 * tau)", []),
+        ("abs(th2d) * sin(w1 * tau)", ["th2d"]),
+        ("0 * sqrt(4.686291501015239 + 0.3 - th2d^2)", ["4.686291501015239 + 0.3 - th2d^2"]),
+        ("(th1^2)^0.5 + th2^-1 + th1^3 + abs(-3) + sqrt(pi)", ["th1^2"]),
+        ("sqrt(abs(th1 - tau)) + abs(th1 - tau)", ["abs(th1 - tau)", "th1 - tau"]),
+        ("abs(sin(w1 * tau))", ["sin(w1 * tau)"]),
+    ],
+)
+def test_kinks_are_the_arguments_of_abs_sqrt_and_fractional_powers(text, want):
+    # Each argument once, in the order met; one that reads no variable and
+    # the base of an integer power are no kinks.
+    assert kinks(parse(text)) == tuple(parse(w) for w in want)
 
 
 # Factors of a rate: each a number or a constant expression, all of them
